@@ -33,6 +33,7 @@ __all__ = [
     "FamilyMismatchError",
     "GeneralizedWitt",
     "LieReport",
+    "LimitExceededError",
     "SpecMismatchError",
     "WittType",
     "WittTypeCorrespondence",
@@ -56,6 +57,10 @@ class FamilyMismatchError(Exception):
 
 class SpecMismatchError(Exception):
     """Elements fed to an operation do not belong to the same spec."""
+
+
+class LimitExceededError(Exception):
+    """A verification scan exceeded the configured tuple limit."""
 
 
 def _coeff_is_zero(c):
@@ -381,7 +386,8 @@ def verify_lie_axioms(spec, window: Window, max_triples=None) -> LieReport:
             for k in range(j, n):
                 n_triples += 1
                 if max_triples is not None and n_triples > max_triples:
-                    raise ValueError("max_triples limit exceeded")
+                    raise LimitExceededError(
+                        "max_triples limit %d exceeded" % max_triples)
                 residual = (spec.bracket(pair_bracket[i][j], elems[k])
                             + spec.bracket(pair_bracket[j][k], elems[i])
                             + spec.bracket(pair_bracket[k][i], elems[j]))

@@ -171,11 +171,19 @@ def _task_center_square(spec, cfg, window):
     return result, [("center", center.passed), ("square", square.passed)]
 
 
+def _payload_count(payload, field, default):
+    """A non-negative integer payload field, or ``default`` when absent."""
+    if field not in payload:
+        return default
+    value = payload[field]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError("field 'payload.%s' must be a non-negative integer" % field)
+    return value
+
+
 def _task_solve(spec, cfg, window):
     payload = cfg["payload"]
-    bound = payload.get("degree_bound", window.inner_margin)
-    if not isinstance(bound, int) or bound < 0:
-        raise ConfigError("field 'payload.degree_bound' must be a non-negative integer")
+    bound = _payload_count(payload, "degree_bound", window.inner_margin)
     report = halfderiv.sweep(
         spec, window, bound,
         delta=scalar_from_str(cfg["delta"]),
@@ -185,9 +193,9 @@ def _task_solve(spec, cfg, window):
 
 def _task_classify(spec, cfg, window):
     payload = cfg["payload"]
-    bound = payload.get("degree_bound", window.inner_margin)
-    if not isinstance(bound, int) or bound < 0:
-        raise ConfigError("field 'payload.degree_bound' must be a non-negative integer")
+    bound = _payload_count(payload, "degree_bound", window.inner_margin)
+    n_samples = _payload_count(payload, "samples", 5)
+    expected = _payload_count(payload, "expected_parameters", None)
     solved = halfderiv.solve_degrees(
         spec, window, bound,
         delta=scalar_from_str(cfg["delta"]),
@@ -197,7 +205,7 @@ def _task_classify(spec, cfg, window):
                                    solved=solved)
     delta_bases = {deg: basis for deg, (_, basis) in solved.items()}
     res = tpstruct.classify(spec, delta_bases, window, bound,
-                            n_samples=payload.get("samples", 5),
+                            n_samples=n_samples,
                             seed=cfg["seed"])
     result = {
         "sweep_verdict": sweep_report.verdict,
@@ -213,7 +221,6 @@ def _task_classify(spec, cfg, window):
     }
     verdicts = [("sweep", sweep_report.all_pass),
                 ("classify-associativity", res.associativity_pass)]
-    expected = payload.get("expected_parameters")
     if expected is not None:
         verdicts.append(("expected-parameters", res.n_parameters == expected))
     return result, verdicts
@@ -223,6 +230,9 @@ def _task_verify_structure(spec, cfg, window):
     payload = cfg["payload"]
     if "product" not in payload:
         raise ConfigError("missing field 'payload.product'")
+    require_poisson = payload.get("require_poisson", False)
+    if not isinstance(require_poisson, bool):
+        raise ConfigError("field 'payload.require_poisson' must be true or false")
     try:
         product = product_from_json(payload["product"])
     except (KeyError, ValueError) as exc:
@@ -247,7 +257,7 @@ def _task_verify_structure(spec, cfg, window):
             }
         result[name] = entry
     verdicts = [("tp-axioms", report.tp_pass)]
-    if payload.get("require_poisson"):
+    if require_poisson:
         verdicts.append(("poisson-leibniz", report.poisson_leibniz.passed))
     return result, verdicts
 

@@ -10,7 +10,7 @@ appears anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -101,6 +101,12 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
+    def int_rows(self):
+        """Nonzero rows with denominators cleared, in row order."""
+        for row in self.row_dicts():
+            if row:
+                yield _int_row(row)
+
     def apply(self, vector):
         """Exact matrix-vector product."""
         if len(vector) != self.n_cols:
@@ -131,15 +137,12 @@ def _gcd_normalize(row):
 
 
 def _int_row(row):
-    """Clear denominators of a Fraction dict row and gcd-normalize."""
-    if not row:
-        return {}
+    """Integer multiple of a Fraction dict row: its denominators cleared."""
     lcm = 1
     for v in row.values():
         d = v.denominator
         lcm = lcm // gcd(lcm, d) * d
-    return _gcd_normalize(
-        {c: v.numerator * (lcm // v.denominator) for c, v in row.items()})
+    return {c: v.numerator * (lcm // v.denominator) for c, v in row.items()}
 
 
 class _IntEchelon:
@@ -152,6 +155,8 @@ class _IntEchelon:
 
     def __init__(self):
         self.rows = {}
+        self.rows_generated = 0
+        self.rows_consumed = 0
 
     @property
     def rank(self):
@@ -168,16 +173,22 @@ class _IntEchelon:
             a = row[lead]
             b = pivot[lead]
             g = gcd(a, b)
-            ma = b // g
             mb = a // g
-            out = {c: v * ma for c, v in row.items()}
+            # Scale the row only when the pivot's lead does not divide its
+            # own, and only then take the content out again: the remainder
+            # is the same up to a factor, and it is normalized on return.
+            scaled = b != g
+            if scaled:
+                ma = b // g
+                row = {c: v * ma for c, v in row.items()}
             for c, v in pivot.items():
-                w = out.get(c, 0) - v * mb
+                w = row.get(c, 0) - v * mb
                 if w:
-                    out[c] = w
+                    row[c] = w
                 else:
-                    out.pop(c, None)
-            row = _gcd_normalize(out) if out else {}
+                    del row[c]
+            if scaled and row:
+                row = _gcd_normalize(row)
         return {}
 
     def insert(self, row) -> bool:
@@ -208,23 +219,34 @@ class _IntEchelon:
         return reduced
 
 
-def _echelonize(m: SparseMatrix, max_cells, early_stop=True) -> _IntEchelon:
+def _echelonize(source, max_cells) -> _IntEchelon:
+    """Eliminate the rows of ``source`` in stream order.
+
+    ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator of
+    integer row dicts (column -> nonzero int); a ``SparseMatrix`` is one.
+    The cell limit is checked on ``n_rows x n_cols`` before any row is
+    drawn, and no row is drawn once the rank reaches ``n_cols``. Rows are
+    gcd-normalized, so a repeat up to scaling is skipped unreduced.
+    """
     limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    if m.n_rows * m.n_cols > limit:
+    if source.n_rows * source.n_cols > limit:
         raise DimensionOverflowError(
-            "%dx%d matrix exceeds the %d-cell limit" % (m.n_rows, m.n_cols, limit))
+            "%dx%d matrix exceeds the %d-cell limit"
+            % (source.n_rows, source.n_cols, limit))
     ech = _IntEchelon()
     seen = set()
-    for row in m.row_dicts():
+    for row in source.int_rows():
+        ech.rows_generated += 1
+        row = _gcd_normalize(row)
         if not row:
             continue
-        introw = _int_row(row)
-        sig = tuple(sorted(introw.items()))
+        sig = frozenset(row.items())
         if sig in seen:
             continue
         seen.add(sig)
-        ech.insert(introw)
-        if early_stop and ech.rank == m.n_cols:
+        ech.rows_consumed += 1
+        ech.insert(row)
+        if ech.rank == source.n_cols:
             break
     return ech
 
@@ -236,35 +258,48 @@ class NullspaceBasis:
     Vector k carries a unit entry at its own free column and zeros at all
     other free columns, which makes the basis uniquely determined by the
     kernel itself: golden comparisons stay byte-stable.
+
+    ``rows_generated`` counts the rows drawn from the source before
+    elimination stopped, ``rows_consumed`` those of them that were reduced
+    (nonzero and no repeat of an earlier row). Neither takes part in
+    equality.
     """
 
     n_cols: int
     vectors: tuple
+    rows_generated: int = field(default=0, compare=False)
+    rows_consumed: int = field(default=0, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
 
-def nullspace(m: SparseMatrix, max_cells=None) -> NullspaceBasis:
-    """Exact canonical kernel basis of ``m``.
+def nullspace(source, max_cells=None) -> NullspaceBasis:
+    """Exact canonical kernel basis of a matrix or a row source.
 
-    Deterministic: the result depends only on the row space of ``m``, not
-    on entry insertion order or row scaling.
+    ``source`` is a ``SparseMatrix`` or anything else with ``n_rows``,
+    ``n_cols`` and an ``int_rows()`` iterator; rows are eliminated as they
+    arrive, and none is drawn once the rank reaches ``n_cols``.
+    Deterministic: the result depends only on the row space, not on row
+    order or row scaling.
     """
-    ech = _echelonize(m, max_cells)
-    if ech.rank == m.n_cols:
-        return NullspaceBasis(m.n_cols, ())
+    ech = _echelonize(source, max_cells)
+    n_cols = source.n_cols
+    counts = {"rows_generated": ech.rows_generated,
+              "rows_consumed": ech.rows_consumed}
+    if ech.rank == n_cols:
+        return NullspaceBasis(n_cols, (), **counts)
     reduced = ech.reduced_fraction_rows()
     pivots = sorted(reduced)
     pivot_set = set(pivots)
     zero = Fraction(0)
     one = Fraction(1)
     vectors = []
-    for f in range(m.n_cols):
+    for f in range(n_cols):
         if f in pivot_set:
             continue
-        vec = [zero] * m.n_cols
+        vec = [zero] * n_cols
         vec[f] = one
         for p in pivots:
             if p >= f:
@@ -273,7 +308,7 @@ def nullspace(m: SparseMatrix, max_cells=None) -> NullspaceBasis:
             if coeff:
                 vec[p] = -coeff
         vectors.append(tuple(vec))
-    return NullspaceBasis(m.n_cols, tuple(vectors))
+    return NullspaceBasis(n_cols, tuple(vectors), **counts)
 
 
 def rank(m: SparseMatrix, max_cells=None) -> int:

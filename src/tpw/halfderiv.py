@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from . import exactlin
 from .exactlin import NullspaceBasis, SparseMatrix, in_span
@@ -32,7 +34,6 @@ __all__ = [
     "MissingDegreeError",
     "PredictedBasis",
     "SweepReport",
-    "WindowTooSmallError",
     "assemble",
     "compare",
     "predicted",
@@ -41,10 +42,6 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-
-
-class WindowTooSmallError(Exception):
-    """The window admits no constraint pairs at all."""
 
 
 class MissingDegreeError(Exception):
@@ -80,14 +77,20 @@ class PredictedBasis:
 
 @dataclass
 class HalfDerivationSystem:
-    """Assembled homogeneous system for one degree on one window."""
+    """Homogeneous system for one degree on one window, generated lazily.
+
+    ``int_rows()`` streams the constraint rows as integer dicts, one per
+    unordered pair (the mirrored pair gives the negated row), so
+    ``exactlin.nullspace`` can stop drawing rows once the rank saturates.
+    ``n_constraints`` (alias ``n_rows``) counts ordered pairs, as reports
+    do; ``matrix`` materializes the streamed rows on first use.
+    """
 
     spec: object
     degree: tuple
     window: Window
     delta: Fraction
     columns: tuple
-    matrix: SparseMatrix
 
     @property
     def n_unknowns(self) -> int:
@@ -95,14 +98,21 @@ class HalfDerivationSystem:
 
     @property
     def n_constraints(self) -> int:
-        return self.matrix.n_rows
+        pairs = _ordered_pair_count(self.window.radius, self.spec.rank)
+        return pairs * _dim_v(self.spec) ** 3
 
-    def column_index(self) -> dict:
-        return {key: i for i, key in enumerate(self.columns)}
+    n_cols = n_unknowns
+    n_rows = n_constraints
 
-    def component_vector(self, component: HalfDerivationComponent):
-        """Flatten a component table into this system's column order."""
-        return component_vector(self.spec, self.window, component)
+    def int_rows(self):
+        return _constraint_rows(self.spec, self.degree, self.window, self.delta)
+
+    @cached_property
+    def matrix(self) -> SparseMatrix:
+        rows = list(self.int_rows())
+        return SparseMatrix(len(rows), self.n_unknowns,
+                            [(r, c, v) for r, row in enumerate(rows)
+                             for c, v in row.items()])
 
 
 def _scalar_columns(spec, window):
@@ -137,12 +147,13 @@ def component_vector(spec, window: Window, component: HalfDerivationComponent):
 
 
 def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
-    """Build the homogeneous system for the degree-``degree`` component.
+    """Set up the homogeneous system for the degree-``degree`` component.
 
     One constraint row (block) per ordered pair (x, y) with x, y and
     x + y in the box. With the default delta = 1/2 the rows encode the
     half-derivation relation; a general delta replaces the factor 2 on
-    the bracket-image side by 1/delta.
+    the bracket-image side by 1/delta. No row is built here: the system
+    streams them when solved or materialized.
     """
     degree = tuple(degree)
     delta = Fraction(delta)
@@ -153,104 +164,144 @@ def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
         raise exactlin.DimensionOverflowError(
             "%d unknowns exceed the max_unknowns limit %d"
             % (len(columns), max_unknowns))
+    return HalfDerivationSystem(spec, degree, window, delta, columns)
+
+
+def _dim_v(spec):
+    return spec.dim_v if spec.family == "generalized_witt" else 1
+
+
+def _ordered_pair_count(radius, rank):
+    """Ordered pairs (x, y) with x, y and x + y in Box(radius).
+
+    Per axis, the coordinates summing to u (|u| <= radius) give
+    2 radius + 1 - |u| pairs; the axes are independent.
+    """
+    per_axis = sum(2 * radius + 1 - abs(u) for u in range(-radius, radius + 1))
+    return per_axis ** rank
+
+
+def _common_denominator(values):
+    d = 1
+    for v in values:
+        d = d * v.denominator // gcd(d, v.denominator)
+    return d
+
+
+def _integer_bracket(spec):
+    """Structure constants of ``spec`` times one positive integer.
+
+    Returns ``bracket(x, y) -> t`` with
+    [e_(x,i), e_(y,j)] = sum_l t[i][j][l] e_(x+y,l) up to that factor,
+    where i, j, l index a basis of V (one index for the scalar families).
+    """
     if spec.family == "generalized_witt":
-        matrix = _assemble_witt(spec, degree, window, delta, columns)
+        matrix = spec.pairing.matrix
+        scale = _common_denominator(v for row in matrix for v in row)
+        pm = [[int(v * scale) for v in row] for row in matrix]
+        dv = range(len(pm))
+        pcache = {}
+
+        def pcol(x):
+            col = pcache.get(x)
+            if col is None:
+                col = pcache[x] = [sum(r * c for r, c in zip(row, x)) for row in pm]
+            return col
+
+        def bracket(x, y):
+            # <v_i, y> v_j - <v_j, x> v_i
+            px, py = pcol(x), pcol(y)
+            return [[[(py[i] if l == j else 0) - (px[j] if l == i else 0)
+                      for l in dv] for j in dv] for i in dv]
+        return bracket
+    # Scalar families: c(x, y) = x^T M y + lin(x) - lin(y), with
+    # (M, lin) = (f, g) for Block and (0, -f) for Witt type.
+    if spec.family == "block":
+        form, lin = spec.f.matrix, spec.g.gen_values
+    elif spec.family == "witt_type":
+        form = ((0,) * spec.rank,) * spec.rank
+        lin = tuple(-v for v in spec.f.gen_values)
     else:
-        matrix = _assemble_scalar(spec, degree, window, delta, columns)
-    if matrix.n_rows == 0:
-        raise WindowTooSmallError("no constraint pairs inside the box")
-    return HalfDerivationSystem(spec, degree, window, delta, columns, matrix)
+        raise ValueError("unknown family %r" % (spec.family,))
+    scale = _common_denominator([v for row in form for v in row] + list(lin))
+    fm = [[int(v * scale) for v in row] for row in form]
+    lv = [int(v * scale) for v in lin]
+    lcache = {}
+
+    def linear(x):
+        # (x^T M, lin(x)), scaled
+        out = lcache.get(x)
+        if out is None:
+            out = lcache[x] = ([sum(xi * m for xi, m in zip(x, col)) for col in zip(*fm)],
+                               sum(l * xi for l, xi in zip(lv, x)))
+        return out
+
+    def bracket(x, y):
+        xm, lx = linear(x)
+        return (((sum(m * yi for m, yi in zip(xm, y)) + lx - linear(y)[1],),),)
+    return bracket
 
 
-def _admissible_pairs(box):
-    box_set = set(box)
-    for x in box:
-        for y in box:
-            if add(x, y) in box_set:
-                yield x, y
+def _constraint_rows(spec, a, window, delta):
+    """Stream the constraint rows of degree ``a`` as integer dicts.
 
-
-def _assemble_scalar(spec, a, window, delta, columns):
+    The row of (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
+    phi([u, v]) / delta - [phi(u), v] - [u, phi(v)] for u = e_(x,i) and
+    v = e_(y,j), where phi(e_(x,c)) = sum_r phi[x, r, c] e_(a+x, r) and
+    column (x, r, c) sits at pos(x) dv^2 + r dv + c. The bracket is
+    antisymmetric, so the row of (y, j; x, i; k) is this row negated and
+    the row of a label with itself is zero: only labels (x, i) < (y, j)
+    in box order are generated, and rows that vanish are skipped. Each
+    row is scaled by the numerator of delta and the bracket's factor.
+    """
     box = box_points(window.radius, spec.rank)
-    col = {x: i for i, x in enumerate(columns)}
-    inv_delta = 1 / delta
-    coeff = spec.bracket_coeff
-    entries = []
-    row_no = 0
-    for x, y in _admissible_pairs(box):
-        row = {}
-        c_img = coeff(x, y)
-        if c_img:
-            row[col[add(x, y)]] = c_img * inv_delta
-        c_x = coeff(add(a, x), y)
-        if c_x:
-            cx_col = col[x]
-            row[cx_col] = row.get(cx_col, 0) - c_x
-        c_y = coeff(x, add(a, y))
-        if c_y:
-            cy_col = col[y]
-            row[cy_col] = row.get(cy_col, 0) - c_y
-        for cc, vv in row.items():
-            if vv:
-                entries.append((row_no, cc, vv))
-        row_no += 1
-    return SparseMatrix(row_no, len(columns), entries)
-
-
-def _assemble_witt(spec, a, window, delta, columns):
-    box = box_points(window.radius, spec.rank)
-    dv = spec.dim_v
-    col = {key: i for i, key in enumerate(columns)}
-    pair = spec.pairing
-    # Pairing columns for every index the constraints can touch.
-    pcache = {}
-
-    def pcol(x):
-        v = pcache.get(x)
-        if v is None:
-            v = pair.gen_column(x)
-            pcache[x] = v
-        return v
-
-    inv_delta = 1 / delta
-    entries = []
-    row_no = 0
-    for x, y in _admissible_pairs(box):
-        xy = add(x, y)
-        px = pcol(x)
-        py = pcol(y)
-        pax = pcol(add(a, x))
-        pay = pcol(add(a, y))
-        for i in range(dv):
-            for j in range(dv):
-                for k in range(dv):
-                    row = {}
-
-                    def bump(key, val):
-                        if val:
-                            ci = col[key]
-                            row[ci] = row.get(ci, 0) + val
-
-                    bump((xy, k, j), inv_delta * py[i])
-                    bump((xy, k, i), -inv_delta * px[j])
-                    if j == k:
-                        for l in range(dv):
-                            bump((x, l, i), -py[l])
-                    bump((x, k, i), pax[j])
-                    bump((y, k, j), -pay[i])
-                    if i == k:
-                        for l in range(dv):
-                            bump((y, l, j), px[l])
-                    for cc, vv in row.items():
-                        if vv:
-                            entries.append((row_no, cc, vv))
-                    row_no += 1
-    return SparseMatrix(row_no, len(columns), entries)
+    pos = {x: n for n, x in enumerate(box)}
+    dv = _dim_v(spec)
+    span = range(dv)
+    bracket = _integer_bracket(spec)
+    # 1/delta = image_w / side_w
+    image_w, side_w = delta.denominator, delta.numerator
+    for n, x in enumerate(box):
+        ax = add(a, x)
+        base_x = n * dv * dv
+        for y in box[n:]:
+            pxy = pos.get(add(x, y))
+            if pxy is None:
+                continue
+            base_y = pos[y] * dv * dv
+            base_xy = pxy * dv * dv
+            t_img = bracket(x, y)
+            t_x = bracket(ax, y)
+            t_y = bracket(x, add(a, y))
+            for i in span:
+                for j in (range(i + 1, dv) if x == y else span):
+                    for k in span:
+                        row = {}
+                        for l in span:
+                            c = t_img[i][j][l]
+                            if c:
+                                key = base_xy + k * dv + l
+                                row[key] = row.get(key, 0) + image_w * c
+                            c = t_x[l][j][k]
+                            if c:
+                                key = base_x + l * dv + i
+                                row[key] = row.get(key, 0) - side_w * c
+                            c = t_y[i][l][k]
+                            if c:
+                                key = base_y + l * dv + j
+                                row[key] = row.get(key, 0) - side_w * c
+                        row = {c: v for c, v in row.items() if v}
+                        if row:
+                            yield row
 
 
 def solve(system: HalfDerivationSystem, max_cells=None) -> NullspaceBasis:
-    """Canonical exact nullspace of the assembled system."""
-    return exactlin.nullspace(system.matrix, max_cells=max_cells)
+    """Canonical exact nullspace of the system, from its streamed rows.
+
+    Elimination draws rows only until the rank reaches the number of
+    unknowns; the system's matrix is never materialized.
+    """
+    return exactlin.nullspace(system, max_cells=max_cells)
 
 
 def _identity_matrix(dv):

@@ -14,7 +14,13 @@ from fractions import Fraction
 
 from . import exactlin
 from .exactlin import SparseMatrix
-from .algebra import Element, FamilyMismatchError, element_from_json, element_to_json
+from .algebra import (
+    Element,
+    FamilyMismatchError,
+    LimitExceededError,
+    element_from_json,
+    element_to_json,
+)
 from .halfderiv import (
     HalfDerivationComponent,
     MissingDegreeError,
@@ -40,10 +46,6 @@ __all__ = [
     "product_to_json",
     "verify",
 ]
-
-
-class LimitExceededError(Exception):
-    """A verification scan exceeded the configured tuple limit."""
 
 
 class ZeroProduct:
@@ -98,7 +100,9 @@ class ExtensionByZero:
                 raise ValueError("conflicting star entries for %s" % (key,))
             table[key] = value
         self.star = table
-        self._checked_specs = set()
+        # id -> spec whose domain passed; holding the spec keeps its id
+        # from being reused by another spec while the entry exists
+        self._checked_specs = {}
 
 
 class ExplicitProduct:
@@ -136,7 +140,7 @@ def _wrap_scalar_terms(spec, terms):
 
 
 def _check_extension_domain(spec, product: ExtensionByZero):
-    if id(spec) in product._checked_specs:
+    if product._checked_specs.get(id(spec)) is spec:
         return
     from .algebra import center_predicate, square_predicate
 
@@ -148,7 +152,7 @@ def _check_extension_domain(spec, product: ExtensionByZero):
         for idx in value.terms:
             if not center_predicate(spec, idx):
                 raise ValueError("star value at %s leaves the center" % (idx,))
-    product._checked_specs.add(id(spec))
+    product._checked_specs[id(spec)] = spec
 
 
 def multiply(spec, product, x: Element, y: Element) -> Element:

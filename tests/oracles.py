@@ -66,3 +66,71 @@ def oracle_in_span(vector, vectors):
     """Span membership by comparing ranks of stacked rows."""
     base = [list(v) for v in vectors]
     return oracle_rank(base + [list(vector)]) == oracle_rank(base)
+
+
+def ordered_pair_rows(spec, degree, radius, delta):
+    """Constraint rows of one degree, one per ordered pair, as dense rows.
+
+    The assembly as first written: a row (a block of dim V^3 rows for
+    generalized Witt) for every ordered pair (x, y) with x, y and x + y in
+    Box(radius), entries computed in Fractions straight from the family's
+    bracket data. Columns follow ``halfderiv.columns_for``.
+    """
+    from itertools import product as iter_product
+
+    def add(p, q):
+        return tuple(s + t for s, t in zip(p, q))
+
+    box = list(iter_product(range(-radius, radius + 1), repeat=spec.rank))
+    box_set = set(box)
+    inv_delta = 1 / Fraction(delta)
+    witt = spec.family == "generalized_witt"
+    dv = spec.dim_v if witt else 1
+    col = {}
+    for x in box:
+        for r in range(dv):
+            for c in range(dv):
+                col[(x, r, c) if witt else x] = len(col)
+    rows = []
+    for x in box:
+        for y in box:
+            xy = add(x, y)
+            if xy not in box_set:
+                continue
+            if not witt:
+                row = [Fraction(0)] * len(col)
+                row[col[xy]] += spec.bracket_coeff(x, y) * inv_delta
+                row[col[x]] -= spec.bracket_coeff(add(degree, x), y)
+                row[col[y]] -= spec.bracket_coeff(x, add(degree, y))
+                rows.append(row)
+                continue
+            px, py = spec.pairing.gen_column(x), spec.pairing.gen_column(y)
+            pax = spec.pairing.gen_column(add(degree, x))
+            pay = spec.pairing.gen_column(add(degree, y))
+            for i in range(dv):
+                for j in range(dv):
+                    for k in range(dv):
+                        row = [Fraction(0)] * len(col)
+                        row[col[(xy, k, j)]] += inv_delta * py[i]
+                        row[col[(xy, k, i)]] -= inv_delta * px[j]
+                        if j == k:
+                            for l in range(dv):
+                                row[col[(x, l, i)]] -= py[l]
+                        row[col[(x, k, i)]] += pax[j]
+                        row[col[(y, k, j)]] -= pay[i]
+                        if i == k:
+                            for l in range(dv):
+                                row[col[(y, l, j)]] += px[l]
+                        rows.append(row)
+    return rows
+
+
+def distinct_rows(rows):
+    """Nonzero rows scaled to a leading 1, each kept once; same row space."""
+    out = {}
+    for row in rows:
+        lead = next((v for v in row if v), None)
+        if lead is not None:
+            scaled = tuple(v / lead for v in row)
+            out.setdefault(scaled, scaled)
+    return [list(r) for r in out]

@@ -214,3 +214,31 @@ def test_witnesses_task_on_pairing():
     report = run(small("witnesses", GW, radius=2, margin=1))
     assert report["all_pass"]
     assert not report["result"]["degenerate_in_window"]
+
+
+def test_check_lie_limit_exits_3(tmp_path, capsys):
+    cfg = small("check-lie", B0)
+    cfg["limits"] = {"max_triples": 10}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
+    assert "limit exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task,algebra,payload,field", [
+    ("classify-tp", B0, {"degree_bound": 1, "samples": "3"}, "samples"),
+    ("classify-tp", B0, {"degree_bound": 1, "expected_parameters": -1},
+     "expected_parameters"),
+    ("verify-structure", WT, {"require_poisson": "yes", "product": {
+        "variant": "mutation", "w": [{"index": [0], "coeff": "1"}]}},
+     "require_poisson"),
+], ids=["samples", "expected_parameters", "require_poisson"])
+def test_payload_field_types_are_validated(tmp_path, capsys, task, algebra,
+                                           payload, field):
+    cfg = small(task, algebra, payload=payload)
+    with pytest.raises(ConfigError, match="payload.%s" % field):
+        run(json.loads(json.dumps(cfg)))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 2
+    assert "payload.%s" % field in capsys.readouterr().err

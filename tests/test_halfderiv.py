@@ -1,9 +1,12 @@
 """Tests for the per-degree derivation constraint systems."""
 
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
+from oracles import distinct_rows, oracle_nullspace, ordered_pair_rows
+from tpw import exactlin
 from tpw.algebra import Block, GeneralizedWitt, WittType
 from tpw.halfderiv import (
     HalfDerivationComponent,
@@ -205,3 +208,81 @@ def test_compare_with_margin_one_projects_alpha_away():
     assert rep.predicted_dim == 0
     assert rep.visible == (False,)
     assert rep.membership  # alpha still solves the full-box constraints
+
+
+# Families of the suite, plus a generalized Witt algebra small enough for
+# the dense oracle (rank one, dim V = 2) and Witt types of rank one and two.
+DIFFERENTIAL_SPECS = {
+    "b0": b0_spec,
+    "b1": b1_spec,
+    "gw": gw_spec,
+    "gw-rank1": lambda: GeneralizedWitt(Pairing([[1], [2]])),
+    "witt1": lambda: WittType(AdditiveMap([1])),
+    "witt12": lambda: WittType(AdditiveMap([1, 2])),
+}
+DELTAS = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+@pytest.mark.parametrize("delta", DELTAS, ids=str)
+@pytest.mark.parametrize("radius", (2, 3))
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SPECS))
+def test_streamed_solve_matches_materialized_matrix(name, radius, delta):
+    spec = DIFFERENTIAL_SPECS[name]()
+    if name == "gw" and radius == 3 and delta == 1:
+        # the kernel is large at every degree here; the R3 sweeps use b0
+        degrees = [(0, 0)]
+    else:
+        degrees = box_points(1, spec.rank)
+    for a in degrees:
+        system = assemble(spec, a, Window(radius), delta=delta)
+        streamed = solve(system)
+        assert "matrix" not in vars(system)
+        materialized = exactlin.nullspace(system.matrix)
+        assert streamed == materialized, a
+        assert streamed.rows_generated <= system.matrix.n_rows
+
+
+@pytest.mark.parametrize("delta", DELTAS, ids=str)
+@pytest.mark.parametrize("name", sorted(set(DIFFERENTIAL_SPECS) - {"gw"}))
+def test_streamed_solve_matches_oracle_on_ordered_pair_rows(name, delta):
+    """The dense oracle on the rows of every ordered pair, built in Fractions."""
+    spec = DIFFERENTIAL_SPECS[name]()
+    for a in box_points(1, spec.rank):
+        system = assemble(spec, a, Window(2), delta=delta)
+        rows = ordered_pair_rows(spec, a, 2, delta)
+        assert len(rows) == system.n_constraints
+        expected = oracle_nullspace(distinct_rows(rows), system.n_unknowns)
+        assert solve(system).vectors == tuple(expected), a
+
+
+def _brute_force_pairs(radius, rank):
+    box = set(iter_product(range(-radius, radius + 1), repeat=rank))
+    return sum(1 for x in box for y in box
+               if tuple(s + t for s, t in zip(x, y)) in box)
+
+
+@pytest.mark.parametrize("spec,dim_v", [
+    (WittType(AdditiveMap([1])), 1),
+    (b1_spec(), 1),
+    (WittType(AdditiveMap([1, 2, 3])), 1),
+    (gw_spec(), 2),
+    (GeneralizedWitt(Pairing([[1, 0, 0]])), 1),
+], ids=["rank1", "rank2", "rank3", "gw-rank2", "gw-rank3"])
+def test_n_constraints_counts_ordered_pairs(spec, dim_v):
+    for radius in (1, 2, 3) if spec.rank < 3 else (1, 2):
+        system = assemble(spec, (0,) * spec.rank, Window(radius))
+        assert system.n_constraints == (
+            _brute_force_pairs(radius, spec.rank) * dim_v ** 3), radius
+
+
+def test_cell_limit_is_checked_before_any_row_is_built():
+    system = assemble(gw_spec(), (1, 0), Window(2, 1))
+    cells = system.n_constraints * system.n_unknowns
+
+    def no_rows():
+        raise AssertionError("a row was requested")
+    system.int_rows = no_rows
+    with pytest.raises(exactlin.DimensionOverflowError):
+        solve(system, max_cells=cells - 1)
+    del system.int_rows
+    assert solve(system, max_cells=cells).dimension == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tpw import tpstruct
 from tpw.algebra import Block, Element, FamilyMismatchError, GeneralizedWitt, WittType
 from tpw.halfderiv import assemble, component_vector, solve_degrees
 from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, box_points
@@ -74,6 +75,25 @@ def test_extension_by_zero_validates_domain():
     bad_value = ExtensionByZero({((0, -2), (0, -2)): Element({(1, 1): Fraction(1)})})
     with pytest.raises(ValueError):
         multiply(spec, bad_value, spec.basis((0, -2)), spec.basis((0, -2)))
+
+
+def test_extension_domain_check_runs_for_each_spec(monkeypatch):
+    """One product shared by two specs whose centers differ.
+
+    A freed spec's id can be reused by the next spec built. Every object
+    gets the same id here, which makes that reuse certain: the domain
+    check must still run for the second spec.
+    """
+    monkeypatch.setattr(tpstruct, "id", lambda obj: 0, raising=False)
+    product = star_product()
+    spec = b1_spec()
+    u = spec.basis((0, -2))
+    assert multiply(spec, product, u, u) == Element({(0, -1): 1})
+    # h = (0, 2): no central index, and u_(0,-2) lies in the square
+    other = Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 2]))
+    u = other.basis((0, -2))
+    with pytest.raises(ValueError):
+        multiply(other, product, u, u)
 
 
 def test_mutation_rejected_on_block():
