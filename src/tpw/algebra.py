@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .exactlin import scalar_from_str, scalar_to_str
 from .lattice import (
     AdditiveMap,
     BiadditiveForm,
     Pairing,
+    RankMismatchError,
     Window,
     add,
     box_points,
@@ -152,7 +155,56 @@ class Element:
         return "Element{%s}" % ", ".join(bits)
 
 
-class GeneralizedWitt:
+class _Family:
+    """Element-level bracket shared by the three families.
+
+    Each family defines ``structure_constants``, built on first use and
+    kept on the instance: a pair ``(scale, t)`` of a positive integer and
+    a function with
+    [e_(x,i), e_(y,j)] = sum_l t(x, y)[i][j][l] / scale e_(x+y,l),
+    where i, j, l index a basis of V (only 0 for the scalar families).
+    It is the one definition of the bracket: elements, the half-derivation
+    rows and every scan read it. ``t`` raises ``RankMismatchError`` for an
+    index whose rank is not the algebra's.
+    """
+
+    vectorial = False
+    dim_v = 1
+
+    def bracket(self, x: Element, y: Element) -> Element:
+        """Bilinear extension of ``t`` to elements; exact, untruncated."""
+        scale, t = self.structure_constants
+        vectorial = self.vectorial
+        acc = {}
+        for a, xa in x.terms.items():
+            for b, yb in y.terms.items():
+                tab = t(a, b)
+                idx = add(a, b)
+                if not vectorial:
+                    c = tab[0][0][0]
+                    if c:
+                        acc[idx] = acc.get(idx, 0) + xa * yb * c
+                    continue
+                out = acc.setdefault(idx, [Fraction(0)] * self.dim_v)
+                for i, v in enumerate(xa):
+                    for j, w in enumerate(yb):
+                        if v and w:
+                            vw = v * w
+                            for l, c in enumerate(tab[i][j]):
+                                if c:
+                                    out[l] += vw * c
+        terms = {}
+        for idx, c in acc.items():
+            if vectorial:
+                c = tuple(c)
+            if not _coeff_is_zero(c):
+                terms[idx] = c if scale == 1 else _coeff_scale(Fraction(1, scale), c)
+        res = Element.__new__(Element)
+        res.terms = terms
+        return res
+
+
+class GeneralizedWitt(_Family):
     """W(A, V, <.,.>): group algebra of A tensored with V.
 
     The bracket of a tensor v at index a with w at index b lands at a + b
@@ -160,6 +212,7 @@ class GeneralizedWitt:
     """
 
     family = "generalized_witt"
+    vectorial = True
 
     def __init__(self, pairing: Pairing):
         self.pairing = pairing
@@ -171,6 +224,22 @@ class GeneralizedWitt:
     @property
     def dim_v(self) -> int:
         return self.pairing.dim_v
+
+    @cached_property
+    def structure_constants(self):
+        matrix = self.pairing.matrix
+        scale = _common_denominator(v for row in matrix for v in row)
+        pm = [[int(v * scale) for v in row] for row in matrix]
+        dv = range(len(pm))
+        pcol = _cached_by_index(
+            self.rank, lambda x: [sum(r * c for r, c in zip(row, x)) for row in pm])
+
+        def t(x, y):
+            # <v_i, y> v_j - <v_j, x> v_i
+            px, py = pcol(x), pcol(y)
+            return [[[(py[i] if l == j else 0) - (px[j] if l == i else 0)
+                      for l in dv] for j in dv] for i in dv]
+        return scale, t
 
     def basis(self, a, i: int = 0) -> Element:
         vec = [Fraction(0)] * self.dim_v
@@ -187,32 +256,25 @@ class GeneralizedWitt:
         a, i = label
         return self.basis(a, i)
 
-    def bracket(self, x: Element, y: Element) -> Element:
-        pair = self.pairing
-        acc = {}
-        for a, v in x.terms.items():
-            col_a = pair.gen_column(a)
-            for b, w in y.terms.items():
-                vb = pair(v, b)
-                wa = sum((wl * cl for wl, cl in zip(w, col_a) if wl), Fraction(0))
-                coeff = tuple(vb * wl - wa * vl for vl, wl in zip(v, w))
-                if not any(coeff):
-                    continue
-                idx = add(a, b)
-                if idx in acc:
-                    s = _coeff_add(acc[idx], coeff)
-                    if _coeff_is_zero(s):
-                        del acc[idx]
-                    else:
-                        acc[idx] = s
-                else:
-                    acc[idx] = coeff
-        res = Element.__new__(Element)
-        res.terms = acc
-        return res
+
+class _ScalarFamily(_Family):
+    """A family with one basis element per lattice point."""
+
+    def bracket_coeff(self, a, b) -> Fraction:
+        scale, t = self.structure_constants
+        return Fraction(t(a, b)[0][0][0], scale)
+
+    def basis(self, a) -> Element:
+        return Element({tuple(a): Fraction(1)})
+
+    def basis_labels(self, points):
+        return list(points)
+
+    def basis_element(self, label) -> Element:
+        return self.basis(label)
 
 
-class Block:
+class Block(_ScalarFamily):
     """Block algebra: basis u_a with [u_a, u_b] = (f(a,b) + g(a-b)) u_{a+b}.
 
     With g != 0 the constructor takes (g, h) and derives f, so the Lie
@@ -252,23 +314,12 @@ class Block:
     def g_is_zero(self) -> bool:
         return self.g.is_zero
 
-    def bracket_coeff(self, a, b) -> Fraction:
-        return self.f(a, b) + self.g(sub(a, b))
-
-    def basis(self, a) -> Element:
-        return Element({tuple(a): Fraction(1)})
-
-    def basis_labels(self, points):
-        return list(points)
-
-    def basis_element(self, label) -> Element:
-        return self.basis(label)
-
-    def bracket(self, x: Element, y: Element) -> Element:
-        return _scalar_bracket(self, x, y)
+    @cached_property
+    def structure_constants(self):
+        return _scalar_constants(self.f.matrix, self.g.gen_values)
 
 
-class WittType:
+class WittType(_ScalarFamily):
     """Witt type algebra: basis e_a with [e_a, e_b] = (f(b) - f(a)) e_{a+b}."""
 
     family = "witt_type"
@@ -280,52 +331,60 @@ class WittType:
     def rank(self) -> int:
         return self.f.rank
 
-    def bracket_coeff(self, a, b) -> Fraction:
-        return self.f(b) - self.f(a)
-
-    def basis(self, a) -> Element:
-        return Element({tuple(a): Fraction(1)})
-
-    def basis_labels(self, points):
-        return list(points)
-
-    def basis_element(self, label) -> Element:
-        return self.basis(label)
-
-    def bracket(self, x: Element, y: Element) -> Element:
-        return _scalar_bracket(self, x, y)
+    @cached_property
+    def structure_constants(self):
+        rank = self.f.rank
+        return _scalar_constants(((0,) * rank,) * rank,
+                                 tuple(-v for v in self.f.gen_values))
 
 
-def _scalar_bracket(spec, x: Element, y: Element) -> Element:
-    acc = {}
-    coeff_fn = spec.bracket_coeff
-    for a, xa in x.terms.items():
-        for b, yb in y.terms.items():
-            c = coeff_fn(a, b)
-            if not c:
-                continue
-            c *= xa * yb
-            idx = add(a, b)
-            s = acc.get(idx)
-            if s is None:
-                acc[idx] = c
-            else:
-                s += c
-                if s:
-                    acc[idx] = s
-                else:
-                    del acc[idx]
-    res = Element.__new__(Element)
-    res.terms = acc
-    return res
+def _common_denominator(values):
+    d = 1
+    for v in values:
+        d = d * v.denominator // gcd(d, v.denominator)
+    return d
+
+
+def _cached_by_index(rank, fn):
+    """``fn`` memoized per lattice index, rejecting indices of another rank."""
+    cache = {}
+
+    def lookup(x):
+        out = cache.get(x)
+        if out is None:
+            if len(x) != rank:
+                raise RankMismatchError(
+                    "index of rank %d fed to a rank-%d algebra" % (len(x), rank))
+            out = cache[x] = fn(x)
+        return out
+    return lookup
+
+
+def _scalar_constants(form, lin):
+    """Constants of c(x, y) = x^T M y + lin(x) - lin(y) for (M, lin).
+
+    Block is (f, g); Witt type is (0, -f).
+    """
+    scale = _common_denominator([v for row in form for v in row] + list(lin))
+    fm = [[int(v * scale) for v in row] for row in form]
+    lv = [int(v * scale) for v in lin]
+    # (x^T M, lin(x)), scaled
+    linear = _cached_by_index(len(lv), lambda x: (
+        [sum(xi * m for xi, m in zip(x, col)) for col in zip(*fm)],
+        sum(l * xi for l, xi in zip(lv, x))))
+
+    def t(x, y):
+        xm, lx = linear(x)
+        return (((sum(m * yi for m, yi in zip(xm, y)) + lx - linear(y)[1],),),)
+    return scale, t
 
 
 def bracket(spec, x: Element, y: Element) -> Element:
     """Bilinear extension of the family's basis bracket; exact, untruncated."""
     for el in (x, y):
         for c in el.terms.values():
-            vectorial = isinstance(c, tuple)
-            if vectorial != (spec.family == "generalized_witt"):
+            if (isinstance(c, tuple) != spec.vectorial
+                    or spec.vectorial and len(c) != spec.dim_v):
                 raise SpecMismatchError("element coefficients do not match the family")
     return spec.bracket(x, y)
 
@@ -543,8 +602,7 @@ def witt_to_witt_type(spec: GeneralizedWitt, v=None, window: Window = None):
         for b in points:
             n_pairs += 1
             w_side = spec.bracket(spec.element(a, v), spec.element(b, v))
-            mapped = Element({idx: c[0] / v_scale(v)
-                              for idx, c in w_side.terms.items()})
+            mapped = Element({idx: c[0] / v[0] for idx, c in w_side.terms.items()})
             v_side = target.bracket(target.basis(a), target.basis(b))
             if mapped != v_side:
                 ok = False
@@ -552,10 +610,6 @@ def witt_to_witt_type(spec: GeneralizedWitt, v=None, window: Window = None):
         if not ok:
             break
     return WittTypeCorrespondence(f, v, ok, n_pairs)
-
-
-def v_scale(v):
-    return next(x for x in v if x)
 
 
 def _lattice_units(rank):

@@ -206,7 +206,8 @@ def _task_classify(spec, cfg, window):
     delta_bases = {deg: basis for deg, (_, basis) in solved.items()}
     res = tpstruct.classify(spec, delta_bases, window, bound,
                             n_samples=n_samples,
-                            seed=cfg["seed"])
+                            seed=cfg["seed"],
+                            max_triples=cfg["limits"].get("max_triples"))
     result = {
         "sweep_verdict": sweep_report.verdict,
         "n_parameters": res.n_parameters,

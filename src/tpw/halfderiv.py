@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from . import exactlin
 from .exactlin import NullspaceBasis, SparseMatrix, in_span
@@ -99,7 +98,7 @@ class HalfDerivationSystem:
     @property
     def n_constraints(self) -> int:
         pairs = _ordered_pair_count(self.window.radius, self.spec.rank)
-        return pairs * _dim_v(self.spec) ** 3
+        return pairs * self.spec.dim_v ** 3
 
     n_cols = n_unknowns
     n_rows = n_constraints
@@ -115,29 +114,20 @@ class HalfDerivationSystem:
                              for c, v in row.items()])
 
 
-def _scalar_columns(spec, window):
-    return tuple(box_points(window.radius, spec.rank))
-
-
-def _matrix_columns(spec, window):
-    dv = spec.dim_v
-    return tuple((x, r, c)
-                 for x in box_points(window.radius, spec.rank)
-                 for r in range(dv)
-                 for c in range(dv))
-
-
 def columns_for(spec, window: Window):
-    if spec.family == "generalized_witt":
-        return _matrix_columns(spec, window)
-    return _scalar_columns(spec, window)
+    """Unknowns of a degree: x per box index, or (x, r, c) for matrix tables."""
+    box = box_points(window.radius, spec.rank)
+    if not spec.vectorial:
+        return tuple(box)
+    dv = range(spec.dim_v)
+    return tuple((x, r, c) for x in box for r in dv for c in dv)
 
 
 def component_vector(spec, window: Window, component: HalfDerivationComponent):
     """Flatten a component table into the canonical column order."""
     cols = columns_for(spec, window)
     zero_f = Fraction(0)
-    if spec.family == "generalized_witt":
+    if spec.vectorial:
         vec = []
         for (x, r, c) in cols:
             m = component.table.get(x)
@@ -167,10 +157,6 @@ def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
     return HalfDerivationSystem(spec, degree, window, delta, columns)
 
 
-def _dim_v(spec):
-    return spec.dim_v if spec.family == "generalized_witt" else 1
-
-
 def _ordered_pair_count(radius, rank):
     """Ordered pairs (x, y) with x, y and x + y in Box(radius).
 
@@ -179,67 +165,6 @@ def _ordered_pair_count(radius, rank):
     """
     per_axis = sum(2 * radius + 1 - abs(u) for u in range(-radius, radius + 1))
     return per_axis ** rank
-
-
-def _common_denominator(values):
-    d = 1
-    for v in values:
-        d = d * v.denominator // gcd(d, v.denominator)
-    return d
-
-
-def _integer_bracket(spec):
-    """Structure constants of ``spec`` times one positive integer.
-
-    Returns ``bracket(x, y) -> t`` with
-    [e_(x,i), e_(y,j)] = sum_l t[i][j][l] e_(x+y,l) up to that factor,
-    where i, j, l index a basis of V (one index for the scalar families).
-    """
-    if spec.family == "generalized_witt":
-        matrix = spec.pairing.matrix
-        scale = _common_denominator(v for row in matrix for v in row)
-        pm = [[int(v * scale) for v in row] for row in matrix]
-        dv = range(len(pm))
-        pcache = {}
-
-        def pcol(x):
-            col = pcache.get(x)
-            if col is None:
-                col = pcache[x] = [sum(r * c for r, c in zip(row, x)) for row in pm]
-            return col
-
-        def bracket(x, y):
-            # <v_i, y> v_j - <v_j, x> v_i
-            px, py = pcol(x), pcol(y)
-            return [[[(py[i] if l == j else 0) - (px[j] if l == i else 0)
-                      for l in dv] for j in dv] for i in dv]
-        return bracket
-    # Scalar families: c(x, y) = x^T M y + lin(x) - lin(y), with
-    # (M, lin) = (f, g) for Block and (0, -f) for Witt type.
-    if spec.family == "block":
-        form, lin = spec.f.matrix, spec.g.gen_values
-    elif spec.family == "witt_type":
-        form = ((0,) * spec.rank,) * spec.rank
-        lin = tuple(-v for v in spec.f.gen_values)
-    else:
-        raise ValueError("unknown family %r" % (spec.family,))
-    scale = _common_denominator([v for row in form for v in row] + list(lin))
-    fm = [[int(v * scale) for v in row] for row in form]
-    lv = [int(v * scale) for v in lin]
-    lcache = {}
-
-    def linear(x):
-        # (x^T M, lin(x)), scaled
-        out = lcache.get(x)
-        if out is None:
-            out = lcache[x] = ([sum(xi * m for xi, m in zip(x, col)) for col in zip(*fm)],
-                               sum(l * xi for l, xi in zip(lv, x)))
-        return out
-
-    def bracket(x, y):
-        xm, lx = linear(x)
-        return (((sum(m * yi for m, yi in zip(xm, y)) + lx - linear(y)[1],),),)
-    return bracket
 
 
 def _constraint_rows(spec, a, window, delta):
@@ -256,9 +181,10 @@ def _constraint_rows(spec, a, window, delta):
     """
     box = box_points(window.radius, spec.rank)
     pos = {x: n for n, x in enumerate(box)}
-    dv = _dim_v(spec)
+    dv = spec.dim_v
     span = range(dv)
-    bracket = _integer_bracket(spec)
+    # rows are homogeneous, so the constants' common scale drops out
+    _, bracket = spec.structure_constants
     # 1/delta = image_w / side_w
     image_w, side_w = delta.denominator, delta.numerator
     for n, x in enumerate(box):
@@ -318,47 +244,43 @@ def predicted(spec, degree, window: Window) -> PredictedBasis:
     """
     degree = tuple(degree)
     box = box_points(window.radius, spec.rank)
-    comps = []
-    names = []
-    if spec.family == "generalized_witt":
-        if spec.dim_v > 1:
-            if degree == zero(spec.rank):
-                ident = _identity_matrix(spec.dim_v)
-                comps.append(HalfDerivationComponent(degree, {x: ident for x in box}))
-                names.append("id")
-            return PredictedBasis(degree, tuple(comps), True, tuple(names))
-        ident = _identity_matrix(1)
-        comps.append(HalfDerivationComponent(degree, {x: ident for x in box}))
-        names.append("shift")
-        return PredictedBasis(degree, tuple(comps), False, tuple(names))
-    if spec.family == "witt_type":
-        one = Fraction(1)
-        comps.append(HalfDerivationComponent(degree, {x: one for x in box}))
-        names.append("shift")
-        return PredictedBasis(degree, tuple(comps), False, tuple(names))
-    if spec.family == "block":
-        one = Fraction(1)
-        if spec.g_is_zero:
-            if degree == zero(spec.rank):
-                comps.append(HalfDerivationComponent(degree, {x: one for x in box}))
-                names.append("id")
-                comps.append(HalfDerivationComponent(degree, {zero(spec.rank): one}))
-                names.append("alpha")
-            return PredictedBasis(degree, tuple(comps), True, tuple(names))
-        if spec.h is None:
-            raise ValueError("predictions for g != 0 need the (g, h) presentation")
-        if degree == zero(spec.rank):
-            comps.append(HalfDerivationComponent(degree, {x: one for x in box}))
-            names.append("id")
-        g, h = spec.g, spec.h
-        for b in box:
-            if g(b) == 0 and h(b) == -2:
-                target = add(b, degree)
-                if window.contains(target) and g(target) == 0 and h(target) == -1:
-                    comps.append(HalfDerivationComponent(degree, {b: one}))
-                    names.append("alpha_(%s,%s)" % (_fmt(b), _fmt(target)))
-        return PredictedBasis(degree, tuple(comps), True, tuple(names))
-    raise ValueError("unknown family %r" % (spec.family,))
+    one = _identity_matrix(spec.dim_v) if spec.vectorial else Fraction(1)
+    named, authoritative = _PREDICTIONS[spec.family](spec, degree, window, box, one)
+    return PredictedBasis(
+        degree, tuple(HalfDerivationComponent(degree, table) for _, table in named),
+        authoritative, tuple(name for name, _ in named))
+
+
+def _predicted_witt(spec, degree, window, box, one):
+    """Witt type and generalized Witt: shifts (dim V = 1) or the identity."""
+    if spec.dim_v == 1:
+        return [("shift", {x: one for x in box})], False
+    return [("id", {x: one for x in box})] if not any(degree) else [], True
+
+
+def _predicted_block(spec, degree, window, box, one):
+    origin = not any(degree)
+    if spec.g_is_zero:
+        if not origin:
+            return [], True
+        return [("id", {x: one for x in box}), ("alpha", {zero(spec.rank): one})], True
+    if spec.h is None:
+        raise ValueError("predictions for g != 0 need the (g, h) presentation")
+    named = [("id", {x: one for x in box})] if origin else []
+    g, h = spec.g, spec.h
+    for b in box:
+        if g(b) == 0 and h(b) == -2:
+            target = add(b, degree)
+            if window.contains(target) and g(target) == 0 and h(target) == -1:
+                named.append(("alpha_(%s,%s)" % (_fmt(b), _fmt(target)), {b: one}))
+    return named, True
+
+
+_PREDICTIONS = {
+    "generalized_witt": _predicted_witt,
+    "witt_type": _predicted_witt,
+    "block": _predicted_block,
+}
 
 
 def _fmt(point):
@@ -368,7 +290,7 @@ def _fmt(point):
 def inner_column_positions(spec, window: Window):
     """Positions of the columns whose box index lies in the inner box."""
     cols = columns_for(spec, window)
-    if spec.family == "generalized_witt":
+    if spec.vectorial:
         return [i for i, (x, _, _) in enumerate(cols) if window.in_inner(x)]
     return [i for i, x in enumerate(cols) if window.in_inner(x)]
 

@@ -18,8 +18,10 @@ from .algebra import (
     Element,
     FamilyMismatchError,
     LimitExceededError,
+    center_predicate,
     element_from_json,
     element_to_json,
+    square_predicate,
 )
 from .halfderiv import (
     HalfDerivationComponent,
@@ -82,43 +84,36 @@ class SingleIdempotent:
     variant = "single_idempotent"
 
 
-class ExtensionByZero:
+class ExplicitProduct:
+    """Symmetric structure-constant table: u_a . u_b = table[{a, b}].
+
+    Keys are unordered pairs of lattice points; values are elements. Pairs
+    missing from the table multiply to zero.
+    """
+
+    variant = "explicit"
+    json_key = "table"
+
+    def __init__(self, table: dict):
+        entries = {}
+        for (a, b), value in table.items():
+            key = _pair_key(tuple(a), tuple(b))
+            if key in entries and entries[key] != value:
+                raise ValueError("conflicting table entries for %s" % (key,))
+            entries[key] = value
+        self.table = {key: value for key, value in entries.items() if not value.is_zero}
+
+
+class ExtensionByZero(ExplicitProduct):
     """Star table on the complement of the square, valued in the center.
 
-    Keys are unordered pairs of lattice points; values are elements. The
-    product of two general elements only sees their components along the
-    complement indices, everything else multiplies to zero.
+    A table product defined only on Block with g != 0, and only when every
+    star index lies outside the square and every value in the center;
+    ``multiply`` checks that on each call, the scans once.
     """
 
     variant = "extension_by_zero"
-
-    def __init__(self, star: dict):
-        table = {}
-        for (a, b), value in star.items():
-            key = _pair_key(tuple(a), tuple(b))
-            if key in table and table[key] != value:
-                raise ValueError("conflicting star entries for %s" % (key,))
-            table[key] = value
-        self.star = table
-        # id -> spec whose domain passed; holding the spec keeps its id
-        # from being reused by another spec while the entry exists
-        self._checked_specs = {}
-
-
-class ExplicitProduct:
-    """Arbitrary symmetric structure-constant table (for tests and output)."""
-
-    variant = "explicit"
-
-    def __init__(self, table: dict):
-        cleaned = {}
-        for (a, b), value in table.items():
-            key = _pair_key(tuple(a), tuple(b))
-            if key in cleaned and cleaned[key] != value:
-                raise ValueError("conflicting table entries for %s" % (key,))
-            if not value.is_zero:
-                cleaned[key] = value
-        self.table = cleaned
+    json_key = "star"
 
 
 def _pair_key(a, b):
@@ -126,42 +121,55 @@ def _pair_key(a, b):
 
 
 def _scalar_element_terms(spec, x: Element):
-    if spec.family == "generalized_witt":
-        if spec.dim_v != 1:
-            raise FamilyMismatchError("product needs a rank-one coefficient family")
+    if spec.vectorial:
         return {idx: c[0] for idx, c in x.terms.items()}
     return x.terms
 
 
 def _wrap_scalar_terms(spec, terms):
-    if spec.family == "generalized_witt":
+    if spec.vectorial:
         return Element({idx: (c,) for idx, c in terms.items()})
     return Element(terms)
 
 
-def _check_extension_domain(spec, product: ExtensionByZero):
-    if product._checked_specs.get(id(spec)) is spec:
-        return
-    from .algebra import center_predicate, square_predicate
-
-    for (a, b), value in product.star.items():
-        for key in (a, b):
-            if square_predicate(spec, key):
-                raise ValueError(
-                    "star index %s is not in the complement of the square" % (key,))
-        for idx in value.terms:
-            if not center_predicate(spec, idx):
-                raise ValueError("star value at %s leaves the center" % (idx,))
-    product._checked_specs[id(spec)] = spec
+def _check_domain(spec, product):
+    """Raise unless ``product`` is defined on ``spec``."""
+    variant = product.variant
+    if variant == "mutation":
+        if spec.family == "block":
+            raise FamilyMismatchError("mutations live on rank-one coefficient families")
+        if spec.dim_v != 1:
+            raise FamilyMismatchError("product needs a rank-one coefficient family")
+    elif variant == "single_idempotent":
+        if spec.family != "block" or not spec.g_is_zero:
+            raise FamilyMismatchError("single idempotent product needs Block with g = 0")
+    elif variant == "extension_by_zero":
+        if spec.family != "block" or spec.g_is_zero:
+            raise FamilyMismatchError("extension by zero needs Block with g != 0")
+        for (a, b), value in product.table.items():
+            for key in (a, b):
+                if square_predicate(spec, key):
+                    raise ValueError(
+                        "star index %s is not in the complement of the square" % (key,))
+            for idx in value.terms:
+                if not center_predicate(spec, idx):
+                    raise ValueError("star value at %s leaves the center" % (idx,))
 
 
 def multiply(spec, product, x: Element, y: Element) -> Element:
-    """Bilinear symmetric extension of the product's basis formula."""
+    """Bilinear symmetric extension of the product's basis formula.
+
+    Checks first that ``product`` is defined on ``spec``.
+    """
+    _check_domain(spec, product)
+    return _multiply(spec, product, x, y)
+
+
+def _multiply(spec, product, x: Element, y: Element) -> Element:
+    """``multiply`` for a product whose domain has been checked."""
     if product.variant == "zero":
         return Element()
     if product.variant == "mutation":
-        if spec.family == "block":
-            raise FamilyMismatchError("mutations live on rank-one coefficient families")
         xs = _scalar_element_terms(spec, x)
         ys = _scalar_element_terms(spec, y)
         ws = product.scalar_terms()
@@ -174,23 +182,10 @@ def multiply(spec, product, x: Element, y: Element) -> Element:
                     acc[idx] = acc.get(idx, 0) + factor * wc
         return _wrap_scalar_terms(spec, acc)
     if product.variant == "single_idempotent":
-        if spec.family != "block" or not spec.g_is_zero:
-            raise FamilyMismatchError("single idempotent product needs Block with g = 0")
         origin = zero(spec.rank)
         c = x.terms.get(origin, Fraction(0)) * y.terms.get(origin, Fraction(0))
         return Element({origin: c})
-    if product.variant == "extension_by_zero":
-        if spec.family != "block" or spec.g_is_zero:
-            raise FamilyMismatchError("extension by zero needs Block with g != 0")
-        _check_extension_domain(spec, product)
-        out = Element()
-        for a, xa in x.terms.items():
-            for b, yb in y.terms.items():
-                value = product.star.get(_pair_key(a, b))
-                if value is not None:
-                    out = out + (xa * yb) * value
-        return out
-    if product.variant == "explicit":
+    if isinstance(product, ExplicitProduct):
         out = Element()
         for a, xa in x.terms.items():
             for b, yb in y.terms.items():
@@ -237,11 +232,8 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     identity 2 z . [x, y] = [z . x, y] + [x, z . y], and the ordinary
     Poisson rule [x . y, z] = x . [y, z] + [x, z] . y run over triples.
     """
-    points = search_order(window.radius, spec.rank)
-    if spec.family == "generalized_witt":
-        labels = [(a, i) for a in points for i in range(spec.dim_v)]
-    else:
-        labels = list(points)
+    _check_domain(spec, product)
+    labels = spec.basis_labels(search_order(window.radius, spec.rank))
     elems = {l: spec.basis_element(l) for l in labels}
 
     prod_cache = {}
@@ -250,7 +242,7 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
         key = (u, v) if u <= v else (v, u)
         res = prod_cache.get(key)
         if res is None:
-            res = multiply(spec, product, elems[key[0]], elems[key[1]])
+            res = _multiply(spec, product, elems[key[0]], elems[key[1]])
             prod_cache[key] = res
         return res
 
@@ -268,8 +260,8 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
         if comm.witness is not None:
             break
         for v in labels:
-            lhs = multiply(spec, product, elems[u], elems[v])
-            rhs = multiply(spec, product, elems[v], elems[u])
+            lhs = _multiply(spec, product, elems[u], elems[v])
+            rhs = _multiply(spec, product, elems[v], elems[u])
             if lhs != rhs:
                 comm = IdentityCheck(False, ((u, v), lhs, rhs))
                 break
@@ -284,20 +276,20 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
                     raise LimitExceededError(
                         "max_triples limit %d exceeded" % max_triples)
                 if assoc_w is None:
-                    lhs = multiply(spec, product, prod(u, v), elems[w])
-                    rhs = multiply(spec, product, elems[u], prod(v, w))
+                    lhs = _multiply(spec, product, prod(u, v), elems[w])
+                    rhs = _multiply(spec, product, elems[u], prod(v, w))
                     if lhs != rhs:
                         assoc_w = ((u, v, w), lhs, rhs)
                 if trans_w is None:
-                    lhs = 2 * multiply(spec, product, elems[u], br(v, w))
+                    lhs = 2 * _multiply(spec, product, elems[u], br(v, w))
                     rhs = spec.bracket(prod(u, v), elems[w]) \
                         + spec.bracket(elems[v], prod(u, w))
                     if lhs != rhs:
                         trans_w = ((u, v, w), lhs, rhs)
                 if poisson_w is None:
                     lhs = spec.bracket(prod(u, v), elems[w])
-                    rhs = multiply(spec, product, elems[u], br(v, w)) \
-                        + multiply(spec, product, br(u, w), elems[v])
+                    rhs = _multiply(spec, product, elems[u], br(v, w)) \
+                        + _multiply(spec, product, br(u, w), elems[v])
                     if lhs != rhs:
                         poisson_w = ((u, v, w), lhs, rhs)
                 if assoc_w and trans_w and poisson_w:
@@ -324,16 +316,16 @@ def left_mult_table(spec, product, z, window: Window) -> dict:
     Returns a map degree -> component table, ready to be flattened and
     checked for membership in the assembled per-degree solution spaces.
     """
-    if spec.family == "generalized_witt" and spec.dim_v != 1:
+    if spec.dim_v != 1:
         if product.variant != "zero":
             raise FamilyMismatchError("left multiplications need scalar coefficients")
         return {}
-    z = tuple(z)
-    uz = spec.basis_element(z if spec.family != "generalized_witt" else (z, 0))
+    _check_domain(spec, product)
+    uz = spec.basis_element(spec.basis_labels([tuple(z)])[0])
+    box = box_points(window.radius, spec.rank)
     tables = {}
-    for x in box_points(window.radius, spec.rank):
-        ux = spec.basis_element(x if spec.family != "generalized_witt" else (x, 0))
-        image = multiply(spec, product, uz, ux)
+    for x, label in zip(box, spec.basis_labels(box)):
+        image = _multiply(spec, product, uz, spec.basis_element(label))
         for idx, c in image.terms.items():
             if isinstance(c, tuple):
                 c = c[0]
@@ -403,7 +395,7 @@ def _projected_table_bases(spec, delta_bases, window, degree_bound):
 
 def _apply_component(spec, degree, table, label):
     """Image terms of one basis label under a component table."""
-    if spec.family == "generalized_witt":
+    if spec.vectorial:
         a, j = label
         out = {}
         for (x, r, c), val in table.items():
@@ -417,7 +409,7 @@ def _apply_component(spec, degree, table, label):
 
 
 def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
-             n_samples: int = 5, seed: int = 0) -> ClassifyResult:
+             n_samples: int = 5, seed: int = 0, max_triples=None) -> ClassifyResult:
     """Recover the commutative product family from solved derivation spaces.
 
     Each left multiplication by a basis element of the inner box is an
@@ -425,14 +417,12 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     by any element of a transposed Poisson structure is a half-derivation).
     Commutativity of the product becomes a homogeneous linear system in
     those coefficients, solved exactly; associativity of the resulting
-    family is then spot-checked at seeded random parameter values.
+    family is then spot-checked at seeded random parameter values; each
+    sample scans every triple of inner labels, and ``max_triples`` bounds
+    the triples of all samples together.
     """
     bases = _projected_table_bases(spec, delta_bases, window, degree_bound)
-    if spec.family == "generalized_witt":
-        inner_labels = [(a, i) for a in box_points(window.inner_margin, spec.rank)
-                        for i in range(spec.dim_v)]
-    else:
-        inner_labels = [tuple(a) for a in box_points(window.inner_margin, spec.rank)]
+    inner_labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
 
     unknowns = []
     for l in inner_labels:
@@ -486,9 +476,14 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
         generators.append(_generator_product(spec, vec, unknowns, actions, bases,
                                              inner_labels))
 
+    n_samples = n_samples if generators else 0
+    n_triples = n_samples * len(inner_labels) ** 3
+    if max_triples is not None and n_triples > max_triples:
+        raise LimitExceededError("associativity samples need %d triples, over the "
+                                 "max_triples limit %d" % (n_triples, max_triples))
     rng = random.Random(seed)
     samples = []
-    for _ in range(n_samples if generators else 0):
+    for _ in range(n_samples):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                   for _ in generators]
         combined = _combine_tables(spec, generators, coeffs)
@@ -501,7 +496,7 @@ def _generator_product(spec, vec, unknowns, actions, bases, inner_labels):
     # The table entry at (l1, l2) is L_{l1} applied to l2; the symmetric
     # contribution L_{l2}(l1) agrees on commutativity solutions, so taking
     # one orientation avoids double counting.
-    vectorial = spec.family == "generalized_witt"
+    vectorial = spec.vectorial
     table = {}
     for pos, value in enumerate(vec):
         if not value:
@@ -545,11 +540,11 @@ def _associativity_check(spec, product, inner_labels):
     elems = {l: spec.basis_element(l) for l in labels}
     for u in labels:
         for v in labels:
-            uv = multiply(spec, product, elems[u], elems[v])
+            uv = _multiply(spec, product, elems[u], elems[v])
             for w in labels:
-                lhs = multiply(spec, product, uv, elems[w])
-                rhs = multiply(spec, product, elems[u],
-                               multiply(spec, product, elems[v], elems[w]))
+                lhs = _multiply(spec, product, uv, elems[w])
+                rhs = _multiply(spec, product, elems[u],
+                                _multiply(spec, product, elems[v], elems[w]))
                 if lhs != rhs:
                     return (False, (u, v, w))
     return (True, None)
@@ -562,16 +557,11 @@ def product_to_json(product) -> dict:
         return {"variant": "mutation", "w": element_to_json(product.w)}
     if product.variant == "single_idempotent":
         return {"variant": "single_idempotent"}
-    if product.variant == "extension_by_zero":
-        return {"variant": "extension_by_zero",
-                "star": [{"a": list(a), "b": list(b),
-                          "value": element_to_json(v)}
-                         for (a, b), v in sorted(product.star.items())]}
-    if product.variant == "explicit":
-        return {"variant": "explicit",
-                "table": [{"a": list(a), "b": list(b),
-                           "value": element_to_json(v)}
-                          for (a, b), v in sorted(product.table.items())]}
+    if isinstance(product, ExplicitProduct):
+        return {"variant": product.variant,
+                product.json_key: [{"a": list(a), "b": list(b),
+                                    "value": element_to_json(v)}
+                                   for (a, b), v in sorted(product.table.items())]}
     raise ValueError("unknown product variant %r" % (product.variant,))
 
 
@@ -583,12 +573,9 @@ def product_from_json(data: dict):
         return Mutation(element_from_json(data["w"]))
     if variant == "single_idempotent":
         return SingleIdempotent()
-    if variant == "extension_by_zero":
-        star = {(tuple(item["a"]), tuple(item["b"])): element_from_json(item["value"])
-                for item in data["star"]}
-        return ExtensionByZero(star)
-    if variant == "explicit":
-        table = {(tuple(item["a"]), tuple(item["b"])): element_from_json(item["value"])
-                 for item in data["table"]}
-        return ExplicitProduct(table)
+    for cls in (ExplicitProduct, ExtensionByZero):
+        if variant == cls.variant:
+            return cls({(tuple(item["a"]), tuple(item["b"])):
+                        element_from_json(item["value"])
+                        for item in data[cls.json_key]})
     raise ValueError("unknown product variant %r" % (variant,))

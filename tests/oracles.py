@@ -68,13 +68,26 @@ def oracle_in_span(vector, vectors):
     return oracle_rank(base + [list(vector)]) == oracle_rank(base)
 
 
+def scalar_bracket_coeff(spec, a, b):
+    """The paper's bracket coefficient of a scalar family, from its data.
+
+    f(a, b) + g(a - b) for Block and f(b) - f(a) for Witt type, evaluated
+    through ``AdditiveMap`` and ``BiadditiveForm`` in Fractions, so it
+    shares nothing with the algebra's integer structure constants.
+    """
+    if spec.family == "block":
+        return spec.f(a, b) + spec.g(tuple(s - t for s, t in zip(a, b)))
+    assert spec.family == "witt_type", spec.family
+    return spec.f(b) - spec.f(a)
+
+
 def ordered_pair_rows(spec, degree, radius, delta):
     """Constraint rows of one degree, one per ordered pair, as dense rows.
 
     The assembly as first written: a row (a block of dim V^3 rows for
     generalized Witt) for every ordered pair (x, y) with x, y and x + y in
     Box(radius), entries computed in Fractions straight from the family's
-    bracket data. Columns follow ``halfderiv.columns_for``.
+    closed bracket formula. Columns follow ``halfderiv.columns_for``.
     """
     from itertools import product as iter_product
 
@@ -99,9 +112,9 @@ def ordered_pair_rows(spec, degree, radius, delta):
                 continue
             if not witt:
                 row = [Fraction(0)] * len(col)
-                row[col[xy]] += spec.bracket_coeff(x, y) * inv_delta
-                row[col[x]] -= spec.bracket_coeff(add(degree, x), y)
-                row[col[y]] -= spec.bracket_coeff(x, add(degree, y))
+                row[col[xy]] += scalar_bracket_coeff(spec, x, y) * inv_delta
+                row[col[x]] -= scalar_bracket_coeff(spec, add(degree, x), y)
+                row[col[y]] -= scalar_bracket_coeff(spec, x, add(degree, y))
                 rows.append(row)
                 continue
             px, py = spec.pairing.gen_column(x), spec.pairing.gen_column(y)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import scalar_bracket_coeff
 from tpw.algebra import (
     Block,
     Element,
@@ -20,7 +21,14 @@ from tpw.algebra import (
     verify_square,
     witt_to_witt_type,
 )
-from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, box_points
+from tpw.lattice import (
+    AdditiveMap,
+    BiadditiveForm,
+    Pairing,
+    RankMismatchError,
+    Window,
+    box_points,
+)
 
 
 def b1_spec():
@@ -115,12 +123,78 @@ def test_generalized_witt_bracket_example():
 def test_bracket_rejects_mismatched_elements():
     with pytest.raises(SpecMismatchError):
         bracket(gw_spec(), Element({(0, 0): Fraction(1)}), Element({(0, 0): Fraction(1)}))
+    with pytest.raises(SpecMismatchError):
+        bracket(gw_spec(), gw_spec().basis((0, 0)), Element({(0, 0): (1, 0, 0)}))
 
 
 def test_witt_type_bracket():
     spec = witt_spec()
     out = bracket(spec, spec.basis((2,)), spec.basis((3,)))
     assert out == Element({(5,): 1})
+
+
+# name -> (spec factory, whether its data has denominators to clear)
+CLOSED_FORMULA_SPECS = {
+    "gw": (gw_spec, False),
+    "gw-rational": (lambda: GeneralizedWitt(
+        Pairing([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])), True),
+    "block-g0": (b0_spec, False),
+    "block-gh": (b1_spec, False),
+    "block-gh-rational": (lambda: Block.from_gh(
+        AdditiveMap([2, -1]), AdditiveMap([Fraction(1, 2), 3])), True),
+    "witt": (witt_spec, False),
+    "witt-rational": (lambda: WittType(
+        AdditiveMap([Fraction(1, 2), Fraction(-2, 3)])), True),
+    "corrupted-block": (corrupted_block, False),
+}
+
+
+def closed_formula_bracket(spec, x, y):
+    """Bilinear sum of the paper's basis formula over the terms of x and y."""
+    out = Element()
+    for a, xa in x.terms.items():
+        for b, yb in y.terms.items():
+            idx = tuple(s + t for s, t in zip(a, b))
+            if spec.family == "generalized_witt":
+                # <v, b> w - <w, a> v
+                vb, wa = spec.pairing(xa, b), spec.pairing(yb, a)
+                coeff = tuple(vb * wl - wa * vl for vl, wl in zip(xa, yb))
+            else:
+                coeff = xa * yb * scalar_bracket_coeff(spec, a, b)
+            out = out + Element({idx: coeff})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMULA_SPECS))
+def test_bracket_follows_the_closed_formula(name):
+    factory, rational = CLOSED_FORMULA_SPECS[name]
+    spec = factory()
+    scale, _ = spec.structure_constants
+    assert (scale != 1) == rational
+    labels = spec.basis_labels(box_points(2, spec.rank))
+    basis = [spec.basis_element(l) for l in labels]
+    for u in basis:
+        for v in basis:
+            assert spec.bracket(u, v) == closed_formula_bracket(spec, u, v)
+
+    rng = random.Random(name)
+
+    def rand_elem():
+        out = Element()
+        for _ in range(4):
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            out = out + c * rng.choice(basis)
+        return out
+
+    for _ in range(20):
+        x, y = rand_elem(), rand_elem()
+        assert bracket(spec, x, y) == closed_formula_bracket(spec, x, y)
+
+    wrong_rank = Element({idx + (1,): c for idx, c in basis[1].terms.items()})
+    with pytest.raises(RankMismatchError):
+        bracket(spec, wrong_rank, basis[1])
+    with pytest.raises(RankMismatchError):
+        bracket(spec, basis[1], wrong_rank)
 
 
 def test_lie_axioms_pass_for_all_families():

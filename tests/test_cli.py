@@ -225,6 +225,19 @@ def test_check_lie_limit_exits_3(tmp_path, capsys):
     assert "limit exceeded" in capsys.readouterr().err
 
 
+def test_classify_associativity_samples_respect_max_triples(tmp_path, capsys):
+    # 9 inner labels: each of the 5 default samples scans 9^3 = 729 triples
+    cfg = small("classify-tp", B0, payload={"degree_bound": 1})
+    path = tmp_path / "job.json"
+    cfg["limits"] = {"max_triples": 5 * 729 - 1}
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
+    assert "max_triples" in capsys.readouterr().err
+    cfg["limits"] = {"max_triples": 5 * 729}
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 0
+
+
 @pytest.mark.parametrize("task,algebra,payload,field", [
     ("classify-tp", B0, {"degree_bound": 1, "samples": "3"}, "samples"),
     ("classify-tp", B0, {"degree_bound": 1, "expected_parameters": -1},

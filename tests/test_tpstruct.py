@@ -96,6 +96,14 @@ def test_extension_domain_check_runs_for_each_spec(monkeypatch):
         multiply(other, product, u, u)
 
 
+@pytest.mark.parametrize("cls", [ExplicitProduct, ExtensionByZero])
+def test_table_rejects_conflicting_mirrored_entries(cls):
+    one = Element({(0, -1): Fraction(1)})
+    for first in (Element(), 2 * one):
+        with pytest.raises(ValueError, match="conflicting"):
+            cls({((0, -2), (1, 0)): first, ((1, 0), (0, -2)): one})
+
+
 def test_mutation_rejected_on_block():
     with pytest.raises(FamilyMismatchError):
         multiply(b0_spec(), Mutation(Element({(0, 0): 1})),
