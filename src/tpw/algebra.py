@@ -110,9 +110,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return sorted(self.terms)
-
     def __add__(self, other):
         out = dict(self.terms)
         for idx, c in other.terms.items():

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import exactlin, halfderiv, tpstruct
 from .algebra import (
+    FamilyMismatchError,
     spec_from_json,
     spec_to_json,
     element_to_json,
@@ -24,7 +25,7 @@ from .algebra import (
     verify_square,
 )
 from .exactlin import scalar_from_str, scalar_to_str
-from .lattice import Window, nondegeneracy_witnesses
+from .lattice import RankMismatchError, Window, nondegeneracy_witnesses
 from .tpstruct import product_from_json, product_to_json
 
 SCHEMA_VERSION = "1"
@@ -52,6 +53,11 @@ def _require(config, field, kind=None):
     return value
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true and false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(data: dict) -> dict:
     """Validate a raw config dict and fill the defaults in."""
     if not isinstance(data, dict):
@@ -60,14 +66,14 @@ def load_config(data: dict) -> dict:
     algebra = _require(cfg, "algebra", dict)
     try:
         spec_from_json(algebra)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, RankMismatchError) as exc:
         raise ConfigError("field 'algebra' is invalid: %s" % exc)
     window = _require(cfg, "window", dict)
-    radius = _require(window, "radius", int)
-    if radius < 1:
-        raise ConfigError("field 'window.radius' must be >= 1")
+    radius = _require(window, "radius")
+    if not _is_int(radius) or radius < 1:
+        raise ConfigError("field 'window.radius' must be an integer >= 1")
     margin = window.get("inner_margin")
-    if margin is not None and not isinstance(margin, int):
+    if margin is not None and not _is_int(margin):
         raise ConfigError("field 'window.inner_margin' has the wrong type")
     try:
         Window(radius, margin)
@@ -83,7 +89,7 @@ def load_config(data: dict) -> dict:
     except ValueError:
         raise ConfigError("field 'delta' is not a valid rational")
     seed = cfg.setdefault("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("field 'seed' has the wrong type")
     payload = cfg.setdefault("payload", {})
     if not isinstance(payload, dict):
@@ -92,14 +98,13 @@ def load_config(data: dict) -> dict:
     if not isinstance(limits, dict):
         raise ConfigError("field 'limits' has the wrong type")
     for key in ("max_unknowns", "max_triples"):
-        if key in limits and (not isinstance(limits[key], int) or limits[key] <= 0):
+        if key in limits and (not _is_int(limits[key]) or limits[key] <= 0):
             raise ConfigError("field 'limits.%s' must be a positive integer" % key)
     env_limit = os.environ.get("TPW_MAX_UNKNOWNS")
     if env_limit is not None:
-        try:
-            limits["max_unknowns"] = int(env_limit)
-        except ValueError:
-            raise ConfigError("TPW_MAX_UNKNOWNS is not an integer")
+        if not env_limit.strip().isdigit() or int(env_limit) <= 0:
+            raise ConfigError("TPW_MAX_UNKNOWNS must be a positive integer")
+        limits["max_unknowns"] = int(env_limit)
     return cfg
 
 
@@ -176,7 +181,7 @@ def _payload_count(payload, field, default):
     if field not in payload:
         return default
     value = payload[field]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ConfigError("field 'payload.%s' must be a non-negative integer" % field)
     return value
 
@@ -229,14 +234,14 @@ def _task_classify(spec, cfg, window):
 
 def _task_verify_structure(spec, cfg, window):
     payload = cfg["payload"]
-    if "product" not in payload:
-        raise ConfigError("missing field 'payload.product'")
+    if not isinstance(payload.get("product"), dict):
+        raise ConfigError("field 'payload.product' must be a product object")
     require_poisson = payload.get("require_poisson", False)
     if not isinstance(require_poisson, bool):
         raise ConfigError("field 'payload.require_poisson' must be true or false")
     try:
         product = product_from_json(payload["product"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError("field 'payload.product' is invalid: %s" % exc)
     report = tpstruct.verify(spec, product, window,
                              max_triples=cfg["limits"].get("max_triples"))
@@ -457,7 +462,7 @@ def main(argv=None) -> int:
     except (exactlin.DimensionOverflowError, tpstruct.LimitExceededError) as exc:
         sys.stderr.write("limit exceeded: %s\n" % exc)
         return 3
-    except ValueError as exc:
+    except (ValueError, FamilyMismatchError) as exc:
         sys.stderr.write("invalid job: %s\n" % exc)
         return 2
 

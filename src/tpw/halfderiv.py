@@ -59,10 +59,6 @@ class HalfDerivationComponent:
     degree: tuple
     table: dict
 
-    def describe(self) -> str:
-        support = sorted(self.table)
-        return "component(degree=%s, support=%s)" % (self.degree, support)
-
 
 @dataclass(frozen=True)
 class PredictedBasis:

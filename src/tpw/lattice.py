@@ -100,12 +100,6 @@ class Window:
         if not 0 <= self.inner_margin < self.radius:
             raise ValueError("inner_margin must satisfy 0 <= m < radius")
 
-    def box(self, rank: int):
-        return box_points(self.radius, rank)
-
-    def inner_box(self, rank: int):
-        return box_points(self.inner_margin, rank)
-
     def contains(self, a) -> bool:
         return norm_inf(a) <= self.radius
 

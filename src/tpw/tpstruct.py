@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 
 from . import exactlin
 from .exactlin import SparseMatrix
@@ -29,7 +30,7 @@ from .halfderiv import (
     columns_for,
     inner_column_positions,
 )
-from .lattice import Window, add, box_points, search_order, sub, zero
+from .lattice import Window, add, box_points, search_order, sub
 
 __all__ = [
     "ClassifyResult",
@@ -50,13 +51,37 @@ __all__ = [
 ]
 
 
-class ZeroProduct:
+class _Product:
+    """A commutative product given by its basis rule.
+
+    ``basis_product(a, b)`` maps each lattice index c to the nonzero scalar
+    coefficient of u_c in u_a . u_b (of u_c (x) v for generalized Witt with
+    dim V = 1, V = span{v}). ``check_domain(spec)`` raises
+    ``FamilyMismatchError`` or ``ValueError`` unless the rule is defined on
+    ``spec``; every entry point runs it before reading the rule.
+    """
+
+    def check_domain(self, spec):
+        pass
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls()
+
+
+class ZeroProduct(_Product):
     """The trivial structure: every product is zero."""
 
     variant = "zero"
 
+    def basis_product(self, a, b):
+        return {}
 
-class Mutation:
+
+class Mutation(_Product):
     """Group-algebra product twisted by a fixed multiplier element.
 
     On a rank-one-coefficient family the product of basis elements at a
@@ -70,25 +95,46 @@ class Mutation:
         if any(isinstance(c, tuple) and len(c) != 1 for c in w.terms.values()):
             raise ValueError("multiplier coefficients must be scalars")
         self.w = w
+        self._shifts = _scalars(w.terms)
 
-    def scalar_terms(self):
-        out = {}
-        for idx, c in self.w.terms.items():
-            out[idx] = c[0] if isinstance(c, tuple) else c
-        return out
+    def check_domain(self, spec):
+        if spec.family == "block" or spec.dim_v != 1:
+            raise FamilyMismatchError("mutations live on Witt type and on generalized "
+                                      "Witt with dim V = 1")
+        _check_ranks(spec, self.w.terms, "multiplier index")
+
+    def basis_product(self, a, b):
+        ab = add(a, b)
+        return {add(ab, c): wc for c, wc in self._shifts.items()}
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, "w": element_to_json(self.w)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(element_from_json(data["w"]))
 
 
-class SingleIdempotent:
+class SingleIdempotent(_Product):
     """u_0 . u_0 = u_0 and all other basis products zero."""
 
     variant = "single_idempotent"
 
+    def check_domain(self, spec):
+        if spec.family != "block" or not spec.g_is_zero:
+            raise FamilyMismatchError("single idempotent product needs Block with g = 0")
 
-class ExplicitProduct:
+    def basis_product(self, a, b):
+        return {a: Fraction(1)} if a == b and not any(a) else {}
+
+
+class ExplicitProduct(_Product):
     """Symmetric structure-constant table: u_a . u_b = table[{a, b}].
 
     Keys are unordered pairs of lattice points; values are elements. Pairs
-    missing from the table multiply to zero.
+    missing from the table multiply to zero. Defined on the scalar
+    families and on generalized Witt with dim V = 1, with values whose
+    coefficients have the family's shape.
     """
 
     variant = "explicit"
@@ -102,51 +148,47 @@ class ExplicitProduct:
                 raise ValueError("conflicting table entries for %s" % (key,))
             entries[key] = value
         self.table = {key: value for key, value in entries.items() if not value.is_zero}
+        self._rule = {key: _scalars(value.terms) for key, value in self.table.items()}
+
+    def check_domain(self, spec):
+        if spec.dim_v != 1:
+            raise FamilyMismatchError("table products need a rank-one coefficient family")
+        for (a, b), value in self.table.items():
+            _check_ranks(spec, (a, b), "table index")
+            _check_ranks(spec, value.terms, "table value index")
+            if any(isinstance(c, tuple) != spec.vectorial for c in value.terms.values()):
+                raise ValueError("table value at %s does not have the family's "
+                                 "coefficients" % ((a, b),))
+
+    def basis_product(self, a, b):
+        return self._rule.get(_pair_key(a, b), {})
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant,
+                self.json_key: [{"a": list(a), "b": list(b), "value": element_to_json(v)}
+                                for (a, b), v in sorted(self.table.items())]}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls({(tuple(int(x) for x in item["a"]), tuple(int(x) for x in item["b"])):
+                    element_from_json(item["value"]) for item in data[cls.json_key]})
 
 
 class ExtensionByZero(ExplicitProduct):
     """Star table on the complement of the square, valued in the center.
 
     A table product defined only on Block with g != 0, and only when every
-    star index lies outside the square and every value in the center;
-    ``multiply`` checks that on each call, the scans once.
+    star index lies outside the square and every value in the center.
     """
 
     variant = "extension_by_zero"
     json_key = "star"
 
-
-def _pair_key(a, b):
-    return (a, b) if a <= b else (b, a)
-
-
-def _scalar_element_terms(spec, x: Element):
-    if spec.vectorial:
-        return {idx: c[0] for idx, c in x.terms.items()}
-    return x.terms
-
-
-def _wrap_scalar_terms(spec, terms):
-    if spec.vectorial:
-        return Element({idx: (c,) for idx, c in terms.items()})
-    return Element(terms)
-
-
-def _check_domain(spec, product):
-    """Raise unless ``product`` is defined on ``spec``."""
-    variant = product.variant
-    if variant == "mutation":
-        if spec.family == "block":
-            raise FamilyMismatchError("mutations live on rank-one coefficient families")
-        if spec.dim_v != 1:
-            raise FamilyMismatchError("product needs a rank-one coefficient family")
-    elif variant == "single_idempotent":
-        if spec.family != "block" or not spec.g_is_zero:
-            raise FamilyMismatchError("single idempotent product needs Block with g = 0")
-    elif variant == "extension_by_zero":
+    def check_domain(self, spec):
         if spec.family != "block" or spec.g_is_zero:
             raise FamilyMismatchError("extension by zero needs Block with g != 0")
-        for (a, b), value in product.table.items():
+        super().check_domain(spec)
+        for (a, b), value in self.table.items():
             for key in (a, b):
                 if square_predicate(spec, key):
                     raise ValueError(
@@ -156,44 +198,90 @@ def _check_domain(spec, product):
                     raise ValueError("star value at %s leaves the center" % (idx,))
 
 
+_VARIANTS = {cls.variant: cls for cls in (ZeroProduct, Mutation, SingleIdempotent,
+                                          ExplicitProduct, ExtensionByZero)}
+
+
+def _scalars(terms):
+    """Element terms with 1-tuple (dim V = 1) coefficients unwrapped."""
+    return {idx: c[0] if isinstance(c, tuple) else c for idx, c in terms.items()}
+
+
+def _check_ranks(spec, indices, what):
+    for idx in indices:
+        if len(idx) != spec.rank:
+            raise ValueError("%s %s does not have the algebra's rank %d"
+                             % (what, idx, spec.rank))
+
+
+def _pair_key(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
 def multiply(spec, product, x: Element, y: Element) -> Element:
-    """Bilinear symmetric extension of the product's basis formula.
+    """Bilinear symmetric extension of the product's basis rule.
 
     Checks first that ``product`` is defined on ``spec``.
     """
-    _check_domain(spec, product)
-    return _multiply(spec, product, x, y)
+    return _CheckedProduct(spec, product)(x, y)
 
 
-def _multiply(spec, product, x: Element, y: Element) -> Element:
-    """``multiply`` for a product whose domain has been checked."""
-    if product.variant == "zero":
-        return Element()
-    if product.variant == "mutation":
-        xs = _scalar_element_terms(spec, x)
-        ys = _scalar_element_terms(spec, y)
-        ws = product.scalar_terms()
+class _CheckedProduct:
+    """A product on a spec, its domain checked once, as a bilinear map.
+
+    ``pair`` memoizes the products of the basis elements of ``labels`` by
+    unordered label pair.
+    """
+
+    def __init__(self, spec, product, labels=()):
+        product.check_domain(spec)
+        self.vectorial = spec.vectorial
+        self.rule = product.basis_product
+        self.elems = {l: spec.basis_element(l) for l in labels}
+        self._pairs = {}
+
+    def __call__(self, x: Element, y: Element) -> Element:
+        xs, ys = x.terms, y.terms
+        if not (xs and ys):
+            return Element()
+        if self.vectorial:  # dim V = 1: coefficients are 1-tuples
+            xs = {a: c[0] for a, c in xs.items()}
+            ys = {b: c[0] for b, c in ys.items()}
+        rule = self.rule
         acc = {}
         for a, xa in xs.items():
             for b, yb in ys.items():
-                factor = xa * yb
-                for c, wc in ws.items():
-                    idx = add(add(a, b), c)
-                    acc[idx] = acc.get(idx, 0) + factor * wc
-        return _wrap_scalar_terms(spec, acc)
-    if product.variant == "single_idempotent":
-        origin = zero(spec.rank)
-        c = x.terms.get(origin, Fraction(0)) * y.terms.get(origin, Fraction(0))
-        return Element({origin: c})
-    if isinstance(product, ExplicitProduct):
-        out = Element()
-        for a, xa in x.terms.items():
-            for b, yb in y.terms.items():
-                value = product.table.get(_pair_key(a, b))
-                if value is not None:
-                    out = out + (xa * yb) * value
+                ab = rule(a, b)
+                if ab:
+                    k = xa * yb
+                    for c, v in ab.items():
+                        acc[c] = acc.get(c, 0) + k * v
+        out = Element.__new__(Element)
+        out.terms = {c: (v,) if self.vectorial else v for c, v in acc.items() if v}
         return out
-    raise ValueError("unknown product variant %r" % (product.variant,))
+
+    def pair(self, u, v) -> Element:
+        out = self._pairs.get((u, v))
+        if out is None:
+            a, b = _pair_key(u, v)
+            out = self(self.elems[a], self.elems[b])
+            self._pairs[(u, v)] = self._pairs[(v, u)] = out
+        return out
+
+    def associator(self, u, v, w):
+        """Both sides of (u . v) . w = u . (v . w)."""
+        return self(self.pair(u, v), self.elems[w]), self(self.elems[u], self.pair(v, w))
+
+
+def _triples(labels, max_triples=None):
+    """Label triples in nested order, the last label fastest.
+
+    Raises ``LimitExceededError`` before the triple past ``max_triples``.
+    """
+    for n, triple in enumerate(iter_product(labels, repeat=3), 1):
+        if max_triples is not None and n > max_triples:
+            raise LimitExceededError("max_triples limit %d exceeded" % max_triples)
+        yield triple
 
 
 @dataclass(frozen=True)
@@ -232,27 +320,16 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     identity 2 z . [x, y] = [z . x, y] + [x, z . y], and the ordinary
     Poisson rule [x . y, z] = x . [y, z] + [x, z] . y run over triples.
     """
-    _check_domain(spec, product)
     labels = spec.basis_labels(search_order(window.radius, spec.rank))
-    elems = {l: spec.basis_element(l) for l in labels}
-
-    prod_cache = {}
-
-    def prod(u, v):
-        key = (u, v) if u <= v else (v, u)
-        res = prod_cache.get(key)
-        if res is None:
-            res = _multiply(spec, product, elems[key[0]], elems[key[1]])
-            prod_cache[key] = res
-        return res
+    mul = _CheckedProduct(spec, product, labels)
+    elems = mul.elems
 
     br_cache = {}
 
     def br(u, v):
         res = br_cache.get((u, v))
         if res is None:
-            res = spec.bracket(elems[u], elems[v])
-            br_cache[(u, v)] = res
+            res = br_cache[(u, v)] = spec.bracket(elems[u], elems[v])
         return res
 
     comm = IdentityCheck(True, None)
@@ -260,46 +337,33 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
         if comm.witness is not None:
             break
         for v in labels:
-            lhs = _multiply(spec, product, elems[u], elems[v])
-            rhs = _multiply(spec, product, elems[v], elems[u])
+            lhs = mul(elems[u], elems[v])
+            rhs = mul(elems[v], elems[u])
             if lhs != rhs:
                 comm = IdentityCheck(False, ((u, v), lhs, rhs))
                 break
 
     assoc_w = trans_w = poisson_w = None
     n_triples = 0
-    for u in labels:
-        for v in labels:
-            for w in labels:
-                n_triples += 1
-                if max_triples is not None and n_triples > max_triples:
-                    raise LimitExceededError(
-                        "max_triples limit %d exceeded" % max_triples)
-                if assoc_w is None:
-                    lhs = _multiply(spec, product, prod(u, v), elems[w])
-                    rhs = _multiply(spec, product, elems[u], prod(v, w))
-                    if lhs != rhs:
-                        assoc_w = ((u, v, w), lhs, rhs)
-                if trans_w is None:
-                    lhs = 2 * _multiply(spec, product, elems[u], br(v, w))
-                    rhs = spec.bracket(prod(u, v), elems[w]) \
-                        + spec.bracket(elems[v], prod(u, w))
-                    if lhs != rhs:
-                        trans_w = ((u, v, w), lhs, rhs)
-                if poisson_w is None:
-                    lhs = spec.bracket(prod(u, v), elems[w])
-                    rhs = _multiply(spec, product, elems[u], br(v, w)) \
-                        + _multiply(spec, product, br(u, w), elems[v])
-                    if lhs != rhs:
-                        poisson_w = ((u, v, w), lhs, rhs)
-                if assoc_w and trans_w and poisson_w:
-                    break
-            else:
-                continue
+    for n_triples, (u, v, w) in enumerate(_triples(labels, max_triples), 1):
+        if assoc_w is None:
+            lhs, rhs = mul.associator(u, v, w)
+            if lhs != rhs:
+                assoc_w = ((u, v, w), lhs, rhs)
+        if trans_w is None or poisson_w is None:
+            u_vw = mul(elems[u], br(v, w))
+            uv_w = spec.bracket(mul.pair(u, v), elems[w])
+        if trans_w is None:
+            lhs = 2 * u_vw
+            rhs = uv_w + spec.bracket(elems[v], mul.pair(u, w))
+            if lhs != rhs:
+                trans_w = ((u, v, w), lhs, rhs)
+        if poisson_w is None:
+            rhs = u_vw + mul(br(u, w), elems[v])
+            if uv_w != rhs:
+                poisson_w = ((u, v, w), uv_w, rhs)
+        if assoc_w and trans_w and poisson_w:
             break
-        else:
-            continue
-        break
 
     return VerificationReport(
         commutative=comm,
@@ -316,21 +380,13 @@ def left_mult_table(spec, product, z, window: Window) -> dict:
     Returns a map degree -> component table, ready to be flattened and
     checked for membership in the assembled per-degree solution spaces.
     """
-    if spec.dim_v != 1:
-        if product.variant != "zero":
-            raise FamilyMismatchError("left multiplications need scalar coefficients")
-        return {}
-    _check_domain(spec, product)
-    uz = spec.basis_element(spec.basis_labels([tuple(z)])[0])
-    box = box_points(window.radius, spec.rank)
+    product.check_domain(spec)
+    z = tuple(z)
+    _check_ranks(spec, [z], "left factor index")
     tables = {}
-    for x, label in zip(box, spec.basis_labels(box)):
-        image = _multiply(spec, product, uz, spec.basis_element(label))
-        for idx, c in image.terms.items():
-            if isinstance(c, tuple):
-                c = c[0]
-            degree = sub(idx, x)
-            tables.setdefault(degree, {})[x] = c
+    for x in box_points(window.radius, spec.rank):
+        for idx, c in product.basis_product(z, x).items():
+            tables.setdefault(sub(idx, x), {})[x] = c
     return {
         degree: HalfDerivationComponent(degree, table)
         for degree, table in sorted(tables.items())
@@ -446,18 +502,12 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
             row = {}
             for e in sorted(bases):
                 for k in range(len(bases[e])):
-                    img = actions.get((e, k, l2))
-                    if img:
-                        for out_idx, val in img.items():
-                            row.setdefault(out_idx, {})
-                            c = col[(l1, e, k)]
-                            row[out_idx][c] = row[out_idx].get(c, 0) + val
-                    img = actions.get((e, k, l1))
-                    if img:
-                        for out_idx, val in img.items():
-                            row.setdefault(out_idx, {})
-                            c = col[(l2, e, k)]
-                            row[out_idx][c] = row[out_idx].get(c, 0) - val
+                    # L_{l1}(l2) - L_{l2}(l1)
+                    for left, right, sign in ((l1, l2, 1), (l2, l1, -1)):
+                        c = col[(left, e, k)]
+                        for out_idx, val in actions.get((e, k, right), {}).items():
+                            cell = row.setdefault(out_idx, {})
+                            cell[c] = cell.get(c, 0) + sign * val
             for out_idx in sorted(row):
                 coeffs = {c: v for c, v in row[out_idx].items() if v}
                 if coeffs:
@@ -512,7 +562,7 @@ def _generator_product(spec, vec, unknowns, actions, bases, inner_labels):
             contrib = {}
             for out_idx, val in img.items():
                 val = value * val
-                contrib[_bare_idx(out_idx)] = (val,) if vectorial else val
+                contrib[_bare(out_idx)] = (val,) if vectorial else val
             cur = table.get(key, Element())
             table[key] = cur + Element(contrib)
     return ExplicitProduct({k: v for k, v in table.items() if not v.is_zero})
@@ -520,10 +570,6 @@ def _generator_product(spec, vec, unknowns, actions, bases, inner_labels):
 
 def _bare(label):
     return label[0] if isinstance(label[0], tuple) else label
-
-
-def _bare_idx(out_idx):
-    return out_idx[0] if isinstance(out_idx[0], tuple) else out_idx
 
 
 def _combine_tables(spec, generators, coeffs):
@@ -536,46 +582,20 @@ def _combine_tables(spec, generators, coeffs):
 
 
 def _associativity_check(spec, product, inner_labels):
-    labels = inner_labels
-    elems = {l: spec.basis_element(l) for l in labels}
-    for u in labels:
-        for v in labels:
-            uv = _multiply(spec, product, elems[u], elems[v])
-            for w in labels:
-                lhs = _multiply(spec, product, uv, elems[w])
-                rhs = _multiply(spec, product, elems[u],
-                                _multiply(spec, product, elems[v], elems[w]))
-                if lhs != rhs:
-                    return (False, (u, v, w))
+    mul = _CheckedProduct(spec, product, inner_labels)
+    for triple in _triples(inner_labels):
+        lhs, rhs = mul.associator(*triple)
+        if lhs != rhs:
+            return (False, triple)
     return (True, None)
 
 
 def product_to_json(product) -> dict:
-    if product.variant == "zero":
-        return {"variant": "zero"}
-    if product.variant == "mutation":
-        return {"variant": "mutation", "w": element_to_json(product.w)}
-    if product.variant == "single_idempotent":
-        return {"variant": "single_idempotent"}
-    if isinstance(product, ExplicitProduct):
-        return {"variant": product.variant,
-                product.json_key: [{"a": list(a), "b": list(b),
-                                    "value": element_to_json(v)}
-                                   for (a, b), v in sorted(product.table.items())]}
-    raise ValueError("unknown product variant %r" % (product.variant,))
+    return product.to_json()
 
 
 def product_from_json(data: dict):
     variant = data.get("variant")
-    if variant == "zero":
-        return ZeroProduct()
-    if variant == "mutation":
-        return Mutation(element_from_json(data["w"]))
-    if variant == "single_idempotent":
-        return SingleIdempotent()
-    for cls in (ExplicitProduct, ExtensionByZero):
-        if variant == cls.variant:
-            return cls({(tuple(item["a"]), tuple(item["b"])):
-                        element_from_json(item["value"])
-                        for item in data[cls.json_key]})
-    raise ValueError("unknown product variant %r" % (variant,))
+    if variant not in _VARIANTS:
+        raise ValueError("unknown product variant %r" % (variant,))
+    return _VARIANTS[variant].from_json(data)

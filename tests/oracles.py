@@ -147,3 +147,74 @@ def distinct_rows(rows):
             scaled = tuple(v / lead for v in row)
             out.setdefault(scaled, scaled)
     return [list(r) for r in out]
+
+
+
+def _first_failure(spec, labels, sides):
+    """First triple of ``labels`` in nested order whose two sides differ.
+
+    ``sides`` takes the three basis elements. Returns
+    ``((triple, lhs, rhs), position)`` with a 1-based position, or
+    ``(None, len(labels) ** 3)`` when the identity holds on every triple.
+    """
+    from itertools import product as iter_product
+
+    e = {l: spec.basis_element(l) for l in labels}
+    for n, triple in enumerate(iter_product(labels, repeat=3), 1):
+        lhs, rhs = sides(*(e[l] for l in triple))
+        if lhs != rhs:
+            return (triple, lhs, rhs), n
+    return None, len(labels) ** 3
+
+
+def element_verify(spec, product, window):
+    """``tpstruct.verify`` written out identity by identity.
+
+    Every side is evaluated with the public ``multiply`` and the spec's
+    element bracket, with no memo, and each identity is scanned on its own
+    over the shell-ordered labels. The report counts the triples up to the
+    last of the three first witnesses, or all triples when one identity
+    holds everywhere, which is where a joint scan stops.
+    """
+    from tpw.lattice import search_order
+    from tpw.tpstruct import IdentityCheck, VerificationReport, multiply
+
+    labels = spec.basis_labels(search_order(window.radius, spec.rank))
+    e = {l: spec.basis_element(l) for l in labels}
+    br = spec.bracket
+
+    def mul(x, y):
+        return multiply(spec, product, x, y)
+
+    comm = next((((u, v), mul(e[u], e[v]), mul(e[v], e[u]))
+                 for u in labels for v in labels
+                 if mul(e[u], e[v]) != mul(e[v], e[u])), None)
+    assoc, n_assoc = _first_failure(
+        spec, labels, lambda x, y, z: (mul(mul(x, y), z), mul(x, mul(y, z))))
+    trans, n_trans = _first_failure(
+        spec, labels,
+        lambda x, y, z: (2 * mul(x, br(y, z)), br(mul(x, y), z) + br(y, mul(x, z))))
+    poisson, n_poisson = _first_failure(
+        spec, labels,
+        lambda x, y, z: (br(mul(x, y), z), mul(x, br(y, z)) + mul(br(x, z), y)))
+    n_triples = (max(n_assoc, n_trans, n_poisson) if assoc and trans and poisson
+                 else len(labels) ** 3)
+    return VerificationReport(
+        commutative=IdentityCheck(comm is None, comm),
+        associative=IdentityCheck(assoc is None, assoc),
+        trans_leibniz=IdentityCheck(trans is None, trans),
+        poisson_leibniz=IdentityCheck(poisson is None, poisson),
+        n_triples=n_triples,
+    )
+
+
+def element_associativity(spec, product, labels):
+    """``(passed, first failing triple)`` of (u.v).w = u.(v.w), via ``multiply``."""
+    from tpw.tpstruct import multiply
+
+    def mul(x, y):
+        return multiply(spec, product, x, y)
+
+    witness, _ = _first_failure(
+        spec, labels, lambda x, y, z: (mul(mul(x, y), z), mul(x, mul(y, z))))
+    return (witness is None, None if witness is None else witness[0])

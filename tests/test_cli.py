@@ -255,3 +255,70 @@ def test_payload_field_types_are_validated(tmp_path, capsys, task, algebra,
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 2
     assert "payload.%s" % field in capsys.readouterr().err
+
+
+def _table_product(entry):
+    item = {"a": [0], "b": [0], "value": [{"index": [0], "coeff": "1"}]}
+    item.update(entry)
+    return {"variant": "explicit", "table": [item]}
+
+
+@pytest.mark.parametrize("cfg,field", [
+    (small("verify-structure", WT, payload={"product": [1]}), "payload.product"),
+    (small("verify-structure", WT, payload={"product": _table_product({"value": 3})}),
+     "payload.product"),
+    (small("verify-structure", WT, payload={"product": _table_product({"a": 5})}),
+     "payload.product"),
+    (small("verify-structure", WT, payload={"product": _table_product({"a": ["x"],
+                                                                       "b": ["y"]})}),
+     "payload.product"),
+    (small("verify-structure", WT, payload={"product": {"variant": "mutation", "w": 5}}),
+     "payload.product"),
+    (small("check-lie", {"family": "witt_type", "f": 5}), "algebra"),
+    (dict(small("check-lie", B0), window={"radius": True}), "window.radius"),
+    (dict(small("check-lie", B0), window={"radius": 2, "inner_margin": True}),
+     "window.inner_margin"),
+    (dict(small("check-lie", B0), seed=True), "seed"),
+    (dict(small("check-lie", B0), limits={"max_triples": True}), "limits.max_triples"),
+    (dict(small("check-lie", B0), limits={"max_unknowns": True}), "limits.max_unknowns"),
+], ids=["product-list", "table-value-int", "table-index-int", "table-index-text",
+        "multiplier-int",
+        "algebra-map-int", "radius-bool", "margin-bool", "seed-bool",
+        "max-triples-bool", "max-unknowns-bool"])
+def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        run(json.loads(json.dumps(cfg)))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 2
+    assert "'%s'" % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,message", [
+    (small("verify-structure", B1, payload={"product": {"variant": "single_idempotent"}}),
+     "Block with g = 0"),
+    (small("center-square", WT), "Block algebras only"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0, 0], "coeff": "1"}]}}), "rank 1"),
+    (small("verify-structure", B1, payload={"product": {
+        "variant": "extension_by_zero",
+        "star": [{"a": [0], "b": [0], "value": [{"index": [0, -1], "coeff": "1"}]}]}}),
+     "rank 2"),
+], ids=["idempotent-on-g-nonzero", "center-square-on-witt-type", "multiplier-rank",
+        "star-rank"])
+def test_products_and_tasks_off_their_family_exit_2(tmp_path, capsys, cfg, message):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid job" in err and message in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "many"])
+def test_max_unknowns_env_must_be_positive(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("TPW_MAX_UNKNOWNS", value)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(small("solve-half-derivations", B0,
+                                     payload={"degree_bound": 1})))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 2
+    assert "TPW_MAX_UNKNOWNS" in capsys.readouterr().err

@@ -24,6 +24,8 @@ from tpw.tpstruct import (
     verify,
 )
 
+from oracles import element_associativity, element_verify
+
 
 def witt_spec():
     return WittType(AdditiveMap([1]))
@@ -329,3 +331,90 @@ def test_star_left_mult_is_the_alpha_map():
     system = assemble(spec, (0, 1), window)
     vec = component_vector(spec, window, comps[(0, 1)])
     assert all(r == 0 for r in system.matrix.apply(vec))
+
+
+def gw1_spec():
+    return GeneralizedWitt(Pairing([[1]]))
+
+
+def _seeded_multiplier(rng):
+    terms = {(rng.randint(-3, 3),): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for _ in range(rng.randint(1, 4))}
+    return Element(terms)
+
+
+@pytest.mark.parametrize("spec,product,window", [
+    (b1_spec(), ZeroProduct(), Window(2, 1)),
+    (b0_spec(), SingleIdempotent(), Window(2, 1)),
+    (witt_spec(), Mutation(Element({(0,): 1})), Window(4, 2)),
+    (witt_spec(), Mutation(_seeded_multiplier(random.Random(7))), Window(3, 1)),
+    (witt_spec(), Mutation(_seeded_multiplier(random.Random(8))), Window(3, 1)),
+    (gw1_spec(), Mutation(Element({(1,): (Fraction(2, 3),), (-1,): (1,)})), Window(3, 1)),
+    (gw1_spec(), ExplicitProduct({((0,), (1,)): Element({(1,): (1,)})}), Window(2, 1)),
+    (b1_spec(), star_product(), Window(2, 1)),
+    (b0_spec(), ExplicitProduct({((1, 0), (1, 0)): Element({(1, 0): Fraction(1)})}),
+     Window(2, 1)),
+], ids=["zero", "single-idempotent", "unit-mutation", "seeded-mutation-7",
+        "seeded-mutation-8", "gw1-mutation", "gw1-table", "star", "bad-table"])
+def test_verify_matches_the_element_oracle(spec, product, window):
+    assert verify(spec, product, window) == element_verify(spec, product, window)
+
+
+def test_classify_samples_match_the_element_oracle():
+    spec = witt_spec()
+    window = Window(4, 2)
+    solved = solve_degrees(spec, window, 2)
+    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
+                   n_samples=3, seed=9)
+    labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
+    rng = random.Random(9)
+    expected = []
+    for _ in range(3):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in res.generators]
+        table = {}
+        for gen, c in zip(res.generators, coeffs):
+            for key, value in gen.table.items():
+                table[key] = table.get(key, Element()) + c * value
+        expected.append(element_associativity(spec, ExplicitProduct(table), labels))
+    assert list(res.associativity_samples) == expected
+    assert any(witness is not None for _, witness in expected)
+
+
+def test_table_product_on_rank_one_generalized_witt():
+    spec = gw1_spec()
+    product = ExplicitProduct({((0,), (1,)): Element({(1,): (Fraction(3),)})})
+    x = spec.element((0,), [2])
+    y = spec.element((1,), [5]) + spec.element((2,), [1])
+    assert multiply(spec, product, x, y) == spec.element((1,), [30])
+    assert multiply(spec, product, y, x) == spec.element((1,), [30])
+
+
+def _one(index):
+    return Element({index: Fraction(1)})
+
+
+@pytest.mark.parametrize("spec,product,error", [
+    (witt_spec(), Mutation(_one((0, 0))), ValueError),
+    (b0_spec(), ExplicitProduct({((0,), (0,)): _one((0, 0))}), ValueError),
+    (b0_spec(), ExplicitProduct({((0, 0), (0, 0)): _one((0,))}), ValueError),
+    (b1_spec(), ExtensionByZero({((0,), (0,)): _one((0, -1))}), ValueError),
+    (GeneralizedWitt(Pairing([[1, 0], [0, 1]])),
+     ExplicitProduct({((0, 0), (0, 0)): Element({(0, 0): (1, 0)})}), FamilyMismatchError),
+    (gw1_spec(), ExplicitProduct({((0,), (0,)): _one((0,))}), ValueError),
+    (witt_spec(), ExplicitProduct({((0,), (0,)): Element({(0,): (1,)})}), ValueError),
+], ids=["mutation-rank", "table-key-rank", "table-value-rank", "star-key-rank",
+        "table-on-gw2", "gw1-table-scalar-value", "witt-table-vector-value"])
+def test_products_outside_their_domain_are_rejected(spec, product, error):
+    label = spec.basis_labels([(0,) * spec.rank])[0]
+    u = spec.basis_element(label)
+    with pytest.raises(error):
+        multiply(spec, product, u, u)
+    with pytest.raises(error):
+        verify(spec, product, Window(2, 1))
+    with pytest.raises(error):
+        left_mult_table(spec, product, (0,) * spec.rank, Window(2, 1))
+
+
+def test_left_mult_table_rejects_an_index_of_another_rank():
+    with pytest.raises(ValueError, match="rank 1"):
+        left_mult_table(witt_spec(), Mutation(Element({(0,): 1})), (0, 5), Window(2, 1))
