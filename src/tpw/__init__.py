@@ -8,6 +8,7 @@ windows.
 
 from .exactlin import (
     NullspaceBasis,
+    RowSpace,
     SparseMatrix,
     in_span,
     nullspace,
@@ -49,6 +50,7 @@ __all__ = [
     "GeneralizedWitt",
     "NullspaceBasis",
     "Pairing",
+    "RowSpace",
     "SparseMatrix",
     "Window",
     "WittType",

@@ -66,6 +66,18 @@ class LimitExceededError(Exception):
     """A verification scan exceeded the configured tuple limit."""
 
 
+def limited(items, max_triples=None):
+    """Number the tuples of a scan from 1, the way every scan counts them.
+
+    Raises ``LimitExceededError`` before the tuple past ``max_triples``, so
+    a pair or triple stage never evaluates more than the limit allows.
+    """
+    for n, item in enumerate(items, 1):
+        if max_triples is not None and n > max_triples:
+            raise LimitExceededError("max_triples limit %d exceeded" % max_triples)
+        yield n, item
+
+
 def _coeff_is_zero(c):
     if isinstance(c, tuple):
         return not any(c)
@@ -407,52 +419,46 @@ def verify_lie_axioms(spec, window: Window, max_triples=None) -> LieReport:
 
     Anticommutativity is checked on all ordered basis pairs first; with it
     established, the Jacobi identity only needs unordered triples (it is
-    alternating in its arguments up to sign).
+    alternating in its arguments up to sign). Brackets of basis pairs are
+    computed on demand and kept; ``max_triples`` bounds the unordered pairs
+    and the triples alike, each stage raising before its tuple past it.
     """
     points = search_order(window.radius, spec.rank)
     labels = spec.basis_labels(points)
     elems = [spec.basis_element(l) for l in labels]
     n = len(labels)
+    table = [None] * n  # rows of pair brackets, each filled on first use
 
-    pair_bracket = [[None] * n for _ in range(n)]
-    anti_ok, anti_witness = True, None
-    for i in range(n):
-        for j in range(n):
-            pair_bracket[i][j] = spec.bracket(elems[i], elems[j])
+    def br(i, j):
+        row = table[i]
+        if row is None:
+            row = table[i] = [None] * n
+        if row[j] is None:
+            row[j] = spec.bracket(elems[i], elems[j])
+        return row[j]
+
+    anti_witness = None
     n_pairs = 0
-    for i in range(n):
-        for j in range(i, n):
-            n_pairs += 1
-            residual = pair_bracket[i][j] + pair_bracket[j][i]
-            if not residual.is_zero:
-                anti_ok = False
-                anti_witness = (labels[i], labels[j], residual)
-                break
-        if not anti_ok:
+    pairs = ((i, j) for i in range(n) for j in range(i, n))
+    for n_pairs, (i, j) in limited(pairs, max_triples):
+        residual = br(i, j) + br(j, i)
+        if not residual.is_zero:
+            anti_witness = (labels[i], labels[j], residual)
             break
 
-    jac_ok, jac_witness = True, None
+    jac_witness = None
     n_triples = 0
-    for i in range(n):
-        if not jac_ok:
+    triples = ((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n))
+    for n_triples, (i, j, k) in limited(triples, max_triples):
+        residual = (spec.bracket(br(i, j), elems[k])
+                    + spec.bracket(br(j, k), elems[i])
+                    + spec.bracket(br(k, i), elems[j]))
+        if not residual.is_zero:
+            jac_witness = (labels[i], labels[j], labels[k], residual)
             break
-        for j in range(i, n):
-            if not jac_ok:
-                break
-            for k in range(j, n):
-                n_triples += 1
-                if max_triples is not None and n_triples > max_triples:
-                    raise LimitExceededError(
-                        "max_triples limit %d exceeded" % max_triples)
-                residual = (spec.bracket(pair_bracket[i][j], elems[k])
-                            + spec.bracket(pair_bracket[j][k], elems[i])
-                            + spec.bracket(pair_bracket[k][i], elems[j]))
-                if not residual.is_zero:
-                    jac_ok = False
-                    jac_witness = (labels[i], labels[j], labels[k], residual)
-                    break
 
-    return LieReport(anti_ok, anti_witness, jac_ok, jac_witness, n_pairs, n_triples)
+    return LieReport(anti_witness is None, anti_witness, jac_witness is None,
+                     jac_witness, n_pairs, n_triples)
 
 
 def _require_block(spec):

@@ -2,10 +2,13 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), which
 already carry the canonical invariants we need: reduced representation and
-a positive denominator. The elimination kernel works on denominator-cleared
-integer rows with per-row gcd reduction, which keeps entry growth bounded
-in practice while every intermediate value stays exact. No floating point
-appears anywhere in this package.
+a positive denominator. ``RowSpace`` is the one elimination kernel: an
+incremental echelon of denominator-cleared integer rows with per-row gcd
+reduction, which keeps entry growth bounded in practice while every
+intermediate value stays exact. ``nullspace``, ``rank``,
+``row_space_basis`` and ``in_span`` are reads of one ``RowSpace``, and so
+is every span check after a solve. ``SparseMatrix`` holds a matrix
+assembled from entries. No floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "DimensionMismatchError",
     "DimensionOverflowError",
     "NullspaceBasis",
+    "RowSpace",
     "SparseMatrix",
     "in_span",
     "nullspace",
@@ -145,25 +149,71 @@ def _int_row(row):
     return {c: v.numerator * (lcm // v.denominator) for c, v in row.items()}
 
 
-class _IntEchelon:
-    """Incremental row echelon over gcd-reduced integer rows.
+class RowSpace:
+    """Exact row space of rational vectors, kept as an incremental echelon.
 
-    Rows are keyed by leading column. The reduced result extracted at the
-    end is the unique reduced echelon form of the row space, so insertion
-    order never shows in the output.
+    Rows are stored as gcd-reduced integer dicts (column -> nonzero int)
+    keyed by leading column. ``RowSpace(vectors, n_cols)`` spans dense
+    rational vectors; ``RowSpace.from_source`` eliminates a row source.
+    ``v in space`` decides membership exactly and ``basis()`` returns the
+    unique reduced echelon basis, so insertion order never shows.
     """
 
-    def __init__(self):
+    def __init__(self, vectors=(), n_cols=None):
+        vectors = list(vectors)
+        if n_cols is None:
+            n_cols = len(vectors[0]) if vectors else 0
+        self.n_cols = n_cols
         self.rows = {}
         self.rows_generated = 0
         self.rows_consumed = 0
+        for v in vectors:
+            self._check_length(v)
+            self.insert(_vector_int_row(v))
+
+    @classmethod
+    def from_source(cls, source, max_cells=None) -> "RowSpace":
+        """Eliminate the rows of ``source`` in stream order.
+
+        ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator
+        of integer row dicts; a ``SparseMatrix`` is one. The cell limit is
+        checked on ``n_rows x n_cols`` before any row is drawn, and no row
+        is drawn once the rank reaches ``n_cols``. Rows are gcd-normalized,
+        so a repeat up to scaling is skipped unreduced.
+        """
+        limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
+        if source.n_rows * source.n_cols > limit:
+            raise DimensionOverflowError(
+                "%dx%d matrix exceeds the %d-cell limit"
+                % (source.n_rows, source.n_cols, limit))
+        space = cls(n_cols=source.n_cols)
+        seen = set()
+        for row in source.int_rows():
+            space.rows_generated += 1
+            row = _gcd_normalize(row)
+            if not row:
+                continue
+            sig = frozenset(row.items())
+            if sig in seen:
+                continue
+            seen.add(sig)
+            space.rows_consumed += 1
+            space.insert(row)
+            if space.rank == space.n_cols:
+                break
+        return space
 
     @property
-    def rank(self):
+    def rank(self) -> int:
         return len(self.rows)
 
+    def _check_length(self, vector):
+        if len(vector) != self.n_cols:
+            raise DimensionMismatchError(
+                "vector length %d != %d columns" % (len(vector), self.n_cols))
+
     def reduce(self, row):
-        """Return the normalized remainder of ``row`` against the basis."""
+        """Return the normalized remainder of an integer ``row`` against the basis."""
         row = dict(row)
         while row:
             lead = min(row)
@@ -191,12 +241,16 @@ class _IntEchelon:
                 row = _gcd_normalize(row)
         return {}
 
-    def insert(self, row) -> bool:
+    def insert(self, row):
+        """Add an integer row to the span."""
         rem = self.reduce(row)
-        if not rem:
-            return False
-        self.rows[min(rem)] = rem
-        return True
+        if rem:
+            self.rows[min(rem)] = rem
+
+    def __contains__(self, vector) -> bool:
+        """Whether a rational vector of length ``n_cols`` lies in the span."""
+        self._check_length(vector)
+        return not self.reduce(_vector_int_row(vector))
 
     def reduced_fraction_rows(self):
         """Back-substitute into reduced echelon rows with unit pivots."""
@@ -218,37 +272,17 @@ class _IntEchelon:
             reduced[col] = row
         return reduced
 
-
-def _echelonize(source, max_cells) -> _IntEchelon:
-    """Eliminate the rows of ``source`` in stream order.
-
-    ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator of
-    integer row dicts (column -> nonzero int); a ``SparseMatrix`` is one.
-    The cell limit is checked on ``n_rows x n_cols`` before any row is
-    drawn, and no row is drawn once the rank reaches ``n_cols``. Rows are
-    gcd-normalized, so a repeat up to scaling is skipped unreduced.
-    """
-    limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    if source.n_rows * source.n_cols > limit:
-        raise DimensionOverflowError(
-            "%dx%d matrix exceeds the %d-cell limit"
-            % (source.n_rows, source.n_cols, limit))
-    ech = _IntEchelon()
-    seen = set()
-    for row in source.int_rows():
-        ech.rows_generated += 1
-        row = _gcd_normalize(row)
-        if not row:
-            continue
-        sig = frozenset(row.items())
-        if sig in seen:
-            continue
-        seen.add(sig)
-        ech.rows_consumed += 1
-        ech.insert(row)
-        if ech.rank == source.n_cols:
-            break
-    return ech
+    def basis(self) -> tuple:
+        """Canonical reduced-echelon basis as dense rows, by pivot column."""
+        reduced = self.reduced_fraction_rows()
+        zero = Fraction(0)
+        out = []
+        for p in sorted(reduced):
+            vec = [zero] * self.n_cols
+            for c, v in reduced[p].items():
+                vec[c] = v
+            out.append(tuple(vec))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -284,13 +318,13 @@ def nullspace(source, max_cells=None) -> NullspaceBasis:
     Deterministic: the result depends only on the row space, not on row
     order or row scaling.
     """
-    ech = _echelonize(source, max_cells)
+    space = RowSpace.from_source(source, max_cells)
     n_cols = source.n_cols
-    counts = {"rows_generated": ech.rows_generated,
-              "rows_consumed": ech.rows_consumed}
-    if ech.rank == n_cols:
+    counts = {"rows_generated": space.rows_generated,
+              "rows_consumed": space.rows_consumed}
+    if space.rank == n_cols:
         return NullspaceBasis(n_cols, (), **counts)
-    reduced = ech.reduced_fraction_rows()
+    reduced = space.reduced_fraction_rows()
     pivots = sorted(reduced)
     pivot_set = set(pivots)
     zero = Fraction(0)
@@ -311,22 +345,14 @@ def nullspace(source, max_cells=None) -> NullspaceBasis:
     return NullspaceBasis(n_cols, tuple(vectors), **counts)
 
 
-def rank(m: SparseMatrix, max_cells=None) -> int:
+def rank(m: SparseMatrix) -> int:
     """Exact rank over the rationals; rank + kernel dimension = n_cols."""
-    return _echelonize(m, max_cells).rank
+    return RowSpace.from_source(m).rank
 
 
-def row_space_basis(m: SparseMatrix, max_cells=None):
+def row_space_basis(m: SparseMatrix):
     """Canonical reduced-echelon basis of the row space of ``m``."""
-    reduced = _echelonize(m, max_cells).reduced_fraction_rows()
-    zero = Fraction(0)
-    out = []
-    for p in sorted(reduced):
-        vec = [zero] * m.n_cols
-        for c, v in reduced[p].items():
-            vec[c] = v
-        out.append(tuple(vec))
-    return tuple(out)
+    return RowSpace.from_source(m).basis()
 
 
 def _vector_int_row(vector):
@@ -335,10 +361,4 @@ def _vector_int_row(vector):
 
 def in_span(vector, basis: NullspaceBasis) -> bool:
     """Whether ``vector`` is a rational combination of the basis vectors."""
-    if len(vector) != basis.n_cols:
-        raise DimensionMismatchError(
-            "vector length %d != %d columns" % (len(vector), basis.n_cols))
-    ech = _IntEchelon()
-    for b in basis.vectors:
-        ech.insert(_vector_int_row(b))
-    return not ech.reduce(_vector_int_row(vector))
+    return vector in RowSpace(basis.vectors, basis.n_cols)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import exactlin
-from .exactlin import NullspaceBasis, SparseMatrix, in_span
+from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
 from .lattice import Window, add, box_points, zero
 
 __all__ = [
@@ -285,18 +285,22 @@ def _fmt(point):
 
 def inner_column_positions(spec, window: Window):
     """Positions of the columns whose box index lies in the inner box."""
+    return [i for i, col in enumerate(columns_for(spec, window))
+            if window.in_inner(col[0] if spec.vectorial else col)]
+
+
+def inner_projection(spec, window: Window, vectors):
+    """Restrict full-box vectors to the inner-box columns.
+
+    Returns the kept column keys (from ``columns_for``), the projected
+    rows, one per vector and zero rows included, and their ``RowSpace``.
+    Every span check after the solve reads this one projection.
+    """
     cols = columns_for(spec, window)
-    if spec.vectorial:
-        return [i for i, (x, _, _) in enumerate(cols) if window.in_inner(x)]
-    return [i for i, x in enumerate(cols) if window.in_inner(x)]
-
-
-def _projected_rank(vectors, positions):
-    rows = [[v[p] for p in positions] for v in vectors]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return exactlin.rank(SparseMatrix.from_rows(rows))
+    positions = inner_column_positions(spec, window)
+    rows = [tuple(v[p] for p in positions) for v in vectors]
+    return (tuple(cols[p] for p in positions), rows,
+            RowSpace(rows, len(positions)))
 
 
 @dataclass(frozen=True)
@@ -329,36 +333,26 @@ def compare(spec, window: Window, computed: NullspaceBasis,
     """Check predictions against a computed solution space.
 
     Membership: every predicted component must solve all assembled
-    constraints, which is equivalent to lying in the computed nullspace.
-    Projection: computed and predicted vectors are restricted to inner-box
-    columns and their span dimensions must agree (excess directions are
-    listed; for non-authoritative families they are flagged, not failed).
+    constraints, which is equivalent to lying in the computed nullspace
+    (one ``RowSpace`` of the kernel, built only when there are predicted
+    components). Projection: ``inner_projection`` restricts computed and
+    predicted vectors to inner-box columns and their span dimensions must
+    agree; the computed directions outside the predicted span are listed
+    as excess (for non-authoritative families flagged, not failed).
     """
     vectors = [component_vector(spec, window, comp) for comp in expected.components]
-    membership = tuple(in_span(v, computed) for v in vectors)
-    positions = inner_column_positions(spec, window)
-    visible = tuple(any(v[p] for p in positions) for v in vectors)
-    projected_dim = _projected_rank(computed.vectors, positions)
-    predicted_dim = _projected_rank(vectors, positions)
+    kernel = RowSpace(computed.vectors, computed.n_cols) if vectors else None
+    membership = tuple(v in kernel for v in vectors)
+    keys, computed_rows, computed_space = inner_projection(spec, window, computed.vectors)
+    _, predicted_rows, predicted_space = inner_projection(spec, window, vectors)
     excess = ()
-    if projected_dim > predicted_dim:
-        excess = _excess_vectors(spec, window, computed.vectors, vectors, positions)
-    return CompareReport(expected.degree, membership, visible, projected_dim,
-                         predicted_dim, excess, expected.authoritative)
-
-
-def _excess_vectors(spec, window, computed_vectors, predicted_vectors, positions):
-    cols = columns_for(spec, window)
-    keys = [cols[p] for p in positions]
-    pred_rows = [r for r in ([v[p] for p in positions] for v in predicted_vectors)
-                 if any(r)]
-    pred_basis = NullspaceBasis(len(positions), tuple(tuple(r) for r in pred_rows))
-    out = []
-    for v in computed_vectors:
-        proj = tuple(v[p] for p in positions)
-        if any(proj) and not in_span(proj, pred_basis):
-            out.append({keys[i]: val for i, val in enumerate(proj) if val})
-    return tuple(out)
+    if computed_space.rank > predicted_space.rank:
+        excess = tuple({k: v for k, v in zip(keys, row) if v} for row in computed_rows
+                       if any(row) and row not in predicted_space)
+    return CompareReport(expected.degree, membership,
+                         tuple(any(row) for row in predicted_rows),
+                         computed_space.rank, predicted_space.rank, excess,
+                         expected.authoritative)
 
 
 @dataclass(frozen=True)
@@ -424,7 +418,7 @@ class SweepReport:
 
 
 def solve_degrees(spec, window: Window, degree_bound: int, delta=HALF,
-                  max_unknowns=None, max_cells=None) -> dict:
+                  max_unknowns=None) -> dict:
     """Assemble and solve every degree in Box(degree_bound).
 
     Returns degree -> (system, basis); systems at different degrees are
@@ -435,16 +429,16 @@ def solve_degrees(spec, window: Window, degree_bound: int, delta=HALF,
     out = {}
     for a in box_points(degree_bound, spec.rank):
         system = assemble(spec, a, window, delta=delta, max_unknowns=max_unknowns)
-        out[tuple(a)] = (system, solve(system, max_cells=max_cells))
+        out[tuple(a)] = (system, solve(system))
     return out
 
 
 def sweep(spec, window: Window, degree_bound: int, delta=HALF,
-          max_unknowns=None, max_cells=None, solved: dict = None) -> SweepReport:
+          max_unknowns=None, solved: dict = None) -> SweepReport:
     """Assemble, solve and compare every degree in Box(degree_bound)."""
     if solved is None:
         solved = solve_degrees(spec, window, degree_bound, delta=delta,
-                               max_unknowns=max_unknowns, max_cells=max_cells)
+                               max_unknowns=max_unknowns)
     predictive = Fraction(delta) == HALF
     results = []
     span_names = []

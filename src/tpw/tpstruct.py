@@ -22,14 +22,10 @@ from .algebra import (
     center_predicate,
     element_from_json,
     element_to_json,
+    limited,
     square_predicate,
 )
-from .halfderiv import (
-    HalfDerivationComponent,
-    MissingDegreeError,
-    columns_for,
-    inner_column_positions,
-)
+from .halfderiv import HalfDerivationComponent, MissingDegreeError, inner_projection
 from .lattice import Window, add, box_points, search_order, sub
 
 __all__ = [
@@ -273,17 +269,6 @@ class _CheckedProduct:
         return self(self.pair(u, v), self.elems[w]), self(self.elems[u], self.pair(v, w))
 
 
-def _triples(labels, max_triples=None):
-    """Label triples in nested order, the last label fastest.
-
-    Raises ``LimitExceededError`` before the triple past ``max_triples``.
-    """
-    for n, triple in enumerate(iter_product(labels, repeat=3), 1):
-        if max_triples is not None and n > max_triples:
-            raise LimitExceededError("max_triples limit %d exceeded" % max_triples)
-        yield triple
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     """Pass flag plus the first witness tuple with both evaluated sides."""
@@ -319,6 +304,7 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     Commutativity runs over pairs; associativity, the compatibility
     identity 2 z . [x, y] = [z . x, y] + [x, z . y], and the ordinary
     Poisson rule [x . y, z] = x . [y, z] + [x, z] . y run over triples.
+    ``max_triples`` bounds the ordered pairs and the triples alike.
     """
     labels = spec.basis_labels(search_order(window.radius, spec.rank))
     mul = _CheckedProduct(spec, product, labels)
@@ -333,19 +319,16 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
         return res
 
     comm = IdentityCheck(True, None)
-    for u in labels:
-        if comm.witness is not None:
+    for _, (u, v) in limited(iter_product(labels, repeat=2), max_triples):
+        lhs = mul(elems[u], elems[v])
+        rhs = mul(elems[v], elems[u])
+        if lhs != rhs:
+            comm = IdentityCheck(False, ((u, v), lhs, rhs))
             break
-        for v in labels:
-            lhs = mul(elems[u], elems[v])
-            rhs = mul(elems[v], elems[u])
-            if lhs != rhs:
-                comm = IdentityCheck(False, ((u, v), lhs, rhs))
-                break
 
     assoc_w = trans_w = poisson_w = None
     n_triples = 0
-    for n_triples, (u, v, w) in enumerate(_triples(labels, max_triples), 1):
+    for n_triples, (u, v, w) in limited(iter_product(labels, repeat=3), max_triples):
         if assoc_w is None:
             lhs, rhs = mul.associator(u, v, w)
             if lhs != rhs:
@@ -428,24 +411,13 @@ class ClassifyResult:
 
 def _projected_table_bases(spec, delta_bases, window, degree_bound):
     """Per-degree canonical bases restricted to inner-box table indices."""
-    positions = inner_column_positions(spec, window)
-    cols = columns_for(spec, window)
-    keys = [cols[p] for p in positions]
     out = {}
     for e in box_points(degree_bound, spec.rank):
         e = tuple(e)
         if e not in delta_bases:
             raise MissingDegreeError("no solved degree %s" % (e,))
-        vectors = delta_bases[e].vectors
-        rows = [r for r in ([v[p] for p in positions] for v in vectors) if any(r)]
-        if not rows:
-            out[e] = []
-            continue
-        basis_rows = exactlin.row_space_basis(SparseMatrix.from_rows(rows))
-        out[e] = [
-            {keys[i]: val for i, val in enumerate(row) if val}
-            for row in basis_rows
-        ]
+        keys, _, space = inner_projection(spec, window, delta_bases[e].vectors)
+        out[e] = [{k: val for k, val in zip(keys, row) if val} for row in space.basis()]
     return out
 
 
@@ -474,8 +446,9 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     Commutativity of the product becomes a homogeneous linear system in
     those coefficients, solved exactly; associativity of the resulting
     family is then spot-checked at seeded random parameter values; each
-    sample scans every triple of inner labels, and ``max_triples`` bounds
-    the triples of all samples together.
+    sample scans every triple of inner labels (samples that are multiples
+    of one another share one scan), and ``max_triples`` bounds the triples
+    of all samples together.
     """
     bases = _projected_table_bases(spec, delta_bases, window, degree_bound)
     inner_labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
@@ -533,11 +506,18 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
                                  "max_triples limit %d" % (n_triples, max_triples))
     rng = random.Random(seed)
     samples = []
+    checked = {}
     for _ in range(n_samples):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                   for _ in generators]
-        combined = _combine_tables(spec, generators, coeffs)
-        samples.append(_associativity_check(spec, combined, inner_labels))
+        # c P has the associativity verdict and first witness of P (c != 0),
+        # so samples on one line through the origin share one scan
+        lead = next((c for c in coeffs if c), 1)
+        key = tuple(c / lead for c in coeffs)
+        if key not in checked:
+            combined = _combine_tables(spec, generators, coeffs)
+            checked[key] = _associativity_check(spec, combined, inner_labels)
+        samples.append(checked[key])
     return ClassifyResult(len(generators), tuple(parameters), tuple(generators),
                           tuple(samples), seed)
 
@@ -583,7 +563,7 @@ def _combine_tables(spec, generators, coeffs):
 
 def _associativity_check(spec, product, inner_labels):
     mul = _CheckedProduct(spec, product, inner_labels)
-    for triple in _triples(inner_labels):
+    for triple in iter_product(inner_labels, repeat=3):
         lhs, rhs = mul.associator(*triple)
         if lhs != rhs:
             return (False, triple)

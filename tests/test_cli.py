@@ -225,6 +225,30 @@ def test_check_lie_limit_exits_3(tmp_path, capsys):
     assert "limit exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,payload", [
+    ("check-lie", None),
+    ("verify-structure", {"product": {"variant": "single_idempotent"}}),
+])
+def test_pair_stages_stop_at_max_triples(task, payload, tmp_path, monkeypatch, capsys):
+    # Window(12) on rank 2 has 625 labels: 390,625 ordered pairs
+    from tpw.algebra import Block
+    from tpw.tpstruct import SingleIdempotent
+
+    calls = []
+    for cls, name in ((Block, "bracket"), (SingleIdempotent, "basis_product")):
+        def counted(self, *args, _fn=getattr(cls, name)):
+            calls.append(name)
+            return _fn(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    cfg = small(task, B0, payload=payload, radius=12, margin=6)
+    cfg["limits"] = {"max_triples": 10}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
+    assert "max_triples" in capsys.readouterr().err
+    assert 0 < len(calls) <= 2 * 10
+
+
 def test_classify_associativity_samples_respect_max_triples(tmp_path, capsys):
     # 9 inner labels: each of the 5 default samples scans 9^3 = 729 triples
     cfg = small("classify-tp", B0, payload={"degree_bound": 1})

@@ -9,6 +9,7 @@ from tpw.exactlin import (
     DimensionMismatchError,
     DimensionOverflowError,
     NullspaceBasis,
+    RowSpace,
     SparseMatrix,
     in_span,
     nullspace,
@@ -18,7 +19,7 @@ from tpw.exactlin import (
     scalar_to_str,
 )
 
-from oracles import oracle_in_span, oracle_nullspace, oracle_rank
+from oracles import dense_rref, oracle_in_span, oracle_nullspace, oracle_rank
 
 
 def test_scalar_strings_round_trip():
@@ -138,6 +139,15 @@ def test_oracle_equivalence_small_dense():
             assert oracle_in_span(v, oracle)
         for v in oracle:
             assert in_span(v, ns)
+        space = RowSpace(rows, n_cols)
+        assert space.rank == oracle_rank(rows)
+        mat, _ = dense_rref(rows)
+        assert space.basis() == tuple(tuple(r) for r in mat if any(r))
+        for _ in range(3):
+            v = [rng.randint(-2, 2) for _ in range(n_cols)]
+            assert (v in space) == oracle_in_span(v, rows)
+        for v in list(ns.vectors) + rows:
+            assert (v in space) == oracle_in_span(v, rows)
 
 
 def test_row_scaling_leaves_nullspace_unchanged():
@@ -169,3 +179,16 @@ def test_row_space_basis_is_canonical():
     a = SparseMatrix.from_rows([[2, 4, 6], [1, 1, 1]])
     b = SparseMatrix.from_rows([[1, 1, 1], [3, 5, 7], [1, 2, 3]])
     assert row_space_basis(a) == row_space_basis(b)
+
+
+def test_row_space_membership_checks_the_column_count():
+    space = RowSpace([(1, 2, 0)])
+    assert space.n_cols == 3 and space.rank == 1
+    assert (Fraction(1, 2), 1, 0) in space
+    assert (0, 0, 1) not in space
+    with pytest.raises(DimensionMismatchError):
+        (1, 2) in space
+    with pytest.raises(DimensionMismatchError):
+        RowSpace([(1, 2), (1, 2, 3)])
+    assert RowSpace((), 2).basis() == ()
+    assert (0, 0) in RowSpace((), 2)

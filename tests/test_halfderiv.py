@@ -4,14 +4,23 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import distinct_rows, oracle_nullspace, ordered_pair_rows
+from oracles import (
+    distinct_rows,
+    oracle_in_span,
+    oracle_nullspace,
+    oracle_rank,
+    ordered_pair_rows,
+)
 from tpw import exactlin
 from tpw.algebra import Block, GeneralizedWitt, WittType
 from tpw.halfderiv import (
     HalfDerivationComponent,
     PredictedBasis,
     assemble,
+    columns_for,
     compare,
     component_vector,
     predicted,
@@ -286,3 +295,60 @@ def test_cell_limit_is_checked_before_any_row_is_built():
         solve(system, max_cells=cells - 1)
     del system.int_rows
     assert solve(system, max_cells=cells).dimension == 0
+
+
+_SMALL = st.integers(-2, 2)
+_NONZERO = _SMALL.filter(bool)
+
+
+def _small_vector(rank):
+    return st.lists(_SMALL, min_size=rank, max_size=rank)
+
+
+@st.composite
+def small_specs(draw):
+    """Witt type of rank 1-2, Block g = 0, Block from (g, h), rank-1 generalized Witt."""
+    kind = draw(st.sampled_from(["witt", "block-g0", "block-gh", "gw-rank1"]))
+    if kind == "witt":
+        return WittType(AdditiveMap(draw(st.integers(1, 2).flatmap(_small_vector)
+                                         .filter(any))))
+    if kind == "block-g0":
+        k = draw(_NONZERO)
+        return Block.with_form(BiadditiveForm([[0, -k], [k, 0]]))
+    if kind == "block-gh":
+        g = draw(_small_vector(2).filter(any))
+        return Block.from_gh(AdditiveMap(g), AdditiveMap(draw(_small_vector(2))))
+    dim_v = draw(st.integers(1, 2))
+    return GeneralizedWitt(Pairing([[draw(_NONZERO)] for _ in range(dim_v)]))
+
+
+def _inner_columns(spec, window):
+    """(position, key) of the columns whose box index is in the inner box."""
+    return [(i, col) for i, col in enumerate(columns_for(spec, window))
+            if window.in_inner(col[0] if spec.vectorial else col)]
+
+
+def _inner_rows(spec, window, vectors):
+    return [[v[i] for i, _ in _inner_columns(spec, window)] for v in vectors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=small_specs(), window=st.sampled_from([Window(2, 1), Window(3, 2)]))
+def test_compare_matches_the_dense_oracle_on_inner_projections(spec, window):
+    for a in box_points(1, spec.rank):
+        computed = solve(assemble(spec, a, window))
+        expected = predicted(spec, a, window)
+        vectors = [component_vector(spec, window, c) for c in expected.components]
+        rep = compare(spec, window, computed, expected)
+        assert rep.membership == tuple(
+            oracle_in_span(v, computed.vectors) for v in vectors), a
+        assert rep.projected_dim == oracle_rank(
+            _inner_rows(spec, window, computed.vectors)), a
+        predicted_rows = _inner_rows(spec, window, vectors)
+        assert rep.predicted_dim == oracle_rank(predicted_rows), a
+        assert rep.visible == tuple(any(r) for r in predicted_rows), a
+        keys = [key for _, key in _inner_columns(spec, window)]
+        excess = tuple(dict((k, v) for k, v in zip(keys, row) if v)
+                       for row in _inner_rows(spec, window, computed.vectors)
+                       if any(row) and not oracle_in_span(row, predicted_rows))
+        assert rep.excess == (excess if rep.projected_dim > rep.predicted_dim else ()), a

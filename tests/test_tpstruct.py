@@ -360,24 +360,50 @@ def test_verify_matches_the_element_oracle(spec, product, window):
     assert verify(spec, product, window) == element_verify(spec, product, window)
 
 
-def test_classify_samples_match_the_element_oracle():
-    spec = witt_spec()
-    window = Window(4, 2)
-    solved = solve_degrees(spec, window, 2)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
-                   n_samples=3, seed=9)
+@pytest.mark.parametrize("spec,window,bound,n_samples,seed", [
+    (witt_spec(), Window(4, 2), 2, 3, 9),
+    # seed 23 draws 0 first: the zero product passes where the others fail
+    (witt_spec(), Window(4, 2), 2, 5, 23),
+    # seed 17 draws the coefficients 1, 0, 0, 8/5, -6
+    (b0_spec(), Window(2, 1), 1, 5, 17),
+], ids=["witt-type", "witt-type-zero-draw", "block-g0-zero-draws"])
+def test_classify_samples_match_the_element_oracle(spec, window, bound, n_samples, seed):
+    solved = solve_degrees(spec, window, bound)
+    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, bound,
+                   n_samples=n_samples, seed=seed)
     labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
-    rng = random.Random(9)
+    rng = random.Random(seed)
     expected = []
-    for _ in range(3):
+    draws = []
+    for _ in range(n_samples):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in res.generators]
+        draws.extend(coeffs)
         table = {}
         for gen, c in zip(res.generators, coeffs):
             for key, value in gen.table.items():
                 table[key] = table.get(key, Element()) + c * value
         expected.append(element_associativity(spec, ExplicitProduct(table), labels))
     assert list(res.associativity_samples) == expected
-    assert any(witness is not None for _, witness in expected)
+    if spec.family == "witt_type":
+        assert any(witness is not None for _, witness in expected)
+    else:
+        assert 0 in draws and len(set(draws)) > 2
+
+
+def test_classify_scans_each_line_of_samples_once(monkeypatch):
+    """One generator: every nonzero sample c T has the verdict of T."""
+    spec = b0_spec()
+    window = Window(3, 2)
+    solved = solve_degrees(spec, window, 1)
+    scans = []
+    check = tpstruct._associativity_check
+    monkeypatch.setattr(tpstruct, "_associativity_check",
+                        lambda *args: scans.append(args) or check(*args))
+    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1,
+                   n_samples=5, seed=0)
+    assert res.n_parameters == 1
+    assert res.associativity_samples == ((True, None),) * 5
+    assert len(scans) == 1
 
 
 def test_table_product_on_rank_one_generalized_witt():
