@@ -5,10 +5,13 @@ already carry the canonical invariants we need: reduced representation and
 a positive denominator. ``RowSpace`` is the one elimination kernel: an
 incremental echelon of denominator-cleared integer rows with per-row gcd
 reduction, which keeps entry growth bounded in practice while every
-intermediate value stays exact. ``nullspace``, ``rank``,
-``row_space_basis`` and ``in_span`` are reads of one ``RowSpace``, and so
-is every span check after a solve. ``SparseMatrix`` holds a matrix
-assembled from entries. No floating point appears anywhere in this package.
+intermediate value stays exact. ``RowSpace.kernel()`` is the one kernel
+read-out: ``nullspace`` is a read of it, and so is the classifier's
+commutativity solve, whose rows go into one ``RowSpace`` through
+``int_row``. ``rank``, ``row_space_basis`` and ``in_span`` are reads of
+one ``RowSpace``, and so is every span check after a solve.
+``SparseMatrix`` holds a matrix assembled from entries (a system's
+``matrix``). No floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "RowSpace",
     "SparseMatrix",
     "in_span",
+    "int_row",
     "nullspace",
     "rank",
     "row_space_basis",
@@ -109,7 +113,7 @@ class SparseMatrix:
         """Nonzero rows with denominators cleared, in row order."""
         for row in self.row_dicts():
             if row:
-                yield _int_row(row)
+                yield int_row(row)
 
     def apply(self, vector):
         """Exact matrix-vector product."""
@@ -140,8 +144,8 @@ def _gcd_normalize(row):
     return row
 
 
-def _int_row(row):
-    """Integer multiple of a Fraction dict row: its denominators cleared."""
+def int_row(row):
+    """Integer multiple of a rational dict row: its denominators cleared."""
     lcm = 1
     for v in row.values():
         d = v.denominator
@@ -284,6 +288,36 @@ class RowSpace:
             out.append(tuple(vec))
         return tuple(out)
 
+    def kernel(self) -> "NullspaceBasis":
+        """Canonical basis of the vectors every row annihilates.
+
+        Vector k has a unit entry at its own free (non-pivot) column and
+        zeros at the other free columns; it depends only on the span.
+        """
+        n_cols = self.n_cols
+        counts = {"rows_generated": self.rows_generated,
+                  "rows_consumed": self.rows_consumed}
+        if self.rank == n_cols:
+            return NullspaceBasis(n_cols, (), **counts)
+        reduced = self.reduced_fraction_rows()
+        pivots = sorted(reduced)
+        zero = Fraction(0)
+        one = Fraction(1)
+        vectors = []
+        for f in range(n_cols):
+            if f in reduced:
+                continue
+            vec = [zero] * n_cols
+            vec[f] = one
+            for p in pivots:
+                if p >= f:
+                    break
+                coeff = reduced[p].get(f)
+                if coeff:
+                    vec[p] = -coeff
+            vectors.append(tuple(vec))
+        return NullspaceBasis(n_cols, tuple(vectors), **counts)
+
 
 @dataclass(frozen=True)
 class NullspaceBasis:
@@ -318,31 +352,7 @@ def nullspace(source, max_cells=None) -> NullspaceBasis:
     Deterministic: the result depends only on the row space, not on row
     order or row scaling.
     """
-    space = RowSpace.from_source(source, max_cells)
-    n_cols = source.n_cols
-    counts = {"rows_generated": space.rows_generated,
-              "rows_consumed": space.rows_consumed}
-    if space.rank == n_cols:
-        return NullspaceBasis(n_cols, (), **counts)
-    reduced = space.reduced_fraction_rows()
-    pivots = sorted(reduced)
-    pivot_set = set(pivots)
-    zero = Fraction(0)
-    one = Fraction(1)
-    vectors = []
-    for f in range(n_cols):
-        if f in pivot_set:
-            continue
-        vec = [zero] * n_cols
-        vec[f] = one
-        for p in pivots:
-            if p >= f:
-                break
-            coeff = reduced[p].get(f)
-            if coeff:
-                vec[p] = -coeff
-        vectors.append(tuple(vec))
-    return NullspaceBasis(n_cols, tuple(vectors), **counts)
+    return RowSpace.from_source(source, max_cells).kernel()
 
 
 def rank(m: SparseMatrix) -> int:
@@ -356,7 +366,7 @@ def row_space_basis(m: SparseMatrix):
 
 
 def _vector_int_row(vector):
-    return _int_row({c: Fraction(v) for c, v in enumerate(vector) if v})
+    return int_row({c: Fraction(v) for c, v in enumerate(vector) if v})
 
 
 def in_span(vector, basis: NullspaceBasis) -> bool:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from . import exactlin
-from .exactlin import SparseMatrix
+from .exactlin import RowSpace, int_row
 from .algebra import (
     Element,
     FamilyMismatchError,
@@ -389,51 +388,49 @@ class ClassifyResult:
     """Solution family of the windowed commutativity system.
 
     One generator product table per free parameter; the family is the
-    rational span of the generators. Associativity is checked on seeded
-    random parameter samples, mirroring the classification's proof order,
-    not imposed as a quadratic constraint.
+    rational span of the generators. ``associativity_pass`` is exact:
+    every product of the family is associative on the inner triples.
+    ``associativity_samples`` reports, for each seeded random parameter
+    value, its verdict and first failing triple.
     """
 
     n_parameters: int
     parameters: tuple
     generators: tuple
     associativity_samples: tuple
+    associativity_pass: bool
     seed: int
 
     @property
     def zero_only(self) -> bool:
         return self.n_parameters == 0
 
-    @property
-    def associativity_pass(self) -> bool:
-        return all(ok for ok, _ in self.associativity_samples)
 
+def _action_tables(spec, delta_bases, window, degree_bound):
+    """Each degree's inner-box basis maps as ``{inner label: image terms}``.
 
-def _projected_table_bases(spec, delta_bases, window, degree_bound):
-    """Per-degree canonical bases restricted to inner-box table indices."""
-    out = {}
+    Returns ``(degree, index, action)`` per map of the canonical basis of
+    each solved space restricted to inner-box table indices, in degree
+    order; ``action[l]`` maps each image index of u_l to its coefficient.
+    """
+    maps = []
     for e in box_points(degree_bound, spec.rank):
         e = tuple(e)
         if e not in delta_bases:
             raise MissingDegreeError("no solved degree %s" % (e,))
         keys, _, space = inner_projection(spec, window, delta_bases[e].vectors)
-        out[e] = [{k: val for k, val in zip(keys, row) if val} for row in space.basis()]
-    return out
-
-
-def _apply_component(spec, degree, table, label):
-    """Image terms of one basis label under a component table."""
-    if spec.vectorial:
-        a, j = label
-        out = {}
-        for (x, r, c), val in table.items():
-            if x == a and c == j and val:
-                out[(add(degree, a), r)] = out.get((add(degree, a), r), 0) + val
-        return out
-    val = table.get(label)
-    if not val:
-        return {}
-    return {add(degree, label): val}
+        for k, row in enumerate(space.basis()):
+            action = {}
+            for key, val in zip(keys, row):
+                if val:
+                    if spec.vectorial:  # u_x (x) v_c -> val u_(x+e) (x) v_r
+                        x, r, c = key
+                        label, out = (x, c), (add(e, x), r)
+                    else:
+                        label, out = key, add(e, key)
+                    action.setdefault(label, {})[out] = val
+            maps.append((e, k, action))
+    return maps
 
 
 def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
@@ -444,130 +441,109 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     unknown combination of the per-degree solution bases (multiplication
     by any element of a transposed Poisson structure is a half-derivation).
     Commutativity of the product becomes a homogeneous linear system in
-    those coefficients, solved exactly; associativity of the resulting
-    family is then spot-checked at seeded random parameter values; each
-    sample scans every triple of inner labels (samples that are multiples
-    of one another share one scan), and ``max_triples`` bounds the triples
-    of all samples together.
+    those coefficients, whose rows go into one ``RowSpace``; its canonical
+    kernel gives the generators. One scan over the inner triples then
+    decides exactly whether every product of the family is associative,
+    and reports each of ``n_samples`` seeded random parameter values with
+    its first failing triple; ``max_triples`` bounds that scan.
     """
-    bases = _projected_table_bases(spec, delta_bases, window, degree_bound)
-    inner_labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
-
-    unknowns = []
-    for l in inner_labels:
-        for e in sorted(bases):
-            for k in range(len(bases[e])):
-                unknowns.append((l, e, k))
-    col = {u: i for i, u in enumerate(unknowns)}
-
-    actions = {}
-    for e in sorted(bases):
-        for k, table in enumerate(bases[e]):
-            for l in inner_labels:
-                img = _apply_component(spec, e, table, l)
-                if img:
-                    actions[(e, k, l)] = img
-
-    entries = []
-    row_no = 0
-    for i, l1 in enumerate(inner_labels):
-        for l2 in inner_labels[i + 1:]:
-            row = {}
-            for e in sorted(bases):
-                for k in range(len(bases[e])):
-                    # L_{l1}(l2) - L_{l2}(l1)
-                    for left, right, sign in ((l1, l2, 1), (l2, l1, -1)):
-                        c = col[(left, e, k)]
-                        for out_idx, val in actions.get((e, k, right), {}).items():
-                            cell = row.setdefault(out_idx, {})
-                            cell[c] = cell.get(c, 0) + sign * val
-            for out_idx in sorted(row):
-                coeffs = {c: v for c, v in row[out_idx].items() if v}
-                if coeffs:
-                    for c, v in coeffs.items():
-                        entries.append((row_no, c, v))
-                    row_no += 1
-    matrix = SparseMatrix(row_no, len(unknowns), entries)
-    solution = exactlin.nullspace(matrix)
+    maps = _action_tables(spec, delta_bases, window, degree_bound)
+    labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
+    m = len(maps)
+    # unknown i * m + t: the coefficient of map t in L_(labels[i])
+    space = RowSpace(n_cols=len(labels) * m)
+    for i, l1 in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            l2 = labels[j]
+            row = {}  # L_l1(l2) - L_l2(l1), one row per image index
+            for t, (_, _, action) in enumerate(maps):
+                for out, val in action.get(l2, {}).items():
+                    row.setdefault(out, {})[i * m + t] = val
+                for out, val in action.get(l1, {}).items():
+                    row.setdefault(out, {})[j * m + t] = -val
+            for cell in row.values():
+                space.insert(int_row(cell))
 
     parameters = []
     generators = []
-    for p, vec in enumerate(solution.vectors):
+    for p, vec in enumerate(space.kernel().vectors):
         pivot = max(i for i, v in enumerate(vec) if v)
-        l, e, k = unknowns[pivot]
-        parameters.append(ClassifyParameter("p%d" % p, l, e, k))
-        generators.append(_generator_product(spec, vec, unknowns, actions, bases,
-                                             inner_labels))
+        e, k, _ = maps[pivot % m]
+        parameters.append(ClassifyParameter("p%d" % p, labels[pivot // m], e, k))
+        generators.append(_table_product(spec, vec, labels, maps))
 
-    n_samples = n_samples if generators else 0
-    n_triples = n_samples * len(inner_labels) ** 3
-    if max_triples is not None and n_triples > max_triples:
-        raise LimitExceededError("associativity samples need %d triples, over the "
-                                 "max_triples limit %d" % (n_triples, max_triples))
     rng = random.Random(seed)
-    samples = []
-    checked = {}
-    for _ in range(n_samples):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                  for _ in generators]
-        # c P has the associativity verdict and first witness of P (c != 0),
-        # so samples on one line through the origin share one scan
-        lead = next((c for c in coeffs if c), 1)
-        key = tuple(c / lead for c in coeffs)
-        if key not in checked:
-            combined = _combine_tables(spec, generators, coeffs)
-            checked[key] = _associativity_check(spec, combined, inner_labels)
-        samples.append(checked[key])
+    draws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in generators]
+             for _ in range(n_samples if generators else 0)]
+    passed, samples = _span_associativity(spec, generators, labels, draws, max_triples)
     return ClassifyResult(len(generators), tuple(parameters), tuple(generators),
-                          tuple(samples), seed)
+                          tuple(samples), passed, seed)
 
 
-def _generator_product(spec, vec, unknowns, actions, bases, inner_labels):
-    # The table entry at (l1, l2) is L_{l1} applied to l2; the symmetric
-    # contribution L_{l2}(l1) agrees on commutativity solutions, so taking
-    # one orientation avoids double counting.
-    vectorial = spec.vectorial
+def _table_product(spec, vec, labels, maps):
+    """The table product whose left multiplications combine the maps by ``vec``.
+
+    The entry u_l1 . u_l2 (l1 <= l2) is L_l1(u_l2); the symmetric
+    L_l2(u_l1) agrees on commutativity solutions, so taking one
+    orientation avoids double counting.
+    """
+    m = len(maps)
     table = {}
     for pos, value in enumerate(vec):
         if not value:
             continue
-        l1, e, k = unknowns[pos]
-        for l2 in inner_labels:
-            if _bare(l1) > _bare(l2):
-                continue
-            img = actions.get((e, k, l2))
-            if not img:
-                continue
-            key = _pair_key(_bare(l1), _bare(l2))
-            contrib = {}
-            for out_idx, val in img.items():
-                val = value * val
-                contrib[_bare(out_idx)] = (val,) if vectorial else val
-            cur = table.get(key, Element())
-            table[key] = cur + Element(contrib)
-    return ExplicitProduct({k: v for k, v in table.items() if not v.is_zero})
+        a = _bare(labels[pos // m])
+        for l2, img in maps[pos % m][2].items():
+            b = _bare(l2)
+            if a <= b:
+                contrib = Element({_bare(out): (value * val,) if spec.vectorial
+                                   else value * val for out, val in img.items()})
+                table[(a, b)] = table.get((a, b), Element()) + contrib
+    return ExplicitProduct({key: v for key, v in table.items() if not v.is_zero})
 
 
 def _bare(label):
     return label[0] if isinstance(label[0], tuple) else label
 
 
-def _combine_tables(spec, generators, coeffs):
-    table = {}
-    for gen, c in zip(generators, coeffs):
-        for key, value in gen.table.items():
-            cur = table.get(key, Element())
-            table[key] = cur + c * value
-    return ExplicitProduct(table)
+def _span_associativity(spec, generators, labels, draws, max_triples=None):
+    """Exact associativity of the span of table ``generators`` on ``labels``.
 
-
-def _associativity_check(spec, product, inner_labels):
-    mul = _CheckedProduct(spec, product, inner_labels)
-    for triple in iter_product(inner_labels, repeat=3):
-        lhs, rhs = mul.associator(*triple)
-        if lhs != rhs:
-            return (False, triple)
-    return (True, None)
+    The associator of P = sum p_i T_i is sum p_i p_j A_ij with
+    A_ij(u, v, w) = T_i(T_j(u, v), w) - T_i(u, T_j(v, w)), so every P is
+    associative exactly when each A_ij + A_ji vanishes on every triple.
+    The same scan finds each draw's first triple with
+    sum c_i c_j A_ij != 0. Returns the family verdict and one
+    ``(passed, first failing triple)`` per draw.
+    """
+    samples = [(True, None)] * len(draws)
+    if not generators:
+        return True, samples
+    muls = [_CheckedProduct(spec, g, labels) for g in generators]
+    elems = muls[0].elems
+    pairs = [(i, j) for i in range(len(muls)) for j in range(len(muls))]
+    pair_muls = [(muls[i], muls[j]) for i, j in pairs]
+    family = True
+    open_draws = [n for n, c in enumerate(draws) if any(c)]  # 0 never fails
+    for _, (u, v, w) in limited(iter_product(labels, repeat=3), max_triples):
+        eu, ew = elems[u], elems[w]
+        sides = [(ti(tj.pair(u, v), ew), ti(eu, tj.pair(v, w))) for ti, tj in pair_muls]
+        for lhs, rhs in sides:
+            if lhs != rhs:
+                break
+        else:  # every A_ij vanishes here
+            continue
+        a = {ij: lhs - rhs for ij, (lhs, rhs) in zip(pairs, sides)}
+        if any(not (a[i, j] + a[j, i]).is_zero for i, j in pairs if i <= j):
+            family = False
+        for n in list(open_draws):
+            c = draws[n]
+            if not sum((c[i] * c[j] * a[i, j] for i, j in pairs), Element()).is_zero:
+                samples[n] = (False, (u, v, w))
+                open_draws.remove(n)
+        if not (family or open_draws):
+            break
+    return family, samples
 
 
 def product_to_json(product) -> dict:

@@ -1,7 +1,8 @@
-"""Independent dense elimination oracles used to cross-check the kernel.
+"""Independent elimination oracles used to cross-check the kernel.
 
-Deliberately written as textbook dense row reduction over Fractions with
-none of the library's sparse machinery, so the two paths share no code.
+Deliberately written as textbook row reduction over Fractions, dense or
+row at a time on dict rows, with none of the library's machinery, so the
+paths share no code.
 """
 
 from fractions import Fraction
@@ -58,6 +59,54 @@ def oracle_nullspace(rows, n_cols):
         for r, p in enumerate(pivots):
             if mat[r][f]:
                 vec[p] = -mat[r][f]
+        vectors.append(tuple(vec))
+    return vectors
+
+
+def sparse_nullspace(rows, n_cols):
+    """Kernel basis by row-at-a-time Gauss-Jordan on dict rows (col -> value).
+
+    Every kept row has a unit at its pivot, which is its leading column,
+    and zeros at every other pivot. A new row is cleared at the pivots it
+    touches, scaled to a unit at its leading column, and that column is
+    then cleared from the kept rows. The kernel is ``oracle_nullspace``'s
+    canonical basis, one vector per free column.
+    """
+    kept = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for p in [c for c in row if c in kept]:
+            f = row[p]
+            for c, v in kept[p].items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        for other in kept.values():
+            f = other.get(lead)
+            if f:
+                for c, v in row.items():
+                    w = other.get(c, 0) - f * v
+                    if w:
+                        other[c] = w
+                    else:
+                        other.pop(c, None)
+        kept[lead] = row
+    vectors = []
+    for f in range(n_cols):
+        if f in kept:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[f] = Fraction(1)
+        for p, row in kept.items():
+            if f in row:
+                vec[p] = -row[f]
         vectors.append(tuple(vec))
     return vectors
 

@@ -250,16 +250,31 @@ def test_pair_stages_stop_at_max_triples(task, payload, tmp_path, monkeypatch, c
 
 
 def test_classify_associativity_samples_respect_max_triples(tmp_path, capsys):
-    # 9 inner labels: each of the 5 default samples scans 9^3 = 729 triples
+    # 9 inner labels: the one associativity scan of the passing family
+    # visits 9^3 = 729 triples, however many samples it reports
     cfg = small("classify-tp", B0, payload={"degree_bound": 1})
     path = tmp_path / "job.json"
-    cfg["limits"] = {"max_triples": 5 * 729 - 1}
+    cfg["limits"] = {"max_triples": 729 - 1}
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
     assert "max_triples" in capsys.readouterr().err
-    cfg["limits"] = {"max_triples": 5 * 729}
+    cfg["limits"] = {"max_triples": 729}
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 0
+
+
+def test_classify_associativity_is_decided_without_samples(tmp_path, capsys):
+    """The truncated group product of Witt type is not associative; the
+    verdict covers the whole family, so it fails with no sample drawn."""
+    cfg = small("classify-tp", WT, payload={"degree_bound": 1, "samples": 0},
+                radius=3, margin=1)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["n_parameters"] == 1
+    assert report["result"]["associativity_samples"] == []
+    assert {"name": "classify-associativity", "pass": False} in report["verdicts"]
 
 
 @pytest.mark.parametrize("task,algebra,payload,field", [

@@ -19,7 +19,13 @@ from tpw.exactlin import (
     scalar_to_str,
 )
 
-from oracles import dense_rref, oracle_in_span, oracle_nullspace, oracle_rank
+from oracles import (
+    dense_rref,
+    oracle_in_span,
+    oracle_nullspace,
+    oracle_rank,
+    sparse_nullspace,
+)
 
 
 def test_scalar_strings_round_trip():
@@ -134,6 +140,7 @@ def test_oracle_equivalence_small_dense():
         ns = nullspace(SparseMatrix.from_rows(rows))
         oracle = oracle_nullspace(rows, n_cols)
         assert ns.dimension == len(oracle)
+        assert sparse_nullspace((dict(enumerate(r)) for r in rows), n_cols) == oracle
         assert rank(SparseMatrix.from_rows(rows)) == oracle_rank(rows)
         for v in ns.vectors:
             assert oracle_in_span(v, oracle)

@@ -13,6 +13,7 @@ from oracles import (
     oracle_nullspace,
     oracle_rank,
     ordered_pair_rows,
+    sparse_nullspace,
 )
 from tpw import exactlin
 from tpw.algebra import Block, GeneralizedWitt, WittType
@@ -262,6 +263,16 @@ def test_streamed_solve_matches_oracle_on_ordered_pair_rows(name, delta):
         assert len(rows) == system.n_constraints
         expected = oracle_nullspace(distinct_rows(rows), system.n_unknowns)
         assert solve(system).vectors == tuple(expected), a
+
+
+@pytest.mark.parametrize("a", [(0, 0), (1, 0), (1, 1)], ids=str)
+def test_streamed_solve_matches_the_sparse_oracle_on_generalized_witt(a):
+    """The suite's rank-2, dim V = 2 spec, too slow for the dense oracle."""
+    spec = gw_spec()
+    system = assemble(spec, a, Window(2, 1))
+    rows = ordered_pair_rows(spec, a, 2, Fraction(1, 2))
+    expected = sparse_nullspace((dict(enumerate(r)) for r in rows), system.n_unknowns)
+    assert solve(system).vectors == tuple(expected)
 
 
 def _brute_force_pairs(radius, rank):

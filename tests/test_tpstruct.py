@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from tpw import tpstruct
-from tpw.algebra import Block, Element, FamilyMismatchError, GeneralizedWitt, WittType
+from tpw.algebra import (
+    Block,
+    Element,
+    FamilyMismatchError,
+    GeneralizedWitt,
+    WittType,
+    limited,
+)
 from tpw.halfderiv import assemble, component_vector, solve_degrees
 from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, box_points
 from tpw.tpstruct import (
@@ -360,13 +367,25 @@ def test_verify_matches_the_element_oracle(spec, product, window):
     assert verify(spec, product, window) == element_verify(spec, product, window)
 
 
+def _combined(generators, coeffs):
+    """The table product sum c_i T_i, built entry by entry."""
+    table = {}
+    for gen, c in zip(generators, coeffs):
+        for key, value in gen.table.items():
+            table[key] = table.get(key, Element()) + c * value
+    return ExplicitProduct(table)
+
+
 @pytest.mark.parametrize("spec,window,bound,n_samples,seed", [
     (witt_spec(), Window(4, 2), 2, 3, 9),
     # seed 23 draws 0 first: the zero product passes where the others fail
     (witt_spec(), Window(4, 2), 2, 5, 23),
     # seed 17 draws the coefficients 1, 0, 0, 8/5, -6
     (b0_spec(), Window(2, 1), 1, 5, 17),
-], ids=["witt-type", "witt-type-zero-draw", "block-g0-zero-draws"])
+    # degree bound 2 leaves three generators
+    (witt_spec(), Window(3, 1), 2, 5, 0),
+], ids=["witt-type", "witt-type-zero-draw", "block-g0-zero-draws",
+        "witt-type-three-generators"])
 def test_classify_samples_match_the_element_oracle(spec, window, bound, n_samples, seed):
     solved = solve_degrees(spec, window, bound)
     res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, bound,
@@ -378,32 +397,68 @@ def test_classify_samples_match_the_element_oracle(spec, window, bound, n_sample
     for _ in range(n_samples):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in res.generators]
         draws.extend(coeffs)
-        table = {}
-        for gen, c in zip(res.generators, coeffs):
-            for key, value in gen.table.items():
-                table[key] = table.get(key, Element()) + c * value
-        expected.append(element_associativity(spec, ExplicitProduct(table), labels))
+        expected.append(element_associativity(
+            spec, _combined(res.generators, coeffs), labels))
     assert list(res.associativity_samples) == expected
+    # the truncated group product of Witt type fails at the window boundary
+    assert res.associativity_pass == (spec.family != "witt_type")
     if spec.family == "witt_type":
         assert any(witness is not None for _, witness in expected)
     else:
         assert 0 in draws and len(set(draws)) > 2
 
 
-def test_classify_scans_each_line_of_samples_once(monkeypatch):
-    """One generator: every nonzero sample c T has the verdict of T."""
+@pytest.mark.parametrize("n_samples", [0, 5, 40])
+def test_classify_scans_the_inner_triples_at_most_once(monkeypatch, n_samples):
+    """One scan decides the family and every sample, whatever their number:
+    all |inner|^3 triples when the family passes, fewer when it fails."""
+    scanned = []
+
+    def counting(items, max_triples=None):
+        for n, item in limited(items, max_triples):
+            scanned.append(item)
+            yield n, item
+
+    monkeypatch.setattr(tpstruct, "limited", counting)
+    for spec, window, passes in ((b0_spec(), Window(3, 2), True),
+                                 (witt_spec(), Window(3, 1), False)):
+        scanned.clear()
+        solved = solve_degrees(spec, window, 1)
+        res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1,
+                       n_samples=n_samples, seed=0)
+        n_inner = len(spec.basis_labels(box_points(window.inner_margin, spec.rank)))
+        assert res.n_parameters == 1
+        assert res.associativity_pass == passes
+        assert 0 < len(scanned) <= n_inner ** 3
+        assert (len(scanned) == n_inner ** 3) == passes
+
+
+def test_span_associativity_sees_the_mixed_terms():
+    """T1 and T2 are each associative on Box(1), T1 + T2 is not: only the
+    mixed associators A_12 + A_21 show it."""
     spec = b0_spec()
+    labels = spec.basis_labels(box_points(1, spec.rank))
+    gens = [ExplicitProduct({((1, 0), (1, 0)): _one((0, 1))}),
+            ExplicitProduct({((0, 1), (-1, 0)): _one((0, -1))})]
+    for gen in gens:
+        assert element_associativity(spec, gen, labels) == (True, None)
+    draws = [[1, 0], [0, 2], [1, Fraction(-3, 2)], [0, 0]]
+    passed, samples = tpstruct._span_associativity(spec, gens, labels, draws)
+    assert not passed
+    assert samples == [element_associativity(spec, _combined(gens, coeffs), labels)
+                       for coeffs in draws]
+    assert samples[2] == (False, ((-1, 0), (1, 0), (1, 0)))
+    assert [ok for ok, _ in samples] == [True, True, False, True]
+
+
+@pytest.mark.parametrize("spec", [b0_spec(), b1_spec()], ids=["block-g0", "block-g1"])
+def test_classified_generators_pass_the_tp_axioms(spec):
     window = Window(3, 2)
     solved = solve_degrees(spec, window, 1)
-    scans = []
-    check = tpstruct._associativity_check
-    monkeypatch.setattr(tpstruct, "_associativity_check",
-                        lambda *args: scans.append(args) or check(*args))
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1,
-                   n_samples=5, seed=0)
-    assert res.n_parameters == 1
-    assert res.associativity_samples == ((True, None),) * 5
-    assert len(scans) == 1
+    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1)
+    assert res.generators
+    for gen in res.generators:
+        assert verify(spec, gen, Window(2, 1)).tp_pass
 
 
 def test_table_product_on_rank_one_generalized_witt():
