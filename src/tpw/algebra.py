@@ -9,7 +9,7 @@ quantification done by the verification scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -175,10 +175,16 @@ class _Family:
     It is the one definition of the bracket: elements, the half-derivation
     rows and every scan read it. ``t`` raises ``RankMismatchError`` for an
     index whose rank is not the algebra's.
+
+    ``coefficient_degree`` bounds the degree of ``t(x, y)`` in each lattice
+    coordinate of x and of y: every family's constants are affine in each
+    coordinate (a bilinear form plus linear terms, or a pairing). The
+    identity scans certify on a grid of that many points per coordinate.
     """
 
     vectorial = False
     dim_v = 1
+    coefficient_degree = 1
 
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of ``t`` to elements; exact, untruncated."""
@@ -398,9 +404,24 @@ def bracket(spec, x: Element, y: Element) -> Element:
     return spec.bracket(x, y)
 
 
+def certificate_grid(degree, rank):
+    """Box(r), shell ordered, with 2r + 1 > ``degree`` points per coordinate.
+
+    A polynomial of degree at most ``degree`` in each variable that vanishes
+    on such a grid is zero (Alon, Combinatorial Nullstellensatz, Combin.
+    Probab. Comput. 8, 1999, Lemma 2.1). So an identity whose residual
+    coefficients are such polynomials of the lattice indices holds on all
+    of Z^n, and on every window, once it holds on this grid.
+    """
+    return search_order((degree + 1) // 2, rank)
+
+
 @dataclass(frozen=True)
 class LieReport:
-    """Outcome of the anticommutativity and Jacobi scans on a window."""
+    """Outcome of the anticommutativity and Jacobi scans on a window.
+
+    ``visited`` counts the pairs and triples actually evaluated.
+    """
 
     anticommutative: bool
     anticommutativity_witness: tuple
@@ -408,57 +429,108 @@ class LieReport:
     jacobi_witness: tuple
     n_pairs: int
     n_triples: int
+    visited: int = field(compare=False)
 
     @property
     def passed(self) -> bool:
         return self.anticommutative and self.jacobi
 
 
+class _LieScan:
+    """The two Lie axioms on the basis labels of some points, in their order.
+
+    Brackets of basis pairs are computed on demand into lazily allocated
+    rows; ``visited`` counts the tuples evaluated.
+    """
+
+    def __init__(self, spec, points):
+        self.spec = spec
+        self.labels = spec.basis_labels(points)
+        self.elems = [spec.basis_element(l) for l in self.labels]
+        self.table = [None] * len(self.labels)
+        self.visited = 0
+
+    def br(self, i, j):
+        row = self.table[i]
+        if row is None:
+            row = self.table[i] = [None] * len(self.labels)
+        if row[j] is None:
+            row[j] = self.spec.bracket(self.elems[i], self.elems[j])
+        return row[j]
+
+    def first_failure(self, tuples, residual, max_triples=None):
+        """``(position, witness)`` of the first index tuple with a nonzero residual.
+
+        The position is the number of tuples when none fails; the witness
+        is the tuple's labels followed by the residual.
+        """
+        pos, witness = 0, None
+        for pos, idx in limited(tuples, max_triples):
+            res = residual(*idx)
+            if not res.is_zero:
+                witness = tuple(self.labels[i] for i in idx) + (res,)
+                break
+        self.visited += pos
+        return pos, witness
+
+    def anticommutativity(self, max_triples=None):
+        """[x, y] + [y, x] on the pairs i <= j."""
+        n, br = len(self.labels), self.br
+        return self.first_failure(((i, j) for i in range(n) for j in range(i, n)),
+                                  lambda i, j: br(i, j) + br(j, i), max_triples)
+
+    def jacobi(self, max_triples=None):
+        """The Jacobi sum on the triples i <= j <= k."""
+        n, br, bracket, e = len(self.labels), self.br, self.spec.bracket, self.elems
+        return self.first_failure(
+            ((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)),
+            lambda i, j, k: (bracket(br(i, j), e[k]) + bracket(br(j, k), e[i])
+                             + bracket(br(k, i), e[j])),
+            max_triples)
+
+
 def verify_lie_axioms(spec, window: Window, max_triples=None) -> LieReport:
     """Check [x,y] + [y,x] = 0 and the Jacobi identity on the window.
 
-    Anticommutativity is checked on all ordered basis pairs first; with it
-    established, the Jacobi identity only needs unordered triples (it is
-    alternating in its arguments up to sign). Brackets of basis pairs are
-    computed on demand and kept; ``max_triples`` bounds the unordered pairs
-    and the triples alike, each stage raising before its tuple past it.
+    Anticommutativity is checked on the basis pairs i <= j in shell order;
+    with it established, the Jacobi identity only needs the triples
+    i <= j <= k (it is alternating in its arguments). Each stage reports
+    its first witness and the number of tuples up to it, or all of them.
+
+    Both stages are first decided by an exact certificate. The structure
+    constants have degree at most d = ``spec.coefficient_degree`` in each
+    lattice coordinate, so the residual of (e_x, e_y) is a polynomial in
+    (x, y) of per-coordinate degree d and that of (e_x, e_y, e_z) one of
+    degree 2d. By Alon's Combinatorial Nullstellensatz (1999, Lemma 2.1)
+    both axioms then hold on all of Z^n once they hold on
+    ``certificate_grid(2d)``; the Jacobi sum is alternating, so its grid
+    check on unordered triples certifies it only when anticommutativity
+    holds. Only a stage that fails there, or is not certified, is scanned
+    on the window, up to its first witness, so a passing scan costs the
+    same at every radius.
+
+    ``max_triples`` below the window's number of triples runs both window
+    scans from the start instead, each stage raising before its tuple past
+    the limit.
     """
-    points = search_order(window.radius, spec.rank)
-    labels = spec.basis_labels(points)
-    elems = [spec.basis_element(l) for l in labels]
-    n = len(labels)
-    table = [None] * n  # rows of pair brackets, each filled on first use
-
-    def br(i, j):
-        row = table[i]
-        if row is None:
-            row = table[i] = [None] * n
-        if row[j] is None:
-            row[j] = spec.bracket(elems[i], elems[j])
-        return row[j]
-
-    anti_witness = None
-    n_pairs = 0
-    pairs = ((i, j) for i in range(n) for j in range(i, n))
-    for n_pairs, (i, j) in limited(pairs, max_triples):
-        residual = br(i, j) + br(j, i)
-        if not residual.is_zero:
-            anti_witness = (labels[i], labels[j], residual)
-            break
-
-    jac_witness = None
-    n_triples = 0
-    triples = ((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n))
-    for n_triples, (i, j, k) in limited(triples, max_triples):
-        residual = (spec.bracket(br(i, j), elems[k])
-                    + spec.bracket(br(j, k), elems[i])
-                    + spec.bracket(br(k, i), elems[j]))
-        if not residual.is_zero:
-            jac_witness = (labels[i], labels[j], labels[k], residual)
-            break
-
+    scan = _LieScan(spec, search_order(window.radius, spec.rank))
+    n = len(scan.labels)
+    n_pairs = n * (n + 1) // 2
+    n_triples = n_pairs * (n + 2) // 3
+    visited = 0
+    if max_triples is not None and max_triples < n_triples:  # pairs are fewer
+        anti = scan.anticommutativity(max_triples)
+        jac = scan.jacobi(max_triples)
+    else:
+        grid = _LieScan(spec, certificate_grid(2 * spec.coefficient_degree, spec.rank))
+        anti_fails = grid.anticommutativity()[1] is not None
+        jac_fails = anti_fails or grid.jacobi()[1] is not None
+        visited = grid.visited
+        anti = scan.anticommutativity() if anti_fails else (n_pairs, None)
+        jac = scan.jacobi() if jac_fails else (n_triples, None)
+    (n_pairs, anti_witness), (n_triples, jac_witness) = anti, jac
     return LieReport(anti_witness is None, anti_witness, jac_witness is None,
-                     jac_witness, n_pairs, n_triples)
+                     jac_witness, n_pairs, n_triples, visited + scan.visited)
 
 
 def _require_block(spec):

@@ -9,7 +9,7 @@ recovers the product family from a computed space of scaled derivations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -19,6 +19,7 @@ from .algebra import (
     FamilyMismatchError,
     LimitExceededError,
     center_predicate,
+    certificate_grid,
     element_from_json,
     element_to_json,
     limited,
@@ -54,10 +55,19 @@ class _Product:
     dim V = 1, V = span{v}). ``check_domain(spec)`` raises
     ``FamilyMismatchError`` or ``ValueError`` unless the rule is defined on
     ``spec``; every entry point runs it before reading the rule.
+
+    Each rule also says where ``verify`` may skip work: ``support(rank)``
+    is the finite set of unordered index pairs {a, b} whose product can be
+    nonzero, or None when the rule has infinite support and declares
+    instead ``coefficient_degree``, the degree of its coefficients in each
+    lattice coordinate of a and b at the shifted indices they land on.
     """
 
     def check_domain(self, spec):
         pass
+
+    def support(self, rank):
+        return None
 
     def to_json(self) -> dict:
         return {"variant": self.variant}
@@ -75,6 +85,9 @@ class ZeroProduct(_Product):
     def basis_product(self, a, b):
         return {}
 
+    def support(self, rank):
+        return frozenset()
+
 
 class Mutation(_Product):
     """Group-algebra product twisted by a fixed multiplier element.
@@ -85,6 +98,7 @@ class Mutation(_Product):
     """
 
     variant = "mutation"
+    coefficient_degree = 0  # u_a . u_b = sum_c w_c u_(a+b+c)
 
     def __init__(self, w: Element):
         if any(isinstance(c, tuple) and len(c) != 1 for c in w.terms.values()):
@@ -122,6 +136,10 @@ class SingleIdempotent(_Product):
     def basis_product(self, a, b):
         return {a: Fraction(1)} if a == b and not any(a) else {}
 
+    def support(self, rank):
+        origin = (0,) * rank
+        return frozenset([(origin, origin)])
+
 
 class ExplicitProduct(_Product):
     """Symmetric structure-constant table: u_a . u_b = table[{a, b}].
@@ -157,6 +175,9 @@ class ExplicitProduct(_Product):
 
     def basis_product(self, a, b):
         return self._rule.get(_pair_key(a, b), {})
+
+    def support(self, rank):
+        return frozenset(self._rule)
 
     def to_json(self) -> dict:
         return {"variant": self.variant,
@@ -278,11 +299,14 @@ class IdentityCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The four identities; ``visited`` counts the pairs and triples evaluated."""
+
     commutative: IdentityCheck
     associative: IdentityCheck
     trans_leibniz: IdentityCheck
     poisson_leibniz: IdentityCheck
     n_triples: int
+    visited: int = field(compare=False)
 
     @property
     def tp_pass(self) -> bool:
@@ -295,6 +319,74 @@ class VerificationReport:
         return self.tp_pass and self.poisson_leibniz.passed
 
 
+_TRIPLE_IDENTITIES = ("associative", "trans_leibniz", "poisson_leibniz")
+
+
+class _Identities:
+    """The four identities on basis labels, products and brackets memoized.
+
+    ``visited`` counts the pairs and triples evaluated.
+    """
+
+    def __init__(self, spec, product, labels):
+        self.spec = spec
+        self.mul = _CheckedProduct(spec, product, labels)
+        self._br = {}
+        self.visited = 0
+
+    def br(self, u, v):
+        res = self._br.get((u, v))
+        if res is None:
+            elems = self.mul.elems
+            res = self._br[(u, v)] = self.spec.bracket(elems[u], elems[v])
+        return res
+
+    def commutativity(self, pairs):
+        """The first pair of ``pairs`` with u . v != v . u, with both sides, or None."""
+        mul, elems = self.mul, self.mul.elems
+        for u, v in pairs:
+            self.visited += 1
+            lhs = mul(elems[u], elems[v])
+            rhs = mul(elems[v], elems[u])
+            if lhs != rhs:
+                return ((u, v), lhs, rhs)
+        return None
+
+    def triples(self, numbered, names):
+        """``{identity: (position, witness)}`` over numbered ``(u, v, w)`` triples.
+
+        Scans the identities in ``names`` for their first witness, with
+        both sides, and stops once each has one.
+        """
+        mul, elems, br, bracket = self.mul, self.mul.elems, self.br, self.spec.bracket
+        assoc, trans, poisson = (name in names for name in _TRIPLE_IDENTITIES)
+        found = {}
+        for pos, (u, v, w) in numbered:
+            self.visited += 1
+            if assoc:
+                lhs, rhs = mul.associator(u, v, w)
+                if lhs != rhs:
+                    found["associative"] = pos, ((u, v, w), lhs, rhs)
+                    assoc = False
+            if trans or poisson:
+                u_vw = mul(elems[u], br(v, w))
+                uv_w = bracket(mul.pair(u, v), elems[w])
+            if trans:
+                lhs = 2 * u_vw
+                rhs = uv_w + bracket(elems[v], mul.pair(u, w))
+                if lhs != rhs:
+                    found["trans_leibniz"] = pos, ((u, v, w), lhs, rhs)
+                    trans = False
+            if poisson:
+                rhs = u_vw + mul(br(u, w), elems[v])
+                if uv_w != rhs:
+                    found["poisson_leibniz"] = pos, ((u, v, w), uv_w, rhs)
+                    poisson = False
+            if not (assoc or trans or poisson):
+                break
+        return found
+
+
 def verify(spec, product, window: Window, max_triples=None) -> VerificationReport:
     """Check the four identities on all basis tuples of the window.
 
@@ -303,57 +395,102 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     Commutativity runs over pairs; associativity, the compatibility
     identity 2 z . [x, y] = [z . x, y] + [x, z . y], and the ordinary
     Poisson rule [x . y, z] = x . [y, z] + [x, z] . y run over triples.
-    ``max_triples`` bounds the ordered pairs and the triples alike.
+    ``n_triples`` is where a joint triple scan stops: at the last of the
+    three first witnesses, or after every triple when one identity holds.
+
+    Each identity is decided by an exact certificate, so only tuples that
+    can fail are evaluated:
+
+    - A product of finite ``support`` makes u . v vanish unless {u, v} is
+      a support pair. Every term of the identities has a factor u . v,
+      v . w, u . w, u . [v, w] (at the index v + w) or [u, w] . v, so only
+      the tuples where one of these meets the support are scanned, in the
+      same order; the others pass with both sides zero.
+    - A rule of per-coordinate ``coefficient_degree`` p, with the family's
+      bracket of degree d, leaves residual coefficients that are
+      polynomials in the indices of per-coordinate degree at most
+      p + max(p, d). By Alon's Combinatorial Nullstellensatz (1999,
+      Lemma 2.1) an identity that holds on ``certificate_grid`` of that
+      degree holds everywhere; only the identities failing there are
+      scanned on the window, up to their first witnesses.
+
+    ``max_triples`` below the window's number of triples runs the full
+    scans instead, the ordered pairs and the triples alike raising
+    ``LimitExceededError`` before the tuple past the limit.
     """
     labels = spec.basis_labels(search_order(window.radius, spec.rank))
-    mul = _CheckedProduct(spec, product, labels)
-    elems = mul.elems
+    n_triples = len(labels) ** 3
+    ids = _Identities(spec, product, labels)
+    support = product.support(spec.rank)
+    pairs = iter_product(labels, repeat=2)
+    triples = iter_product(labels, repeat=3)
+    visited = 0
+    if max_triples is not None and max_triples < n_triples:  # pairs are fewer
+        comm = ids.commutativity(pair for _, pair in limited(pairs, max_triples))
+        found = ids.triples(limited(triples, max_triples), _TRIPLE_IDENTITIES)
+    elif support is not None:
+        support_pairs, support_triples = _support_tuples(labels, support)
+        comm = ids.commutativity(support_pairs)
+        found = ids.triples(support_triples, _TRIPLE_IDENTITIES)
+    else:
+        p = product.coefficient_degree
+        grid_labels = spec.basis_labels(
+            certificate_grid(p + max(p, spec.coefficient_degree), spec.rank))
+        grid = _Identities(spec, product, grid_labels)
+        grid_comm = grid.commutativity(iter_product(grid_labels, repeat=2))
+        failing = grid.triples(enumerate(iter_product(grid_labels, repeat=3), 1),
+                               _TRIPLE_IDENTITIES)
+        visited = grid.visited
+        comm = ids.commutativity(pairs) if grid_comm else None
+        found = ids.triples(enumerate(triples, 1), failing) if failing else {}
+    if len(found) == len(_TRIPLE_IDENTITIES):
+        n_triples = max(pos for pos, _ in found.values())
 
-    br_cache = {}
-
-    def br(u, v):
-        res = br_cache.get((u, v))
-        if res is None:
-            res = br_cache[(u, v)] = spec.bracket(elems[u], elems[v])
-        return res
-
-    comm = IdentityCheck(True, None)
-    for _, (u, v) in limited(iter_product(labels, repeat=2), max_triples):
-        lhs = mul(elems[u], elems[v])
-        rhs = mul(elems[v], elems[u])
-        if lhs != rhs:
-            comm = IdentityCheck(False, ((u, v), lhs, rhs))
-            break
-
-    assoc_w = trans_w = poisson_w = None
-    n_triples = 0
-    for n_triples, (u, v, w) in limited(iter_product(labels, repeat=3), max_triples):
-        if assoc_w is None:
-            lhs, rhs = mul.associator(u, v, w)
-            if lhs != rhs:
-                assoc_w = ((u, v, w), lhs, rhs)
-        if trans_w is None or poisson_w is None:
-            u_vw = mul(elems[u], br(v, w))
-            uv_w = spec.bracket(mul.pair(u, v), elems[w])
-        if trans_w is None:
-            lhs = 2 * u_vw
-            rhs = uv_w + spec.bracket(elems[v], mul.pair(u, w))
-            if lhs != rhs:
-                trans_w = ((u, v, w), lhs, rhs)
-        if poisson_w is None:
-            rhs = u_vw + mul(br(u, w), elems[v])
-            if uv_w != rhs:
-                poisson_w = ((u, v, w), uv_w, rhs)
-        if assoc_w and trans_w and poisson_w:
-            break
+    def check(name):
+        return IdentityCheck(name not in found, found.get(name, (0, None))[1])
 
     return VerificationReport(
-        commutative=comm,
-        associative=IdentityCheck(assoc_w is None, assoc_w),
-        trans_leibniz=IdentityCheck(trans_w is None, trans_w),
-        poisson_leibniz=IdentityCheck(poisson_w is None, poisson_w),
+        commutative=IdentityCheck(comm is None, comm),
+        associative=check("associative"),
+        trans_leibniz=check("trans_leibniz"),
+        poisson_leibniz=check("poisson_leibniz"),
         n_triples=n_triples,
+        visited=visited + ids.visited,
     )
+
+
+def _support_tuples(labels, support):
+    """The pairs and numbered triples of ``labels`` that meet ``support``.
+
+    A pair (u, v) meets it when {u, v} is a support pair; a triple
+    (u, v, w) when {u, v}, {v, w}, {u, w}, {u, v + w} or {u + w, v} is one,
+    the indices of u . v, v . w, u . w, u . [v, w] and [u, w] . v. Both
+    come in nested order, triples with their 1-based position in it.
+    """
+    n = len(labels)
+    points = [_bare(l) for l in labels]
+    at = {}
+    for i, x in enumerate(points):
+        at.setdefault(x, []).append(i)
+    pair_codes, codes = set(), set()
+    for a, b in support:
+        for p, q in ((a, b), (b, a)):
+            for i in at.get(p, ()):
+                for j in at.get(q, ()):
+                    pair_codes.add(i * n + j)
+                    for k in range(n):  # u . v, v . w and u . w
+                        codes.update(((i * n + j) * n + k, (k * n + i) * n + j,
+                                      (i * n + k) * n + j))
+                for j in range(n):  # u . [v, w]
+                    for k in at.get(sub(q, points[j]), ()):
+                        codes.add((i * n + j) * n + k)
+            for j in at.get(q, ()):  # [u, w] . v
+                for k in range(n):
+                    for i in at.get(sub(p, points[k]), ()):
+                        codes.add((i * n + j) * n + k)
+    return ([(labels[c // n], labels[c % n]) for c in sorted(pair_codes)],
+            [(c + 1, (labels[c // (n * n)], labels[c // n % n], labels[c % n]))
+             for c in sorted(codes)])
 
 
 def left_mult_table(spec, product, z, window: Window) -> dict:

@@ -198,13 +198,13 @@ def distinct_rows(rows):
     return [list(r) for r in out]
 
 
-
 def _first_failure(spec, labels, sides):
     """First triple of ``labels`` in nested order whose two sides differ.
 
     ``sides`` takes the three basis elements. Returns
     ``((triple, lhs, rhs), position)`` with a 1-based position, or
-    ``(None, len(labels) ** 3)`` when the identity holds on every triple.
+    ``(None, len(labels) ** 3)`` when the identity holds on every triple;
+    the position is also the number of triples evaluated.
     """
     from itertools import product as iter_product
 
@@ -235,9 +235,15 @@ def element_verify(spec, product, window):
     def mul(x, y):
         return multiply(spec, product, x, y)
 
-    comm = next((((u, v), mul(e[u], e[v]), mul(e[v], e[u]))
-                 for u in labels for v in labels
-                 if mul(e[u], e[v]) != mul(e[v], e[u])), None)
+    comm, n_comm = None, 0
+    for u in labels:
+        for v in labels:
+            n_comm += 1
+            if mul(e[u], e[v]) != mul(e[v], e[u]):
+                comm = ((u, v), mul(e[u], e[v]), mul(e[v], e[u]))
+                break
+        if comm:
+            break
     assoc, n_assoc = _first_failure(
         spec, labels, lambda x, y, z: (mul(mul(x, y), z), mul(x, mul(y, z))))
     trans, n_trans = _first_failure(
@@ -254,7 +260,43 @@ def element_verify(spec, product, window):
         trans_leibniz=IdentityCheck(trans is None, trans),
         poisson_leibniz=IdentityCheck(poisson is None, poisson),
         n_triples=n_triples,
+        visited=n_comm + n_assoc + n_trans + n_poisson,
     )
+
+
+def element_lie(spec, window):
+    """``algebra.verify_lie_axioms`` as a plain ordered scan with no memo.
+
+    Every bracket is evaluated afresh with the public ``algebra.bracket``:
+    [x, y] + [y, x] on the basis pairs i <= j of the shell-ordered labels,
+    then the Jacobi sum on the triples i <= j <= k. Each stage counts its
+    tuples up to its first witness, or all of them, as the library does.
+    """
+    from tpw.algebra import LieReport, bracket
+    from tpw.lattice import search_order
+
+    labels = spec.basis_labels(search_order(window.radius, spec.rank))
+    e = [spec.basis_element(l) for l in labels]
+    n = len(labels)
+
+    def br(x, y):
+        return bracket(spec, x, y)
+
+    def first(tuples, residual):
+        count = 0
+        for count, idx in enumerate(tuples, 1):
+            res = residual(*(e[i] for i in idx))
+            if not res.is_zero:
+                return tuple(labels[i] for i in idx) + (res,), count
+        return None, count
+
+    anti, n_pairs = first(((i, j) for i in range(n) for j in range(i, n)),
+                          lambda x, y: br(x, y) + br(y, x))
+    jac, n_triples = first(
+        ((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)),
+        lambda x, y, z: br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y))
+    return LieReport(anti is None, anti, jac is None, jac, n_pairs, n_triples,
+                     visited=n_pairs + n_triples)
 
 
 def element_associativity(spec, product, labels):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import scalar_bracket_coeff
+from oracles import element_lie, scalar_bracket_coeff
 from tpw.algebra import (
     Block,
     Element,
@@ -202,6 +202,40 @@ def test_lie_axioms_pass_for_all_families():
     for spec in (b1_spec(), b0_spec(), gw_spec(), witt_spec()):
         report = verify_lie_axioms(spec, w)
         assert report.passed, spec.family
+
+
+def non_anticommutative_block():
+    """A raw Block whose constants gain the symmetric term x_0 y_0.
+
+    No family can fail anticommutativity, so the scan's path for such a
+    bracket, where the Jacobi sum is not alternating, needs this stand-in.
+    """
+    spec = Block.raw_form(AdditiveMap([1, 0]), BiadditiveForm([[0, 1], [-1, 0]]))
+    scale, t = spec.structure_constants
+    spec.structure_constants = (
+        scale, lambda x, y: (((t(x, y)[0][0][0] + scale * x[0] * y[0],),),))
+    return spec
+
+
+LIE_ORACLE_SPECS = {
+    "gw-rank1-dimv1": lambda: GeneralizedWitt(Pairing([[1]])),
+    "gw-rank1-dimv2": lambda: GeneralizedWitt(Pairing([[1], [Fraction(-2, 3)]])),
+    "gw-rank2-dimv1": lambda: GeneralizedWitt(Pairing([[1, Fraction(1, 2)]])),
+    "gw-rank2-dimv2": gw_spec,
+    "block-g0": b0_spec,
+    "block-gh": b1_spec,
+    "corrupted-block": corrupted_block,
+    "witt": witt_spec,
+    "non-anticommutative": non_anticommutative_block,
+}
+
+
+@pytest.mark.parametrize("radius", (1, 2))
+@pytest.mark.parametrize("name", sorted(LIE_ORACLE_SPECS))
+def test_lie_scan_matches_the_element_oracle(name, radius):
+    spec = LIE_ORACLE_SPECS[name]()
+    window = Window(radius, radius - 1)
+    assert verify_lie_axioms(spec, window) == element_lie(spec, window)
 
 
 def test_corrupted_block_fails_jacobi():

@@ -1,0 +1,214 @@
+"""The exact certificates behind the identity scans.
+
+The Lie and product scans decide an identity on a small grid when its
+residual coefficients are polynomials of bounded per-coordinate degree,
+and scan only the tuples that meet a finite product support. These tests
+check the declared degree bounds by finite differences, that the scans'
+cost does not grow with the radius, and that random specs and products
+get the same reports as the element-level oracles.
+"""
+
+from fractions import Fraction
+from math import comb
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pytest
+
+from oracles import element_lie, element_verify
+from tpw.algebra import Block, Element, GeneralizedWitt, WittType, verify_lie_axioms
+from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, add, box_points, sub
+from tpw.tpstruct import (
+    ExplicitProduct,
+    ExtensionByZero,
+    Mutation,
+    ZeroProduct,
+    verify,
+)
+
+
+def _antisymmetric(entries, rank):
+    """The antisymmetric rank x rank matrix with ``entries`` above the diagonal."""
+    m = [[Fraction(0)] * rank for _ in range(rank)]
+    it = iter(entries)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            m[i][j] = Fraction(next(it))
+            m[j][i] = -m[i][j]
+    return m
+
+
+DEGREE_SPECS = {
+    "gw": lambda: GeneralizedWitt(Pairing([[1, 0], [0, 1]])),
+    "gw-rational": lambda: GeneralizedWitt(
+        Pairing([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])),
+    "gw-rank1-dimv2": lambda: GeneralizedWitt(Pairing([[Fraction(-3, 4)], [2]])),
+    "block-g0": lambda: Block.with_form(BiadditiveForm([[0, -1], [1, 0]])),
+    "block-gh-rational": lambda: Block.from_gh(
+        AdditiveMap([2, -1]), AdditiveMap([Fraction(1, 2), 3])),
+    "witt-rational": lambda: WittType(AdditiveMap([Fraction(1, 2), Fraction(-2, 3)])),
+    "raw-block": lambda: Block.raw_form(
+        AdditiveMap([1, 3]), BiadditiveForm([[0, 2], [-2, 0]])),
+    "raw-block-rational": lambda: Block.raw_form(
+        AdditiveMap([Fraction(1, 3), -2]),
+        BiadditiveForm(_antisymmetric([Fraction(5, 3)], 2))),
+}
+
+
+def _unit(rank, k, m=1):
+    return tuple(m if i == k else 0 for i in range(rank))
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_SPECS))
+def test_coefficient_degree_bounds_the_constants(name):
+    """Each (d + 1)-th difference of t along one coordinate vanishes on Box(3)."""
+    spec = DEGREE_SPECS[name]()
+    d = spec.coefficient_degree
+    _, t = spec.structure_constants
+    box = box_points(3, spec.rank)
+    weights = [(-1) ** (d + 1 - m) * comb(d + 1, m) for m in range(d + 2)]
+
+    def flat(x, y):
+        return [c for by_j in t(x, y) for by_l in by_j for c in by_l]
+
+    def difference(values):
+        return [sum(w * v for w, v in zip(weights, col)) for col in zip(*values)]
+
+    for k in range(spec.rank):
+        steps = [_unit(spec.rank, k, m) for m in range(d + 2)]
+        for x in box:
+            if x[k] + d + 1 > 3:
+                continue
+            line = [add(x, s) for s in steps]
+            for y in box:
+                assert not any(difference([flat(p, y) for p in line])), (x, y, k)
+                assert not any(difference([flat(y, p) for p in line])), (y, x, k)
+
+
+def test_mutation_coefficients_do_not_depend_on_the_indices():
+    """Degree 0: u_a . u_b = sum_c w_c u_(a+b+c) with the same w_c for all a, b."""
+    w = Element({(1, 0): Fraction(-2, 3), (0, -2): 5, (0, 0): 1})
+    product = Mutation(w)
+    assert product.coefficient_degree == 0
+    box = box_points(3, 2)
+    seen = {frozenset((sub(idx, add(a, b)), c)
+                      for idx, c in product.basis_product(a, b).items())
+            for a in box for b in box}
+    assert seen == {frozenset(w.terms.items())}
+
+
+@pytest.mark.parametrize("name", ["gw", "gw-rank1-dimv2", "block-gh-rational"])
+def test_lie_scan_cost_does_not_grow_with_the_radius(name):
+    spec = DEGREE_SPECS[name]()
+    small, large = (verify_lie_axioms(spec, w) for w in (Window(2, 1), Window(6, 3)))
+    assert small.passed and large.passed
+    assert 0 < small.visited == large.visited
+    n = len(spec.basis_labels(box_points(6, spec.rank)))
+    assert (large.n_pairs, large.n_triples) == (n * (n + 1) // 2,
+                                                n * (n + 1) * (n + 2) // 6)
+
+
+@pytest.mark.parametrize("spec,w", [
+    (WittType(AdditiveMap([1])), Element({(0,): 1})),
+    (WittType(AdditiveMap([1])), Element({(-2,): Fraction(3, 4), (1,): -1})),
+    (WittType(AdditiveMap([2, -1])), Element({(1, 1): Fraction(1, 2)})),
+    (GeneralizedWitt(Pairing([[1]])), Element({(1,): (Fraction(2, 3),), (-1,): (1,)})),
+], ids=["unit", "two-terms", "rank-2", "gw1"])
+def test_mutation_scan_cost_does_not_grow_with_the_radius(spec, w):
+    """The tp axioms pass on the grid; the Poisson rule's first witness is
+    (0, 0, z) for the first nonzero z, at the same position in any window."""
+    small, large = (verify(spec, Mutation(w), win) for win in (Window(2, 1), Window(6, 3)))
+    assert small.tp_pass and large.tp_pass
+    assert 0 < small.visited == large.visited
+    assert large.n_triples == len(spec.basis_labels(box_points(6, spec.rank))) ** 3
+
+
+def test_finite_support_scans_only_the_tuples_that_meet_it():
+    spec = Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 1]))
+    star = ExtensionByZero({((0, -2), (0, -2)): Element({(0, -1): Fraction(1)})})
+    for radius in (3, 5):
+        n = (2 * radius + 1) ** 2
+        report = verify(spec, star, Window(radius, 2))
+        assert report.all_pass and report.n_triples == n ** 3
+        # one key: at most n pairs and triples per term
+        assert 0 < report.visited <= 2 + 5 * n
+    # the star's key lies outside Box(1): no tuple can fail there
+    assert verify(spec, star, Window(1, 0)).visited == 0
+    assert verify(spec, ZeroProduct(), Window(3, 2)).visited == 0
+
+
+_SMALL = st.integers(-2, 2)
+_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _vector(rank, values=_SMALL):
+    return st.lists(values, min_size=rank, max_size=rank)
+
+
+def _window(rank):
+    return Window(2, 1) if rank == 1 else Window(1, 0)
+
+
+@st.composite
+def lie_specs(draw):
+    """Block from (g, h), raw Block, generalized Witt with random pairings, Witt type."""
+    kind = draw(st.sampled_from(["block-gh", "raw-block", "gw", "witt"]))
+    rank = draw(st.integers(2, 3) if kind == "raw-block" else st.integers(1, 2))
+    if kind == "block-gh":
+        return Block.from_gh(AdditiveMap(draw(_vector(rank).filter(any))),
+                             AdditiveMap(draw(_vector(rank, _RATIONAL))))
+    if kind == "raw-block":
+        upper = draw(_vector(rank * (rank - 1) // 2, _RATIONAL))
+        return Block.raw_form(AdditiveMap(draw(_vector(rank))),
+                              BiadditiveForm(_antisymmetric(upper, rank)))
+    if kind == "gw":
+        dim_v = draw(st.integers(1, 2))
+        return GeneralizedWitt(Pairing([draw(_vector(rank, _RATIONAL))
+                                        for _ in range(dim_v)]))
+    return WittType(AdditiveMap(draw(_vector(rank, _RATIONAL))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=lie_specs())
+def test_lie_scan_matches_the_oracle_on_random_specs(spec):
+    window = _window(spec.rank)
+    assert verify_lie_axioms(spec, window) == element_lie(spec, window)
+
+
+def _element(draw, spec, rank):
+    """1-2 terms at indices of Box(2), with the family's coefficient shape."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        c = draw(_RATIONAL.filter(bool))
+        terms[tuple(draw(_vector(rank)))] = (c,) if spec.vectorial else c
+    return Element(terms)
+
+
+@st.composite
+def products_on_specs(draw):
+    """Random mutation multipliers and random tables on their families."""
+    rank = draw(st.integers(1, 2))
+    gw = GeneralizedWitt(Pairing([draw(_vector(rank, _RATIONAL))]))
+    witt = WittType(AdditiveMap(draw(_vector(rank, _RATIONAL))))
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from([gw, witt]))
+        return spec, Mutation(_element(draw, spec, rank))
+    specs = [gw, witt, Block.with_form(BiadditiveForm(
+        _antisymmetric(draw(_vector(rank * (rank - 1) // 2)), rank)))]
+    if rank == 2:
+        specs.append(Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 1])))
+    spec = draw(st.sampled_from(specs))
+    table = {}
+    for _ in range(draw(st.integers(0, 3))):
+        key = tuple(sorted(tuple(draw(_vector(rank))) for _ in range(2)))
+        table[key] = _element(draw, spec, rank)
+    return spec, ExplicitProduct(table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=products_on_specs())
+def test_verify_matches_the_oracle_on_random_products(case):
+    spec, product = case
+    window = _window(spec.rank)
+    assert verify(spec, product, window) == element_verify(spec, product, window)

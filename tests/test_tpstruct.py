@@ -361,8 +361,23 @@ def _seeded_multiplier(rng):
     (b1_spec(), star_product(), Window(2, 1)),
     (b0_spec(), ExplicitProduct({((1, 0), (1, 0)): Element({(1, 0): Fraction(1)})}),
      Window(2, 1)),
+    # the failing variants at a second radius
+    (witt_spec(), Mutation(Element({(0,): 1})), Window(2, 1)),
+    (witt_spec(), Mutation(_seeded_multiplier(random.Random(7))), Window(5, 2)),
+    (witt_spec(), Mutation(_seeded_multiplier(random.Random(8))), Window(5, 2)),
+    (gw1_spec(), Mutation(Element({(1,): (Fraction(2, 3),), (-1,): (1,)})), Window(5, 2)),
+    (gw1_spec(), ExplicitProduct({((0,), (1,)): Element({(1,): (1,)})}), Window(4, 2)),
+    (b0_spec(), ExplicitProduct({((1, 0), (1, 0)): Element({(1, 0): Fraction(1)})}),
+     Window(1, 0)),
+    # keys outside the window, reached only through u . [v, w] or [u, w] . v
+    (b0_spec(), ExplicitProduct({((1, 1), (2, -1)): Element({(2, -1): -1})}), Window(1, 0)),
+    (WittType(AdditiveMap([1, 2])), ExplicitProduct({((0, -2), (1, 1)): Element({(1, 1): 1})}),
+     Window(1, 0)),
 ], ids=["zero", "single-idempotent", "unit-mutation", "seeded-mutation-7",
-        "seeded-mutation-8", "gw1-mutation", "gw1-table", "star", "bad-table"])
+        "seeded-mutation-8", "gw1-mutation", "gw1-table", "star", "bad-table",
+        "unit-mutation-r2", "seeded-mutation-7-r5", "seeded-mutation-8-r5",
+        "gw1-mutation-r5", "gw1-table-r4", "bad-table-r1", "block-g0-outer-key",
+        "witt-outer-key"])
 def test_verify_matches_the_element_oracle(spec, product, window):
     assert verify(spec, product, window) == element_verify(spec, product, window)
 
