@@ -8,8 +8,12 @@ reduction, which keeps entry growth bounded in practice while every
 intermediate value stays exact. ``RowSpace.kernel()`` is the one kernel
 read-out: ``nullspace`` is a read of it, and so is the classifier's
 commutativity solve, whose rows go into one ``RowSpace`` through
-``int_row``. ``rank``, ``row_space_basis`` and ``in_span`` are reads of
-one ``RowSpace``, and so is every span check after a solve.
+``int_row``. A row source that splits its stream in two
+(``int_row_stages``) has only its first part eliminated; each later row
+is checked by sparse dot products against an integer basis of the
+current kernel, and only a row that fails is inserted, shrinking that
+basis by one exact step. ``rank``, ``row_space_basis`` and ``in_span``
+are reads of one ``RowSpace``, and so is every span check after a solve.
 ``SparseMatrix`` holds a matrix assembled from entries (a system's
 ``matrix``). No floating point appears anywhere in this package.
 """
@@ -171,41 +175,84 @@ class RowSpace:
         self.rows = {}
         self.rows_generated = 0
         self.rows_consumed = 0
+        self.rows_checked = 0
         for v in vectors:
             self._check_length(v)
             self.insert(_vector_int_row(v))
 
     @classmethod
     def from_source(cls, source, max_cells=None) -> "RowSpace":
-        """Eliminate the rows of ``source`` in stream order.
+        """The row space of ``source``, its rows drawn in stream order.
 
         ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator
-        of integer row dicts; a ``SparseMatrix`` is one. The cell limit is
-        checked on ``n_rows x n_cols`` before any row is drawn, and no row
-        is drawn once the rank reaches ``n_cols``. Rows are gcd-normalized,
-        so a repeat up to scaling is skipped unreduced.
+        of integer row dicts; a ``SparseMatrix`` is one, and its rows are
+        all eliminated. A source may also split the same stream in two with
+        ``int_row_stages()``: the first part is eliminated, and each row of
+        the second is checked against the kernel K of the rows before it
+        (``_certify``). The cell limit is checked on ``n_rows x n_cols``
+        before any row is drawn, and no row is drawn once the rank reaches
+        ``n_cols``. Rows are gcd-normalized, so a repeat up to scaling is
+        skipped unreduced.
         """
         limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
         if source.n_rows * source.n_cols > limit:
             raise DimensionOverflowError(
                 "%dx%d matrix exceeds the %d-cell limit"
                 % (source.n_rows, source.n_cols, limit))
+        stages = getattr(source, "int_row_stages", None)
+        eliminated, checked = stages() if stages else (source.int_rows(), ())
         space = cls(n_cols=source.n_cols)
         seen = set()
-        for row in source.int_rows():
-            space.rows_generated += 1
-            row = _gcd_normalize(row)
-            if not row:
-                continue
-            sig = frozenset(row.items())
-            if sig in seen:
-                continue
-            seen.add(sig)
+
+        def distinct(rows):
+            for row in rows:
+                space.rows_generated += 1
+                row = _gcd_normalize(row)
+                sig = frozenset(row.items())
+                if row and sig not in seen:
+                    seen.add(sig)
+                    yield row
+
+        for row in distinct(eliminated):
             space.rows_consumed += 1
             space.insert(row)
             if space.rank == space.n_cols:
-                break
+                return space
+        space._certify(distinct(checked))
         return space
+
+    def _certify(self, rows):
+        """Add ``rows`` to the span, eliminating only those that shrink it.
+
+        K is an integer basis of the kernel of the span. A row with zero
+        dot product against every vector of K lies in the span already and
+        is only counted in ``rows_checked``. A row r with r . k0 = s0 != 0
+        is inserted, and K loses k0: each k with r . k = s becomes
+        s0 k - s k0, which r annihilates. So K stays the kernel of the span
+        and the row space ends exact, whatever the rows left unreduced.
+        """
+        kernel = [int_row(k) for k in self._kernel_dicts()]
+        index = _column_index(kernel)
+        for row in rows:
+            dots = {}
+            for c, v in row.items():
+                for i, kv in index.get(c, ()):
+                    dots[i] = dots.get(i, 0) + v * kv
+            dots = {i: s for i, s in dots.items() if s}
+            if not dots:
+                self.rows_checked += 1
+                continue
+            self.rows_consumed += 1
+            self.insert(row)
+            if self.rank == self.n_cols:
+                return
+            i0 = min(dots)
+            s0, k0 = dots[i0], kernel[i0]
+            kernel = [k if i not in dots else _gcd_normalize(
+                {c: w for c in k.keys() | k0.keys()
+                 if (w := s0 * k.get(c, 0) - dots[i] * k0.get(c, 0))})
+                for i, k in enumerate(kernel) if i != i0]
+            index = _column_index(kernel)
 
     @property
     def rank(self) -> int:
@@ -288,6 +335,25 @@ class RowSpace:
             out.append(tuple(vec))
         return tuple(out)
 
+    def _kernel_dicts(self):
+        """Canonical kernel basis as sparse rational dicts, by free column."""
+        reduced = self.reduced_fraction_rows()
+        pivots = sorted(reduced)
+        one = Fraction(1)
+        vectors = []
+        for f in range(self.n_cols):
+            if f in reduced:
+                continue
+            vec = {f: one}
+            for p in pivots:
+                if p >= f:
+                    break
+                coeff = reduced[p].get(f)
+                if coeff:
+                    vec[p] = -coeff
+            vectors.append(vec)
+        return vectors
+
     def kernel(self) -> "NullspaceBasis":
         """Canonical basis of the vectors every row annihilates.
 
@@ -295,28 +361,26 @@ class RowSpace:
         zeros at the other free columns; it depends only on the span.
         """
         n_cols = self.n_cols
-        counts = {"rows_generated": self.rows_generated,
-                  "rows_consumed": self.rows_consumed}
-        if self.rank == n_cols:
-            return NullspaceBasis(n_cols, (), **counts)
-        reduced = self.reduced_fraction_rows()
-        pivots = sorted(reduced)
         zero = Fraction(0)
-        one = Fraction(1)
         vectors = []
-        for f in range(n_cols):
-            if f in reduced:
-                continue
+        for k in (self._kernel_dicts() if self.rank < n_cols else ()):
             vec = [zero] * n_cols
-            vec[f] = one
-            for p in pivots:
-                if p >= f:
-                    break
-                coeff = reduced[p].get(f)
-                if coeff:
-                    vec[p] = -coeff
+            for c, v in k.items():
+                vec[c] = v
             vectors.append(tuple(vec))
-        return NullspaceBasis(n_cols, tuple(vectors), **counts)
+        return NullspaceBasis(n_cols, tuple(vectors),
+                              rows_generated=self.rows_generated,
+                              rows_consumed=self.rows_consumed,
+                              rows_checked=self.rows_checked)
+
+
+def _column_index(vectors):
+    """column -> [(i, entry)] over the nonzero entries of integer dicts."""
+    index = {}
+    for i, vec in enumerate(vectors):
+        for c, v in vec.items():
+            index.setdefault(c, []).append((i, v))
+    return index
 
 
 @dataclass(frozen=True)
@@ -327,16 +391,18 @@ class NullspaceBasis:
     other free columns, which makes the basis uniquely determined by the
     kernel itself: golden comparisons stay byte-stable.
 
-    ``rows_generated`` counts the rows drawn from the source before
-    elimination stopped, ``rows_consumed`` those of them that were reduced
-    (nonzero and no repeat of an earlier row). Neither takes part in
-    equality.
+    ``rows_generated`` counts the rows drawn from the source before the
+    solve stopped. Of those that are nonzero and no repeat of an earlier
+    row, ``rows_consumed`` counts the ones reduced into the echelon and
+    ``rows_checked`` the ones only verified against the kernel of the rows
+    before them (``RowSpace.from_source``). None takes part in equality.
     """
 
     n_cols: int
     vectors: tuple
     rows_generated: int = field(default=0, compare=False)
     rows_consumed: int = field(default=0, compare=False)
+    rows_checked: int = field(default=0, compare=False)
 
     @property
     def dimension(self) -> int:

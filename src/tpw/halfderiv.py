@@ -9,6 +9,11 @@ dim V x dim V matrix). Solving the assembled system exactly and comparing
 the solution space against the predicted spanning maps, degree by degree,
 is the computational heart of the workbench.
 
+Rows are streamed, never stored: pairs with a point of small norm come
+first. The generator rows, the pairs with a point of norm at most 1,
+are eliminated; every later row is checked against the kernel they
+leave and eliminated only when it shrinks that kernel.
+
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported
 vectors. All dimension comparisons therefore happen after restricting
@@ -20,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from . import exactlin
 from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
-from .lattice import Window, add, box_points, zero
+from .lattice import Window, add, box_points, norm_inf, zero
 
 __all__ = [
     "CompareReport",
@@ -75,10 +81,13 @@ class HalfDerivationSystem:
     """Homogeneous system for one degree on one window, generated lazily.
 
     ``int_rows()`` streams the constraint rows as integer dicts, one per
-    unordered pair (the mirrored pair gives the negated row), so
-    ``exactlin.nullspace`` can stop drawing rows once the rank saturates.
-    ``n_constraints`` (alias ``n_rows``) counts ordered pairs, as reports
-    do; ``matrix`` materializes the streamed rows on first use.
+    unordered pair (the mirrored pair gives the negated row), pairs with a
+    point of small norm first. ``int_row_stages()`` splits that stream
+    where the generator rows, the pairs with a point of norm at most 1,
+    end: ``exactlin.nullspace`` eliminates them and only checks the rest
+    against their kernel. ``n_constraints`` (alias ``n_rows``) counts
+    ordered pairs, as reports do; ``matrix`` materializes the streamed
+    rows on first use.
     """
 
     spec: object
@@ -100,7 +109,12 @@ class HalfDerivationSystem:
     n_rows = n_constraints
 
     def int_rows(self):
-        return _constraint_rows(self.spec, self.degree, self.window, self.delta)
+        return chain(*self.int_row_stages())
+
+    def int_row_stages(self):
+        split = min(3, 2 * self.window.radius + 1) ** self.spec.rank  # norm <= 1
+        return (_constraint_rows(self, 0, split),
+                _constraint_rows(self, split, None))
 
     @cached_property
     def matrix(self) -> SparseMatrix:
@@ -163,8 +177,8 @@ def _ordered_pair_count(radius, rank):
     return per_axis ** rank
 
 
-def _constraint_rows(spec, a, window, delta):
-    """Stream the constraint rows of degree ``a`` as integer dicts.
+def _constraint_rows(system, start, stop):
+    """Stream the constraint rows of a system as integer dicts.
 
     The row of (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
     phi([u, v]) / delta - [phi(u), v] - [u, phi(v)] for u = e_(x,i) and
@@ -172,21 +186,27 @@ def _constraint_rows(spec, a, window, delta):
     column (x, r, c) sits at pos(x) dv^2 + r dv + c. The bracket is
     antisymmetric, so the row of (y, j; x, i; k) is this row negated and
     the row of a label with itself is zero: only labels (x, i) < (y, j)
-    in box order are generated, and rows that vanish are skipped. Each
-    row is scaled by the numerator of delta and the bracket's factor.
+    are generated, and rows that vanish are skipped. Each row is scaled
+    by the numerator of delta and the bracket's factor.
+
+    Labels are ordered by ``order``, the box sorted by ``norm_inf``, so
+    the pairs come by the smaller member's norm, then the larger's; x
+    runs over ``order[start:stop]``. Column positions follow the box.
     """
-    box = box_points(window.radius, spec.rank)
+    spec, a, delta = system.spec, system.degree, system.delta
+    box = box_points(system.window.radius, spec.rank)
     pos = {x: n for n, x in enumerate(box)}
+    order = sorted(box, key=norm_inf)
     dv = spec.dim_v
     span = range(dv)
     # rows are homogeneous, so the constants' common scale drops out
     _, bracket = spec.structure_constants
     # 1/delta = image_w / side_w
     image_w, side_w = delta.denominator, delta.numerator
-    for n, x in enumerate(box):
+    for n, x in enumerate(order[start:stop], start):
         ax = add(a, x)
-        base_x = n * dv * dv
-        for y in box[n:]:
+        base_x = pos[x] * dv * dv
+        for y in order[n:]:
             pxy = pos.get(add(x, y))
             if pxy is None:
                 continue

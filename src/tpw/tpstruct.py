@@ -237,9 +237,13 @@ def _pair_key(a, b):
 def multiply(spec, product, x: Element, y: Element) -> Element:
     """Bilinear symmetric extension of the product's basis rule.
 
-    Checks first that ``product`` is defined on ``spec``.
+    Checks first that ``product`` is defined on ``spec``; the product
+    remembers the last spec that passed, so repeated calls check it once.
     """
-    return _CheckedProduct(spec, product)(x, y)
+    last = getattr(product, "_checked", None)
+    if last is None or last[0] is not spec:
+        last = product._checked = (spec, _CheckedProduct(spec, product))
+    return last[1](x, y)
 
 
 class _CheckedProduct:
@@ -493,6 +497,21 @@ def _support_tuples(labels, support):
              for c in sorted(codes)])
 
 
+def _associator_triples(labels, support):
+    """The triples (u, v, w) of ``labels``, in nested order, that have
+    {u, v} or {v, w} in ``support``."""
+    n = len(labels)
+    points = [_bare(l) for l in labels]
+    codes = set()
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            if _pair_key(x, y) in support:
+                for k in range(n):
+                    codes.update(((i * n + j) * n + k, (k * n + i) * n + j))
+    return [(labels[c // (n * n)], labels[c // n % n], labels[c % n])
+            for c in sorted(codes)]
+
+
 def left_mult_table(spec, product, z, window: Window) -> dict:
     """Graded components of x -> u_z . x over the window's box.
 
@@ -652,6 +671,10 @@ def _span_associativity(spec, generators, labels, draws, max_triples=None):
     The same scan finds each draw's first triple with
     sum c_i c_j A_ij != 0. Returns the family verdict and one
     ``(passed, first failing triple)`` per draw.
+
+    A_ij vanishes unless {u, v} or {v, w} is a key of T_j, so only those
+    triples are scanned, in nested order. ``max_triples`` below
+    |labels|^3 scans every triple instead, up to the limit.
     """
     samples = [(True, None)] * len(draws)
     if not generators:
@@ -662,7 +685,11 @@ def _span_associativity(spec, generators, labels, draws, max_triples=None):
     pair_muls = [(muls[i], muls[j]) for i, j in pairs]
     family = True
     open_draws = [n for n, c in enumerate(draws) if any(c)]  # 0 never fails
-    for _, (u, v, w) in limited(iter_product(labels, repeat=3), max_triples):
+    triples = iter_product(labels, repeat=3)
+    if max_triples is None or max_triples >= len(labels) ** 3:
+        triples = _associator_triples(labels, set().union(
+            *(g.support(spec.rank) for g in generators)))
+    for _, (u, v, w) in limited(triples, max_triples):
         eu, ew = elems[u], elems[w]
         sides = [(ti(tj.pair(u, v), ew), ti(eu, tj.pair(v, w))) for ti, tj in pair_muls]
         for lhs, rhs in sides:

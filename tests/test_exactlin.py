@@ -199,3 +199,74 @@ def test_row_space_membership_checks_the_column_count():
         RowSpace([(1, 2), (1, 2, 3)])
     assert RowSpace((), 2).basis() == ()
     assert (0, 0) in RowSpace((), 2)
+
+
+class _StagedRows:
+    """A row source split in two: rows to eliminate, then rows to check."""
+
+    def __init__(self, n_cols, eliminated, checked):
+        self.n_cols = n_cols
+        self.n_rows = len(eliminated) + len(checked)
+        self.eliminated = eliminated
+        self.checked = checked
+
+    def int_rows(self):
+        return iter(self.eliminated + self.checked)
+
+    def int_row_stages(self):
+        return iter(self.eliminated), iter(self.checked)
+
+
+def test_late_rows_that_fail_the_check_shrink_the_kernel():
+    """After x0 = x1 the kernel is spanned by e0 + e1, e2 and e3. The row
+    x1 + x2 + x3 meets all three, so two of them are updated; the next
+    row, x0 + x2 + x3, meets the stale kernel but not the updated one, and
+    x0 + x1 meets only the updated one."""
+    source = _StagedRows(4, [{0: 1, 1: -1}], [
+        {0: 2, 1: -2},        # a repeat up to scaling: neither reduced nor checked
+        {1: 1, 2: 1, 3: 1},   # inserted
+        {0: 1, 2: 1, 3: 1},   # checked: the sum of the two rows before
+        {0: 1, 1: 1},         # inserted
+        {2: 1, 3: -1, 1: 3},  # inserted, and the rank is full
+        {0: 5, 3: 2},         # never drawn
+    ])
+    ns = nullspace(source)
+    assert ns.vectors == ()  # the last insertion saturates the rank
+    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (6, 4, 1)
+    source.checked[4:] = [{0: 3, 1: 3, 2: -1, 3: -1}]  # checked
+    ns = nullspace(source)
+    assert ns.vectors == ((0, 0, -1, 1),)
+    assert ns == nullspace(SparseMatrix.from_rows(
+        [[row.get(c, 0) for c in range(4)] for row in source.int_rows()]))
+    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (6, 3, 2)
+
+
+def test_no_row_is_drawn_once_the_checked_rows_saturate_the_rank():
+    def checked():
+        yield {0: 1}
+        yield {1: 1}
+        raise AssertionError("a row was drawn after the rank saturated")
+    source = _StagedRows(2, [{0: 1, 1: 1}], ())
+    source.int_row_stages = lambda: (iter(source.eliminated), checked())
+    ns = nullspace(source)
+    assert (ns.vectors, ns.rows_consumed, ns.rows_checked) == ((), 2, 0)
+
+
+def test_checked_rows_give_the_kernel_of_all_rows():
+    """Random splits of random systems against the dense oracle, most of
+    them with late rows that shrink the kernel."""
+    rng = random.Random(8)
+    shrunk = 0
+    for _ in range(150):
+        n_cols = rng.randint(1, 8)
+        rows = [{c: v for c in range(n_cols) if rng.random() < 0.5
+                 for v in [rng.randint(-3, 3)] if v}
+                for _ in range(rng.randint(0, 10))]
+        split = rng.randint(0, len(rows))
+        ns = nullspace(_StagedRows(n_cols, rows[:split], rows[split:]))
+        dense = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
+        assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
+        assert ns == nullspace(SparseMatrix.from_rows(dense) if dense
+                               else SparseMatrix(0, n_cols))
+        shrunk += ns.rows_consumed > oracle_rank(dense[:split])
+    assert shrunk > 50

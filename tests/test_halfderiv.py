@@ -250,6 +250,11 @@ def test_streamed_solve_matches_materialized_matrix(name, radius, delta):
         materialized = exactlin.nullspace(system.matrix)
         assert streamed == materialized, a
         assert streamed.rows_generated <= system.matrix.n_rows
+        # the generator rows are eliminated, every later row checked
+        assert streamed.rows_checked > 0 or streamed.dimension == 0, a
+        assert (streamed.rows_consumed + streamed.rows_checked
+                <= streamed.rows_generated)
+        assert materialized.rows_checked == 0
 
 
 @pytest.mark.parametrize("delta", DELTAS, ids=str)
@@ -301,10 +306,10 @@ def test_cell_limit_is_checked_before_any_row_is_built():
 
     def no_rows():
         raise AssertionError("a row was requested")
-    system.int_rows = no_rows
+    system.int_rows = system.int_row_stages = no_rows
     with pytest.raises(exactlin.DimensionOverflowError):
         solve(system, max_cells=cells - 1)
-    del system.int_rows
+    del system.int_rows, system.int_row_stages
     assert solve(system, max_cells=cells).dimension == 0
 
 
@@ -363,3 +368,17 @@ def test_compare_matches_the_dense_oracle_on_inner_projections(spec, window):
                        for row in _inner_rows(spec, window, computed.vectors)
                        if any(row) and not oracle_in_span(row, predicted_rows))
         assert rep.excess == (excess if rep.projected_dim > rep.predicted_dim else ()), a
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=small_specs(),
+       delta=st.sampled_from(DELTAS + (Fraction(-1), Fraction(1, 3))),
+       window=st.sampled_from([Window(2, 1), Window(3, 2)]))
+def test_certified_kernel_matches_the_oracle_on_random_specs(spec, delta, window):
+    for a in box_points(1, spec.rank):
+        system = assemble(spec, a, window, delta=delta)
+        certified = solve(system)
+        assert certified.rows_checked > 0 or certified.dimension == 0, a
+        assert certified == exactlin.nullspace(system.matrix), a
+        assert certified.vectors == tuple(sparse_nullspace(
+            system.matrix.row_dicts(), system.n_unknowns)), a

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -103,6 +104,21 @@ def test_extension_domain_check_runs_for_each_spec(monkeypatch):
     u = other.basis((0, -2))
     with pytest.raises(ValueError):
         multiply(other, product, u, u)
+
+
+def test_multiply_checks_the_domain_once_per_spec(monkeypatch):
+    calls = []
+    check = ExtensionByZero.check_domain
+    monkeypatch.setattr(ExtensionByZero, "check_domain",
+                        lambda self, spec: calls.append(spec) or check(self, spec))
+    product, spec, twin = star_product(), b1_spec(), b1_spec()
+    u = spec.basis((0, -2))
+    for _ in range(3):
+        assert multiply(spec, product, u, u) == Element({(0, -1): 1})
+    assert len(calls) == 1
+    multiply(twin, product, u, u)
+    multiply(spec, product, u, u)
+    assert len(calls) == 3  # the last spec checked is remembered, by identity
 
 
 @pytest.mark.parametrize("cls", [ExplicitProduct, ExtensionByZero])
@@ -426,7 +442,8 @@ def test_classify_samples_match_the_element_oracle(spec, window, bound, n_sample
 @pytest.mark.parametrize("n_samples", [0, 5, 40])
 def test_classify_scans_the_inner_triples_at_most_once(monkeypatch, n_samples):
     """One scan decides the family and every sample, whatever their number:
-    all |inner|^3 triples when the family passes, fewer when it fails."""
+    every triple where an associator can be nonzero ({u, v} or {v, w} a
+    key of a generator) when the family passes, fewer when it fails."""
     scanned = []
 
     def counting(items, max_triples=None):
@@ -441,11 +458,16 @@ def test_classify_scans_the_inner_triples_at_most_once(monkeypatch, n_samples):
         solved = solve_degrees(spec, window, 1)
         res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1,
                        n_samples=n_samples, seed=0)
-        n_inner = len(spec.basis_labels(box_points(window.inner_margin, spec.rank)))
+        labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
+        keys = {frozenset(key) for g in res.generators for key in g.table}
+        n_support = sum(1 for u, v, w in iter_product(labels, repeat=3)
+                        if frozenset((u, v)) in keys or frozenset((v, w)) in keys)
         assert res.n_parameters == 1
         assert res.associativity_pass == passes
-        assert 0 < len(scanned) <= n_inner ** 3
-        assert (len(scanned) == n_inner ** 3) == passes
+        assert 0 < len(scanned) <= n_support <= len(labels) ** 3
+        assert (len(scanned) == n_support) == passes
+        if passes:  # Block g = 0 on Window(3, 2)
+            assert (n_support, len(labels) ** 3) == (49, 15_625)
 
 
 def test_span_associativity_sees_the_mixed_terms():
