@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import combinations_with_replacement, product as iter_product
+from math import comb, gcd
+from types import MethodType
 
 from .exactlin import scalar_from_str, scalar_to_str
 from .lattice import (
@@ -404,18 +406,6 @@ def bracket(spec, x: Element, y: Element) -> Element:
     return spec.bracket(x, y)
 
 
-def certificate_grid(degree, rank):
-    """Box(r), shell ordered, with 2r + 1 > ``degree`` points per coordinate.
-
-    A polynomial of degree at most ``degree`` in each variable that vanishes
-    on such a grid is zero (Alon, Combinatorial Nullstellensatz, Combin.
-    Probab. Comput. 8, 1999, Lemma 2.1). So an identity whose residual
-    coefficients are such polynomials of the lattice indices holds on all
-    of Z^n, and on every window, once it holds on this grid.
-    """
-    return search_order((degree + 1) // 2, rank)
-
-
 @dataclass(frozen=True)
 class LieReport:
     """Outcome of the anticommutativity and Jacobi scans on a window.
@@ -436,57 +426,123 @@ class LieReport:
         return self.anticommutative and self.jacobi
 
 
-class _LieScan:
-    """The two Lie axioms on the basis labels of some points, in their order.
+class _Scan:
+    """Identities on the basis labels of some points, in their order.
 
-    Brackets of basis pairs are computed on demand into lazily allocated
-    rows; ``visited`` counts the tuples evaluated.
+    Tuples are of label positions. ``br`` memoizes the bracket of two
+    basis elements; given a ``product`` (a bilinear map on elements with a
+    memoized ``pair`` of basis labels), ``mul`` gives their product.
+    ``visited`` counts the tuples evaluated.
     """
 
-    def __init__(self, spec, points):
+    def __init__(self, spec, points, product=None):
         self.spec = spec
+        self.bracket = spec.bracket
+        self.product = product
         self.labels = spec.basis_labels(points)
         self.elems = [spec.basis_element(l) for l in self.labels]
-        self.table = [None] * len(self.labels)
+        self._br = [None] * len(self.labels)
         self.visited = 0
 
     def br(self, i, j):
-        row = self.table[i]
+        row = self._br[i]
         if row is None:
-            row = self.table[i] = [None] * len(self.labels)
+            row = self._br[i] = [None] * len(self.labels)
         if row[j] is None:
-            row[j] = self.spec.bracket(self.elems[i], self.elems[j])
+            row[j] = self.bracket(self.elems[i], self.elems[j])
         return row[j]
 
-    def first_failure(self, tuples, residual, max_triples=None):
-        """``(position, witness)`` of the first index tuple with a nonzero residual.
+    def mul(self, i, j):
+        return self.product.pair(self.labels[i], self.labels[j])
 
-        The position is the number of tuples when none fails; the witness
-        is the tuple's labels followed by the residual.
+    def first_witnesses(self, numbered, identities):
+        """``{name: (position, witness)}`` of the identities failing on ``numbered``.
+
+        ``identities`` maps names to sides, functions of the scan and an index
+        tuple giving both sides there; ``numbered`` yields ``(position, index
+        tuple)``. A witness is the first failing tuple's labels and sides. The
+        scan stops once each identity has one, and visits nothing for none.
         """
-        pos, witness = 0, None
-        for pos, idx in limited(tuples, max_triples):
-            res = residual(*idx)
-            if not res.is_zero:
-                witness = tuple(self.labels[i] for i in idx) + (res,)
+        labels, found = self.labels, {}
+        open_ids = [(name, MethodType(sides, self)) for name, sides in identities.items()]
+        if not open_ids:
+            return found
+        count = 0
+        for count, (pos, idx) in enumerate(numbered, 1):
+            for name, sides in open_ids:
+                lhs, rhs = sides(*idx)
+                if lhs.terms != rhs.terms:  # Element !=, minus a call per tuple
+                    found[name] = pos, (tuple(labels[i] for i in idx), lhs, rhs)
+                    open_ids = [item for item in open_ids if item[0] != name]
+            if not open_ids:
                 break
-        self.visited += pos
-        return pos, witness
+        self.visited += count
+        return found
 
-    def anticommutativity(self, max_triples=None):
-        """[x, y] + [y, x] on the pairs i <= j."""
-        n, br = len(self.labels), self.br
-        return self.first_failure(((i, j) for i in range(n) for j in range(i, n)),
-                                  lambda i, j: br(i, j) + br(j, i), max_triples)
 
-    def jacobi(self, max_triples=None):
-        """The Jacobi sum on the triples i <= j <= k."""
-        n, br, bracket, e = len(self.labels), self.br, self.spec.bracket, self.elems
-        return self.first_failure(
-            ((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)),
-            lambda i, j, k: (bracket(br(i, j), e[k]) + bracket(br(j, k), e[i])
-                             + bracket(br(k, i), e[j])),
-            max_triples)
+def _index_tuples(n, arity, ordered):
+    """``(count, tuples)`` of the index tuples of ``arity`` over range(n) in
+    nested order: all of them when ``ordered``, else those i <= j <= ...."""
+    if ordered:
+        return n ** arity, iter_product(range(n), repeat=arity)
+    return comb(n + arity - 1, arity), combinations_with_replacement(range(n), arity)
+
+
+def scan_identities(scan, stages, ordered, degree=None, max_triples=None):
+    """``{name: (position, witness)}`` for every identity of ``stages`` on ``scan``.
+
+    ``stages`` lists ``(arity, identities)``, each scanned in order over
+    ``_index_tuples(n, arity, ordered)``; a passing identity has no witness and
+    the number of tuples of its stage. When residual coefficients are
+    polynomials of per-coordinate ``degree`` in the lattice indices, each stage
+    is first scanned on Box(r), 2r + 1 > ``degree``, where such a polynomial
+    vanishes only if it is zero (Alon, Combinatorial Nullstellensatz, 1999,
+    Lemma 2.1), and on the window only for the identities failing there: a
+    passing scan costs the same at any radius. A stage is certified only when
+    the ones before it pass on the grid (the Jacobi sum on unordered triples
+    needs anticommutativity). ``degree`` None, or ``max_triples`` below the
+    last stage's tuple count, scans every stage whole, raising
+    ``LimitExceededError`` before the tuple past it.
+    """
+    spec, n = scan.spec, len(scan.labels)
+    limit = max_triples is not None and (
+        max_triples < _index_tuples(n, stages[-1][0], ordered)[0])
+    certify = degree is not None and not limit
+    grid = _Scan(spec, search_order((degree + 1) // 2, spec.rank) if certify else (),
+                 scan.product)
+    found = {}
+    for arity, identities in stages:
+        open_ids = identities
+        if certify:
+            failing = grid.first_witnesses(
+                enumerate(_index_tuples(len(grid.labels), arity, ordered)[1], 1),
+                identities)
+            open_ids = {name: identities[name] for name in failing}
+            certify = not failing
+        total, tuples = _index_tuples(n, arity, ordered)
+        numbered = limited(tuples, max_triples) if limit else enumerate(tuples, 1)
+        hits = scan.first_witnesses(numbered, open_ids)
+        found.update((name, hits.get(name, (total, None))) for name in identities)
+    scan.visited += grid.visited
+    return found
+
+
+_ZERO = Element()
+
+
+def _anticommutativity(s, i, j):
+    """[x, y] + [y, x] = 0."""
+    return s.br(i, j) + s.br(j, i), _ZERO
+
+
+def _jacobi(s, i, j, k):
+    """[[x, y], z] + [[y, z], x] + [[z, x], y] = 0."""
+    bracket, e = s.bracket, s.elems
+    return (bracket(s.br(i, j), e[k]) + bracket(s.br(j, k), e[i])
+            + bracket(s.br(k, i), e[j])), _ZERO
+
+
+_LIE_AXIOMS = ((2, {"anticommutativity": _anticommutativity}), (3, {"jacobi": _jacobi}))
 
 
 def verify_lie_axioms(spec, window: Window, max_triples=None) -> LieReport:
@@ -496,41 +552,21 @@ def verify_lie_axioms(spec, window: Window, max_triples=None) -> LieReport:
     with it established, the Jacobi identity only needs the triples
     i <= j <= k (it is alternating in its arguments). Each stage reports
     its first witness and the number of tuples up to it, or all of them.
-
-    Both stages are first decided by an exact certificate. The structure
-    constants have degree at most d = ``spec.coefficient_degree`` in each
-    lattice coordinate, so the residual of (e_x, e_y) is a polynomial in
-    (x, y) of per-coordinate degree d and that of (e_x, e_y, e_z) one of
-    degree 2d. By Alon's Combinatorial Nullstellensatz (1999, Lemma 2.1)
-    both axioms then hold on all of Z^n once they hold on
-    ``certificate_grid(2d)``; the Jacobi sum is alternating, so its grid
-    check on unordered triples certifies it only when anticommutativity
-    holds. Only a stage that fails there, or is not certified, is scanned
-    on the window, up to its first witness, so a passing scan costs the
-    same at every radius.
-
-    ``max_triples`` below the window's number of triples runs both window
-    scans from the start instead, each stage raising before its tuple past
-    the limit.
+    With constants of per-coordinate degree d = ``spec.coefficient_degree``,
+    the residuals of pairs and triples have degree d and 2d, so
+    ``scan_identities`` certifies both stages on the grid of degree 2d.
     """
-    scan = _LieScan(spec, search_order(window.radius, spec.rank))
-    n = len(scan.labels)
-    n_pairs = n * (n + 1) // 2
-    n_triples = n_pairs * (n + 2) // 3
-    visited = 0
-    if max_triples is not None and max_triples < n_triples:  # pairs are fewer
-        anti = scan.anticommutativity(max_triples)
-        jac = scan.jacobi(max_triples)
-    else:
-        grid = _LieScan(spec, certificate_grid(2 * spec.coefficient_degree, spec.rank))
-        anti_fails = grid.anticommutativity()[1] is not None
-        jac_fails = anti_fails or grid.jacobi()[1] is not None
-        visited = grid.visited
-        anti = scan.anticommutativity() if anti_fails else (n_pairs, None)
-        jac = scan.jacobi() if jac_fails else (n_triples, None)
-    (n_pairs, anti_witness), (n_triples, jac_witness) = anti, jac
-    return LieReport(anti_witness is None, anti_witness, jac_witness is None,
-                     jac_witness, n_pairs, n_triples, visited + scan.visited)
+    scan = _Scan(spec, search_order(window.radius, spec.rank))
+    found = scan_identities(scan, _LIE_AXIOMS, ordered=False,
+                            degree=2 * spec.coefficient_degree, max_triples=max_triples)
+    (n_pairs, anti), (n_triples, jac) = found["anticommutativity"], found["jacobi"]
+    return LieReport(anti is None, _residual(anti), jac is None, _residual(jac),
+                     n_pairs, n_triples, scan.visited)
+
+
+def _residual(witness):
+    """A Lie witness: the labels, then lhs - rhs."""
+    return witness and witness[0] + (witness[1] - witness[2],)
 
 
 def _require_block(spec):

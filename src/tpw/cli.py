@@ -82,12 +82,13 @@ def load_config(data: dict) -> dict:
     task = _require(cfg, "task", str)
     if task not in TASKS:
         raise ConfigError("field 'task' must be one of %s" % (", ".join(TASKS)))
-    delta = cfg.setdefault("delta", "1/2")
     try:
-        if scalar_from_str(delta) == 0:
-            raise ConfigError("field 'delta' must be nonzero")
+        delta = scalar_from_str(cfg.setdefault("delta", "1/2"))
     except ValueError:
         raise ConfigError("field 'delta' is not a valid rational")
+    if delta == 0:
+        raise ConfigError("field 'delta' must be nonzero")
+    cfg["delta"] = scalar_to_str(delta)  # echoed in the report as "p/q"
     seed = cfg.setdefault("seed", 0)
     if not _is_int(seed):
         raise ConfigError("field 'seed' has the wrong type")
@@ -121,18 +122,12 @@ def _task_check_lie(spec, cfg, window):
         "n_pairs": report.n_pairs,
         "n_triples": report.n_triples,
     }
-    if report.jacobi_witness is not None:
-        a, b, c, residual = report.jacobi_witness
-        result["jacobi_witness"] = {
-            "triple": [_label_json(a), _label_json(b), _label_json(c)],
-            "residual": element_to_json(residual),
-        }
-    if report.anticommutativity_witness is not None:
-        a, b, residual = report.anticommutativity_witness
-        result["anticommutativity_witness"] = {
-            "pair": [_label_json(a), _label_json(b)],
-            "residual": element_to_json(residual),
-        }
+    for name, labels, witness in (
+            ("anticommutativity_witness", "pair", report.anticommutativity_witness),
+            ("jacobi_witness", "triple", report.jacobi_witness)):
+        if witness is not None:  # the labels, then the residual
+            result[name] = {labels: [_label_json(l) for l in witness[:-1]],
+                            "residual": element_to_json(witness[-1])}
     return result, [("lie-axioms", report.passed)]
 
 
@@ -245,14 +240,9 @@ def _task_verify_structure(spec, cfg, window):
         raise ConfigError("field 'payload.product' is invalid: %s" % exc)
     report = tpstruct.verify(spec, product, window,
                              max_triples=cfg["limits"].get("max_triples"))
-    checks = {
-        "commutative": report.commutative,
-        "associative": report.associative,
-        "trans_leibniz": report.trans_leibniz,
-        "poisson_leibniz": report.poisson_leibniz,
-    }
     result = {"n_triples": report.n_triples}
-    for name, check in checks.items():
+    for name in ("commutative", "associative", "trans_leibniz", "poisson_leibniz"):
+        check = getattr(report, name)
         entry = {"pass": check.passed}
         if check.witness is not None:
             labels, lhs, rhs = check.witness
@@ -426,15 +416,15 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a single job config")
     p_run.add_argument("--config", required=True, help="path to a JSON job config")
+    p_run.add_argument("--radius", type=int, default=None)
+    p_run.add_argument("--margin", type=int, default=None)
+    p_run.add_argument("--delta", type=str, default=None)
+    p_run.add_argument("--seed", type=int, default=None)
 
     p_rep = sub.add_parser("reproduce", help="run a bundled theorem suite")
     p_rep.add_argument("--suite", required=True, choices=["thmA", "thmB", "all"])
 
     for p in (p_run, p_rep):
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--margin", type=int, default=None)
-        p.add_argument("--delta", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json-only", action="store_true")
 
     args = parser.parse_args(argv)

@@ -19,11 +19,12 @@ from .algebra import (
     FamilyMismatchError,
     LimitExceededError,
     center_predicate,
-    certificate_grid,
     element_from_json,
     element_to_json,
     limited,
+    scan_identities,
     square_predicate,
+    _Scan,
 )
 from .halfderiv import HalfDerivationComponent, MissingDegreeError, inner_projection
 from .lattice import Window, add, box_points, search_order, sub
@@ -249,15 +250,14 @@ def multiply(spec, product, x: Element, y: Element) -> Element:
 class _CheckedProduct:
     """A product on a spec, its domain checked once, as a bilinear map.
 
-    ``pair`` memoizes the products of the basis elements of ``labels`` by
-    unordered label pair.
+    ``pair`` memoizes the products of basis elements by unordered label pair.
     """
 
-    def __init__(self, spec, product, labels=()):
+    def __init__(self, spec, product):
         product.check_domain(spec)
         self.vectorial = spec.vectorial
         self.rule = product.basis_product
-        self.elems = {l: spec.basis_element(l) for l in labels}
+        self.basis = spec.basis_element
         self._pairs = {}
 
     def __call__(self, x: Element, y: Element) -> Element:
@@ -284,13 +284,9 @@ class _CheckedProduct:
         out = self._pairs.get((u, v))
         if out is None:
             a, b = _pair_key(u, v)
-            out = self(self.elems[a], self.elems[b])
+            out = self(self.basis(a), self.basis(b))
             self._pairs[(u, v)] = self._pairs[(v, u)] = out
         return out
-
-    def associator(self, u, v, w):
-        """Both sides of (u . v) . w = u . (v . w)."""
-        return self(self.pair(u, v), self.elems[w]), self(self.elems[u], self.pair(v, w))
 
 
 @dataclass(frozen=True)
@@ -323,72 +319,31 @@ class VerificationReport:
         return self.tp_pass and self.poisson_leibniz.passed
 
 
-_TRIPLE_IDENTITIES = ("associative", "trans_leibniz", "poisson_leibniz")
+def _commutative(s, u, v):
+    """u . v = v . u."""
+    return s.product(s.elems[u], s.elems[v]), s.product(s.elems[v], s.elems[u])
 
 
-class _Identities:
-    """The four identities on basis labels, products and brackets memoized.
+def _associative(s, u, v, w):
+    """(u . v) . w = u . (v . w)."""
+    return s.product(s.mul(u, v), s.elems[w]), s.product(s.elems[u], s.mul(v, w))
 
-    ``visited`` counts the pairs and triples evaluated.
-    """
 
-    def __init__(self, spec, product, labels):
-        self.spec = spec
-        self.mul = _CheckedProduct(spec, product, labels)
-        self._br = {}
-        self.visited = 0
+def _trans_leibniz(s, u, v, w):
+    """2 u . [v, w] = [u . v, w] + [v, u . w]."""
+    return (2 * s.product(s.elems[u], s.br(v, w)),
+            s.bracket(s.mul(u, v), s.elems[w]) + s.bracket(s.elems[v], s.mul(u, w)))
 
-    def br(self, u, v):
-        res = self._br.get((u, v))
-        if res is None:
-            elems = self.mul.elems
-            res = self._br[(u, v)] = self.spec.bracket(elems[u], elems[v])
-        return res
 
-    def commutativity(self, pairs):
-        """The first pair of ``pairs`` with u . v != v . u, with both sides, or None."""
-        mul, elems = self.mul, self.mul.elems
-        for u, v in pairs:
-            self.visited += 1
-            lhs = mul(elems[u], elems[v])
-            rhs = mul(elems[v], elems[u])
-            if lhs != rhs:
-                return ((u, v), lhs, rhs)
-        return None
+def _poisson_leibniz(s, u, v, w):
+    """[u . v, w] = u . [v, w] + [u, w] . v."""
+    return (s.bracket(s.mul(u, v), s.elems[w]),
+            s.product(s.elems[u], s.br(v, w)) + s.product(s.br(u, w), s.elems[v]))
 
-    def triples(self, numbered, names):
-        """``{identity: (position, witness)}`` over numbered ``(u, v, w)`` triples.
 
-        Scans the identities in ``names`` for their first witness, with
-        both sides, and stops once each has one.
-        """
-        mul, elems, br, bracket = self.mul, self.mul.elems, self.br, self.spec.bracket
-        assoc, trans, poisson = (name in names for name in _TRIPLE_IDENTITIES)
-        found = {}
-        for pos, (u, v, w) in numbered:
-            self.visited += 1
-            if assoc:
-                lhs, rhs = mul.associator(u, v, w)
-                if lhs != rhs:
-                    found["associative"] = pos, ((u, v, w), lhs, rhs)
-                    assoc = False
-            if trans or poisson:
-                u_vw = mul(elems[u], br(v, w))
-                uv_w = bracket(mul.pair(u, v), elems[w])
-            if trans:
-                lhs = 2 * u_vw
-                rhs = uv_w + bracket(elems[v], mul.pair(u, w))
-                if lhs != rhs:
-                    found["trans_leibniz"] = pos, ((u, v, w), lhs, rhs)
-                    trans = False
-            if poisson:
-                rhs = u_vw + mul(br(u, w), elems[v])
-                if uv_w != rhs:
-                    found["poisson_leibniz"] = pos, ((u, v, w), uv_w, rhs)
-                    poisson = False
-            if not (assoc or trans or poisson):
-                break
-        return found
+_TRIPLE_IDENTITIES = {"associative": _associative, "trans_leibniz": _trans_leibniz,
+                      "poisson_leibniz": _poisson_leibniz}
+_IDENTITIES = ((2, {"commutative": _commutative}), (3, _TRIPLE_IDENTITIES))
 
 
 def verify(spec, product, window: Window, max_triples=None) -> VerificationReport:
@@ -403,73 +358,52 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     three first witnesses, or after every triple when one identity holds.
 
     Each identity is decided by an exact certificate, so only tuples that
-    can fail are evaluated:
-
-    - A product of finite ``support`` makes u . v vanish unless {u, v} is
-      a support pair. Every term of the identities has a factor u . v,
-      v . w, u . w, u . [v, w] (at the index v + w) or [u, w] . v, so only
-      the tuples where one of these meets the support are scanned, in the
-      same order; the others pass with both sides zero.
-    - A rule of per-coordinate ``coefficient_degree`` p, with the family's
-      bracket of degree d, leaves residual coefficients that are
-      polynomials in the indices of per-coordinate degree at most
-      p + max(p, d). By Alon's Combinatorial Nullstellensatz (1999,
-      Lemma 2.1) an identity that holds on ``certificate_grid`` of that
-      degree holds everywhere; only the identities failing there are
-      scanned on the window, up to their first witnesses.
-
+    can fail are evaluated. A product of finite ``support`` makes u . v
+    vanish unless {u, v} is a support pair, so only ``_support_tuples``
+    are scanned; the others pass with both sides zero. A rule of
+    per-coordinate ``coefficient_degree`` p, with the family's bracket of
+    degree d, leaves residual coefficients of per-coordinate degree at
+    most p + max(p, d), which ``scan_identities`` certifies on its grid.
     ``max_triples`` below the window's number of triples runs the full
-    scans instead, the ordered pairs and the triples alike raising
-    ``LimitExceededError`` before the tuple past the limit.
+    scans instead, raising ``LimitExceededError`` before the tuple past it.
     """
-    labels = spec.basis_labels(search_order(window.radius, spec.rank))
-    n_triples = len(labels) ** 3
-    ids = _Identities(spec, product, labels)
+    scan = _Scan(spec, search_order(window.radius, spec.rank), _CheckedProduct(spec, product))
+    n_triples = len(scan.labels) ** 3
     support = product.support(spec.rank)
-    pairs = iter_product(labels, repeat=2)
-    triples = iter_product(labels, repeat=3)
-    visited = 0
-    if max_triples is not None and max_triples < n_triples:  # pairs are fewer
-        comm = ids.commutativity(pair for _, pair in limited(pairs, max_triples))
-        found = ids.triples(limited(triples, max_triples), _TRIPLE_IDENTITIES)
-    elif support is not None:
-        support_pairs, support_triples = _support_tuples(labels, support)
-        comm = ids.commutativity(support_pairs)
-        found = ids.triples(support_triples, _TRIPLE_IDENTITIES)
-    else:
+    if support is None:
         p = product.coefficient_degree
-        grid_labels = spec.basis_labels(
-            certificate_grid(p + max(p, spec.coefficient_degree), spec.rank))
-        grid = _Identities(spec, product, grid_labels)
-        grid_comm = grid.commutativity(iter_product(grid_labels, repeat=2))
-        failing = grid.triples(enumerate(iter_product(grid_labels, repeat=3), 1),
-                               _TRIPLE_IDENTITIES)
-        visited = grid.visited
-        comm = ids.commutativity(pairs) if grid_comm else None
-        found = ids.triples(enumerate(triples, 1), failing) if failing else {}
-    if len(found) == len(_TRIPLE_IDENTITIES):
-        n_triples = max(pos for pos, _ in found.values())
+        found = scan_identities(scan, _IDENTITIES, ordered=True,
+                                degree=p + max(p, spec.coefficient_degree),
+                                max_triples=max_triples)
+    elif max_triples is not None and max_triples < n_triples:
+        found = scan_identities(scan, _IDENTITIES, ordered=True, max_triples=max_triples)
+    else:
+        found = {}
+        for (_, identities), numbered in zip(_IDENTITIES,
+                                             _support_tuples(scan.labels, support)):
+            found.update(scan.first_witnesses(numbered, identities))
 
     def check(name):
-        return IdentityCheck(name not in found, found.get(name, (0, None))[1])
+        witness = found.get(name, (n_triples, None))[1]
+        return IdentityCheck(witness is None, witness)
 
     return VerificationReport(
-        commutative=IdentityCheck(comm is None, comm),
+        commutative=check("commutative"),
         associative=check("associative"),
         trans_leibniz=check("trans_leibniz"),
         poisson_leibniz=check("poisson_leibniz"),
-        n_triples=n_triples,
-        visited=visited + ids.visited,
+        n_triples=max(found.get(name, (n_triples, None))[0] for name in _TRIPLE_IDENTITIES),
+        visited=scan.visited,
     )
 
 
 def _support_tuples(labels, support):
-    """The pairs and numbered triples of ``labels`` that meet ``support``.
+    """The numbered index pairs and triples of ``labels`` that meet ``support``.
 
     A pair (u, v) meets it when {u, v} is a support pair; a triple
     (u, v, w) when {u, v}, {v, w}, {u, w}, {u, v + w} or {u + w, v} is one,
     the indices of u . v, v . w, u . w, u . [v, w] and [u, w] . v. Both
-    come in nested order, triples with their 1-based position in it.
+    come in nested order, with their 1-based position in it.
     """
     n = len(labels)
     points = [_bare(l) for l in labels]
@@ -492,9 +426,8 @@ def _support_tuples(labels, support):
                 for k in range(n):
                     for i in at.get(sub(p, points[k]), ()):
                         codes.add((i * n + j) * n + k)
-    return ([(labels[c // n], labels[c % n]) for c in sorted(pair_codes)],
-            [(c + 1, (labels[c // (n * n)], labels[c // n % n], labels[c % n]))
-             for c in sorted(codes)])
+    return ([(c + 1, divmod(c, n)) for c in sorted(pair_codes)],
+            [(c + 1, (c // (n * n), c // n % n, c % n)) for c in sorted(codes)])
 
 
 def _associator_triples(labels, support):
@@ -679,8 +612,8 @@ def _span_associativity(spec, generators, labels, draws, max_triples=None):
     samples = [(True, None)] * len(draws)
     if not generators:
         return True, samples
-    muls = [_CheckedProduct(spec, g, labels) for g in generators]
-    elems = muls[0].elems
+    muls = [_CheckedProduct(spec, g) for g in generators]
+    elems = {l: spec.basis_element(l) for l in labels}
     pairs = [(i, j) for i in range(len(muls)) for j in range(len(muls))]
     pair_muls = [(muls[i], muls[j]) for i, j in pairs]
     family = True

@@ -187,17 +187,6 @@ def ordered_pair_rows(spec, degree, radius, delta):
     return rows
 
 
-def distinct_rows(rows):
-    """Nonzero rows scaled to a leading 1, each kept once; same row space."""
-    out = {}
-    for row in rows:
-        lead = next((v for v in row if v), None)
-        if lead is not None:
-            scaled = tuple(v / lead for v in row)
-            out.setdefault(scaled, scaled)
-    return [list(r) for r in out]
-
-
 def _first_failure(spec, labels, sides):
     """First triple of ``labels`` in nested order whose two sides differ.
 

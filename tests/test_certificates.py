@@ -212,3 +212,48 @@ def test_verify_matches_the_oracle_on_random_products(case):
     spec, product = case
     window = _window(spec.rank)
     assert verify(spec, product, window) == element_verify(spec, product, window)
+
+
+@pytest.mark.parametrize("name", ["gw", "gw-rank1-dimv2", "block-gh-rational",
+                                  "witt-rational"])
+def test_a_certified_pass_visits_only_the_grid(name):
+    """Every stage passes on Box(1), so the window scans visit no tuple."""
+    spec = DEGREE_SPECS[name]()
+    n = len(spec.basis_labels(box_points(1, spec.rank)))
+    assert verify_lie_axioms(spec, Window(3, 1)).visited == comb(n + 1, 2) + comb(n + 2, 3)
+    if spec.family == "witt_type":  # the zero multiplier passes all four identities
+        assert verify(spec, Mutation(Element()), Window(3, 1)).visited == n ** 2 + n ** 3
+
+
+def test_limited_lie_scan_agrees_with_the_certificate():
+    """``max_triples`` one below the window's triples scans both stages in
+    full; the raw Block of the benchmark fails Jacobi long before the limit,
+    so the report is the certified one."""
+    spec = Block.raw_form(AdditiveMap([1, 0, 0]),
+                          BiadditiveForm([[0, 0, 0], [0, 0, 1], [0, -1, 0]]))
+    window = Window(2, 1)
+    n = len(spec.basis_labels(box_points(window.radius, spec.rank)))
+    certified = verify_lie_axioms(spec, window)
+    assert certified.anticommutative and not certified.jacobi
+    assert certified.n_triples == 8001
+    assert verify_lie_axioms(spec, window, max_triples=comb(n + 2, 3) - 1) == certified
+
+
+@pytest.mark.parametrize("spec,table", [
+    (Block.with_form(BiadditiveForm([[0, -1], [1, 0]])),
+     {((0, 0), (1, 0)): Element({(1, 0): 1})}),
+    (WittType(AdditiveMap([1])), {((0,), (1,)): Element({(1,): 1})}),
+], ids=["block-g0", "witt"])
+def test_limited_product_scan_agrees_with_the_certificate(spec, table):
+    """A table failing all three triple identities: the full scans under
+    ``max_triples`` = n^3 - 1 find every witness before the limit and
+    report what the finite-support scan does."""
+    product = ExplicitProduct(table)
+    window = Window(2, 1)
+    n = len(spec.basis_labels(box_points(window.radius, spec.rank)))
+    certified = verify(spec, product, window)
+    assert certified.commutative.passed
+    assert not (certified.associative.passed or certified.trans_leibniz.passed
+                or certified.poisson_leibniz.passed)
+    assert certified.n_triples < n ** 3
+    assert verify(spec, product, window, max_triples=n ** 3 - 1) == certified

@@ -199,6 +199,24 @@ def test_reproduce_rejects_unknown_suite():
         reproduce("thmC")
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--radius", "9"), ("--margin", "1"), ("--delta", "1"), ("--seed", "3")])
+def test_reproduce_rejects_the_run_overrides(flag, value, capsys):
+    """The suites fix their own windows, deltas and seeds."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reproduce", "--suite", "thmA", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta,echoed", [
+    (0.5, "1/2"), ("0.5", "1/2"), ("2/4", "1/2"), (" 3 ", "3"), (2, "2")])
+def test_delta_is_echoed_as_a_canonical_rational(delta, echoed):
+    cfg = dict(small("check-lie", WT), delta=delta)
+    assert load_config(cfg)["delta"] == echoed
+    assert run(cfg)["config"]["delta"] == echoed
+
+
 def test_raw_block_solve_task_fails_cleanly(tmp_path, capsys):
     raw = {"family": "block", "g": ["1", "0", "0"],
            "f": [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]],

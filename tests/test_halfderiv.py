@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    distinct_rows,
     oracle_in_span,
-    oracle_nullspace,
     oracle_rank,
     ordered_pair_rows,
     sparse_nullspace,
@@ -260,13 +258,16 @@ def test_streamed_solve_matches_materialized_matrix(name, radius, delta):
 @pytest.mark.parametrize("delta", DELTAS, ids=str)
 @pytest.mark.parametrize("name", sorted(set(DIFFERENTIAL_SPECS) - {"gw"}))
 def test_streamed_solve_matches_oracle_on_ordered_pair_rows(name, delta):
-    """The dense oracle on the rows of every ordered pair, built in Fractions."""
+    """The sparse row-at-a-time oracle on the rows of every ordered pair,
+    built in Fractions; it is checked against the dense oracle in
+    ``test_exactlin.py``."""
     spec = DIFFERENTIAL_SPECS[name]()
     for a in box_points(1, spec.rank):
         system = assemble(spec, a, Window(2), delta=delta)
         rows = ordered_pair_rows(spec, a, 2, delta)
         assert len(rows) == system.n_constraints
-        expected = oracle_nullspace(distinct_rows(rows), system.n_unknowns)
+        expected = sparse_nullspace((dict(enumerate(r)) for r in rows),
+                                    system.n_unknowns)
         assert solve(system).vectors == tuple(expected), a
 
 
