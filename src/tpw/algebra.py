@@ -432,8 +432,11 @@ class _Scan:
     Tuples are of label positions. ``br`` memoizes the bracket of two
     basis elements; given a ``product`` (a bilinear map on elements with a
     memoized ``pair`` of basis labels), ``mul`` gives their product.
-    ``visited`` counts the tuples evaluated.
+    ``visited`` counts the tuples evaluated. ``holds``, when set, is asked
+    first on each tuple: true means every identity holds there unevaluated.
     """
+
+    holds = None
 
     def __init__(self, spec, points, product=None):
         self.spec = spec
@@ -463,12 +466,14 @@ class _Scan:
         tuple)``. A witness is the first failing tuple's labels and sides. The
         scan stops once each identity has one, and visits nothing for none.
         """
-        labels, found = self.labels, {}
+        labels, found, holds = self.labels, {}, self.holds
         open_ids = [(name, MethodType(sides, self)) for name, sides in identities.items()]
         if not open_ids:
             return found
         count = 0
         for count, (pos, idx) in enumerate(numbered, 1):
+            if holds is not None and holds(idx):
+                continue
             for name, sides in open_ids:
                 lhs, rhs = sides(*idx)
                 if lhs.terms != rhs.terms:  # Element !=, minus a call per tuple
@@ -488,30 +493,34 @@ def _index_tuples(n, arity, ordered):
     return comb(n + arity - 1, arity), combinations_with_replacement(range(n), arity)
 
 
-def scan_identities(scan, stages, ordered, degree=None, max_triples=None):
+def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples=None):
     """``{name: (position, witness)}`` for every identity of ``stages`` on ``scan``.
 
     ``stages`` lists ``(arity, identities)``, each scanned in order over
     ``_index_tuples(n, arity, ordered)``; a passing identity has no witness and
-    the number of tuples of its stage. When residual coefficients are
-    polynomials of per-coordinate ``degree`` in the lattice indices, each stage
-    is first scanned on Box(r), 2r + 1 > ``degree``, where such a polynomial
-    vanishes only if it is zero (Alon, Combinatorial Nullstellensatz, 1999,
-    Lemma 2.1), and on the window only for the identities failing there: a
-    passing scan costs the same at any radius. A stage is certified only when
-    the ones before it pass on the grid (the Jacobi sum on unordered triples
-    needs anticommutativity). ``degree`` None, or ``max_triples`` below the
-    last stage's tuple count, scans every stage whole, raising
-    ``LimitExceededError`` before the tuple past it.
+    the number of tuples of its stage. The one rule for the tuples visited:
+    - ``max_triples`` below the last stage's tuple count: all, raising
+      ``LimitExceededError`` before the tuple past it;
+    - else ``tuples``, per stage the numbered index tuples that can fail;
+    - else ``degree``, for residual coefficients that are polynomials of that
+      per-coordinate degree in the lattice indices: each stage is first scanned
+      on Box(r), 2r + 1 > ``degree``, where such a polynomial vanishes only if
+      it is zero (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1), and on
+      the window only for the identities failing there, so a passing scan costs
+      the same at any radius. A stage is certified only when the ones before it
+      pass on the grid (the Jacobi sum on unordered triples needs
+      anticommutativity);
+    - else all.
     """
     spec, n = scan.spec, len(scan.labels)
-    limit = max_triples is not None and (
-        max_triples < _index_tuples(n, stages[-1][0], ordered)[0])
-    certify = degree is not None and not limit
+    if max_triples is not None and (
+            max_triples < _index_tuples(n, stages[-1][0], ordered)[0]):
+        tuples = degree = None
+    certify = degree is not None and tuples is None
     grid = _Scan(spec, search_order((degree + 1) // 2, spec.rank) if certify else (),
                  scan.product)
     found = {}
-    for arity, identities in stages:
+    for s, (arity, identities) in enumerate(stages):
         open_ids = identities
         if certify:
             failing = grid.first_witnesses(
@@ -519,8 +528,8 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None):
                 identities)
             open_ids = {name: identities[name] for name in failing}
             certify = not failing
-        total, tuples = _index_tuples(n, arity, ordered)
-        numbered = limited(tuples, max_triples) if limit else enumerate(tuples, 1)
+        total, every = _index_tuples(n, arity, ordered)
+        numbered = limited(every, max_triples) if tuples is None else tuples[s]
         hits = scan.first_witnesses(numbered, open_ids)
         found.update((name, hits.get(name, (total, None))) for name in identities)
     scan.visited += grid.visited
@@ -703,24 +712,18 @@ def witt_to_witt_type(spec: GeneralizedWitt, v=None, window: Window = None):
         raise ValueError("v must be nonzero")
     if window is None:
         window = Window(2)
-    fvals = [spec.pairing(v, unit) for unit in _lattice_units(spec.rank)]
-    f = AdditiveMap(fvals)
-    target = WittType(f)
-    ok = True
-    points = box_points(window.radius, spec.rank)
-    n_pairs = 0
-    for a in points:
-        for b in points:
-            n_pairs += 1
-            w_side = spec.bracket(spec.element(a, v), spec.element(b, v))
-            mapped = Element({idx: c[0] / v[0] for idx, c in w_side.terms.items()})
-            v_side = target.bracket(target.basis(a), target.basis(b))
-            if mapped != v_side:
-                ok = False
-                break
-        if not ok:
-            break
-    return WittTypeCorrespondence(f, v, ok, n_pairs)
+    f = AdditiveMap([spec.pairing(v, unit) for unit in _lattice_units(spec.rank)])
+
+    def intertwined(s, i, j):
+        """a (x) v -> e_a maps [a (x) v, b (x) v] to [e_a, e_b]."""
+        a, b = s.labels[i], s.labels[j]
+        w_side = spec.bracket(spec.element(a, v), spec.element(b, v))
+        return Element({idx: c[0] / v[0] for idx, c in w_side.terms.items()}), s.br(i, j)
+
+    scan = _Scan(WittType(f), box_points(window.radius, spec.rank))
+    n_pairs, witness = scan_identities(scan, ((2, {"bracket": intertwined}),),
+                                       ordered=True)["bracket"]
+    return WittTypeCorrespondence(f, v, witness is None, n_pairs)
 
 
 def _lattice_units(rank):

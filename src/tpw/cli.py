@@ -98,6 +98,7 @@ def load_config(data: dict) -> dict:
     limits = cfg.setdefault("limits", {})
     if not isinstance(limits, dict):
         raise ConfigError("field 'limits' has the wrong type")
+    limits = cfg["limits"] = dict(limits)  # written below; the caller's stays as it was
     for key in ("max_unknowns", "max_triples"):
         if key in limits and (not _is_int(limits[key]) or limits[key] <= 0):
             raise ConfigError("field 'limits.%s' must be a positive integer" % key)

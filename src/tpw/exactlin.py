@@ -173,6 +173,7 @@ class RowSpace:
             n_cols = len(vectors[0]) if vectors else 0
         self.n_cols = n_cols
         self.rows = {}
+        self._reduced = None  # (rank, rows): rows are only added, each raising the rank
         self.rows_generated = 0
         self.rows_consumed = 0
         self.rows_checked = 0
@@ -304,7 +305,9 @@ class RowSpace:
         return not self.reduce(_vector_int_row(vector))
 
     def reduced_fraction_rows(self):
-        """Back-substitute into reduced echelon rows with unit pivots."""
+        """Back-substitute into reduced echelon rows with unit pivots, once per rank."""
+        if self._reduced is not None and self._reduced[0] == self.rank:
+            return self._reduced[1]
         reduced = {}
         for col in sorted(self.rows, reverse=True):
             src = self.rows[col]
@@ -321,6 +324,7 @@ class RowSpace:
                     else:
                         row.pop(cc, None)
             reduced[col] = row
+        self._reduced = self.rank, reduced
         return reduced
 
     def basis(self) -> tuple:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .exactlin import RowSpace, int_row
 from .algebra import (
@@ -21,10 +20,10 @@ from .algebra import (
     center_predicate,
     element_from_json,
     element_to_json,
-    limited,
     scan_identities,
     square_predicate,
     _Scan,
+    _ZERO,
 )
 from .halfderiv import HalfDerivationComponent, MissingDegreeError, inner_projection
 from .lattice import Window, add, box_points, search_order, sub
@@ -63,6 +62,8 @@ class _Product:
     instead ``coefficient_degree``, the degree of its coefficients in each
     lattice coordinate of a and b at the shifted indices they land on.
     """
+
+    coefficient_degree = None
 
     def check_domain(self, spec):
         pass
@@ -357,44 +358,24 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     ``n_triples`` is where a joint triple scan stops: at the last of the
     three first witnesses, or after every triple when one identity holds.
 
-    Each identity is decided by an exact certificate, so only tuples that
-    can fail are evaluated. A product of finite ``support`` makes u . v
-    vanish unless {u, v} is a support pair, so only ``_support_tuples``
-    are scanned; the others pass with both sides zero. A rule of
-    per-coordinate ``coefficient_degree`` p, with the family's bracket of
-    degree d, leaves residual coefficients of per-coordinate degree at
-    most p + max(p, d), which ``scan_identities`` certifies on its grid.
-    ``max_triples`` below the window's number of triples runs the full
-    scans instead, raising ``LimitExceededError`` before the tuple past it.
+    ``scan_identities`` evaluates only tuples that can fail. A product of
+    finite ``support`` makes u . v vanish unless {u, v} is a support pair,
+    so only ``_support_tuples`` can. A rule of per-coordinate
+    ``coefficient_degree`` p, with the family's bracket of degree d, leaves
+    residual coefficients of per-coordinate degree at most p + max(p, d),
+    certified on a grid. ``max_triples`` below the window's number of
+    triples scans every tuple, up to the limit.
     """
     scan = _Scan(spec, search_order(window.radius, spec.rank), _CheckedProduct(spec, product))
-    n_triples = len(scan.labels) ** 3
-    support = product.support(spec.rank)
-    if support is None:
-        p = product.coefficient_degree
-        found = scan_identities(scan, _IDENTITIES, ordered=True,
-                                degree=p + max(p, spec.coefficient_degree),
-                                max_triples=max_triples)
-    elif max_triples is not None and max_triples < n_triples:
-        found = scan_identities(scan, _IDENTITIES, ordered=True, max_triples=max_triples)
-    else:
-        found = {}
-        for (_, identities), numbered in zip(_IDENTITIES,
-                                             _support_tuples(scan.labels, support)):
-            found.update(scan.first_witnesses(numbered, identities))
+    p = product.coefficient_degree
+    found = scan_identities(
+        scan, _IDENTITIES, ordered=True, max_triples=max_triples,
+        tuples=_support_tuples(scan.labels, product.support(spec.rank)),
+        degree=p if p is None else p + max(p, spec.coefficient_degree))
 
-    def check(name):
-        witness = found.get(name, (n_triples, None))[1]
-        return IdentityCheck(witness is None, witness)
-
-    return VerificationReport(
-        commutative=check("commutative"),
-        associative=check("associative"),
-        trans_leibniz=check("trans_leibniz"),
-        poisson_leibniz=check("poisson_leibniz"),
-        n_triples=max(found.get(name, (n_triples, None))[0] for name in _TRIPLE_IDENTITIES),
-        visited=scan.visited,
-    )
+    checks = {name: IdentityCheck(w is None, w) for name, (_, w) in found.items()}
+    n_triples = max(found[name][0] for name in _TRIPLE_IDENTITIES)
+    return VerificationReport(**checks, n_triples=n_triples, visited=scan.visited)
 
 
 def _support_tuples(labels, support):
@@ -403,8 +384,11 @@ def _support_tuples(labels, support):
     A pair (u, v) meets it when {u, v} is a support pair; a triple
     (u, v, w) when {u, v}, {v, w}, {u, w}, {u, v + w} or {u + w, v} is one,
     the indices of u . v, v . w, u . w, u . [v, w] and [u, w] . v. Both
-    come in nested order, with their 1-based position in it.
+    come in nested order, with their 1-based position in it; None for a
+    ``support`` of None.
     """
+    if support is None:
+        return None
     n = len(labels)
     points = [_bare(l) for l in labels]
     at = {}
@@ -431,18 +415,18 @@ def _support_tuples(labels, support):
 
 
 def _associator_triples(labels, support):
-    """The triples (u, v, w) of ``labels``, in nested order, that have
-    {u, v} or {v, w} in ``support``."""
-    n = len(labels)
-    points = [_bare(l) for l in labels]
-    codes = set()
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            if _pair_key(x, y) in support:
-                for k in range(n):
-                    codes.update(((i * n + j) * n + k, (k * n + i) * n + j))
-    return [(labels[c // (n * n)], labels[c // n % n], labels[c % n])
-            for c in sorted(codes)]
+    """The numbered index triples (u, v, w) of ``labels`` that have {u, v} or
+    {v, w} in ``support``, in nested order with their 1-based position."""
+    n, at, codes = len(labels), {}, set()
+    for i, l in enumerate(labels):
+        at.setdefault(_bare(l), []).append(i)
+    for a, b in support:
+        for p, q in ((a, b), (b, a)):
+            for i in at.get(p, ()):
+                for j in at.get(q, ()):
+                    for k in range(n):  # {u, v} or {v, w} is the pair
+                        codes.update(((i * n + j) * n + k, (k * n + i) * n + j))
+    return [(c + 1, (c // (n * n), c // n % n, c % n)) for c in sorted(codes)]
 
 
 def left_mult_table(spec, product, z, window: Window) -> dict:
@@ -537,7 +521,8 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     its first failing triple; ``max_triples`` bounds that scan.
     """
     maps = _action_tables(spec, delta_bases, window, degree_bound)
-    labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
+    inner = box_points(window.inner_margin, spec.rank)
+    labels = spec.basis_labels(inner)
     m = len(maps)
     # unknown i * m + t: the coefficient of map t in L_(labels[i])
     space = RowSpace(n_cols=len(labels) * m)
@@ -564,7 +549,7 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     rng = random.Random(seed)
     draws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in generators]
              for _ in range(n_samples if generators else 0)]
-    passed, samples = _span_associativity(spec, generators, labels, draws, max_triples)
+    passed, samples = _span_associativity(spec, generators, inner, draws, max_triples)
     return ClassifyResult(len(generators), tuple(parameters), tuple(generators),
                           tuple(samples), passed, seed)
 
@@ -595,52 +580,56 @@ def _bare(label):
     return label[0] if isinstance(label[0], tuple) else label
 
 
-def _span_associativity(spec, generators, labels, draws, max_triples=None):
-    """Exact associativity of the span of table ``generators`` on ``labels``.
+def _span_associativity(spec, generators, points, draws, max_triples=None):
+    """Exact associativity of the span of table ``generators`` on ``points``.
 
     The associator of P = sum p_i T_i is sum p_i p_j A_ij with
     A_ij(u, v, w) = T_i(T_j(u, v), w) - T_i(u, T_j(v, w)), so every P is
     associative exactly when each A_ij + A_ji vanishes on every triple.
-    The same scan finds each draw's first triple with
-    sum c_i c_j A_ij != 0. Returns the family verdict and one
+    One scan over the labels of ``points`` checks that as one family
+    identity, and each nonzero draw c as sum c_i c_j A_ij = 0. Its ``holds``
+    computes the A_ij of a tuple once and skips the tuple where all vanish;
+    only ``_associator_triples``, with {u, v} or {v, w} a key of some T_j,
+    can fail. Returns the family verdict and one
     ``(passed, first failing triple)`` per draw.
-
-    A_ij vanishes unless {u, v} or {v, w} is a key of T_j, so only those
-    triples are scanned, in nested order. ``max_triples`` below
-    |labels|^3 scans every triple instead, up to the limit.
     """
-    samples = [(True, None)] * len(draws)
     if not generators:
-        return True, samples
+        return True, [(True, None)] * len(draws)
     muls = [_CheckedProduct(spec, g) for g in generators]
-    elems = {l: spec.basis_element(l) for l in labels}
-    pairs = [(i, j) for i in range(len(muls)) for j in range(len(muls))]
-    pair_muls = [(muls[i], muls[j]) for i, j in pairs]
-    family = True
-    open_draws = [n for n, c in enumerate(draws) if any(c)]  # 0 never fails
-    triples = iter_product(labels, repeat=3)
-    if max_triples is None or max_triples >= len(labels) ** 3:
-        triples = _associator_triples(labels, set().union(
-            *(g.support(spec.rank) for g in generators)))
-    for _, (u, v, w) in limited(triples, max_triples):
-        eu, ew = elems[u], elems[w]
-        sides = [(ti(tj.pair(u, v), ew), ti(eu, tj.pair(v, w))) for ti, tj in pair_muls]
-        for lhs, rhs in sides:
-            if lhs != rhs:
-                break
-        else:  # every A_ij vanishes here
-            continue
-        a = {ij: lhs - rhs for ij, (lhs, rhs) in zip(pairs, sides)}
-        if any(not (a[i, j] + a[j, i]).is_zero for i, j in pairs if i <= j):
-            family = False
-        for n in list(open_draws):
-            c = draws[n]
-            if not sum((c[i] * c[j] * a[i, j] for i, j in pairs), Element()).is_zero:
-                samples[n] = (False, (u, v, w))
-                open_draws.remove(n)
-        if not (family or open_draws):
-            break
-    return family, samples
+    scan, current = _Scan(spec, points), [{}]  # the nonzero A_ij of the tuple
+
+    def vanish(idx):
+        u, v, w = (scan.labels[k] for k in idx)
+        eu, ew = scan.elems[idx[0]], scan.elems[idx[2]]
+        sides = {(i, j): (ti(tj.pair(u, v), ew), ti(eu, tj.pair(v, w)))
+                 for i, ti in enumerate(muls) for j, tj in enumerate(muls)}
+        current[0] = {ij: lhs - rhs for ij, (lhs, rhs) in sides.items()
+                      if lhs.terms != rhs.terms}
+        return not current[0]
+
+    scan.holds = vanish
+
+    def family(s, *idx):
+        """A_ij + A_ji = 0 for all i, j: the first nonzero sum, else 0."""
+        a = current[0]
+        sums = (x + a.get((j, i), _ZERO) for (i, j), x in a.items())
+        return next((x for x in sums if x.terms), _ZERO), _ZERO
+
+    def draw(c):
+        def sides(s, *idx):
+            """sum c_i c_j A_ij = 0."""
+            a = current[0]
+            return sum((c[i] * c[j] * x for (i, j), x in a.items()), _ZERO), _ZERO
+        return sides
+
+    identities = {"family": family}  # a zero draw never fails
+    identities.update((n, draw(c)) for n, c in enumerate(draws) if any(c))
+    support = set().union(*(g.support(spec.rank) for g in generators))
+    found = scan_identities(scan, ((3, identities),), ordered=True,
+                            max_triples=max_triples,
+                            tuples=[_associator_triples(scan.labels, support)])
+    samples = [found.get(n, (0, None))[1] for n in range(len(draws))]
+    return found["family"][1] is None, [(w is None, w and w[0]) for w in samples]
 
 
 def product_to_json(product) -> dict:

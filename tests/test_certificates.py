@@ -17,8 +17,27 @@ from hypothesis import strategies as st
 import pytest
 
 from oracles import element_lie, element_verify
-from tpw.algebra import Block, Element, GeneralizedWitt, WittType, verify_lie_axioms
-from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, add, box_points, sub
+from tpw.algebra import (
+    Block,
+    Element,
+    GeneralizedWitt,
+    LimitExceededError,
+    WittType,
+    _Scan,
+    _ZERO,
+    scan_identities,
+    verify_lie_axioms,
+)
+from tpw.lattice import (
+    AdditiveMap,
+    BiadditiveForm,
+    Pairing,
+    Window,
+    add,
+    box_points,
+    search_order,
+    sub,
+)
 from tpw.tpstruct import (
     ExplicitProduct,
     ExtensionByZero,
@@ -257,3 +276,43 @@ def test_limited_product_scan_agrees_with_the_certificate(spec, table):
                 or certified.poisson_leibniz.passed)
     assert certified.n_triples < n ** 3
     assert verify(spec, product, window, max_triples=n ** 3 - 1) == certified
+
+
+def _fails(where):
+    """Synthetic sides that differ exactly on the tuples ``where`` accepts."""
+    def sides(s, *idx):
+        return (s.elems[idx[0]] if where(s, idx) else _ZERO), _ZERO
+    return sides
+
+
+def _witt_scan():
+    return _Scan(WittType(AdditiveMap([1])), search_order(3, 1))
+
+
+def test_a_stage_is_certified_only_after_the_stages_before_it_pass():
+    """Stage 2 fails only off Box(1), the grid of degree 2: it is certified
+    (and passes) when stage 1 passes on the grid, and scanned on the window
+    (and fails there) when stage 1 fails."""
+    off_box1 = _fails(lambda s, idx: any(abs(s.labels[i][0]) > 1 for i in idx))
+    for stage1, certified in ((_fails(lambda s, idx: True), False),
+                              (_fails(lambda s, idx: False), True)):
+        stages = ((2, {"stage1": stage1}), (3, {"stage2": off_box1}))
+        found = scan_identities(_witt_scan(), stages, ordered=False, degree=2)
+        assert (found["stage1"][1] is None) == certified
+        assert (found["stage2"][1] is None) == certified
+
+
+def test_given_tuples_come_before_the_certificate_and_the_limit_before_both():
+    """Only the given tuples are scanned, even with a ``degree``; a
+    ``max_triples`` below the full count scans every tuple instead."""
+    at_origin = _fails(lambda s, idx: idx == (0, 0))  # label 0 is the origin
+    stages = ((2, {"origin": at_origin}),)
+    given = [[(2, (0, 1)), (9, (1, 1))]]
+    scan = _witt_scan()
+    assert scan_identities(scan, stages, ordered=True, degree=2, tuples=given) == {
+        "origin": (49, None)}
+    assert scan.visited == 2
+    assert scan_identities(_witt_scan(), stages, ordered=True, degree=2)["origin"][0] == 1
+    never = ((2, {"never": _fails(lambda s, idx: False)}),)
+    with pytest.raises(LimitExceededError):
+        scan_identities(_witt_scan(), never, ordered=True, tuples=given, max_triples=48)

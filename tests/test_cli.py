@@ -167,6 +167,16 @@ def test_max_unknowns_env_limit(tmp_path, capsys, monkeypatch):
     assert "max_unknowns" in capsys.readouterr().err
 
 
+def test_env_limit_leaves_the_callers_config_as_it_was(monkeypatch):
+    monkeypatch.setenv("TPW_MAX_UNKNOWNS", "5000")
+    cfg = small("check-lie", B1)
+    cfg["limits"] = {"max_triples": 10 ** 6}
+    before = json.loads(json.dumps(cfg))
+    report = run(cfg)
+    assert report["config"]["limits"] == {"max_triples": 10 ** 6, "max_unknowns": 5000}
+    assert cfg == before
+
+
 def test_console_script_entry_point(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(small("check-lie", WT)))

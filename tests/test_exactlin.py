@@ -12,6 +12,7 @@ from tpw.exactlin import (
     RowSpace,
     SparseMatrix,
     in_span,
+    int_row,
     nullspace,
     rank,
     row_space_basis,
@@ -186,6 +187,20 @@ def test_row_space_basis_is_canonical():
     a = SparseMatrix.from_rows([[2, 4, 6], [1, 1, 1]])
     b = SparseMatrix.from_rows([[1, 1, 1], [3, 5, 7], [1, 2, 3]])
     assert row_space_basis(a) == row_space_basis(b)
+
+
+def test_reads_after_an_insertion_see_the_new_row():
+    """The back-substituted rows are kept per rank: a row that raises the
+    rank is seen by the next basis and kernel, a row in the span changes
+    neither."""
+    space = RowSpace([(1, 2, 0, 1)])
+    first = space.kernel().vectors
+    space.insert(int_row({0: 2, 1: 4, 3: 2}))
+    assert space.kernel().vectors == first
+    space.insert(int_row({2: 1, 3: 3}))
+    fresh = RowSpace([(1, 2, 0, 1), (0, 0, 1, 3)])
+    assert space.basis() == fresh.basis()
+    assert space.kernel().vectors == fresh.kernel().vectors != first
 
 
 def test_row_space_membership_checks_the_column_count():

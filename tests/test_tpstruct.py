@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpw import tpstruct
 from tpw.algebra import (
@@ -13,7 +15,7 @@ from tpw.algebra import (
     FamilyMismatchError,
     GeneralizedWitt,
     WittType,
-    limited,
+    _Scan,
 )
 from tpw.halfderiv import assemble, component_vector, solve_degrees
 from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, box_points
@@ -444,17 +446,19 @@ def test_classify_scans_the_inner_triples_at_most_once(monkeypatch, n_samples):
     """One scan decides the family and every sample, whatever their number:
     every triple where an associator can be nonzero ({u, v} or {v, w} a
     key of a generator) when the family passes, fewer when it fails."""
-    scanned = []
+    visited = []  # tuples visited per call of the one first-witness loop
+    first_witnesses = _Scan.first_witnesses
 
-    def counting(items, max_triples=None):
-        for n, item in limited(items, max_triples):
-            scanned.append(item)
-            yield n, item
+    def counting(scan, numbered, identities):
+        before = scan.visited
+        found = first_witnesses(scan, numbered, identities)
+        visited.append(scan.visited - before)
+        return found
 
-    monkeypatch.setattr(tpstruct, "limited", counting)
+    monkeypatch.setattr(_Scan, "first_witnesses", counting)
     for spec, window, passes in ((b0_spec(), Window(3, 2), True),
                                  (witt_spec(), Window(3, 1), False)):
-        scanned.clear()
+        visited.clear()
         solved = solve_degrees(spec, window, 1)
         res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1,
                        n_samples=n_samples, seed=0)
@@ -464,8 +468,9 @@ def test_classify_scans_the_inner_triples_at_most_once(monkeypatch, n_samples):
                         if frozenset((u, v)) in keys or frozenset((v, w)) in keys)
         assert res.n_parameters == 1
         assert res.associativity_pass == passes
-        assert 0 < len(scanned) <= n_support <= len(labels) ** 3
-        assert (len(scanned) == n_support) == passes
+        scanned = sum(visited)
+        assert 0 < scanned <= n_support <= len(labels) ** 3
+        assert (scanned == n_support) == passes
         if passes:  # Block g = 0 on Window(3, 2)
             assert (n_support, len(labels) ** 3) == (49, 15_625)
 
@@ -486,6 +491,40 @@ def test_span_associativity_sees_the_mixed_terms():
                        for coeffs in draws]
     assert samples[2] == (False, ((-1, 0), (1, 0), (1, 0)))
     assert [ok for ok, _ in samples] == [True, True, False, True]
+
+
+_BOX1 = box_points(1, 2)
+_COEFF = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+
+
+@st.composite
+def tables_and_draws(draw):
+    """1-3 tables of 1-2 entries on Box(1), and 0-4 draws with zeros among them."""
+    point = st.sampled_from(_BOX1)
+    tables = [ExplicitProduct({(draw(point), draw(point)): Element(
+        {draw(point): draw(_COEFF.filter(bool))}) for _ in range(draw(st.integers(1, 2)))})
+        for _ in range(draw(st.integers(1, 3)))]
+    coeff = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2), 2])
+    draws = draw(st.lists(st.lists(coeff, min_size=len(tables), max_size=len(tables)),
+                          max_size=4))
+    return tables, draws
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=tables_and_draws())
+def test_span_associativity_matches_the_element_oracle(case):
+    """Each sample is the oracle's verdict on the summed table, and the
+    family passes exactly when every T_i and every T_i + T_j is associative
+    (the associator is a quadratic form in the coefficients)."""
+    gens, draws = case
+    spec = b0_spec()
+    labels = spec.basis_labels(_BOX1)
+    passed, samples = tpstruct._span_associativity(spec, gens, _BOX1, draws)
+    assert samples == [element_associativity(spec, _combined(gens, c), labels)
+                       for c in draws]
+    polarized = [_combined(gens, [int(k in (i, j)) for k in range(len(gens))])
+                 for i in range(len(gens)) for j in range(i, len(gens))]
+    assert passed == all(element_associativity(spec, p, labels)[0] for p in polarized)
 
 
 @pytest.mark.parametrize("spec", [b0_spec(), b1_spec()], ids=["block-g0", "block-g1"])
