@@ -494,15 +494,17 @@ def test_span_associativity_sees_the_mixed_terms():
 
 
 _BOX1 = box_points(1, 2)
-_COEFF = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+_COEFF = st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]), st.integers(1, 2))
 
 
 @st.composite
 def tables_and_draws(draw):
-    """1-3 tables of 1-2 entries on Box(1), and 0-4 draws with zeros among them."""
+    """1-3 tables of 1-2 entries on Box(1), and 0-4 draws with zeros among them.
+    Entries are keyed by the unordered pair: the product is commutative, so
+    (a, b) and (b, a) name one entry."""
     point = st.sampled_from(_BOX1)
-    tables = [ExplicitProduct({(draw(point), draw(point)): Element(
-        {draw(point): draw(_COEFF.filter(bool))}) for _ in range(draw(st.integers(1, 2)))})
+    tables = [ExplicitProduct({tuple(sorted((draw(point), draw(point)))): Element(
+        {draw(point): draw(_COEFF)}) for _ in range(draw(st.integers(1, 2)))})
         for _ in range(draw(st.integers(1, 3)))]
     coeff = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2), 2])
     draws = draw(st.lists(st.lists(coeff, min_size=len(tables), max_size=len(tables)),
