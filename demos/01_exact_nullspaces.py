@@ -8,7 +8,7 @@ kernel bases, the rank-nullity bookkeeping, and span membership through
 
 from fractions import Fraction
 
-from tpw import RowSpace, SparseMatrix, in_span, nullspace, rank, scalar_to_str
+from tpw import RowSpace, SparseMatrix, in_span, nullspace, scalar_to_str
 
 # A small rectangular system solved by hand: x = -z, y = -z.
 m = SparseMatrix.from_rows([[1, 2, 3], [0, 1, 1]])
@@ -21,7 +21,7 @@ for v in basis.vectors:
 
 # Rank and nullity always add up to the number of columns.
 wide = SparseMatrix.from_rows([[2, 4, 0, 6], [1, 2, 0, 3], [0, 0, 5, 1]])
-print("\nwide matrix: rank", rank(wide), "+ nullity",
+print("\nwide matrix: rank", RowSpace.from_source(wide).rank, "+ nullity",
       nullspace(wide).dimension, "= 4 columns")
 
 # Membership is decided exactly as well. A RowSpace is built once and then

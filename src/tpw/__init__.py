@@ -12,7 +12,6 @@ from .exactlin import (
     SparseMatrix,
     in_span,
     nullspace,
-    rank,
     scalar_from_str,
     scalar_to_str,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "nondegeneracy_witnesses",
     "nullspace",
     "predicted",
-    "rank",
     "scalar_from_str",
     "scalar_to_str",
     "solve",

@@ -398,10 +398,15 @@ def _emit(report, json_only: bool) -> None:
 
 
 def _apply_overrides(config, args):
-    if args.radius is not None:
-        config.setdefault("window", {})["radius"] = args.radius
-    if args.margin is not None:
-        config.setdefault("window", {})["inner_margin"] = args.margin
+    """Write the run flags into a config; other shapes are left to ``load_config``."""
+    if not isinstance(config, dict):
+        return config
+    window = config.get("window", {})
+    if isinstance(window, dict):
+        if args.radius is not None:
+            config["window"] = window = dict(window, radius=args.radius)
+        if args.margin is not None:
+            config["window"] = dict(window, inner_margin=args.margin)
     if args.delta is not None:
         config["delta"] = args.delta
     if args.seed is not None:

@@ -8,12 +8,13 @@ reduction, which keeps entry growth bounded in practice while every
 intermediate value stays exact. ``RowSpace.kernel()`` is the one kernel
 read-out: ``nullspace`` is a read of it, and so is the classifier's
 commutativity solve, whose rows go into one ``RowSpace`` through
-``int_row``. A row source that splits its stream in two
-(``int_row_stages``) has only its first part eliminated; each later row
-is checked by sparse dot products against an integer basis of the
-current kernel, and only a row that fails is inserted, shrinking that
-basis by one exact step. ``rank``, ``row_space_basis`` and ``in_span``
-are reads of one ``RowSpace``, and so is every span check after a solve.
+``int_row``. Every row source is read by one rule: its rows are
+eliminated in stream order until as many have reduced to zero as the
+kernel still has dimensions; each later row is checked by sparse dot
+products against an integer basis of the current kernel, and only a row
+that fails is inserted, shrinking that basis by one exact step. A rank,
+a row-space basis, ``in_span`` and every span check after a solve are
+reads of one ``RowSpace``.
 ``SparseMatrix`` holds a matrix assembled from entries (a system's
 ``matrix``). No floating point appears anywhere in this package.
 """
@@ -34,8 +35,6 @@ __all__ = [
     "in_span",
     "int_row",
     "nullspace",
-    "rank",
-    "row_space_basis",
     "scalar_from_str",
     "scalar_to_str",
 ]
@@ -186,22 +185,21 @@ class RowSpace:
         """The row space of ``source``, its rows drawn in stream order.
 
         ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator
-        of integer row dicts; a ``SparseMatrix`` is one, and its rows are
-        all eliminated. A source may also split the same stream in two with
-        ``int_row_stages()``: the first part is eliminated, and each row of
-        the second is checked against the kernel K of the rows before it
-        (``_certify``). The cell limit is checked on ``n_rows x n_cols``
-        before any row is drawn, and no row is drawn once the rank reaches
-        ``n_cols``. Rows are gcd-normalized, so a repeat up to scaling is
-        skipped unreduced.
+        of integer row dicts; a ``SparseMatrix`` is one. Rows are eliminated
+        until as many of them have reduced to zero as the kernel still has
+        dimensions (``n_cols - rank``); each later row of the same stream
+        is checked against the kernel K of the rows before it
+        (``_certify``). So ``rows_consumed - rank``, the rows reduced for
+        nothing, never exceeds ``n_cols``. The cell limit is checked on
+        ``n_rows x n_cols`` before any row is drawn, and no row is drawn
+        once the rank reaches ``n_cols``. Rows are gcd-normalized, so a
+        repeat up to scaling is skipped unreduced.
         """
         limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
         if source.n_rows * source.n_cols > limit:
             raise DimensionOverflowError(
                 "%dx%d matrix exceeds the %d-cell limit"
                 % (source.n_rows, source.n_cols, limit))
-        stages = getattr(source, "int_row_stages", None)
-        eliminated, checked = stages() if stages else (source.int_rows(), ())
         space = cls(n_cols=source.n_cols)
         seen = set()
 
@@ -214,12 +212,18 @@ class RowSpace:
                     seen.add(sig)
                     yield row
 
-        for row in distinct(eliminated):
+        rows = distinct(source.int_rows())
+        zeros = 0
+        for row in rows:
+            rank = space.rank
             space.rows_consumed += 1
             space.insert(row)
             if space.rank == space.n_cols:
                 return space
-        space._certify(distinct(checked))
+            zeros += space.rank == rank
+            if zeros >= space.n_cols - space.rank:
+                break
+        space._certify(rows)
         return space
 
     def _certify(self, rows):
@@ -417,22 +421,13 @@ def nullspace(source, max_cells=None) -> NullspaceBasis:
     """Exact canonical kernel basis of a matrix or a row source.
 
     ``source`` is a ``SparseMatrix`` or anything else with ``n_rows``,
-    ``n_cols`` and an ``int_rows()`` iterator; rows are eliminated as they
-    arrive, and none is drawn once the rank reaches ``n_cols``.
+    ``n_cols`` and an ``int_rows()`` iterator, read by
+    ``RowSpace.from_source``; no row is drawn once the rank reaches
+    ``n_cols``.
     Deterministic: the result depends only on the row space, not on row
     order or row scaling.
     """
     return RowSpace.from_source(source, max_cells).kernel()
-
-
-def rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals; rank + kernel dimension = n_cols."""
-    return RowSpace.from_source(m).rank
-
-
-def row_space_basis(m: SparseMatrix):
-    """Canonical reduced-echelon basis of the row space of ``m``."""
-    return RowSpace.from_source(m).basis()
 
 
 def _vector_int_row(vector):

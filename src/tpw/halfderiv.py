@@ -10,9 +10,10 @@ the solution space against the predicted spanning maps, degree by degree,
 is the computational heart of the workbench.
 
 Rows are streamed, never stored: pairs with a point of small norm come
-first. The generator rows, the pairs with a point of norm at most 1,
-are eliminated; every later row is checked against the kernel they
-leave and eliminated only when it shrinks that kernel.
+first. ``exactlin.RowSpace.from_source`` eliminates them in that order
+until as many have reduced to zero as the kernel has dimensions left;
+every later row is checked against the kernel the rows before it leave
+and eliminated only when it shrinks that kernel.
 
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 from . import exactlin
 from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
@@ -82,10 +82,8 @@ class HalfDerivationSystem:
 
     ``int_rows()`` streams the constraint rows as integer dicts, one per
     unordered pair (the mirrored pair gives the negated row), pairs with a
-    point of small norm first. ``int_row_stages()`` splits that stream
-    where the generator rows, the pairs with a point of norm at most 1,
-    end: ``exactlin.nullspace`` eliminates them and only checks the rest
-    against their kernel. ``n_constraints`` (alias ``n_rows``) counts
+    point of small norm first; ``exactlin.nullspace`` reads it as it reads
+    any row source. ``n_constraints`` (alias ``n_rows``) counts
     ordered pairs, as reports do; ``matrix`` materializes the streamed
     rows on first use.
     """
@@ -109,12 +107,7 @@ class HalfDerivationSystem:
     n_rows = n_constraints
 
     def int_rows(self):
-        return chain(*self.int_row_stages())
-
-    def int_row_stages(self):
-        split = min(3, 2 * self.window.radius + 1) ** self.spec.rank  # norm <= 1
-        return (_constraint_rows(self, 0, split),
-                _constraint_rows(self, split, None))
+        return _constraint_rows(self)
 
     @cached_property
     def matrix(self) -> SparseMatrix:
@@ -177,7 +170,7 @@ def _ordered_pair_count(radius, rank):
     return per_axis ** rank
 
 
-def _constraint_rows(system, start, stop):
+def _constraint_rows(system):
     """Stream the constraint rows of a system as integer dicts.
 
     The row of (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
@@ -190,8 +183,8 @@ def _constraint_rows(system, start, stop):
     by the numerator of delta and the bracket's factor.
 
     Labels are ordered by ``order``, the box sorted by ``norm_inf``, so
-    the pairs come by the smaller member's norm, then the larger's; x
-    runs over ``order[start:stop]``. Column positions follow the box.
+    the pairs come by the smaller member's norm, then the larger's.
+    Column positions follow the box.
     """
     spec, a, delta = system.spec, system.degree, system.delta
     box = box_points(system.window.radius, spec.rank)
@@ -203,7 +196,7 @@ def _constraint_rows(system, start, stop):
     _, bracket = spec.structure_constants
     # 1/delta = image_w / side_w
     image_w, side_w = delta.denominator, delta.numerator
-    for n, x in enumerate(order[start:stop], start):
+    for n, x in enumerate(order):
         ax = add(a, x)
         base_x = pos[x] * dv * dv
         for y in order[n:]:

@@ -18,7 +18,7 @@ from tpw.algebra import (
     verify_lie_axioms,
     verify_square,
 )
-from tpw.exactlin import SparseMatrix, in_span, nullspace, rank
+from tpw.exactlin import RowSpace, SparseMatrix, in_span, nullspace
 from tpw.halfderiv import solve_degrees, sweep
 from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window
 from tpw.tpstruct import (
@@ -247,7 +247,7 @@ def test_criterion_9_oracle_equivalence():
         ns = nullspace(m)
         oracle = oracle_nullspace(rows, n_cols)
         assert ns.dimension == len(oracle)
-        assert rank(m) == oracle_rank(rows)
+        assert RowSpace.from_source(m).rank == oracle_rank(rows)
         for v in ns.vectors:
             assert oracle_in_span(v, oracle)
         for v in oracle:

@@ -158,6 +158,19 @@ def test_main_override_flags(tmp_path, capsys):
     assert report["config"]["window"] == {"radius": 3, "inner_margin": 2}
 
 
+@pytest.mark.parametrize("cfg,message", [
+    ([small("check-lie", B0)], "JSON object"),
+    (dict(small("check-lie", B0), window=3), "'window'"),
+], ids=["config-list", "window-int"])
+@pytest.mark.parametrize("flag", ["--radius", "--margin"])
+def test_override_flags_leave_malformed_configs_to_validation(tmp_path, capsys,
+                                                              cfg, message, flag):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), flag, "2", "--json-only"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_max_unknowns_env_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TPW_MAX_UNKNOWNS", "4")
     path = tmp_path / "job.json"

@@ -14,8 +14,6 @@ from tpw.exactlin import (
     in_span,
     int_row,
     nullspace,
-    rank,
-    row_space_basis,
     scalar_from_str,
     scalar_to_str,
 )
@@ -76,12 +74,16 @@ def test_nullspace_back_substitution_example():
     assert [tuple(v) for v in oracle_nullspace(rows, 3)] == list(ns.vectors)
 
 
+def _rank(m):
+    return RowSpace.from_source(m).rank
+
+
 def test_rank_examples():
-    assert rank(SparseMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank(SparseMatrix(3, 3)) == 0
+    assert _rank(SparseMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert _rank(SparseMatrix(3, 3)) == 0
     # proportional rows: the 2x2 determinant 1*4 - 2*2 vanishes
     assert 1 * 4 - 2 * 2 == 0
-    assert rank(SparseMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert _rank(SparseMatrix.from_rows([[1, 2], [2, 4]])) == 1
 
 
 def test_in_span_examples():
@@ -129,7 +131,7 @@ def test_rank_nullity_on_random_sparse_matrices():
     rng = random.Random(60)
     for n_rows, n_cols in [(60, 60), (50, 60), (60, 40), (17, 23)]:
         m = _random_matrix(rng, n_rows, n_cols, density=0.08)
-        assert rank(m) + nullspace(m).dimension == n_cols
+        assert _rank(m) + nullspace(m).dimension == n_cols
 
 
 def test_oracle_equivalence_small_dense():
@@ -142,7 +144,8 @@ def test_oracle_equivalence_small_dense():
         oracle = oracle_nullspace(rows, n_cols)
         assert ns.dimension == len(oracle)
         assert sparse_nullspace((dict(enumerate(r)) for r in rows), n_cols) == oracle
-        assert rank(SparseMatrix.from_rows(rows)) == oracle_rank(rows)
+        assert _rank(SparseMatrix.from_rows(rows)) == oracle_rank(rows)
+        assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
         for v in ns.vectors:
             assert oracle_in_span(v, oracle)
         for v in oracle:
@@ -186,7 +189,7 @@ def test_row_order_does_not_matter():
 def test_row_space_basis_is_canonical():
     a = SparseMatrix.from_rows([[2, 4, 6], [1, 1, 1]])
     b = SparseMatrix.from_rows([[1, 1, 1], [3, 5, 7], [1, 2, 3]])
-    assert row_space_basis(a) == row_space_basis(b)
+    assert RowSpace.from_source(a).basis() == RowSpace.from_source(b).basis()
 
 
 def test_reads_after_an_insertion_see_the_new_row():
@@ -216,72 +219,83 @@ def test_row_space_membership_checks_the_column_count():
     assert (0, 0) in RowSpace((), 2)
 
 
-class _StagedRows:
-    """A row source split in two: rows to eliminate, then rows to check."""
+class _Rows:
+    """A row source: ``n_rows``, ``n_cols`` and a fresh ``int_rows()`` stream.
 
-    def __init__(self, n_cols, eliminated, checked):
+    ``rows`` is a list of integer dicts, or a function returning an
+    iterator, for streams that must not be drawn past some row."""
+
+    def __init__(self, n_cols, rows, n_rows=None):
         self.n_cols = n_cols
-        self.n_rows = len(eliminated) + len(checked)
-        self.eliminated = eliminated
-        self.checked = checked
+        self.n_rows = len(rows) if n_rows is None else n_rows
+        self.rows = rows
 
     def int_rows(self):
-        return iter(self.eliminated + self.checked)
-
-    def int_row_stages(self):
-        return iter(self.eliminated), iter(self.checked)
+        return self.rows() if callable(self.rows) else iter(self.rows)
 
 
 def test_late_rows_that_fail_the_check_shrink_the_kernel():
-    """After x0 = x1 the kernel is spanned by e0 + e1, e2 and e3. The row
-    x1 + x2 + x3 meets all three, so two of them are updated; the next
-    row, x0 + x2 + x3, meets the stale kernel but not the updated one, and
-    x0 + x1 meets only the updated one."""
-    source = _StagedRows(4, [{0: 1, 1: -1}], [
-        {0: 2, 1: -2},        # a repeat up to scaling: neither reduced nor checked
-        {1: 1, 2: 1, 3: 1},   # inserted
-        {0: 1, 2: 1, 3: 1},   # checked: the sum of the two rows before
-        {0: 1, 1: 1},         # inserted
-        {2: 1, 3: -1, 1: 3},  # inserted, and the rank is full
-        {0: 5, 3: 2},         # never drawn
-    ])
-    ns = nullspace(source)
-    assert ns.vectors == ()  # the last insertion saturates the rank
-    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (6, 4, 1)
-    source.checked[4:] = [{0: 3, 1: 3, 2: -1, 3: -1}]  # checked
-    ns = nullspace(source)
+    """x0 - x1 and x1 + x2 + x3 are eliminated, and so is their sum
+    x0 + x2 + x3, the first row to reduce to zero; x0 + x1 raises the rank
+    to 3, leaving one kernel dimension open for the one zero row, so every
+    later row is only checked against K = <(0, 0, -1, 1)>."""
+    rows = [
+        {0: 1, 1: -1},
+        {0: 2, 1: -2},              # a repeat up to scaling: neither reduced nor checked
+        {1: 1, 2: 1, 3: 1},
+        {0: 1, 2: 1, 3: 1},         # reduces to zero
+        {0: 1, 1: 1},               # rank 3: the switch fires
+        {0: 3, 1: 3, 2: -1, 3: -1}, # checked: it meets no vector of K
+        {1: 3, 2: 1, 3: -1},        # meets K: inserted, and the rank is full
+        {0: 5, 3: 2},               # never drawn
+    ]
+    ns = nullspace(_Rows(4, rows))
+    assert ns.vectors == ()
+    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (7, 5, 1)
+    rows[6:] = [{0: 1, 1: 2, 2: 1, 3: 1}]  # checked: in the span as well
+    ns = nullspace(_Rows(4, rows))
     assert ns.vectors == ((0, 0, -1, 1),)
     assert ns == nullspace(SparseMatrix.from_rows(
-        [[row.get(c, 0) for c in range(4)] for row in source.int_rows()]))
-    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (6, 3, 2)
+        [[row.get(c, 0) for c in range(4)] for row in rows]))
+    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (7, 4, 2)
 
 
 def test_no_row_is_drawn_once_the_checked_rows_saturate_the_rank():
-    def checked():
-        yield {0: 1}
-        yield {1: 1}
-        raise AssertionError("a row was drawn after the rank saturated")
-    source = _StagedRows(2, [{0: 1, 1: 1}], ())
-    source.int_row_stages = lambda: (iter(source.eliminated), checked())
-    ns = nullspace(source)
-    assert (ns.vectors, ns.rows_consumed, ns.rows_checked) == ((), 2, 0)
+    """The rank saturates after the switch (x0 + x1 reduces to zero, one
+    kernel dimension is open), and before it."""
+    for rows, counts in [([{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}], (4, 4, 0)),
+                         ([{0: 1}, {1: 1}, {2: 1}], (3, 3, 0))]:
+        def stream():
+            yield from rows
+            raise AssertionError("a row was drawn after the rank saturated")
+        ns = nullspace(_Rows(3, stream, n_rows=len(rows) + 1))
+        assert ns.vectors == ()
+        assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == counts
 
 
 def test_checked_rows_give_the_kernel_of_all_rows():
-    """Random splits of random systems against the dense oracle, most of
-    them with late rows that shrink the kernel."""
+    """Random streams against the dense oracle. Each opens with k
+    independent rows and n_cols distinct combinations of them, which reduce
+    to zero, so the switch fires inside that prefix; the random rows after
+    it must still shrink the kernel, as they do in most cases."""
     rng = random.Random(8)
     shrunk = 0
     for _ in range(150):
-        n_cols = rng.randint(1, 8)
-        rows = [{c: v for c in range(n_cols) if rng.random() < 0.5
-                 for v in [rng.randint(-3, 3)] if v}
-                for _ in range(rng.randint(0, 10))]
-        split = rng.randint(0, len(rows))
-        ns = nullspace(_StagedRows(n_cols, rows[:split], rows[split:]))
-        dense = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
+        n_cols = rng.randint(2, 8)
+        k = rng.randint(2, n_cols)
+        base = [[rng.randint(-3, 3) for _ in range(n_cols)] for _ in range(k)]
+        if oracle_rank(base) < k:
+            continue
+        prefix = [[sum(j ** i * b[c] for i, b in enumerate(base)) for c in range(n_cols)]
+                  for j in range(1, n_cols + 1)]
+        suffix = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0
+                   for _ in range(n_cols)] for _ in range(rng.randint(0, 6))]
+        dense = base + prefix + suffix
+        rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
+        ns = nullspace(_Rows(n_cols, rows))
         assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
-        assert ns == nullspace(SparseMatrix.from_rows(dense) if dense
-                               else SparseMatrix(0, n_cols))
-        shrunk += ns.rows_consumed > oracle_rank(dense[:split])
+        assert ns == nullspace(SparseMatrix.from_rows(dense))
+        assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
+        assert ns.rows_consumed + ns.rows_checked <= ns.rows_generated
+        shrunk += oracle_rank(dense) > k
     assert shrunk > 50
