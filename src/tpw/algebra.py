@@ -434,9 +434,11 @@ class _Scan:
     memoized ``pair`` of basis labels), ``mul`` gives their product.
     ``visited`` counts the tuples evaluated. ``holds``, when set, is asked
     first on each tuple: true means every identity holds there unevaluated.
+    ``last`` keeps a tuple and the terms its identities share.
     """
 
     holds = None
+    last = None, None
 
     def __init__(self, spec, points, product=None):
         self.spec = spec
@@ -493,6 +495,19 @@ def _index_tuples(n, arity, ordered):
     return comb(n + arity - 1, arity), combinations_with_replacement(range(n), arity)
 
 
+def _position(idx, n, ordered):
+    """The 1-based position of ``idx`` in ``_index_tuples(n, len(idx), ordered)``:
+    one plus the tuples of the slabs before it, of the rows before it, ...."""
+    pos, lo = 1, 0
+    for rest, i in zip(range(len(idx) - 1, -1, -1), idx):
+        if ordered:
+            pos += i * n ** rest
+        else:  # the tuples of length rest + 1 on [lo, n) less those on [i, n)
+            pos += comb(n - lo + rest, rest + 1) - comb(n - i + rest, rest + 1)
+        lo = i
+    return pos
+
+
 def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples=None):
     """``{name: (position, witness)}`` for every identity of ``stages`` on ``scan``.
 
@@ -503,36 +518,38 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
       ``LimitExceededError`` before the tuple past it;
     - else ``tuples``, per stage the numbered index tuples that can fail;
     - else ``degree``, for residual coefficients that are polynomials of that
-      per-coordinate degree in the lattice indices: each stage is first scanned
-      on Box(r), 2r + 1 > ``degree``, where such a polynomial vanishes only if
-      it is zero (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1), and on
-      the window only for the identities failing there, so a passing scan costs
-      the same at any radius. A stage is certified only when the ones before it
-      pass on the grid (the Jacobi sum on unordered triples needs
-      anticommutativity);
+      per-coordinate degree in the lattice indices, when the scan's labels open
+      with those of the grid Box(r), 2r + 1 > ``degree``: the grid's tuples
+      alone. Such a polynomial vanishing on the grid is zero (Alon,
+      Combinatorial Nullstellensatz, 1999, Lemma 2.1), so a stage passing there
+      passes everywhere; nested, the lemma puts a failing stage's first window
+      witness on the grid: with the arguments before one fixed, the residual
+      is such a polynomial in it, so the first slab (tuples sharing a first
+      index) holding a failure has a grid index, so has its first failing row,
+      and so on. A stage is certified only when the ones before it pass (the
+      Jacobi sum on unordered tuples needs anticommutativity);
     - else all.
     """
     spec, n = scan.spec, len(scan.labels)
     if max_triples is not None and (
             max_triples < _index_tuples(n, stages[-1][0], ordered)[0]):
         tuples = degree = None
-    certify = degree is not None and tuples is None
-    grid = _Scan(spec, search_order((degree + 1) // 2, spec.rank) if certify else (),
-                 scan.product)
+    grid = [] if degree is None or tuples is not None else spec.basis_labels(
+        search_order((degree + 1) // 2, spec.rank))
+    certify = grid and scan.labels[:len(grid)] == grid
     found = {}
     for s, (arity, identities) in enumerate(stages):
-        open_ids = identities
-        if certify:
-            failing = grid.first_witnesses(
-                enumerate(_index_tuples(len(grid.labels), arity, ordered)[1], 1),
-                identities)
-            open_ids = {name: identities[name] for name in failing}
-            certify = not failing
         total, every = _index_tuples(n, arity, ordered)
-        numbered = limited(every, max_triples) if tuples is None else tuples[s]
-        hits = scan.first_witnesses(numbered, open_ids)
+        if certify:  # numbered by the tuple itself, placed in the window once it fails
+            hits = scan.first_witnesses(
+                ((idx, idx) for idx in _index_tuples(len(grid), arity, ordered)[1]),
+                identities)
+            hits = {name: (_position(idx, n, ordered), w) for name, (idx, w) in hits.items()}
+            certify = not hits
+        else:
+            numbered = limited(every, max_triples) if tuples is None else tuples[s]
+            hits = scan.first_witnesses(numbered, identities)
         found.update((name, hits.get(name, (total, None))) for name in identities)
-    scan.visited += grid.visited
     return found
 
 
@@ -563,7 +580,9 @@ def verify_lie_axioms(spec, window: Window, max_triples=None) -> LieReport:
     its first witness and the number of tuples up to it, or all of them.
     With constants of per-coordinate degree d = ``spec.coefficient_degree``,
     the residuals of pairs and triples have degree d and 2d, so
-    ``scan_identities`` certifies both stages on the grid of degree 2d.
+    ``scan_identities`` decides both stages on the grid of degree 2d: a
+    stage passing there holds everywhere, and a failing one has its first
+    window witness there, at the position past the slabs and rows before it.
     """
     scan = _Scan(spec, search_order(window.radius, spec.rank))
     found = scan_identities(scan, _LIE_AXIOMS, ordered=False,

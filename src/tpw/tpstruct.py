@@ -330,16 +330,25 @@ def _associative(s, u, v, w):
     return s.product(s.mul(u, v), s.elems[w]), s.product(s.elems[u], s.mul(v, w))
 
 
+def _leibniz_terms(s, u, v, w):
+    """u . [v, w] and [u . v, w]: both Leibniz rules read them, so the scan
+    keeps them for the last tuple."""
+    if s.last[0] != (u, v, w):
+        s.last = (u, v, w), (s.product(s.elems[u], s.br(v, w)),
+                             s.bracket(s.mul(u, v), s.elems[w]))
+    return s.last[1]
+
+
 def _trans_leibniz(s, u, v, w):
     """2 u . [v, w] = [u . v, w] + [v, u . w]."""
-    return (2 * s.product(s.elems[u], s.br(v, w)),
-            s.bracket(s.mul(u, v), s.elems[w]) + s.bracket(s.elems[v], s.mul(u, w)))
+    u_vw, uv_w = _leibniz_terms(s, u, v, w)
+    return 2 * u_vw, uv_w + s.bracket(s.elems[v], s.mul(u, w))
 
 
 def _poisson_leibniz(s, u, v, w):
     """[u . v, w] = u . [v, w] + [u, w] . v."""
-    return (s.bracket(s.mul(u, v), s.elems[w]),
-            s.product(s.elems[u], s.br(v, w)) + s.product(s.br(u, w), s.elems[v]))
+    u_vw, uv_w = _leibniz_terms(s, u, v, w)
+    return uv_w, u_vw + s.product(s.br(u, w), s.elems[v])
 
 
 _TRIPLE_IDENTITIES = {"associative": _associative, "trans_leibniz": _trans_leibniz,

@@ -4,14 +4,15 @@ The Lie and product scans decide an identity on a small grid when its
 residual coefficients are polynomials of bounded per-coordinate degree,
 and scan only the tuples that meet a finite product support. These tests
 check the declared degree bounds by finite differences, that the scans'
-cost does not grow with the radius, and that random specs and products
-get the same reports as the element-level oracles.
+cost does not grow with the radius, passing or failing, and that random
+specs and products get the same reports as the element-level oracles and
+as flat window scans.
 """
 
 from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -25,6 +26,8 @@ from tpw.algebra import (
     WittType,
     _Scan,
     _ZERO,
+    _index_tuples,
+    _position,
     scan_identities,
     verify_lie_axioms,
 )
@@ -244,18 +247,10 @@ def test_a_certified_pass_visits_only_the_grid(name):
         assert verify(spec, Mutation(Element()), Window(3, 1)).visited == n ** 2 + n ** 3
 
 
-def test_limited_lie_scan_agrees_with_the_certificate():
-    """``max_triples`` one below the window's triples scans both stages in
-    full; the raw Block of the benchmark fails Jacobi long before the limit,
-    so the report is the certified one."""
-    spec = Block.raw_form(AdditiveMap([1, 0, 0]),
+def _bench_raw_block():
+    """The benchmark's corrupted Block: g additive, f not of the (g, h) form."""
+    return Block.raw_form(AdditiveMap([1, 0, 0]),
                           BiadditiveForm([[0, 0, 0], [0, 0, 1], [0, -1, 0]]))
-    window = Window(2, 1)
-    n = len(spec.basis_labels(box_points(window.radius, spec.rank)))
-    certified = verify_lie_axioms(spec, window)
-    assert certified.anticommutative and not certified.jacobi
-    assert certified.n_triples == 8001
-    assert verify_lie_axioms(spec, window, max_triples=comb(n + 2, 3) - 1) == certified
 
 
 @pytest.mark.parametrize("spec,table", [
@@ -316,3 +311,114 @@ def test_given_tuples_come_before_the_certificate_and_the_limit_before_both():
     never = ((2, {"never": _fails(lambda s, idx: False)}),)
     with pytest.raises(LimitExceededError):
         scan_identities(_witt_scan(), never, ordered=True, tuples=given, max_triples=48)
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_position_counts_the_nested_order(ordered):
+    for n in range(1, 6):
+        for arity in range(1, 4):
+            tuples = _index_tuples(n, arity, ordered)[1]
+            assert [_position(idx, n, ordered) for idx in tuples] == list(
+                range(1, _index_tuples(n, arity, ordered)[0] + 1))
+
+
+def test_a_failing_lie_scan_costs_the_same_at_any_radius():
+    """The corrupted Block's first Jacobi witness lies on Box(1), past the
+    whole slab of the origin: the 378 grid pairs and the grid triples up to
+    the witness decide both stages at every radius."""
+    spec = _bench_raw_block()
+    small, large = (verify_lie_axioms(spec, w) for w in (Window(2, 1), Window(3, 1)))
+    witness = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert small.anticommutative and large.anticommutative
+    assert small.jacobi_witness[:3] == large.jacobi_witness[:3] == witness
+    assert small.jacobi_witness[3] == large.jacobi_witness[3]
+    assert small.visited == large.visited == 784
+    n, m = 125, 27
+    assert small.n_triples == 8001
+    assert small.n_triples > max(comb(n + 1, 2), comb(m + 2, 3))  # slab 0, the grid
+    assert large.n_triples == 59340
+
+
+@st.composite
+def raw_blocks(draw):
+    """A raw Block of rank 2 (always Lie) or 3 (mostly not)."""
+    rank = draw(st.integers(2, 3))
+    upper = draw(_vector(rank * (rank - 1) // 2, _RATIONAL))
+    return Block.raw_form(AdditiveMap(draw(_vector(rank))),
+                          BiadditiveForm(_antisymmetric(upper, rank)))
+
+
+@settings(max_examples=5, deadline=None)
+@example(spec=_bench_raw_block())
+@given(spec=raw_blocks())
+def test_limited_lie_scan_agrees_with_the_certificate(spec):
+    """On Window(2, 1), a ``max_triples`` one below the full count scans the
+    window flat: it gives the certified report, witness and counts included,
+    or reaches the limit without a witness where the certificate passes. The
+    benchmark's raw Block fails Jacobi long before the limit."""
+    window = Window(2, 1)
+    n = len(spec.basis_labels(box_points(2, spec.rank)))
+    certified = verify_lie_axioms(spec, window)
+    if certified.passed:
+        with pytest.raises(LimitExceededError):
+            verify_lie_axioms(spec, window, max_triples=comb(n + 2, 3) - 1)
+    else:
+        assert verify_lie_axioms(spec, window, max_triples=comb(n + 2, 3) - 1) == certified
+
+
+@st.composite
+def mutations(draw):
+    """A mutation on rank-one Witt type or generalized Witt, and a radius."""
+    spec = draw(st.sampled_from([WittType(AdditiveMap([draw(_RATIONAL)])),
+                                 GeneralizedWitt(Pairing([[draw(_RATIONAL)]]))]))
+    return spec, Mutation(_element(draw, spec, 1)), draw(st.integers(2, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=mutations())
+def test_a_certified_mutation_report_equals_the_flat_one(case):
+    """Mutations pass the tp axioms, so a limit below n^3 would stop their flat
+    scan: the flat report comes from the same mutation without its degree.
+    The Poisson rule, which ``require_poisson`` asks for, fails on most."""
+    spec, product, radius = case
+    window = Window(radius, 1)
+    flat = Mutation(product.w)
+    flat.coefficient_degree = None
+    certified = verify(spec, product, window)
+    assert certified.tp_pass
+    assert verify(spec, flat, window) == certified
+
+
+@st.composite
+def polynomial_identities(draw):
+    """A stage whose residual is prod_t (t_1 - c)(t_1 - d) over its arguments t.
+
+    Symmetric, of degree 2 in each coordinate, and zero on the slabs whose
+    first argument has first coordinate c or d, so that with c or d = 0 the
+    first witness lies past the origin's slab."""
+    rank, arity = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    c, d = draw(st.sampled_from([-1, 0, 1])), draw(st.sampled_from([-1, 0, 1]))
+
+    def sides(s, *idx):
+        value = 1
+        for i in idx:
+            value *= (s.labels[i][0] - c) * (s.labels[i][0] - d)
+        return Element({(0,) * rank: value}), _ZERO
+    return rank, ((arity, {"poly": sides}),), draw(st.integers(2, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=polynomial_identities(), ordered=st.booleans())
+def test_a_certified_polynomial_stage_finds_the_flat_witness(case, ordered):
+    """Ordered and unordered, the grid alone gives the window scan's witness
+    and position."""
+    rank, stages, radius = case
+    spec = WittType(AdditiveMap([1] * rank))
+
+    def scan():
+        return _Scan(spec, search_order(radius, rank))
+    certified = scan()
+    found = scan_identities(certified, stages, ordered, degree=2)
+    assert found == scan_identities(scan(), stages, ordered)
+    assert certified.visited <= _index_tuples(len(spec.basis_labels(
+        box_points(1, rank))), stages[0][0], ordered)[0]
