@@ -46,6 +46,7 @@ __all__ = [
     "center_predicate",
     "element_from_json",
     "element_to_json",
+    "index_from_json",
     "spec_from_json",
     "spec_to_json",
     "square_predicate",
@@ -764,10 +765,17 @@ def element_to_json(el: Element):
     return out
 
 
+def index_from_json(data) -> tuple:
+    """A lattice index from a JSON list; only integers that are not bools."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in data):
+        raise ValueError("index %r is not a list of integers" % (data,))
+    return tuple(data)
+
+
 def element_from_json(data) -> Element:
     terms = {}
     for item in data:
-        idx = tuple(int(x) for x in item["index"])
+        idx = index_from_json(item["index"])
         coeff = item["coeff"]
         if isinstance(coeff, list):
             terms[idx] = tuple(scalar_from_str(x) for x in coeff)

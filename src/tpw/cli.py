@@ -65,9 +65,11 @@ def load_config(data: dict) -> dict:
     cfg = dict(data)
     algebra = _require(cfg, "algebra", dict)
     try:
-        spec_from_json(algebra)
+        spec = spec_from_json(algebra)
     except (KeyError, ValueError, TypeError, RankMismatchError) as exc:
         raise ConfigError("field 'algebra' is invalid: %s" % exc)
+    if spec.rank < 1:
+        raise ConfigError("field 'algebra' is invalid: the lattice has rank 0")
     window = _require(cfg, "window", dict)
     radius = _require(window, "radius")
     if not _is_int(radius) or radius < 1:

@@ -12,9 +12,10 @@ commutativity solve, whose rows go into one ``RowSpace`` through
 eliminated in stream order until as many have reduced to zero as the
 kernel still has dimensions; each later row is checked by sparse dot
 products against an integer basis of the current kernel, and only a row
-that fails is inserted, shrinking that basis by one exact step. A rank,
-a row-space basis, ``in_span`` and every span check after a solve are
-reads of one ``RowSpace``.
+that fails is inserted, shrinking that basis by one exact step. So every
+drawn row is consumed or checked: ``rows_generated = rows_consumed +
+rows_checked``. A rank, a row-space basis, ``in_span`` and every span
+check after a solve are reads of one ``RowSpace``.
 ``SparseMatrix`` holds a matrix assembled from entries (a system's
 ``matrix``). No floating point appears anywhere in this package.
 """
@@ -43,7 +44,7 @@ DEFAULT_MAX_CELLS = 200_000_000
 
 
 class DimensionOverflowError(Exception):
-    """The matrix exceeds the configured cell limit; the window is too large."""
+    """The matrix exceeds the cell limit; the window is too large."""
 
 
 class DimensionMismatchError(Exception):
@@ -51,8 +52,11 @@ class DimensionMismatchError(Exception):
 
 
 def scalar_from_str(text: str) -> Fraction:
-    """Parse a ``"p/q"`` or plain ``"p"`` string into an exact rational."""
-    return Fraction(str(text).strip())
+    """Parse ``"p/q"`` or ``"p"`` exactly; ``ValueError`` if malformed or q = 0."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError("%r has a zero denominator" % (text,)) from None
 
 
 def scalar_to_str(value) -> str:
@@ -173,7 +177,6 @@ class RowSpace:
         self.n_cols = n_cols
         self.rows = {}
         self._reduced = None  # (rank, rows): rows are only added, each raising the rank
-        self.rows_generated = 0
         self.rows_consumed = 0
         self.rows_checked = 0
         for v in vectors:
@@ -181,7 +184,7 @@ class RowSpace:
             self.insert(_vector_int_row(v))
 
     @classmethod
-    def from_source(cls, source, max_cells=None) -> "RowSpace":
+    def from_source(cls, source) -> "RowSpace":
         """The row space of ``source``, its rows drawn in stream order.
 
         ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator
@@ -189,30 +192,19 @@ class RowSpace:
         until as many of them have reduced to zero as the kernel still has
         dimensions (``n_cols - rank``); each later row of the same stream
         is checked against the kernel K of the rows before it
-        (``_certify``). So ``rows_consumed - rank``, the rows reduced for
-        nothing, never exceeds ``n_cols``. The cell limit is checked on
-        ``n_rows x n_cols`` before any row is drawn, and no row is drawn
-        once the rank reaches ``n_cols``. Rows are gcd-normalized, so a
-        repeat up to scaling is skipped unreduced.
+        (``_certify``). So every drawn row is consumed or checked
+        (``rows_generated = rows_consumed + rows_checked``), and
+        ``rows_consumed - rank``, the rows reduced for nothing, never
+        exceeds ``n_cols``. ``n_rows x n_cols`` is checked against
+        ``DEFAULT_MAX_CELLS`` before any row is drawn, and no row is drawn
+        once the rank reaches ``n_cols``.
         """
-        limit = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-        if source.n_rows * source.n_cols > limit:
+        if source.n_rows * source.n_cols > DEFAULT_MAX_CELLS:
             raise DimensionOverflowError(
                 "%dx%d matrix exceeds the %d-cell limit"
-                % (source.n_rows, source.n_cols, limit))
+                % (source.n_rows, source.n_cols, DEFAULT_MAX_CELLS))
         space = cls(n_cols=source.n_cols)
-        seen = set()
-
-        def distinct(rows):
-            for row in rows:
-                space.rows_generated += 1
-                row = _gcd_normalize(row)
-                sig = frozenset(row.items())
-                if row and sig not in seen:
-                    seen.add(sig)
-                    yield row
-
-        rows = distinct(source.int_rows())
+        rows = source.int_rows()
         zeros = 0
         for row in rows:
             rank = space.rank
@@ -377,7 +369,6 @@ class RowSpace:
                 vec[c] = v
             vectors.append(tuple(vec))
         return NullspaceBasis(n_cols, tuple(vectors),
-                              rows_generated=self.rows_generated,
                               rows_consumed=self.rows_consumed,
                               rows_checked=self.rows_checked)
 
@@ -399,16 +390,16 @@ class NullspaceBasis:
     other free columns, which makes the basis uniquely determined by the
     kernel itself: golden comparisons stay byte-stable.
 
-    ``rows_generated`` counts the rows drawn from the source before the
-    solve stopped. Of those that are nonzero and no repeat of an earlier
-    row, ``rows_consumed`` counts the ones reduced into the echelon and
+    Of the rows drawn from the source before the solve stopped,
+    ``rows_consumed`` counts the ones reduced into the echelon and
     ``rows_checked`` the ones only verified against the kernel of the rows
-    before them (``RowSpace.from_source``). None takes part in equality.
+    before them (``RowSpace.from_source``); every drawn row is one or the
+    other, so ``rows_generated = rows_consumed + rows_checked``. No count
+    takes part in equality.
     """
 
     n_cols: int
     vectors: tuple
-    rows_generated: int = field(default=0, compare=False)
     rows_consumed: int = field(default=0, compare=False)
     rows_checked: int = field(default=0, compare=False)
 
@@ -416,18 +407,22 @@ class NullspaceBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
+    @property
+    def rows_generated(self) -> int:
+        return self.rows_consumed + self.rows_checked
 
-def nullspace(source, max_cells=None) -> NullspaceBasis:
+
+def nullspace(source) -> NullspaceBasis:
     """Exact canonical kernel basis of a matrix or a row source.
 
     ``source`` is a ``SparseMatrix`` or anything else with ``n_rows``,
     ``n_cols`` and an ``int_rows()`` iterator, read by
-    ``RowSpace.from_source``; no row is drawn once the rank reaches
-    ``n_cols``.
+    ``RowSpace.from_source`` (``rows_generated = rows_consumed +
+    rows_checked``); no row is drawn once the rank reaches ``n_cols``.
     Deterministic: the result depends only on the row space, not on row
     order or row scaling.
     """
-    return RowSpace.from_source(source, max_cells).kernel()
+    return RowSpace.from_source(source).kernel()
 
 
 def _vector_int_row(vector):

@@ -28,8 +28,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import exactlin
+from .algebra import center_predicate, square_predicate
 from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
-from .lattice import Window, add, box_points, norm_inf, zero
+from .lattice import Window, add, box_points, norm_inf
 
 __all__ = [
     "CompareReport",
@@ -230,13 +231,13 @@ def _constraint_rows(system):
                             yield row
 
 
-def solve(system: HalfDerivationSystem, max_cells=None) -> NullspaceBasis:
+def solve(system: HalfDerivationSystem) -> NullspaceBasis:
     """Canonical exact nullspace of the system, from its streamed rows.
 
     Elimination draws rows only until the rank reaches the number of
     unknowns; the system's matrix is never materialized.
     """
-    return exactlin.nullspace(system, max_cells=max_cells)
+    return exactlin.nullspace(system)
 
 
 def _identity_matrix(dv):
@@ -268,20 +269,15 @@ def _predicted_witt(spec, degree, window, box, one):
 
 
 def _predicted_block(spec, degree, window, box, one):
-    origin = not any(degree)
-    if spec.g_is_zero:
-        if not origin:
-            return [], True
-        return [("id", {x: one for x in box}), ("alpha", {zero(spec.rank): one})], True
-    if spec.h is None:
-        raise ValueError("predictions for g != 0 need the (g, h) presentation")
-    named = [("id", {x: one for x in box})] if origin else []
-    g, h = spec.g, spec.h
+    """The identity at degree 0, and u_b -> u_(b + degree) for each b
+    outside the square whose target lies in the window and in the center."""
+    named = [("id", {x: one for x in box})] if not any(degree) else []
     for b in box:
-        if g(b) == 0 and h(b) == -2:
-            target = add(b, degree)
-            if window.contains(target) and g(target) == 0 and h(target) == -1:
-                named.append(("alpha_(%s,%s)" % (_fmt(b), _fmt(target)), {b: one}))
+        target = add(b, degree)
+        if (not square_predicate(spec, b) and window.contains(target)
+                and center_predicate(spec, target)):
+            name = "alpha" if spec.g_is_zero else "alpha_(%s,%s)" % (_fmt(b), _fmt(target))
+            named.append((name, {b: one}))
     return named, True
 
 
@@ -480,11 +476,7 @@ def sweep(spec, window: Window, degree_bound: int, delta=HALF,
             excess=rep.excess,
         ))
     all_pass = all(r.passed for r in results)
-    seen = []
-    for name in span_names:
-        if name not in seen:
-            seen.append(name)
-    body = "span{%s}" % ", ".join(seen) if seen else "span{}"
+    body = "span{%s}" % ", ".join(dict.fromkeys(span_names))
     if not predictive:
         verdict = "dimension report only (delta != 1/2)"
     elif authoritative:

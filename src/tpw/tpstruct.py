@@ -20,6 +20,7 @@ from .algebra import (
     center_predicate,
     element_from_json,
     element_to_json,
+    index_from_json,
     scan_identities,
     square_predicate,
     _Scan,
@@ -188,7 +189,7 @@ class ExplicitProduct(_Product):
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls({(tuple(int(x) for x in item["a"]), tuple(int(x) for x in item["b"])):
+        return cls({(index_from_json(item["a"]), index_from_json(item["b"])):
                     element_from_json(item["value"]) for item in data[cls.json_key]})
 
 

@@ -111,6 +111,20 @@ def sparse_nullspace(rows, n_cols):
     return vectors
 
 
+class CountingSource:
+    """A row source that passes ``source``'s rows on and counts the draws."""
+
+    def __init__(self, source):
+        self.source = source
+        self.n_rows, self.n_cols = source.n_rows, source.n_cols
+        self.drawn = 0
+
+    def int_rows(self):
+        for row in self.source.int_rows():
+            self.drawn += 1
+            yield row
+
+
 def oracle_in_span(vector, vectors):
     """Span membership by comparing ranks of stacked rows."""
     base = [list(v) for v in vectors]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tpw import cli
+from tpw import cli, exactlin
 from tpw.cli import ConfigError, load_config, reproduce, run
 
 
@@ -257,6 +257,15 @@ def test_witnesses_task_on_pairing():
     assert not report["result"]["degenerate_in_window"]
 
 
+def test_cell_limit_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(exactlin, "DEFAULT_MAX_CELLS", 1000)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(small("solve-half-derivations", B0,
+                                     payload={"degree_bound": 1})))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
+    assert "1000-cell limit" in capsys.readouterr().err
+
+
 def test_check_lie_limit_exits_3(tmp_path, capsys):
     cfg = small("check-lie", B0)
     cfg["limits"] = {"max_triples": 10}
@@ -361,10 +370,23 @@ def _table_product(entry):
     (dict(small("check-lie", B0), seed=True), "seed"),
     (dict(small("check-lie", B0), limits={"max_triples": True}), "limits.max_triples"),
     (dict(small("check-lie", B0), limits={"max_unknowns": True}), "limits.max_unknowns"),
+    (dict(small("check-lie", B0), delta="1/0"), "delta"),
+    (small("check-lie", {"family": "witt_type", "f": ["1/0"]}), "algebra"),
+    (small("classify-tp", {"family": "witt_type", "f": []}), "algebra"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0], "coeff": "1/0"}]}}), "payload.product"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0.7], "coeff": "1"}]}}), "payload.product"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [True], "coeff": "1"}]}}), "payload.product"),
+    (small("verify-structure", WT, payload={"product": _table_product({"b": [0.5]})}),
+     "payload.product"),
 ], ids=["product-list", "table-value-int", "table-index-int", "table-index-text",
         "multiplier-int",
         "algebra-map-int", "radius-bool", "margin-bool", "seed-bool",
-        "max-triples-bool", "max-unknowns-bool"])
+        "max-triples-bool", "max-unknowns-bool", "delta-zero-denominator",
+        "algebra-zero-denominator", "algebra-rank-0", "coefficient-zero-denominator",
+        "multiplier-index-float", "multiplier-index-bool", "table-index-float"])
 def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ConfigError, match=re.escape(field)):
         run(json.loads(json.dumps(cfg)))

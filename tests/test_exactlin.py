@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tpw import exactlin
 from tpw.exactlin import (
     DimensionMismatchError,
     DimensionOverflowError,
@@ -19,6 +20,7 @@ from tpw.exactlin import (
 )
 
 from oracles import (
+    CountingSource,
     dense_rref,
     oracle_in_span,
     oracle_nullspace,
@@ -101,10 +103,11 @@ def test_in_span_of_own_vectors():
         assert in_span(v, ns)
 
 
-def test_dimension_overflow():
+def test_dimension_overflow(monkeypatch):
     m = SparseMatrix.from_rows([[1, 2], [3, 4]])
+    monkeypatch.setattr(exactlin, "DEFAULT_MAX_CELLS", 3)
     with pytest.raises(DimensionOverflowError):
-        nullspace(m, max_cells=3)
+        nullspace(m)
 
 
 def _random_matrix(rng, n_rows, n_cols, density=0.4, span=4):
@@ -235,29 +238,32 @@ class _Rows:
 
 
 def test_late_rows_that_fail_the_check_shrink_the_kernel():
-    """x0 - x1 and x1 + x2 + x3 are eliminated, and so is their sum
-    x0 + x2 + x3, the first row to reduce to zero; x0 + x1 raises the rank
-    to 3, leaving one kernel dimension open for the one zero row, so every
-    later row is only checked against K = <(0, 0, -1, 1)>."""
+    """x0 - x1 and x1 + x2 + x3 are eliminated; the repeat 2 x0 - 2 x1 is
+    the first row to reduce to zero and their sum x0 + x2 + x3 the second,
+    which leaves rank 2 with two zero rows for two open kernel dimensions,
+    so every later row is checked against K = <(-1, -1, 1, 0),
+    (-1, -1, 0, 1)>."""
     rows = [
         {0: 1, 1: -1},
-        {0: 2, 1: -2},              # a repeat up to scaling: neither reduced nor checked
+        {0: 2, 1: -2},              # a repeat up to scaling: reduces to zero
         {1: 1, 2: 1, 3: 1},
-        {0: 1, 2: 1, 3: 1},         # reduces to zero
-        {0: 1, 1: 1},               # rank 3: the switch fires
+        {0: 1, 2: 1, 3: 1},         # reduces to zero: the switch fires
+        {0: 1, 1: 1},               # meets K: inserted, K = <(0, 0, -1, 1)>
         {0: 3, 1: 3, 2: -1, 3: -1}, # checked: it meets no vector of K
         {1: 3, 2: 1, 3: -1},        # meets K: inserted, and the rank is full
         {0: 5, 3: 2},               # never drawn
     ]
-    ns = nullspace(_Rows(4, rows))
+    source = CountingSource(_Rows(4, rows))
+    ns = nullspace(source)
     assert ns.vectors == ()
-    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (7, 5, 1)
+    assert (source.drawn, ns.rows_consumed, ns.rows_checked) == (7, 6, 1)
     rows[6:] = [{0: 1, 1: 2, 2: 1, 3: 1}]  # checked: in the span as well
-    ns = nullspace(_Rows(4, rows))
+    source = CountingSource(_Rows(4, rows))
+    ns = nullspace(source)
     assert ns.vectors == ((0, 0, -1, 1),)
     assert ns == nullspace(SparseMatrix.from_rows(
         [[row.get(c, 0) for c in range(4)] for row in rows]))
-    assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == (7, 4, 2)
+    assert (source.drawn, ns.rows_consumed, ns.rows_checked) == (7, 5, 2)
 
 
 def test_no_row_is_drawn_once_the_checked_rows_saturate_the_rank():
@@ -268,9 +274,10 @@ def test_no_row_is_drawn_once_the_checked_rows_saturate_the_rank():
         def stream():
             yield from rows
             raise AssertionError("a row was drawn after the rank saturated")
-        ns = nullspace(_Rows(3, stream, n_rows=len(rows) + 1))
+        source = CountingSource(_Rows(3, stream, n_rows=len(rows) + 1))
+        ns = nullspace(source)
         assert ns.vectors == ()
-        assert (ns.rows_generated, ns.rows_consumed, ns.rows_checked) == counts
+        assert (source.drawn, ns.rows_consumed, ns.rows_checked) == counts
 
 
 def test_checked_rows_give_the_kernel_of_all_rows():
@@ -292,10 +299,33 @@ def test_checked_rows_give_the_kernel_of_all_rows():
                    for _ in range(n_cols)] for _ in range(rng.randint(0, 6))]
         dense = base + prefix + suffix
         rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
-        ns = nullspace(_Rows(n_cols, rows))
+        source = CountingSource(_Rows(n_cols, rows))
+        ns = nullspace(source)
         assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
         assert ns == nullspace(SparseMatrix.from_rows(dense))
         assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
-        assert ns.rows_consumed + ns.rows_checked <= ns.rows_generated
+        assert source.drawn == ns.rows_consumed + ns.rows_checked == ns.rows_generated
         shrunk += oracle_rank(dense) > k
     assert shrunk > 50
+
+
+def test_repeated_rescaled_and_negated_rows_give_the_oracle_kernel():
+    """No row is skipped as a repeat: each copy of a row, rescaled, negated
+    or zero, is eliminated or checked like any other row."""
+    rng = random.Random(13)
+    repeats = 0
+    for _ in range(150):
+        n_cols = rng.randint(1, 7)
+        base = [[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(n_cols)]
+                for _ in range(rng.randint(1, n_cols))]
+        # more draws than base rows, so some base row comes more than once
+        dense = [[rng.choice([1, -1, 2, -3, 5]) * v for v in rng.choice(base)]
+                 for _ in range(len(base) + rng.randint(1, 6))]
+        source = CountingSource(_Rows(n_cols, [
+            {c: v for c, v in enumerate(r) if v} for r in dense]))
+        ns = nullspace(source)
+        assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
+        assert source.drawn == ns.rows_consumed + ns.rows_checked
+        assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
+        repeats += source.drawn > n_cols - ns.dimension
+    assert repeats > 75

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CountingSource,
     oracle_in_span,
     oracle_rank,
     ordered_pair_rows,
@@ -243,16 +244,19 @@ def test_streamed_solve_matches_materialized_matrix(name, radius, delta):
         degrees = box_points(1, spec.rank)
     for a in degrees:
         system = assemble(spec, a, Window(radius), delta=delta)
-        streamed = solve(system)
+        streamed_rows = CountingSource(system)
+        streamed = solve(streamed_rows)
         assert "matrix" not in vars(system)
-        materialized = exactlin.nullspace(system.matrix)
+        materialized_rows = CountingSource(system.matrix)
+        materialized = exactlin.nullspace(materialized_rows)
         assert streamed == materialized, a
         assert streamed.rows_generated <= system.matrix.n_rows
         # rows are eliminated only until as many reduced to zero as the
-        # kernel had dimensions open, so at most n_cols are reduced for nothing
-        for ns in (streamed, materialized):
+        # kernel had dimensions open, so at most n_cols are reduced for
+        # nothing; every drawn row is eliminated or checked
+        for ns, source in ((streamed, streamed_rows), (materialized, materialized_rows)):
             assert ns.rows_consumed - (ns.n_cols - ns.dimension) <= ns.n_cols, a
-            assert ns.rows_consumed + ns.rows_checked <= ns.rows_generated, a
+            assert source.drawn == ns.rows_consumed + ns.rows_checked, a
 
 
 @pytest.mark.parametrize("delta", DELTAS, ids=str)
@@ -301,17 +305,19 @@ def test_n_constraints_counts_ordered_pairs(spec, dim_v):
             _brute_force_pairs(radius, spec.rank) * dim_v ** 3), radius
 
 
-def test_cell_limit_is_checked_before_any_row_is_built():
+def test_cell_limit_is_checked_before_any_row_is_built(monkeypatch):
     system = assemble(gw_spec(), (1, 0), Window(2, 1))
     cells = system.n_constraints * system.n_unknowns
 
     def no_rows():
         raise AssertionError("a row was requested")
     system.int_rows = no_rows
+    monkeypatch.setattr(exactlin, "DEFAULT_MAX_CELLS", cells - 1)
     with pytest.raises(exactlin.DimensionOverflowError):
-        solve(system, max_cells=cells - 1)
+        solve(system)
     del system.int_rows
-    assert solve(system, max_cells=cells).dimension == 0
+    monkeypatch.setattr(exactlin, "DEFAULT_MAX_CELLS", cells)
+    assert solve(system).dimension == 0
 
 
 _SMALL = st.integers(-2, 2)
@@ -378,10 +384,11 @@ def test_compare_matches_the_dense_oracle_on_inner_projections(spec, window):
 def test_certified_kernel_matches_the_oracle_on_random_specs(spec, delta, window):
     for a in box_points(1, spec.rank):
         system = assemble(spec, a, window, delta=delta)
-        certified = solve(system)
+        source = CountingSource(system)
+        certified = solve(source)
         rank = system.n_cols - certified.dimension
         assert certified.rows_consumed - rank <= system.n_cols, a
-        assert certified.rows_consumed + certified.rows_checked <= certified.rows_generated, a
+        assert source.drawn == certified.rows_consumed + certified.rows_checked, a
         assert certified == exactlin.nullspace(system.matrix), a
         assert certified.vectors == tuple(sparse_nullspace(
             system.matrix.row_dicts(), system.n_unknowns)), a
