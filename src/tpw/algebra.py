@@ -28,7 +28,6 @@ from .lattice import (
     form_from_gh,
     search_order,
     sub,
-    zero,
 )
 
 __all__ = [
@@ -70,15 +69,12 @@ class LimitExceededError(Exception):
 
 
 def limited(items, max_triples=None):
-    """Number the tuples of a scan from 1, the way every scan counts them.
-
-    Raises ``LimitExceededError`` before the tuple past ``max_triples``, so
-    a pair or triple stage never evaluates more than the limit allows.
-    """
+    """The tuples of a scan, raising ``LimitExceededError`` before the one
+    past ``max_triples``: a stage never evaluates more than the limit allows."""
     for n, item in enumerate(items, 1):
         if max_triples is not None and n > max_triples:
             raise LimitExceededError("max_triples limit %d exceeded" % max_triples)
-        yield n, item
+        yield item
 
 
 def _coeff_is_zero(c):
@@ -433,12 +429,10 @@ class _Scan:
     Tuples are of label positions. ``br`` memoizes the bracket of two
     basis elements; given a ``product`` (a bilinear map on elements with a
     memoized ``pair`` of basis labels), ``mul`` gives their product.
-    ``visited`` counts the tuples evaluated. ``holds``, when set, is asked
-    first on each tuple: true means every identity holds there unevaluated.
-    ``last`` keeps a tuple and the terms its identities share.
+    ``visited`` counts the tuples evaluated. ``shared`` keeps, for the last
+    tuple, the terms that several of its identities read.
     """
 
-    holds = None
     last = None, None
 
     def __init__(self, spec, points, product=None):
@@ -461,26 +455,30 @@ class _Scan:
     def mul(self, i, j):
         return self.product.pair(self.labels[i], self.labels[j])
 
-    def first_witnesses(self, numbered, identities):
-        """``{name: (position, witness)}`` of the identities failing on ``numbered``.
+    def shared(self, idx, terms):
+        """``terms(self, *idx)``, computed once while the scan is at ``idx``."""
+        if self.last[0] != (terms, idx):
+            self.last = (terms, idx), terms(self, *idx)
+        return self.last[1]
+
+    def first_witnesses(self, tuples, identities):
+        """``{name: (index tuple, witness)}`` of the identities failing on ``tuples``.
 
         ``identities`` maps names to sides, functions of the scan and an index
-        tuple giving both sides there; ``numbered`` yields ``(position, index
-        tuple)``. A witness is the first failing tuple's labels and sides. The
-        scan stops once each identity has one, and visits nothing for none.
+        tuple giving both sides there. A witness is the first failing tuple's
+        labels and sides. The scan stops once each identity has one, and
+        visits nothing for none.
         """
-        labels, found, holds = self.labels, {}, self.holds
+        labels, found = self.labels, {}
         open_ids = [(name, MethodType(sides, self)) for name, sides in identities.items()]
         if not open_ids:
             return found
         count = 0
-        for count, (pos, idx) in enumerate(numbered, 1):
-            if holds is not None and holds(idx):
-                continue
+        for count, idx in enumerate(tuples, 1):
             for name, sides in open_ids:
                 lhs, rhs = sides(*idx)
                 if lhs.terms != rhs.terms:  # Element !=, minus a call per tuple
-                    found[name] = pos, (tuple(labels[i] for i in idx), lhs, rhs)
+                    found[name] = idx, (tuple(labels[i] for i in idx), lhs, rhs)
                     open_ids = [item for item in open_ids if item[0] != name]
             if not open_ids:
                 break
@@ -513,11 +511,12 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
     """``{name: (position, witness)}`` for every identity of ``stages`` on ``scan``.
 
     ``stages`` lists ``(arity, identities)``, each scanned in order over
-    ``_index_tuples(n, arity, ordered)``; a passing identity has no witness and
-    the number of tuples of its stage. The one rule for the tuples visited:
+    ``_index_tuples(n, arity, ordered)``; a witness sits at its tuple's
+    ``_position`` there, and a passing identity has no witness and the number
+    of tuples of its stage. The one rule for the tuples visited:
     - ``max_triples`` below the last stage's tuple count: all, raising
       ``LimitExceededError`` before the tuple past it;
-    - else ``tuples``, per stage the numbered index tuples that can fail;
+    - else ``tuples``, per stage the sorted index tuples that can fail;
     - else ``degree``, for residual coefficients that are polynomials of that
       per-coordinate degree in the lattice indices, when the scan's labels open
       with those of the grid Box(r), 2r + 1 > ``degree``: the grid's tuples
@@ -541,16 +540,15 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
     found = {}
     for s, (arity, identities) in enumerate(stages):
         total, every = _index_tuples(n, arity, ordered)
-        if certify:  # numbered by the tuple itself, placed in the window once it fails
-            hits = scan.first_witnesses(
-                ((idx, idx) for idx in _index_tuples(len(grid), arity, ordered)[1]),
-                identities)
-            hits = {name: (_position(idx, n, ordered), w) for name, (idx, w) in hits.items()}
-            certify = not hits
-        else:
-            numbered = limited(every, max_triples) if tuples is None else tuples[s]
-            hits = scan.first_witnesses(numbered, identities)
-        found.update((name, hits.get(name, (total, None))) for name in identities)
+        if certify:  # the grid's labels open the window's: the same index tuples
+            every = _index_tuples(len(grid), arity, ordered)[1]
+        elif tuples is not None:
+            every = tuples[s]
+        hits = scan.first_witnesses(limited(every, max_triples), identities)
+        certify = certify and not hits
+        for name in identities:
+            idx, w = hits.get(name, (None, None))
+            found[name] = (total, None) if w is None else (_position(idx, n, ordered), w)
     return found
 
 
@@ -661,8 +659,8 @@ def verify_center(spec, window: Window) -> CenterSquareReport:
 def verify_square(spec, window: Window) -> CenterSquareReport:
     """Confirm the square predicate for every index in the inner box.
 
-    Predicate-true indices get a pair (a-b, b) bracketing to a nonzero
-    multiple of u_a, built by the classification's own recipes;
+    Predicate-true indices get the pair (a-b, b) with the first b in
+    search order whose bracket is a nonzero multiple of u_a;
     predicate-false indices are checked by exhausting all box pairs that
     add up to a.
     """
@@ -673,7 +671,7 @@ def verify_square(spec, window: Window) -> CenterSquareReport:
     confirmed, witnesses, failures = [], {}, []
     for a in box_points(window.inner_margin, spec.rank):
         if square_predicate(spec, a):
-            b = _square_witness(spec, a, order)
+            b = next((b for b in order if spec.bracket_coeff(sub(a, b), b)), None)
             if b is None:
                 failures.append((a, None))
             else:
@@ -688,20 +686,6 @@ def verify_square(spec, window: Window) -> CenterSquareReport:
             else:
                 failures.append((a, bad))
     return CenterSquareReport(tuple(confirmed), witnesses, tuple(failures))
-
-
-def _square_witness(spec, a, order):
-    if spec.g_is_zero:
-        for b in order:
-            if spec.f(a, b):
-                return b
-        return None
-    if spec.g(a):
-        return zero(spec.rank)
-    for b in order:
-        if spec.g(b) and spec.bracket_coeff(sub(a, b), b):
-            return b
-    return None
 
 
 @dataclass(frozen=True)
@@ -776,6 +760,8 @@ def element_from_json(data) -> Element:
     terms = {}
     for item in data:
         idx = index_from_json(item["index"])
+        if idx in terms:
+            raise ValueError("index %s appears twice in an element" % (idx,))
         coeff = item["coeff"]
         if isinstance(coeff, list):
             terms[idx] = tuple(scalar_from_str(x) for x in coeff)
@@ -808,14 +794,19 @@ def spec_from_json(data: dict):
     family = data.get("family")
     if family == "generalized_witt":
         return GeneralizedWitt(Pairing.from_json(data["pairing"]))
-    if family == "block":
-        if data.get("raw"):
+    if family == "block":  # the three forms spec_to_json writes
+        raw, keys = data.get("raw", False), set(data) - {"family", "raw"}
+        if not isinstance(raw, bool):
+            raise ValueError("'raw' must be true or false")
+        if raw and keys == {"g", "f"}:
             return Block.raw_form(AdditiveMap.from_json(data["g"]),
                                   BiadditiveForm.from_json(data["f"]))
-        if "h" in data:
+        if not raw and keys == {"g", "h"}:
             return Block.from_gh(AdditiveMap.from_json(data["g"]),
                                  AdditiveMap.from_json(data["h"]))
-        return Block.with_form(BiadditiveForm.from_json(data["f"]))
+        if not raw and keys == {"f"}:
+            return Block.with_form(BiadditiveForm.from_json(data["f"]))
+        raise ValueError("a Block spec is {f}, {g, h} or {g, f, raw: true}")
     if family == "witt_type":
         return WittType(AdditiveMap.from_json(data["f"]))
     raise ValueError("unknown algebra family %r" % (family,))

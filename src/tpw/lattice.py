@@ -147,7 +147,7 @@ class AdditiveMap:
 
     @classmethod
     def from_json(cls, data):
-        return cls(scalar_from_str(v) for v in data)
+        return cls(scalar_from_str(v) for v in _json_array(data))
 
 
 class BiadditiveForm:
@@ -195,7 +195,8 @@ class BiadditiveForm:
 
     @classmethod
     def from_json(cls, data):
-        return cls([[scalar_from_str(v) for v in row] for row in data])
+        return cls([[scalar_from_str(v) for v in _json_array(row)]
+                    for row in _json_array(data)])
 
 
 class Pairing:
@@ -242,7 +243,15 @@ class Pairing:
 
     @classmethod
     def from_json(cls, data):
-        return cls([[scalar_from_str(v) for v in row] for row in data])
+        return cls([[scalar_from_str(v) for v in _json_array(row)]
+                    for row in _json_array(data)])
+
+
+def _json_array(data):
+    """``data`` if it is a JSON array: a string is no list of scalars."""
+    if not isinstance(data, list):
+        raise ValueError("expected a JSON array, got %r" % (data,))
+    return data
 
 
 def form_from_gh(g: AdditiveMap, h: AdditiveMap) -> BiadditiveForm:

@@ -332,23 +332,19 @@ def _associative(s, u, v, w):
 
 
 def _leibniz_terms(s, u, v, w):
-    """u . [v, w] and [u . v, w]: both Leibniz rules read them, so the scan
-    keeps them for the last tuple."""
-    if s.last[0] != (u, v, w):
-        s.last = (u, v, w), (s.product(s.elems[u], s.br(v, w)),
-                             s.bracket(s.mul(u, v), s.elems[w]))
-    return s.last[1]
+    """u . [v, w] and [u . v, w]: both Leibniz rules read them."""
+    return s.product(s.elems[u], s.br(v, w)), s.bracket(s.mul(u, v), s.elems[w])
 
 
 def _trans_leibniz(s, u, v, w):
     """2 u . [v, w] = [u . v, w] + [v, u . w]."""
-    u_vw, uv_w = _leibniz_terms(s, u, v, w)
+    u_vw, uv_w = s.shared((u, v, w), _leibniz_terms)
     return 2 * u_vw, uv_w + s.bracket(s.elems[v], s.mul(u, w))
 
 
 def _poisson_leibniz(s, u, v, w):
     """[u . v, w] = u . [v, w] + [u, w] . v."""
-    u_vw, uv_w = _leibniz_terms(s, u, v, w)
+    u_vw, uv_w = s.shared((u, v, w), _leibniz_terms)
     return uv_w, u_vw + s.product(s.br(u, w), s.elems[v])
 
 
@@ -389,54 +385,55 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
 
 
 def _support_tuples(labels, support):
-    """The numbered index pairs and triples of ``labels`` that meet ``support``.
+    """The index pairs and triples of ``labels`` that meet ``support``, sorted.
 
     A pair (u, v) meets it when {u, v} is a support pair; a triple
     (u, v, w) when {u, v}, {v, w}, {u, w}, {u, v + w} or {u + w, v} is one,
-    the indices of u . v, v . w, u . w, u . [v, w] and [u, w] . v. Both
-    come in nested order, with their 1-based position in it; None for a
-    ``support`` of None.
+    the indices of u . v, v . w, u . w, u . [v, w] and [u, w] . v. Sorted
+    tuples come in the scan's nested order; None for a ``support`` of None.
     """
     if support is None:
         return None
-    n = len(labels)
+    n, at = len(labels), _label_positions(labels)
     points = [_bare(l) for l in labels]
-    at = {}
-    for i, x in enumerate(points):
-        at.setdefault(x, []).append(i)
-    pair_codes, codes = set(), set()
-    for a, b in support:
-        for p, q in ((a, b), (b, a)):
-            for i in at.get(p, ()):
-                for j in at.get(q, ()):
-                    pair_codes.add(i * n + j)
-                    for k in range(n):  # u . v, v . w and u . w
-                        codes.update(((i * n + j) * n + k, (k * n + i) * n + j,
-                                      (i * n + k) * n + j))
-                for j in range(n):  # u . [v, w]
-                    for k in at.get(sub(q, points[j]), ()):
-                        codes.add((i * n + j) * n + k)
-            for j in at.get(q, ()):  # [u, w] . v
-                for k in range(n):
-                    for i in at.get(sub(p, points[k]), ()):
-                        codes.add((i * n + j) * n + k)
-    return ([(c + 1, divmod(c, n)) for c in sorted(pair_codes)],
-            [(c + 1, (c // (n * n), c // n % n, c % n)) for c in sorted(codes)])
+    pairs = _support_pairs(at, support)
+    triples = set(_associator_triples(labels, support))  # u . v and v . w
+    triples.update((i, k, j) for i, j in pairs for k in range(n))  # u . w
+    for p, q in _oriented(support):
+        for i in at.get(p, ()):  # u . [v, w]
+            triples.update((i, j, k) for j in range(n)
+                           for k in at.get(sub(q, points[j]), ()))
+        for j in at.get(q, ()):  # [u, w] . v
+            triples.update((i, j, k) for k in range(n)
+                           for i in at.get(sub(p, points[k]), ()))
+    return [sorted(pairs), sorted(triples)]
 
 
 def _associator_triples(labels, support):
-    """The numbered index triples (u, v, w) of ``labels`` that have {u, v} or
-    {v, w} in ``support``, in nested order with their 1-based position."""
-    n, at, codes = len(labels), {}, set()
+    """The index triples (u, v, w) of ``labels`` that have {u, v} or {v, w}
+    in ``support``, sorted: in the scan's nested order."""
+    pairs = _support_pairs(_label_positions(labels), support)
+    return sorted({t for i, j in pairs for k in range(len(labels))
+                   for t in ((i, j, k), (k, i, j))})
+
+
+def _label_positions(labels):
+    """Each lattice point's positions in ``labels``."""
+    at = {}
     for i, l in enumerate(labels):
         at.setdefault(_bare(l), []).append(i)
-    for a, b in support:
-        for p, q in ((a, b), (b, a)):
-            for i in at.get(p, ()):
-                for j in at.get(q, ()):
-                    for k in range(n):  # {u, v} or {v, w} is the pair
-                        codes.update(((i * n + j) * n + k, (k * n + i) * n + j))
-    return [(c + 1, (c // (n * n), c // n % n, c % n)) for c in sorted(codes)]
+    return at
+
+
+def _oriented(support):
+    """Each support pair {a, b} as (a, b) and as (b, a)."""
+    return [pq for a, b in support for pq in ((a, b), (b, a))]
+
+
+def _support_pairs(at, support):
+    """The index pairs (u, v) whose points, by ``at``, form a support pair."""
+    return {(i, j) for p, q in _oriented(support)
+            for i in at.get(p, ()) for j in at.get(q, ())}
 
 
 def left_mult_table(spec, product, z, window: Window) -> dict:
@@ -597,44 +594,42 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
     A_ij(u, v, w) = T_i(T_j(u, v), w) - T_i(u, T_j(v, w)), so every P is
     associative exactly when each A_ij + A_ji vanishes on every triple.
     One scan over the labels of ``points`` checks that as one family
-    identity, and each nonzero draw c as sum c_i c_j A_ij = 0. Its ``holds``
-    computes the A_ij of a tuple once and skips the tuple where all vanish;
-    only ``_associator_triples``, with {u, v} or {v, w} a key of some T_j,
-    can fail. Returns the family verdict and one
+    identity, and each nonzero draw c as sum c_i c_j A_ij = 0. The scan's
+    ``shared`` memo computes the nonzero A_ij of a tuple once for all of
+    them; only ``_associator_triples``, with {u, v} or {v, w} a key of some
+    T_j, can fail. Returns the family verdict and one
     ``(passed, first failing triple)`` per draw.
     """
     if not generators:
         return True, [(True, None)] * len(draws)
     muls = [_CheckedProduct(spec, g) for g in generators]
-    scan, current = _Scan(spec, points), [{}]  # the nonzero A_ij of the tuple
 
-    def vanish(idx):
-        u, v, w = (scan.labels[k] for k in idx)
-        eu, ew = scan.elems[idx[0]], scan.elems[idx[2]]
+    def associators(s, *idx):
+        """The nonzero A_ij at the tuple, by (i, j)."""
+        u, v, w = (s.labels[k] for k in idx)
+        eu, ew = s.elems[idx[0]], s.elems[idx[2]]
         sides = {(i, j): (ti(tj.pair(u, v), ew), ti(eu, tj.pair(v, w)))
                  for i, ti in enumerate(muls) for j, tj in enumerate(muls)}
-        current[0] = {ij: lhs - rhs for ij, (lhs, rhs) in sides.items()
-                      if lhs.terms != rhs.terms}
-        return not current[0]
-
-    scan.holds = vanish
+        return {ij: lhs - rhs for ij, (lhs, rhs) in sides.items()
+                if lhs.terms != rhs.terms}
 
     def family(s, *idx):
         """A_ij + A_ji = 0 for all i, j: the first nonzero sum, else 0."""
-        a = current[0]
+        a = s.shared(idx, associators)
         sums = (x + a.get((j, i), _ZERO) for (i, j), x in a.items())
         return next((x for x in sums if x.terms), _ZERO), _ZERO
 
     def draw(c):
         def sides(s, *idx):
             """sum c_i c_j A_ij = 0."""
-            a = current[0]
+            a = s.shared(idx, associators)
             return sum((c[i] * c[j] * x for (i, j), x in a.items()), _ZERO), _ZERO
         return sides
 
     identities = {"family": family}  # a zero draw never fails
     identities.update((n, draw(c)) for n, c in enumerate(draws) if any(c))
     support = set().union(*(g.support(spec.rank) for g in generators))
+    scan = _Scan(spec, points)
     found = scan_identities(scan, ((3, identities),), ordered=True,
                             max_triples=max_triples,
                             tuples=[_associator_triples(scan.labels, support)])

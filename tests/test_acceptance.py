@@ -229,7 +229,7 @@ def test_criterion_8_center_and_square():
         assert center.passed, center.failures
         square = verify_square(spec, window)
         assert square.passed, square.failures
-        # witnesses come from the classification's own recipes
+        # each witness b is the first in search order with [u_(a-b), u_b] != 0
         for a, (b, coeff) in square.witnesses.items():
             assert coeff != 0
     crit.finish()

@@ -302,7 +302,7 @@ def test_given_tuples_come_before_the_certificate_and_the_limit_before_both():
     ``max_triples`` below the full count scans every tuple instead."""
     at_origin = _fails(lambda s, idx: idx == (0, 0))  # label 0 is the origin
     stages = ((2, {"origin": at_origin}),)
-    given = [[(2, (0, 1)), (9, (1, 1))]]
+    given = [[(0, 1), (1, 1)]]
     scan = _witt_scan()
     assert scan_identities(scan, stages, ordered=True, degree=2, tuples=given) == {
         "origin": (49, None)}

@@ -346,6 +346,10 @@ def test_payload_field_types_are_validated(tmp_path, capsys, task, algebra,
     assert "payload.%s" % field in capsys.readouterr().err
 
 
+# an element naming one index twice
+_TWICE = [{"index": [0], "coeff": "1"}, {"index": [0], "coeff": "-1"}]
+
+
 def _table_product(entry):
     item = {"a": [0], "b": [0], "value": [{"index": [0], "coeff": "1"}]}
     item.update(entry)
@@ -381,12 +385,25 @@ def _table_product(entry):
         "variant": "mutation", "w": [{"index": [True], "coeff": "1"}]}}), "payload.product"),
     (small("verify-structure", WT, payload={"product": _table_product({"b": [0.5]})}),
      "payload.product"),
+    (small("check-lie", {"family": "witt_type", "f": "12"}), "algebra"),
+    (small("check-lie", {"family": "generalized_witt", "pairing": "12"}), "algebra"),
+    (small("check-lie", {"family": "block", "f": ["00", "00"]}), "algebra"),
+    (small("check-lie", dict(B0, g=["1", "0"])), "algebra"),
+    (small("check-lie", dict(B1, f=B0["f"])), "algebra"),
+    (small("check-lie", dict(B0, g=["0", "0"], raw="no")), "algebra"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": _TWICE}}), "payload.product"),
+    (small("verify-structure", WT, payload={"product": _table_product({"value": _TWICE})}),
+     "payload.product"),
 ], ids=["product-list", "table-value-int", "table-index-int", "table-index-text",
         "multiplier-int",
         "algebra-map-int", "radius-bool", "margin-bool", "seed-bool",
         "max-triples-bool", "max-unknowns-bool", "delta-zero-denominator",
         "algebra-zero-denominator", "algebra-rank-0", "coefficient-zero-denominator",
-        "multiplier-index-float", "multiplier-index-bool", "table-index-float"])
+        "multiplier-index-float", "multiplier-index-bool", "table-index-float",
+        "map-string", "pairing-string", "form-row-strings", "form-with-g",
+        "gh-with-f", "raw-not-bool", "multiplier-index-twice",
+        "table-value-index-twice"])
 def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ConfigError, match=re.escape(field)):
         run(json.loads(json.dumps(cfg)))

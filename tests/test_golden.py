@@ -1,0 +1,70 @@
+"""Reports pinned to a file: any change to a report fails this test.
+
+``tests/golden/reports.json`` holds, without ``timing_ms``, the reports of
+``tpw reproduce --suite all`` and of ``JOBS``, one job for each task the
+suites miss plus a failing classification. A change that alters reports
+on purpose regenerates the file from the tree it wants to pin:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+
+from tpw.cli import reproduce, run
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "reports.json")
+
+
+def _window(radius, margin):
+    return {"radius": radius, "inner_margin": margin}
+
+
+JOBS = {
+    # g additive but f not of the (g, h) form: the Jacobi witness sits at
+    # position 8,001 of Window(2, 1), past the origin's slab.
+    "corrupted-block-check-lie": {
+        "algebra": {"family": "block", "raw": True, "g": ["1", "0", "0"],
+                    "f": [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]]},
+        "window": _window(2, 1), "task": "check-lie"},
+    "block-g1-center-square": {
+        "algebra": {"family": "block", "g": ["-1", "0"], "h": ["0", "1"]},
+        "window": _window(3, 2), "task": "center-square"},
+    "gw-witnesses": {
+        "algebra": {"family": "generalized_witt", "pairing": [["1", "0"], ["0", "1"]]},
+        "window": _window(2, 1), "task": "witnesses"},
+    # u_0 . u_(1,0) = u_(1,0) fails the three triple identities
+    "block-g0-failing-table-verify": {
+        "algebra": {"family": "block", "f": [["0", "-1"], ["1", "0"]]},
+        "window": _window(2, 1), "task": "verify-structure",
+        "payload": {"product": {"variant": "explicit", "table": [
+            {"a": [0, 0], "b": [1, 0], "value": [{"index": [1, 0], "coeff": "1"}]}]}}},
+    # the truncated group product of Witt type fails at the window boundary
+    "witt-failing-classify": {
+        "algebra": {"family": "witt_type", "f": ["1"]},
+        "window": _window(3, 1), "task": "classify-tp", "payload": {"degree_bound": 1}},
+}
+
+
+def _strip(report):
+    return {key: value for key, value in report.items() if key != "timing_ms"}
+
+
+def reports():
+    """``{"reproduce": [...], "jobs": {name: report}}``, without ``timing_ms``."""
+    return {"reproduce": [_strip(r) for r in reproduce("all")],
+            "jobs": {name: _strip(run(job)) for name, job in JOBS.items()}}
+
+
+def test_reports_equal_the_pinned_file():
+    with open(GOLDEN) as fh:
+        pinned = json.load(fh)
+    # a JSON round trip turns the reports' tuples into lists, as the file has them
+    assert json.loads(json.dumps(reports())) == pinned
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(reports(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -1,0 +1,166 @@
+"""Verdicts that a change of lattice basis or a rescaling must not move.
+
+A signed permutation P of the lattice coordinates lies in GL_n(Z) and maps
+every Box(r) onto itself, so the spec transformed by it (f -> P^T f P,
+g -> g o P, h -> h o P, pairing -> pairing . P, Witt f -> f o P) is the
+same algebra on the same windows, with u_x in place of u_(Px). Scaling g
+with h kept, f where g = 0 or for Witt type, or the pairing, by lambda != 0
+scales the bracket, which the Lie axioms, the half-derivation equations
+and the commutativity system all ignore. So neither transform may change
+the `check-lie` verdict, the `classify-tp` verdicts and parameter count,
+or any degree's computed and projected dimension, read at degree P e.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tpw.cli import run
+
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_NONZERO = _RATIONAL.filter(bool)
+
+
+def _vector(rank):
+    """A nonzero vector of ``rank`` small rationals."""
+    return st.lists(_RATIONAL, min_size=rank, max_size=rank).filter(any)
+
+
+@st.composite
+def _form(draw, rank):
+    """An antisymmetric rank x rank matrix, not zero."""
+    m = [[Fraction(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            m[i][j] = draw(_RATIONAL)
+            m[j][i] = -m[i][j]
+    if not any(map(any, m)):
+        m[0][1], m[1][0] = Fraction(1), Fraction(-1)
+    return m
+
+
+def _json(value):
+    if isinstance(value, list):
+        return [_json(v) for v in value]
+    return str(value)
+
+
+@st.composite
+def specs(draw, raw=False):
+    """An algebra spec of rank 1 or 2 (Block: 2), or a rank-3 raw Block."""
+    if raw:
+        return {"family": "block", "raw": True, "g": _json(draw(_vector(3))),
+                "f": _json(draw(_form(3)))}
+    family = draw(st.sampled_from(["witt_type", "generalized_witt", "block-f", "block-gh"]))
+    if family.startswith("block"):
+        if family == "block-f":
+            return {"family": "block", "f": _json(draw(_form(2)))}
+        h = draw(st.lists(st.integers(-3, 1), min_size=2, max_size=2))
+        return {"family": "block", "g": _json(draw(_vector(2))), "h": _json(h)}
+    rank = draw(st.integers(1, 2))
+    if family == "witt_type":
+        return {"family": family, "f": _json(draw(_vector(rank)))}
+    return {"family": family, "pairing": [_json(draw(_vector(rank)))]}
+
+
+@st.composite
+def transforms(draw, rank):
+    """A signed permutation of the coordinates and a scale lambda != 0."""
+    perm = draw(st.permutations(range(rank)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rank, max_size=rank))
+    return perm, signs, draw(_NONZERO)
+
+
+def _rank(spec):
+    data = spec.get("f") or spec.get("pairing") or spec["g"]
+    return len(data[0]) if isinstance(data[0], list) else len(data)
+
+
+def transformed(spec, perm, signs, lam):
+    """The spec read in the basis P e_i = signs[i] e_perm[i], scaled by lam."""
+    def vec(v, k=1):  # v o P, times k
+        return _json([k * signs[i] * Fraction(v[perm[i]]) for i in range(len(v))])
+
+    def mat(m, k=1):  # P^T m P, times k
+        return [vec([signs[i] * Fraction(m[perm[i]][j]) for j in range(len(m))], k)
+                for i in range(len(m))]
+    out = dict(spec)
+    if spec["family"] == "witt_type":
+        out["f"] = vec(spec["f"], lam)
+    elif spec["family"] == "generalized_witt":
+        out["pairing"] = [vec(row, lam) for row in spec["pairing"]]
+    elif "h" in spec:  # f = g h^T - h g^T scales with g
+        out.update(g=vec(spec["g"], lam), h=vec(spec["h"]))
+    else:  # g = 0, or a raw (g, f): the bracket scales with both
+        out["f"] = mat(spec["f"], lam)
+        if "g" in spec:
+            out["g"] = vec(spec["g"], lam)
+    return out
+
+
+def _point(x, perm, signs):
+    """P x."""
+    out = [0] * len(x)
+    for i, xi in enumerate(x):
+        out[perm[i]] = signs[i] * xi
+    return out
+
+
+def _reports(task, spec, transform, radius, payload=None):
+    """The reports of ``task`` on ``spec`` and on its transform."""
+    window = {"radius": radius, "inner_margin": radius - 1}
+    return [run({"algebra": algebra, "window": window, "task": task,
+                 "payload": payload or {}})
+            for algebra in (spec, transformed(spec, *transform))]
+
+
+_CORRUPTED = {"family": "block", "raw": True, "g": ["1", "0", "0"],
+              "f": [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]]}
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=(_CORRUPTED, ([1, 0, 2], [1, -1, 1], Fraction(1))))
+@example(case=(_CORRUPTED, ([0, 1, 2], [1, 1, 1], Fraction(-1, 2))))
+@given(case=st.booleans().flatmap(lambda raw: specs(raw)).flatmap(
+    lambda spec: st.tuples(st.just(spec), transforms(_rank(spec)))))
+def test_the_lie_verdict_is_invariant(case):
+    """Rank-3 raw Blocks supply the failing cases: every rank-2 raw Block is Lie."""
+    spec, transform = case
+    before, after = _reports("check-lie", spec, transform, 2)
+    assert [before["result"][k] for k in ("anticommutative", "jacobi")] == [
+        after["result"][k] for k in ("anticommutative", "jacobi")]
+
+
+_WITT = {"family": "witt_type", "f": ["1", "2"]}
+_B1 = {"family": "block", "g": ["-1", "0"], "h": ["0", "1"]}
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=(_WITT, ([1, 0], [1, 1], Fraction(1))), radius=2)
+@example(case=({"family": "witt_type", "f": ["1"]}, ([0], [1], Fraction(1, 2))), radius=2)
+@given(case=specs().flatmap(lambda spec: st.tuples(st.just(spec), transforms(_rank(spec)))),
+       radius=st.integers(2, 3))
+def test_half_derivation_dimensions_are_invariant(case, radius):
+    """Degree e of the transform is degree P e of the spec."""
+    spec, transform = case
+    before, after = _reports("solve-half-derivations", spec, transform, radius,
+                             {"degree_bound": 1})
+    assert before["verdicts"] == after["verdicts"]
+    at = {tuple(d["degree"]): d for d in before["result"]["degrees"]}
+    for d in after["result"]["degrees"]:
+        e = at[tuple(_point(d["degree"], *transform[:2]))]
+        assert (d["computed_dim"], d["projected_dim"]) == (e["computed_dim"],
+                                                           e["projected_dim"])
+
+
+@settings(max_examples=30, deadline=None)
+@example(case=(_WITT, ([1, 0], [-1, 1], Fraction(1, 2))), radius=2)
+@example(case=(_B1, ([1, 0], [1, -1], Fraction(-2))), radius=3)
+@given(case=specs().flatmap(lambda spec: st.tuples(st.just(spec), transforms(_rank(spec)))),
+       radius=st.integers(2, 3))
+def test_classify_verdicts_are_invariant(case, radius):
+    spec, transform = case
+    before, after = _reports("classify-tp", spec, transform, radius, {"degree_bound": 1})
+    assert before["verdicts"] == after["verdicts"]
+    assert before["result"]["n_parameters"] == after["result"]["n_parameters"]
