@@ -15,9 +15,7 @@ window = Window(3, 2)
 
 
 def run(name, spec):
-    solved = solve_degrees(spec, window, 2)
-    bases = {degree: basis for degree, (_, basis) in solved.items()}
-    result = classify(spec, bases, window, 2, n_samples=4, seed=2)
+    result = classify(spec, solve_degrees(spec, window, 2), window, 2, n_samples=4, seed=2)
     print("%s:" % name)
     print("  free parameters:", result.n_parameters)
     for gen in result.generators:

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, product as iter_product
 from math import comb, gcd
 from types import MethodType
 
-from .exactlin import scalar_from_str, scalar_to_str
+from .exactlin import RowSpace, scalar_from_str, scalar_to_str
 from .lattice import (
     AdditiveMap,
     BiadditiveForm,
@@ -60,7 +60,7 @@ class FamilyMismatchError(Exception):
     """Operation applied to an algebra family it is not defined for."""
 
 
-class SpecMismatchError(Exception):
+class SpecMismatchError(ValueError):
     """Elements fed to an operation do not belong to the same spec."""
 
 
@@ -240,6 +240,11 @@ class GeneralizedWitt(_Family):
         return self.pairing.dim_v
 
     @cached_property
+    def nondegenerate(self) -> bool:
+        """Whether the pairing has rank n over Q, as the classification assumes."""
+        return RowSpace(self.pairing.matrix).rank == self.rank
+
+    @cached_property
     def structure_constants(self):
         matrix = self.pairing.matrix
         scale = _common_denominator(v for row in matrix for v in row)
@@ -299,6 +304,8 @@ class Block(_ScalarFamily):
     family = "block"
 
     def __init__(self, g: AdditiveMap, h, f: BiadditiveForm, raw: bool = False):
+        if g.rank != f.rank:
+            raise RankMismatchError("g and f must have the same rank")
         self.g = g
         self.h = h
         self.f = f
@@ -327,6 +334,14 @@ class Block(_ScalarFamily):
     @property
     def g_is_zero(self) -> bool:
         return self.g.is_zero
+
+    @cached_property
+    def nondegenerate(self) -> bool:
+        """Whether f has rank n over Q, as the classification assumes; a raw
+        Block with g != 0 lacks the (g, h) presentation it needs first."""
+        if not self.g_is_zero and self.h is None:
+            raise FamilyMismatchError("predicate needs the (g, h) presentation")
+        return RowSpace(self.f.matrix).rank == self.rank
 
     @cached_property
     def structure_constants(self):
@@ -393,13 +408,18 @@ def _scalar_constants(form, lin):
     return scale, t
 
 
+def _check_coefficients(spec, terms, what):
+    """Raise ``SpecMismatchError`` unless every coefficient has the family's
+    shape: a scalar for the scalar families, a dim V vector for generalized Witt."""
+    for c in terms.values():
+        if isinstance(c, tuple) != spec.vectorial or spec.vectorial and len(c) != spec.dim_v:
+            raise SpecMismatchError("%s coefficients do not match the family" % what)
+
+
 def bracket(spec, x: Element, y: Element) -> Element:
     """Bilinear extension of the family's basis bracket; exact, untruncated."""
     for el in (x, y):
-        for c in el.terms.values():
-            if (isinstance(c, tuple) != spec.vectorial
-                    or spec.vectorial and len(c) != spec.dim_v):
-                raise SpecMismatchError("element coefficients do not match the family")
+        _check_coefficients(spec, el.terms, "element")
     return spec.bracket(x, y)
 
 
@@ -599,8 +619,8 @@ def _residual(witness):
 def _require_block(spec):
     if spec.family != "block":
         raise FamilyMismatchError("operation is defined for Block algebras only")
-    if not spec.g_is_zero and spec.h is None:
-        raise FamilyMismatchError("predicate needs the (g, h) presentation")
+    if not spec.nondegenerate:
+        raise FamilyMismatchError("predicate needs a non-degenerate form f")
 
 
 def center_predicate(spec, a) -> bool:

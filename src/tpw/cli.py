@@ -206,8 +206,7 @@ def _task_classify(spec, cfg, window):
     sweep_report = halfderiv.sweep(spec, window, bound,
                                    delta=scalar_from_str(cfg["delta"]),
                                    solved=solved)
-    delta_bases = {deg: basis for deg, (_, basis) in solved.items()}
-    res = tpstruct.classify(spec, delta_bases, window, bound,
+    res = tpstruct.classify(spec, solved, window, bound,
                             n_samples=n_samples,
                             seed=cfg["seed"],
                             max_triples=cfg["limits"].get("max_triples"))

@@ -33,7 +33,6 @@ from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
 from .lattice import Window, add, box_points, norm_inf
 
 __all__ = [
-    "CompareReport",
     "DegreeResult",
     "HalfDerivationComponent",
     "HalfDerivationSystem",
@@ -101,8 +100,7 @@ class HalfDerivationSystem:
 
     @property
     def n_constraints(self) -> int:
-        pairs = _ordered_pair_count(self.window.radius, self.spec.rank)
-        return pairs * self.spec.dim_v ** 3
+        return _n_constraints(self.spec, self.window)
 
     n_cols = n_unknowns
     n_rows = n_constraints
@@ -161,14 +159,16 @@ def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
     return HalfDerivationSystem(spec, degree, window, delta, columns)
 
 
-def _ordered_pair_count(radius, rank):
-    """Ordered pairs (x, y) with x, y and x + y in Box(radius).
+def _n_constraints(spec, window: Window):
+    """Rows of a degree's system, as reports count them: dim V^3 per
+    ordered pair (x, y) with x, y and x + y in the box.
 
     Per axis, the coordinates summing to u (|u| <= radius) give
     2 radius + 1 - |u| pairs; the axes are independent.
     """
-    per_axis = sum(2 * radius + 1 - abs(u) for u in range(-radius, radius + 1))
-    return per_axis ** rank
+    r = window.radius
+    per_axis = sum(2 * r + 1 - abs(u) for u in range(-r, r + 1))
+    return per_axis ** spec.rank * spec.dim_v ** 3
 
 
 def _constraint_rows(system):
@@ -240,32 +240,31 @@ def solve(system: HalfDerivationSystem) -> NullspaceBasis:
     return exactlin.nullspace(system)
 
 
-def _identity_matrix(dv):
-    return tuple(tuple(Fraction(1) if r == c else Fraction(0) for c in range(dv))
-                 for r in range(dv))
-
-
 def predicted(spec, degree, window: Window) -> PredictedBasis:
-    """Spanning maps predicted for this degree by the classification.
-
-    Block and generalized Witt predictions are authoritative; Witt type
-    predictions (the shift maps that come from mutations) are flagged as
-    non-authoritative and excess dimensions merely get reported.
-    """
+    """Spanning maps predicted for this degree by the classification."""
     degree = tuple(degree)
     box = box_points(window.radius, spec.rank)
-    one = _identity_matrix(spec.dim_v) if spec.vectorial else Fraction(1)
-    named, authoritative = _PREDICTIONS[spec.family](spec, degree, window, box, one)
+    dv = range(spec.dim_v)
+    one = (tuple(tuple(Fraction(int(r == c)) for c in dv) for r in dv)
+           if spec.vectorial else Fraction(1))
+    named = _PREDICTIONS[spec.family](spec, degree, window, box, one)
     return PredictedBasis(
         degree, tuple(HalfDerivationComponent(degree, table) for _, table in named),
-        authoritative, tuple(name for name, _ in named))
+        _authoritative(spec), tuple(name for name, _ in named))
+
+
+def _authoritative(spec):
+    """Block and generalized Witt (dim V > 1) predictions are authoritative;
+    the shift maps that mutations give Witt type and dim V = 1 are flagged
+    as non-authoritative, and excess dimensions merely get reported."""
+    return spec.family == "block" or spec.dim_v > 1
 
 
 def _predicted_witt(spec, degree, window, box, one):
     """Witt type and generalized Witt: shifts (dim V = 1) or the identity."""
     if spec.dim_v == 1:
-        return [("shift", {x: one for x in box})], False
-    return [("id", {x: one for x in box})] if not any(degree) else [], True
+        return [("shift", {x: one for x in box})]
+    return [("id", {x: one for x in box})] if not any(degree) else []
 
 
 def _predicted_block(spec, degree, window, box, one):
@@ -278,7 +277,7 @@ def _predicted_block(spec, degree, window, box, one):
                 and center_predicate(spec, target)):
             name = "alpha" if spec.g_is_zero else "alpha_(%s,%s)" % (_fmt(b), _fmt(target))
             named.append((name, {b: one}))
-    return named, True
+    return named
 
 
 _PREDICTIONS = {
@@ -313,14 +312,17 @@ def inner_projection(spec, window: Window, vectors):
 
 
 @dataclass(frozen=True)
-class CompareReport:
-    """Membership and projected-dimension comparison for one degree."""
+class DegreeResult:
+    """One degree's kernel against its prediction: the record a sweep reports."""
 
     degree: tuple
-    membership: tuple
-    visible: tuple
+    n_unknowns: int
+    n_constraints: int
+    computed_dim: int
     projected_dim: int
     predicted_dim: int
+    membership: tuple
+    visible: tuple
     excess: tuple
     authoritative: bool
 
@@ -336,9 +338,21 @@ class CompareReport:
             return self.projected_dim == self.predicted_dim
         return self.projected_dim >= self.predicted_dim
 
+    def to_json(self):
+        return {
+            "degree": list(self.degree),
+            "n_unknowns": self.n_unknowns,
+            "n_constraints": self.n_constraints,
+            "computed_dim": self.computed_dim,
+            "projected_dim": self.projected_dim,
+            "predicted_dim": self.predicted_dim,
+            "membership_pass": self.membership_pass,
+            "verdict": "pass" if self.passed else "fail",
+        }
+
 
 def compare(spec, window: Window, computed: NullspaceBasis,
-            expected: PredictedBasis) -> CompareReport:
+            expected: PredictedBasis) -> DegreeResult:
     """Check predictions against a computed solution space.
 
     Membership: every predicted component must solve all assembled
@@ -358,35 +372,10 @@ def compare(spec, window: Window, computed: NullspaceBasis,
     if computed_space.rank > predicted_space.rank:
         excess = tuple({k: v for k, v in zip(keys, row) if v} for row in computed_rows
                        if any(row) and row not in predicted_space)
-    return CompareReport(expected.degree, membership,
-                         tuple(any(row) for row in predicted_rows),
-                         computed_space.rank, predicted_space.rank, excess,
-                         expected.authoritative)
-
-
-@dataclass(frozen=True)
-class DegreeResult:
-    degree: tuple
-    n_unknowns: int
-    n_constraints: int
-    computed_dim: int
-    projected_dim: int
-    predicted_dim: int
-    membership_pass: bool
-    passed: bool
-    excess: tuple
-
-    def to_json(self):
-        return {
-            "degree": list(self.degree),
-            "n_unknowns": self.n_unknowns,
-            "n_constraints": self.n_constraints,
-            "computed_dim": self.computed_dim,
-            "projected_dim": self.projected_dim,
-            "predicted_dim": self.predicted_dim,
-            "membership_pass": self.membership_pass,
-            "verdict": "pass" if self.passed else "fail",
-        }
+    return DegreeResult(expected.degree, computed.n_cols, _n_constraints(spec, window),
+                        computed.dimension, computed_space.rank, predicted_space.rank,
+                        membership, tuple(any(row) for row in predicted_rows),
+                        excess, expected.authoritative)
 
 
 @dataclass(frozen=True)
@@ -430,55 +419,47 @@ def solve_degrees(spec, window: Window, degree_bound: int, delta=HALF,
                   max_unknowns=None) -> dict:
     """Assemble and solve every degree in Box(degree_bound).
 
-    Returns degree -> (system, basis); systems at different degrees are
-    independent, so this map is the natural unit of reuse.
+    Returns degree -> kernel (``NullspaceBasis``): the one map of solved
+    degrees, read as it is by ``sweep`` and ``tpstruct.classify``.
     """
     if degree_bound > window.radius:
         raise ValueError("degree_bound must not exceed the window radius")
-    out = {}
-    for a in box_points(degree_bound, spec.rank):
-        system = assemble(spec, a, window, delta=delta, max_unknowns=max_unknowns)
-        out[tuple(a)] = (system, solve(system))
-    return out
+    return {tuple(a): solve(assemble(spec, a, window, delta=delta,
+                                     max_unknowns=max_unknowns))
+            for a in box_points(degree_bound, spec.rank)}
 
 
 def sweep(spec, window: Window, degree_bound: int, delta=HALF,
           max_unknowns=None, solved: dict = None) -> SweepReport:
-    """Assemble, solve and compare every degree in Box(degree_bound)."""
+    """Solve every degree in Box(degree_bound) and compare it with its prediction.
+
+    The classifications are wired for delta = 1/2 only, and the
+    authoritative ones assume a form f (Block) or pairing (generalized
+    Witt) of rank n over Q (``spec.nondegenerate``). Where either fails,
+    every degree gets a dimension report with nothing asserted, and the
+    verdict names the reason.
+    """
     if solved is None:
         solved = solve_degrees(spec, window, degree_bound, delta=delta,
                                max_unknowns=max_unknowns)
-    predictive = Fraction(delta) == HALF
+    reason = None
+    if Fraction(delta) != HALF:
+        reason = "delta != 1/2"
+    elif _authoritative(spec) and not spec.nondegenerate:
+        reason = "degenerate %s" % ("form f" if spec.family == "block" else "pairing")
     results = []
     span_names = []
-    authoritative = predictive
     for a in box_points(degree_bound, spec.rank):
-        system, computed = solved[tuple(a)]
-        if predictive:
-            exp = predicted(spec, a, window)
-        else:
-            # classifications are wired for the half scale only; other
-            # scales get a dimension report with nothing asserted
-            exp = PredictedBasis(tuple(a), (), authoritative=False)
-        authoritative = authoritative and exp.authoritative
-        rep = compare(spec, window, computed, exp)
-        span_names.extend(
-            name for name, vis in zip(exp.names, rep.visible) if vis)
-        results.append(DegreeResult(
-            degree=tuple(a),
-            n_unknowns=system.n_unknowns,
-            n_constraints=system.n_constraints,
-            computed_dim=computed.dimension,
-            projected_dim=rep.projected_dim,
-            predicted_dim=rep.predicted_dim,
-            membership_pass=rep.membership_pass,
-            passed=rep.passed,
-            excess=rep.excess,
-        ))
+        exp = (predicted(spec, a, window) if reason is None
+               else PredictedBasis(tuple(a), (), authoritative=False))
+        rep = compare(spec, window, solved[tuple(a)], exp)
+        span_names.extend(name for name, vis in zip(exp.names, rep.visible) if vis)
+        results.append(rep)
+    authoritative = all(r.authoritative for r in results)
     all_pass = all(r.passed for r in results)
     body = "span{%s}" % ", ".join(dict.fromkeys(span_names))
-    if not predictive:
-        verdict = "dimension report only (delta != 1/2)"
+    if reason is not None:
+        verdict = "dimension report only (%s)" % reason
     elif authoritative:
         verdict = ("Delta = %s" % body) if all_pass else ("FAILED: expected Delta = %s" % body)
     else:

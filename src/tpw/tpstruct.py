@@ -25,6 +25,7 @@ from .algebra import (
     square_predicate,
     _Scan,
     _ZERO,
+    _check_coefficients,
 )
 from .halfderiv import HalfDerivationComponent, MissingDegreeError, inner_projection
 from .lattice import Window, add, box_points, search_order, sub
@@ -104,8 +105,6 @@ class Mutation(_Product):
     coefficient_degree = 0  # u_a . u_b = sum_c w_c u_(a+b+c)
 
     def __init__(self, w: Element):
-        if any(isinstance(c, tuple) and len(c) != 1 for c in w.terms.values()):
-            raise ValueError("multiplier coefficients must be scalars")
         self.w = w
         self._shifts = _scalars(w.terms)
 
@@ -114,6 +113,7 @@ class Mutation(_Product):
             raise FamilyMismatchError("mutations live on Witt type and on generalized "
                                       "Witt with dim V = 1")
         _check_ranks(spec, self.w.terms, "multiplier index")
+        _check_coefficients(spec, self.w.terms, "multiplier")
 
     def basis_product(self, a, b):
         ab = add(a, b)
@@ -172,9 +172,7 @@ class ExplicitProduct(_Product):
         for (a, b), value in self.table.items():
             _check_ranks(spec, (a, b), "table index")
             _check_ranks(spec, value.terms, "table value index")
-            if any(isinstance(c, tuple) != spec.vectorial for c in value.terms.values()):
-                raise ValueError("table value at %s does not have the family's "
-                                 "coefficients" % ((a, b),))
+            _check_coefficients(spec, value.terms, "table value at %s:" % ((a, b),))
 
     def basis_product(self, a, b):
         return self._rule.get(_pair_key(a, b), {})

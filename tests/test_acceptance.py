@@ -147,8 +147,7 @@ def test_criterion_5_block_g0_unique_structure():
     spec = b0_spec()
     window = Window(3, 2)
     solved = solve_degrees(spec, window, 2)
-    result = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
-                      n_samples=5, seed=11)
+    result = classify(spec, solved, window, 2, n_samples=5, seed=11)
     assert result.n_parameters == 1
     table = result.generators[0].table
     assert list(table) == [((0, 0), (0, 0))]
@@ -173,8 +172,7 @@ def test_criterion_6_b1_extension_family():
     spec = b1_spec()
     window = Window(3, 2)
     solved = solve_degrees(spec, window, 2)
-    result = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
-                      n_samples=5, seed=11)
+    result = classify(spec, solved, window, 2, n_samples=5, seed=11)
     assert result.n_parameters == 1
     table = result.generators[0].table
     assert list(table) == [((0, -2), (0, -2))]
@@ -186,8 +184,7 @@ def test_criterion_6_b1_extension_family():
 
     shifted = Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 3]))
     solved = solve_degrees(shifted, window, 2)
-    result = classify(shifted, {d: b for d, (_, b) in solved.items()}, window, 2,
-                      n_samples=3, seed=11)
+    result = classify(shifted, solved, window, 2, n_samples=3, seed=11)
     assert result.zero_only
     crit.finish()
 

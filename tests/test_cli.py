@@ -251,6 +251,33 @@ def test_raw_block_solve_task_fails_cleanly(tmp_path, capsys):
     assert "presentation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algebra,verdict", [
+    ({"family": "block", "g": ["1", "0"], "h": ["-1", "0"]}, "degenerate form f"),
+    ({"family": "block", "f": [["0", "0"], ["0", "0"]]}, "degenerate form f"),
+    ({"family": "block", "g": ["1", "0", "0"], "h": ["0", "1", "0"]}, "degenerate form f"),
+    ({"family": "generalized_witt", "pairing": [["1", "0"], ["0", "0"]]},
+     "degenerate pairing"),
+    ({"family": "generalized_witt", "pairing": [["1", "0", "0"], ["0", "1", "0"]]},
+     "degenerate pairing"),
+    ({"family": "generalized_witt", "pairing": [["1", "0"], ["0", "1"], ["1", "1"]]},
+     None),
+], ids=["block-h-parallel-to-g", "block-f-zero", "block-rank-3", "gw-rank-1-of-2",
+        "gw-rank-2-of-3", "gw-degenerate-on-v-only"])
+def test_only_lattice_degenerate_data_get_a_dimension_report(tmp_path, capsys, algebra,
+                                                              verdict):
+    """The classifications assume a form or pairing of rank n over Q."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(small("solve-half-derivations", algebra,
+                                     payload={"degree_bound": 1})))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    if verdict is None:
+        assert result["verdict"] == "Delta = span{id}" and result["authoritative"]
+    else:
+        assert result["verdict"] == "dimension report only (%s)" % verdict
+        assert not result["authoritative"]
+
+
 def test_witnesses_task_on_pairing():
     report = run(small("witnesses", GW, radius=2, margin=1))
     assert report["all_pass"]
@@ -391,6 +418,7 @@ def _table_product(entry):
     (small("check-lie", dict(B0, g=["1", "0"])), "algebra"),
     (small("check-lie", dict(B1, f=B0["f"])), "algebra"),
     (small("check-lie", dict(B0, g=["0", "0"], raw="no")), "algebra"),
+    (small("check-lie", dict(B0, g=["1"], raw=True)), "algebra"),
     (small("verify-structure", WT, payload={"product": {
         "variant": "mutation", "w": _TWICE}}), "payload.product"),
     (small("verify-structure", WT, payload={"product": _table_product({"value": _TWICE})}),
@@ -402,7 +430,7 @@ def _table_product(entry):
         "algebra-zero-denominator", "algebra-rank-0", "coefficient-zero-denominator",
         "multiplier-index-float", "multiplier-index-bool", "table-index-float",
         "map-string", "pairing-string", "form-row-strings", "form-with-g",
-        "gh-with-f", "raw-not-bool", "multiplier-index-twice",
+        "gh-with-f", "raw-not-bool", "raw-g-of-another-rank", "multiplier-index-twice",
         "table-value-index-twice"])
 def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -423,8 +451,26 @@ def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
         "variant": "extension_by_zero",
         "star": [{"a": [0], "b": [0], "value": [{"index": [0, -1], "coeff": "1"}]}]}}),
      "rank 2"),
+    (small("center-square", dict(B1, h=["2", "0"])), "non-degenerate form f"),
+    (small("verify-structure", dict(B1, h=["2", "0"]), payload={"product": {
+        "variant": "extension_by_zero",
+        "star": [{"a": [0, 1], "b": [0, 1], "value": [{"index": [0, 0], "coeff": "1"}]}]}}),
+     "non-degenerate form f"),
+    (small("verify-structure", {"family": "generalized_witt", "pairing": [["1"]]},
+           payload={"product": _table_product({"value": [{"index": [0],
+                                                          "coeff": ["1", "5"]}]})}),
+     "coefficients do not match the family"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0], "coeff": ["1"]}]}}),
+     "coefficients do not match the family"),
+    (small("verify-structure", {"family": "generalized_witt", "pairing": [["1"]]},
+           payload={"product": {"variant": "mutation",
+                                "w": [{"index": [0], "coeff": "1"}]}}),
+     "coefficients do not match the family"),
 ], ids=["idempotent-on-g-nonzero", "center-square-on-witt-type", "multiplier-rank",
-        "star-rank"])
+        "star-rank", "center-square-degenerate", "star-degenerate",
+        "table-value-of-two-components", "multiplier-vector-on-witt-type",
+        "multiplier-scalar-on-gw1"])
 def test_products_and_tasks_off_their_family_exit_2(tmp_path, capsys, cfg, message):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))

@@ -9,6 +9,10 @@ scales the bracket, which the Lie axioms, the half-derivation equations
 and the commutativity system all ignore. So neither transform may change
 the `check-lie` verdict, the `classify-tp` verdicts and parameter count,
 or any degree's computed and projected dimension, read at degree P e.
+
+A rank-3 raw Block (g, f) is a Lie algebra exactly when g = 0 or
+f = g h^T - h g^T for some h; that is decided here by an exact solve, apart
+from the Lie scan.
 """
 
 from fractions import Fraction
@@ -16,6 +20,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_rref
 from tpw.cli import run
 
 _RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -164,3 +169,32 @@ def test_classify_verdicts_are_invariant(case, radius):
     before, after = _reports("classify-tp", spec, transform, radius, {"degree_bound": 1})
     assert before["verdicts"] == after["verdicts"]
     assert before["result"]["n_parameters"] == after["result"]["n_parameters"]
+
+
+def _has_gh_form(g, f):
+    """Whether f = g h^T - h g^T for some rational h, by one exact solve."""
+    n = len(g)
+    # the (i, j) entry, i < j: sum_k (g_i [k = j] - g_j [k = i]) h_k = f_ij
+    rows = [[g[i] * (k == j) - g[j] * (k == i) for k in range(n)] + [f[i][j]]
+            for i in range(n) for j in range(i + 1, n)]
+    return n not in dense_rref(rows)[1]
+
+
+@st.composite
+def _raw_block(draw):
+    """Rank-3 (g, f), g zero or not, f any form or one of the (g, h) form."""
+    g = draw(_vector(3)) if draw(st.integers(0, 3)) else [Fraction(0)] * 3
+    if draw(st.booleans()):
+        return g, draw(_form(3))
+    h = draw(_vector(3))
+    return g, [[g[i] * h[j] - h[i] * g[j] for j in range(3)] for i in range(3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_raw_block())
+def test_a_raw_block_is_lie_exactly_when_f_has_the_gh_form(case):
+    g, f = case
+    spec = {"family": "block", "raw": True, "g": _json(g), "f": _json(f)}
+    report = run({"algebra": spec, "window": {"radius": 2, "inner_margin": 1},
+                  "task": "check-lie"})
+    assert report["all_pass"] == (not any(g) or _has_gh_form(g, f))

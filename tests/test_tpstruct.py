@@ -253,8 +253,7 @@ def test_classify_block_g0():
     spec = b0_spec()
     window = Window(3, 2)
     solved = solve_degrees(spec, window, 2)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
-                   n_samples=4, seed=3)
+    res = classify(spec, solved, window, 2, n_samples=4, seed=3)
     assert res.n_parameters == 1
     gen = res.generators[0]
     assert list(gen.table) == [((0, 0), (0, 0))]
@@ -267,8 +266,7 @@ def test_classify_b1_extension_family():
     spec = b1_spec()
     window = Window(3, 2)
     solved = solve_degrees(spec, window, 2)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
-                   n_samples=4, seed=3)
+    res = classify(spec, solved, window, 2, n_samples=4, seed=3)
     assert res.n_parameters == 1
     gen = res.generators[0]
     assert list(gen.table) == [((0, -2), (0, -2))]
@@ -280,8 +278,7 @@ def test_classify_generalized_witt_returns_zero_family():
     spec = GeneralizedWitt(Pairing([[1, 0], [0, 1]]))
     window = Window(2, 1)
     solved = solve_degrees(spec, window, 1)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1,
-                   n_samples=2, seed=1)
+    res = classify(spec, solved, window, 1, n_samples=2, seed=1)
     assert res.zero_only
 
 
@@ -290,8 +287,7 @@ def test_classify_no_center_spec_returns_zero_family():
     spec = Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 3]))
     window = Window(3, 2)
     solved = solve_degrees(spec, window, 2)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
-                   n_samples=2, seed=1)
+    res = classify(spec, solved, window, 2, n_samples=2, seed=1)
     assert res.zero_only
 
 
@@ -303,8 +299,7 @@ def test_classify_witt_type_finds_the_group_product():
     spec = witt_spec()
     window = Window(4, 2)
     solved = solve_degrees(spec, window, 2)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 2,
-                   n_samples=1, seed=9)
+    res = classify(spec, solved, window, 2, n_samples=1, seed=9)
     assert res.n_parameters == 1
     table = res.generators[0].table
     for (a, b), value in table.items():
@@ -329,10 +324,9 @@ def test_classify_requires_all_degrees():
     spec = b0_spec()
     window = Window(2, 1)
     solved = solve_degrees(spec, window, 1)
-    bases = {d: b for d, (_, b) in solved.items()}
-    bases.pop((0, 0))
+    solved.pop((0, 0))
     with pytest.raises(MissingDegreeError):
-        classify(spec, bases, window, 1)
+        classify(spec, solved, window, 1)
 
 
 def test_mutation_left_mults_are_half_derivations():
@@ -421,8 +415,7 @@ def _combined(generators, coeffs):
         "witt-type-three-generators"])
 def test_classify_samples_match_the_element_oracle(spec, window, bound, n_samples, seed):
     solved = solve_degrees(spec, window, bound)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, bound,
-                   n_samples=n_samples, seed=seed)
+    res = classify(spec, solved, window, bound, n_samples=n_samples, seed=seed)
     labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
     rng = random.Random(seed)
     expected = []
@@ -460,8 +453,7 @@ def test_classify_scans_the_inner_triples_at_most_once(monkeypatch, n_samples):
                                  (witt_spec(), Window(3, 1), False)):
         visited.clear()
         solved = solve_degrees(spec, window, 1)
-        res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1,
-                       n_samples=n_samples, seed=0)
+        res = classify(spec, solved, window, 1, n_samples=n_samples, seed=0)
         labels = spec.basis_labels(box_points(window.inner_margin, spec.rank))
         keys = {frozenset(key) for g in res.generators for key in g.table}
         n_support = sum(1 for u, v, w in iter_product(labels, repeat=3)
@@ -533,7 +525,7 @@ def test_span_associativity_matches_the_element_oracle(case):
 def test_classified_generators_pass_the_tp_axioms(spec):
     window = Window(3, 2)
     solved = solve_degrees(spec, window, 1)
-    res = classify(spec, {d: b for d, (_, b) in solved.items()}, window, 1)
+    res = classify(spec, solved, window, 1)
     assert res.generators
     for gen in res.generators:
         assert verify(spec, gen, Window(2, 1)).tp_pass
