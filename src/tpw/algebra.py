@@ -185,6 +185,10 @@ class _Family:
     dim_v = 1
     coefficient_degree = 1
 
+    @cached_property
+    def pair_tables(self):  # radius -> ``halfderiv``'s pair table, built on first use
+        return {}
+
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of ``t`` to elements; exact, untruncated."""
         scale, t = self.structure_constants

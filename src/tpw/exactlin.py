@@ -5,19 +5,13 @@ already carry the canonical invariants we need: reduced representation and
 a positive denominator. ``RowSpace`` is the one elimination kernel: an
 incremental echelon of denominator-cleared integer rows with per-row gcd
 reduction, which keeps entry growth bounded in practice while every
-intermediate value stays exact. ``RowSpace.kernel()`` is the one kernel
-read-out: ``nullspace`` is a read of it, and so is the classifier's
-commutativity solve, whose rows go into one ``RowSpace`` through
-``int_row``. Every row source is read by one rule: its rows are
-eliminated in stream order until as many have reduced to zero as the
-kernel still has dimensions; each later row is checked by sparse dot
-products against an integer basis of the current kernel, and only a row
-that fails is inserted, shrinking that basis by one exact step. So every
-drawn row is consumed or checked: ``rows_generated = rows_consumed +
-rows_checked``. A rank, a row-space basis, ``in_span`` and every span
-check after a solve are reads of one ``RowSpace``.
-``SparseMatrix`` holds a matrix assembled from entries (a system's
-``matrix``). No floating point appears anywhere in this package.
+intermediate value stays exact. ``RowSpace.from_source`` reads every row
+source by one rule, elimination and then a certificate against an integer
+kernel basis; ``RowSpace.kernel()`` is the one kernel read-out. A rank, a
+row-space basis, ``nullspace``, ``in_span``, the classifier's
+commutativity solve and every span check after a solve are reads of one
+``RowSpace``. ``SparseMatrix`` holds a matrix assembled from entries (a
+system's ``matrix``). No floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -221,19 +215,23 @@ class RowSpace:
     def _certify(self, rows):
         """Add ``rows`` to the span, eliminating only those that shrink it.
 
-        K is an integer basis of the kernel of the span. A row with zero
-        dot product against every vector of K lies in the span already and
-        is only counted in ``rows_checked``. A row r with r . k0 = s0 != 0
-        is inserted, and K loses k0: each k with r . k = s becomes
-        s0 k - s k0, which r annihilates. So K stays the kernel of the span
-        and the row space ends exact, whatever the rows left unreduced.
+        K, an integer basis of the kernel of the span, is kept by stable id
+        in canonical order and indexed by column. A row with zero dot product
+        against all of K lies in the span and is only counted in
+        ``rows_checked``. A row r with r . k0 = s0 != 0, k0 of least id, is
+        inserted and K loses k0: each k with r . k = s becomes s0 k - s k0,
+        which r annihilates, and only k0 and these leave and re-enter the
+        index. So K stays the kernel of the span, and the row space is exact.
         """
-        kernel = [int_row(k) for k in self._kernel_dicts()]
-        index = _column_index(kernel)
+        kernel = dict(enumerate(int_row(k) for k in self._kernel_dicts()))
+        index = {c: {} for c in range(self.n_cols)}  # column -> {id: entry}
+        for i, k in kernel.items():
+            for c, v in k.items():
+                index[c][i] = v
         for row in rows:
             dots = {}
             for c, v in row.items():
-                for i, kv in index.get(c, ()):
+                for i, kv in index[c].items():
                     dots[i] = dots.get(i, 0) + v * kv
             dots = {i: s for i, s in dots.items() if s}
             if not dots:
@@ -244,12 +242,16 @@ class RowSpace:
             if self.rank == self.n_cols:
                 return
             i0 = min(dots)
-            s0, k0 = dots[i0], kernel[i0]
-            kernel = [k if i not in dots else _gcd_normalize(
-                {c: w for c in k.keys() | k0.keys()
-                 if (w := s0 * k.get(c, 0) - dots[i] * k0.get(c, 0))})
-                for i, k in enumerate(kernel) if i != i0]
-            index = _column_index(kernel)
+            s0, k0 = dots.pop(i0), kernel.pop(i0)
+            for i in (i0, *dots):
+                for c in k0 if i == i0 else kernel[i]:
+                    del index[c][i]
+            for i, s in dots.items():
+                k = kernel[i] = _gcd_normalize(
+                    {c: w for c in kernel[i].keys() | k0.keys()
+                     if (w := s0 * kernel[i].get(c, 0) - s * k0.get(c, 0))})
+                for c, v in k.items():
+                    index[c][i] = v
 
     @property
     def rank(self) -> int:
@@ -373,29 +375,15 @@ class RowSpace:
                               rows_checked=self.rows_checked)
 
 
-def _column_index(vectors):
-    """column -> [(i, entry)] over the nonzero entries of integer dicts."""
-    index = {}
-    for i, vec in enumerate(vectors):
-        for c, v in vec.items():
-            index.setdefault(c, []).append((i, v))
-    return index
-
-
 @dataclass(frozen=True)
 class NullspaceBasis:
     """Canonical basis of a matrix kernel.
 
     Vector k carries a unit entry at its own free column and zeros at all
     other free columns, which makes the basis uniquely determined by the
-    kernel itself: golden comparisons stay byte-stable.
-
-    Of the rows drawn from the source before the solve stopped,
-    ``rows_consumed`` counts the ones reduced into the echelon and
-    ``rows_checked`` the ones only verified against the kernel of the rows
-    before them (``RowSpace.from_source``); every drawn row is one or the
-    other, so ``rows_generated = rows_consumed + rows_checked``. No count
-    takes part in equality.
+    kernel itself: golden comparisons stay byte-stable. ``rows_consumed``
+    and ``rows_checked`` count the drawn rows as ``RowSpace.from_source``
+    does (``rows_generated`` is their sum); no count takes part in equality.
     """
 
     n_cols: int
@@ -415,12 +403,8 @@ class NullspaceBasis:
 def nullspace(source) -> NullspaceBasis:
     """Exact canonical kernel basis of a matrix or a row source.
 
-    ``source`` is a ``SparseMatrix`` or anything else with ``n_rows``,
-    ``n_cols`` and an ``int_rows()`` iterator, read by
-    ``RowSpace.from_source`` (``rows_generated = rows_consumed +
-    rows_checked``); no row is drawn once the rank reaches ``n_cols``.
-    Deterministic: the result depends only on the row space, not on row
-    order or row scaling.
+    ``source`` is read by ``RowSpace.from_source``. Deterministic: the
+    result depends only on the row space, not on row order or row scaling.
     """
     return RowSpace.from_source(source).kernel()
 

@@ -10,10 +10,12 @@ the solution space against the predicted spanning maps, degree by degree,
 is the computational heart of the workbench.
 
 Rows are streamed, never stored: pairs with a point of small norm come
-first. ``exactlin.RowSpace.from_source`` eliminates them in that order
-until as many have reduced to zero as the kernel has dimensions left;
-every later row is checked against the kernel the rows before it leave
-and eliminated only when it shrinks that kernel.
+first. Every degree of a window reads one pair table of positions and
+structure constants t(x, y), and the bi-affine offsets of t turn it into
+that degree's rows. ``exactlin.RowSpace.from_source`` eliminates them in
+that order until as many have reduced to zero as the kernel has
+dimensions left; every later row is checked against the kernel the rows
+before it leave and eliminated only when it shrinks that kernel.
 
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported
@@ -23,6 +25,7 @@ tables to the window's inner box.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +33,7 @@ from functools import cached_property
 from . import exactlin
 from .algebra import center_predicate, square_predicate
 from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
-from .lattice import Window, add, box_points, norm_inf
+from .lattice import Window, add, box_points, norm_inf, zero
 
 __all__ = [
     "DegreeResult",
@@ -80,12 +83,10 @@ class PredictedBasis:
 class HalfDerivationSystem:
     """Homogeneous system for one degree on one window, generated lazily.
 
-    ``int_rows()`` streams the constraint rows as integer dicts, one per
-    unordered pair (the mirrored pair gives the negated row), pairs with a
-    point of small norm first; ``exactlin.nullspace`` reads it as it reads
-    any row source. ``n_constraints`` (alias ``n_rows``) counts
-    ordered pairs, as reports do; ``matrix`` materializes the streamed
-    rows on first use.
+    ``int_rows()`` streams the constraint rows, which ``exactlin.nullspace``
+    reads as it reads any row source. ``n_constraints`` (alias ``n_rows``)
+    counts ordered pairs, as reports do; ``matrix`` materializes the
+    streamed rows on first use.
     """
 
     spec: object
@@ -106,7 +107,54 @@ class HalfDerivationSystem:
     n_rows = n_constraints
 
     def int_rows(self):
-        return _constraint_rows(self)
+        """Stream the constraint rows as integer dicts.
+
+        The row of (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
+        phi([u, v]) / delta - [phi(u), v] - [u, phi(v)] for u = e_(x,i) and
+        v = e_(y,j), where phi(e_(x,c)) = sum_r phi[x, r, c] e_(a+x, r) and
+        column (x, r, c) sits at pos(x) dv^2 + r dv + c, scaled by the
+        numerator of delta. The row of (y, j; x, i; k) is its negation and the
+        row of a label with itself is zero: only labels (x, i) < (y, j) of the
+        window's ``_pair_table`` give rows, and rows that vanish are skipped.
+        Every family's t is bi-affine, so t(a + x, y) = t(x, y) + [t(a, y) -
+        t(0, y)] and t(x, a + y) = t(x, y) + [t(x, a) - t(x, 0)]: per degree,
+        one offset per box point on each side, and a row is a few integer adds.
+        """
+        spec, a, delta = self.spec, self.degree, self.delta
+        box, pxs, pys, pxys, consts = _pair_table(spec, self.window.radius)
+        _, t = spec.structure_constants
+        o = zero(spec.rank)
+        off_x = [[u - v for u, v in zip(_flat(t(a, y)), _flat(t(o, y)))] for y in box]
+        off_y = [[u - v for u, v in zip(_flat(t(x, a)), _flat(t(x, o)))] for x in box]
+        dv = spec.dim_v
+        dv2, dv3, span = dv * dv, dv * dv * dv, range(dv)
+        image_w, side_w = delta.denominator, delta.numerator  # 1/delta = image_w / side_w
+        # per row (i, j, k), per l: where t(x, y), t(a + x, y) and t(x, a + y)
+        # are read, and the column each writes past its base
+        shapes = [(i, j, [((i * dv + j) * dv + l, k * dv + l, (l * dv + j) * dv + k,
+                           l * dv + i, (i * dv + l) * dv + k, l * dv + j) for l in span])
+                  for i in span for j in span for k in span]
+        for n, (px, py, pxy) in enumerate(zip(pxs, pys, pxys)):
+            at, ox, oy = n * dv3, off_x[py], off_y[px]
+            base_x, base_y, base_xy = px * dv2, py * dv2, pxy * dv2
+            for i, j, terms in shapes:
+                if px == py and j <= i:
+                    continue
+                row = {}
+                for ci, ki, cx, kx, cy, ky in terms:
+                    c = consts[at + ci]
+                    if c:
+                        row[base_xy + ki] = row.get(base_xy + ki, 0) + image_w * c
+                    c = consts[at + cx] + ox[cx]
+                    if c:
+                        row[base_x + kx] = row.get(base_x + kx, 0) - side_w * c
+                    c = consts[at + cy] + oy[cy]
+                    if c:
+                        row[base_y + ky] = row.get(base_y + ky, 0) - side_w * c
+                if pxy in (px, py) or px == py:  # blocks meet: entries may cancel
+                    row = {c: v for c, v in row.items() if v}
+                if row:
+                    yield row
 
     @cached_property
     def matrix(self) -> SparseMatrix:
@@ -171,72 +219,46 @@ def _n_constraints(spec, window: Window):
     return per_axis ** spec.rank * spec.dim_v ** 3
 
 
-def _constraint_rows(system):
-    """Stream the constraint rows of a system as integer dicts.
+def _pair_table(spec, radius):
+    """``(box, pos x, pos y, pos x+y, t(x, y))`` over the unordered pairs of
+    Box(radius) with x + y in it, in stream order: x through the box sorted
+    by ``norm_inf``, y from x on (past x on a scalar family, whose diagonal
+    row is zero); t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. Kept in
+    ``spec.pair_tables``, as ``array('q')`` columns (the constants a list
+    if one exceeds 64 bits)."""
+    tables = spec.pair_tables
+    if radius not in tables:
+        try:
+            tables[radius] = _build_pair_table(spec, radius, array("q"))
+        except OverflowError:
+            tables[radius] = _build_pair_table(spec, radius, [])
+    return tables[radius]
 
-    The row of (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
-    phi([u, v]) / delta - [phi(u), v] - [u, phi(v)] for u = e_(x,i) and
-    v = e_(y,j), where phi(e_(x,c)) = sum_r phi[x, r, c] e_(a+x, r) and
-    column (x, r, c) sits at pos(x) dv^2 + r dv + c. The bracket is
-    antisymmetric, so the row of (y, j; x, i; k) is this row negated and
-    the row of a label with itself is zero: only labels (x, i) < (y, j)
-    are generated, and rows that vanish are skipped. Each row is scaled
-    by the numerator of delta and the bracket's factor.
 
-    Labels are ordered by ``order``, the box sorted by ``norm_inf``, so
-    the pairs come by the smaller member's norm, then the larger's.
-    Column positions follow the box.
-    """
-    spec, a, delta = system.spec, system.degree, system.delta
-    box = box_points(system.window.radius, spec.rank)
+def _build_pair_table(spec, radius, consts):
+    box = box_points(radius, spec.rank)
     pos = {x: n for n, x in enumerate(box)}
     order = sorted(box, key=norm_inf)
-    dv = spec.dim_v
-    span = range(dv)
     # rows are homogeneous, so the constants' common scale drops out
-    _, bracket = spec.structure_constants
-    # 1/delta = image_w / side_w
-    image_w, side_w = delta.denominator, delta.numerator
+    _, t = spec.structure_constants
+    pxs, pys, pxys = array("q"), array("q"), array("q")
     for n, x in enumerate(order):
-        ax = add(a, x)
-        base_x = pos[x] * dv * dv
-        for y in order[n:]:
+        for y in order[n + (not spec.vectorial):]:
             pxy = pos.get(add(x, y))
-            if pxy is None:
-                continue
-            base_y = pos[y] * dv * dv
-            base_xy = pxy * dv * dv
-            t_img = bracket(x, y)
-            t_x = bracket(ax, y)
-            t_y = bracket(x, add(a, y))
-            for i in span:
-                for j in (range(i + 1, dv) if x == y else span):
-                    for k in span:
-                        row = {}
-                        for l in span:
-                            c = t_img[i][j][l]
-                            if c:
-                                key = base_xy + k * dv + l
-                                row[key] = row.get(key, 0) + image_w * c
-                            c = t_x[l][j][k]
-                            if c:
-                                key = base_x + l * dv + i
-                                row[key] = row.get(key, 0) - side_w * c
-                            c = t_y[i][l][k]
-                            if c:
-                                key = base_y + l * dv + j
-                                row[key] = row.get(key, 0) - side_w * c
-                        row = {c: v for c, v in row.items() if v}
-                        if row:
-                            yield row
+            if pxy is not None:
+                pxs.append(pos[x])
+                pys.append(pos[y])
+                pxys.append(pxy)
+                consts.extend(_flat(t(x, y)))
+    return box, pxs, pys, pxys, consts
+
+
+def _flat(c):
+    return [v for ci in c for cij in ci for v in cij]
 
 
 def solve(system: HalfDerivationSystem) -> NullspaceBasis:
-    """Canonical exact nullspace of the system, from its streamed rows.
-
-    Elimination draws rows only until the rank reaches the number of
-    unknowns; the system's matrix is never materialized.
-    """
+    """Canonical exact nullspace of the system, from its streamed rows."""
     return exactlin.nullspace(system)
 
 
@@ -393,13 +415,6 @@ class SweepReport:
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def result_for(self, degree):
-        degree = tuple(degree)
-        for r in self.results:
-            if r.degree == degree:
-                return r
-        raise MissingDegreeError("degree %s not in sweep" % (degree,))
 
     def to_json(self):
         return {

@@ -26,7 +26,6 @@ __all__ = [
     "common_nonvanishing",
     "coset_filter",
     "form_from_gh",
-    "neg",
     "nondegeneracy_witnesses",
     "norm_inf",
     "search_order",
@@ -49,10 +48,6 @@ def add(a, b):
 
 def sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def neg(a):
-    return tuple(-x for x in a)
 
 
 def zero(rank: int):

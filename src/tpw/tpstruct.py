@@ -479,10 +479,6 @@ class ClassifyResult:
     associativity_pass: bool
     seed: int
 
-    @property
-    def zero_only(self) -> bool:
-        return self.n_parameters == 0
-
 
 def _action_tables(spec, delta_bases, window, degree_bound):
     """Each degree's inner-box basis maps as ``{inner label: image terms}``.
@@ -596,10 +592,16 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
     ``shared`` memo computes the nonzero A_ij of a tuple once for all of
     them; only ``_associator_triples``, with {u, v} or {v, w} a key of some
     T_j, can fail. Returns the family verdict and one
-    ``(passed, first failing triple)`` per draw.
+    ``(passed, first failing triple)`` per draw. With m generators and n
+    labels, m^2 n^3 associators above ``max_triples`` are refused unscanned.
     """
     if not generators:
         return True, [(True, None)] * len(draws)
+    scan, m = _Scan(spec, points), len(generators)
+    if max_triples is not None and m * m * len(scan.labels) ** 3 > max_triples:
+        raise LimitExceededError(
+            "max_triples limit %d exceeded: %d generators form %d associators at"
+            " each of %d triples" % (max_triples, m, m * m, len(scan.labels) ** 3))
     muls = [_CheckedProduct(spec, g) for g in generators]
 
     def associators(s, *idx):
@@ -627,7 +629,6 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
     identities = {"family": family}  # a zero draw never fails
     identities.update((n, draw(c)) for n, c in enumerate(draws) if any(c))
     support = set().union(*(g.support(spec.rank) for g in generators))
-    scan = _Scan(spec, points)
     found = scan_identities(scan, ((3, identities),), ordered=True,
                             max_triples=max_triples,
                             tuples=[_associator_triples(scan.labels, support)])

@@ -1,11 +1,15 @@
-"""Independent elimination oracles used to cross-check the kernel.
+"""Independent oracles used to cross-check the library's fast paths.
 
-Deliberately written as textbook row reduction over Fractions, dense or
-row at a time on dict rows, with none of the library's machinery, so the
-paths share no code.
+The elimination oracles are textbook row reduction over Fractions, dense
+or row at a time on dict rows, with none of the library's machinery, so
+the paths share no code. ``_constraint_rows`` and ``RebuildingRowSpace``
+are the slow paths the row stream and the kernel certificate replaced,
+kept to be compared with them on the same inputs.
 """
 
 from fractions import Fraction
+
+from tpw.exactlin import RowSpace, _gcd_normalize, int_row
 
 
 def dense_rref(rows):
@@ -199,6 +203,104 @@ def ordered_pair_rows(spec, degree, radius, delta):
                                 row[col[(y, l, j)]] += px[l]
                         rows.append(row)
     return rows
+
+
+def _constraint_rows(system):
+    """The streamed constraint rows of a system, as ``halfderiv`` first wrote them.
+
+    The slow path of ``HalfDerivationSystem.int_rows``: every unordered pair
+    (x, y) in the same order (the box sorted by the max norm, y from x on),
+    with t(x, y), t(a + x, y) and t(x, a + y) each read from the family's
+    structure constants instead of offset from a pair table. The row of
+    (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
+    phi([u, v]) / delta - [phi(u), v] - [u, phi(v)] for u = e_(x,i) and
+    v = e_(y,j), with column (x, r, c) at pos(x) dv^2 + r dv + c; only
+    labels (x, i) < (y, j) are generated, and rows that vanish are skipped.
+    """
+    from itertools import product as iter_product
+
+    def add(p, q):
+        return tuple(s + t for s, t in zip(p, q))
+
+    spec, a, delta = system.spec, system.degree, system.delta
+    radius = system.window.radius
+    box = list(iter_product(range(-radius, radius + 1), repeat=spec.rank))
+    pos = {x: n for n, x in enumerate(box)}
+    order = sorted(box, key=lambda p: max(map(abs, p), default=0))
+    dv = spec.dim_v
+    span = range(dv)
+    _, bracket = spec.structure_constants
+    image_w, side_w = delta.denominator, delta.numerator
+    for n, x in enumerate(order):
+        ax = add(a, x)
+        base_x = pos[x] * dv * dv
+        for y in order[n:]:
+            pxy = pos.get(add(x, y))
+            if pxy is None:
+                continue
+            base_y = pos[y] * dv * dv
+            base_xy = pxy * dv * dv
+            t_img = bracket(x, y)
+            t_x = bracket(ax, y)
+            t_y = bracket(x, add(a, y))
+            for i in span:
+                for j in (range(i + 1, dv) if x == y else span):
+                    for k in span:
+                        row = {}
+                        for l in span:
+                            c = t_img[i][j][l]
+                            if c:
+                                key = base_xy + k * dv + l
+                                row[key] = row.get(key, 0) + image_w * c
+                            c = t_x[l][j][k]
+                            if c:
+                                key = base_x + l * dv + i
+                                row[key] = row.get(key, 0) - side_w * c
+                            c = t_y[i][l][k]
+                            if c:
+                                key = base_y + l * dv + j
+                                row[key] = row.get(key, 0) - side_w * c
+                        row = {c: v for c, v in row.items() if v}
+                        if row:
+                            yield row
+
+
+class RebuildingRowSpace(RowSpace):
+    """``RowSpace`` whose ``_certify`` rebuilds the kernel's column index
+    after every inserted row, as the kernel certificate was first written."""
+
+    def _certify(self, rows):
+        kernel = [int_row(k) for k in self._kernel_dicts()]
+        index = _column_index(kernel)
+        for row in rows:
+            dots = {}
+            for c, v in row.items():
+                for i, kv in index.get(c, ()):
+                    dots[i] = dots.get(i, 0) + v * kv
+            dots = {i: s for i, s in dots.items() if s}
+            if not dots:
+                self.rows_checked += 1
+                continue
+            self.rows_consumed += 1
+            self.insert(row)
+            if self.rank == self.n_cols:
+                return
+            i0 = min(dots)
+            s0, k0 = dots[i0], kernel[i0]
+            kernel = [k if i not in dots else _gcd_normalize(
+                {c: w for c in k.keys() | k0.keys()
+                 if (w := s0 * k.get(c, 0) - dots[i] * k0.get(c, 0))})
+                for i, k in enumerate(kernel) if i != i0]
+            index = _column_index(kernel)
+
+
+def _column_index(vectors):
+    """column -> [(i, entry)] over the nonzero entries of integer dicts."""
+    index = {}
+    for i, vec in enumerate(vectors):
+        for c, v in vec.items():
+            index.setdefault(c, []).append((i, v))
+    return index
 
 
 def _first_failure(spec, labels, sides):

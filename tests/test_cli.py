@@ -340,6 +340,24 @@ def test_classify_associativity_samples_respect_max_triples(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 0
 
 
+def test_classify_refuses_more_associators_than_max_triples(tmp_path, capsys):
+    # abelian rank 1 at Window(2, 1): 14 generators, 3 inner labels, so the
+    # scan forms up to 14^2 associators at each of 3^3 triples
+    limit = 14 ** 2 * 3 ** 3
+    cfg = small("classify-tp", {"family": "witt_type", "f": ["0"]},
+                payload={"degree_bound": 1})
+    path = tmp_path / "job.json"
+    cfg["limits"] = {"max_triples": limit - 1}
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
+    assert "14 generators form 196 associators at each of 27 triples" in (
+        capsys.readouterr().err)
+    cfg["limits"] = {"max_triples": limit}
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 1
+    assert "limit" not in capsys.readouterr().err
+
+
 def test_classify_associativity_is_decided_without_samples(tmp_path, capsys):
     """The truncated group product of Witt type is not associative; the
     verdict covers the whole family, so it fails with no sample drawn."""

@@ -21,6 +21,7 @@ from tpw.exactlin import (
 
 from oracles import (
     CountingSource,
+    RebuildingRowSpace,
     dense_rref,
     oracle_in_span,
     oracle_nullspace,
@@ -329,3 +330,31 @@ def test_repeated_rescaled_and_negated_rows_give_the_oracle_kernel():
         assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
         repeats += source.drawn > n_cols - ns.dimension
     assert repeats > 75
+
+
+def test_in_place_kernel_index_matches_the_rebuilt_one():
+    """Random streams that open with rank 1 and n_cols - 1 multiples of
+    their first row, so the switch fires with a kernel of dimension
+    n_cols - 1; the later rows, random ones and sums of earlier ones, shrink
+    it many times. The in-place column index gives the kernel, and consumes
+    and checks the rows, as rebuilding the index after every insert does."""
+    rng = random.Random(16)
+    shrinks = 0
+    for _ in range(150):
+        n_cols = rng.randint(2, 12)
+        lead = [rng.randint(-3, 3) for _ in range(n_cols)]
+        dense = [[j * v for v in lead] for j in range(1, n_cols + 1)]
+        for _ in range(rng.randint(0, 2 * n_cols)):
+            dense.append([rng.randint(-3, 3) if rng.random() < 0.4 else 0
+                          for _ in range(n_cols)])
+            if rng.random() < 0.3:
+                dense.append([u + v for u, v in zip(*rng.sample(dense, 2))])
+        source = _Rows(n_cols, [{c: v for c, v in enumerate(r) if v} for r in dense])
+        space = RowSpace.from_source(source)
+        rebuilt = RebuildingRowSpace.from_source(source)
+        assert space.kernel() == rebuilt.kernel()
+        assert list(space.kernel().vectors) == oracle_nullspace(dense, n_cols)
+        assert (space.rows_consumed, space.rows_checked) == (
+            rebuilt.rows_consumed, rebuilt.rows_checked)
+        shrinks += space.rows_consumed - n_cols
+    assert shrinks > 500

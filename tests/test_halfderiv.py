@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     CountingSource,
+    _constraint_rows,
     oracle_in_span,
     oracle_rank,
     ordered_pair_rows,
     sparse_nullspace,
 )
-from tpw import exactlin
+from tpw import exactlin, halfderiv
 from tpw.algebra import Block, GeneralizedWitt, WittType
 from tpw.halfderiv import (
     HalfDerivationComponent,
@@ -41,6 +42,11 @@ def b0_spec():
 
 def gw_spec():
     return GeneralizedWitt(Pairing([[1, 0], [0, 1]]))
+
+
+def _result(report, degree):
+    """The sweep's record of one degree."""
+    return next(r for r in report.results if r.degree == tuple(degree))
 
 
 def test_assemble_counts_unknowns_and_pairs():
@@ -145,7 +151,7 @@ def test_sweep_block_g0_small_window():
     report = sweep(b0_spec(), Window(2, 1), 1)
     assert report.all_pass
     assert report.verdict == "Delta = span{id, alpha}"
-    degree_zero = report.result_for((0, 0))
+    degree_zero = _result(report, (0, 0))
     assert degree_zero.projected_dim == 2
     for r in report.results:
         if r.degree != (0, 0):
@@ -160,8 +166,8 @@ def test_sweep_b1_sees_alpha_only_with_wide_inner_box():
     wide = sweep(b1_spec(), Window(3, 2), 2)
     assert wide.all_pass
     assert wide.verdict == "Delta = span{id, alpha_((0,-2),(0,-1))}"
-    assert wide.result_for((0, 1)).projected_dim == 1
-    assert wide.result_for((0, 0)).projected_dim == 1
+    assert _result(wide, (0, 1)).projected_dim == 1
+    assert _result(wide, (0, 0)).projected_dim == 1
 
 
 def test_sweep_witt_type_is_non_authoritative():
@@ -192,7 +198,7 @@ def test_solve_degrees_reuse():
     assert report.all_pass
     assert set(solved) == set(tuple(a) for a in box_points(1, 2))
     # the sweep reports compare's record of each kernel in the map
-    assert report.result_for((1, 0)) == compare(
+    assert _result(report, (1, 0)) == compare(
         spec, window, solved[(1, 0)], predicted(spec, (1, 0), window))
 
 
@@ -202,7 +208,7 @@ def test_sweep_at_other_delta_reports_dimensions_only():
     assert not report.authoritative
     assert report.all_pass  # nothing asserted, membership trivially holds
     # degree zero at delta = 1 still contains the identity direction
-    assert report.result_for((0, 0)).projected_dim >= 1
+    assert _result(report, (0, 0)).projected_dim >= 1
 
 
 def test_compare_with_margin_one_projects_alpha_away():
@@ -308,7 +314,18 @@ def test_n_constraints_counts_ordered_pairs(spec, dim_v):
             _brute_force_pairs(radius, spec.rank) * dim_v ** 3), radius
 
 
-def test_cell_limit_is_checked_before_any_row_is_built(monkeypatch):
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The radius of every pair table built while the test runs."""
+    builds = []
+    build = halfderiv._build_pair_table
+    monkeypatch.setattr(halfderiv, "_build_pair_table",
+                        lambda spec, radius, consts: builds.append(radius)
+                        or build(spec, radius, consts))
+    return builds
+
+
+def test_cell_limit_is_checked_before_any_row_is_built(monkeypatch, table_builds):
     system = assemble(gw_spec(), (1, 0), Window(2, 1))
     cells = system.n_constraints * system.n_unknowns
 
@@ -319,8 +336,70 @@ def test_cell_limit_is_checked_before_any_row_is_built(monkeypatch):
     with pytest.raises(exactlin.DimensionOverflowError):
         solve(system)
     del system.int_rows
+    with pytest.raises(exactlin.DimensionOverflowError):
+        solve(system)
+    assert table_builds == []
     monkeypatch.setattr(exactlin, "DEFAULT_MAX_CELLS", cells)
     assert solve(system).dimension == 0
+    assert table_builds == [2]
+
+
+def test_a_sweep_builds_one_pair_table_per_window(table_builds):
+    """The 9 degrees of Box(1) read one table; another radius builds its own,
+    and each spec keeps its own tables."""
+    spec = b1_spec()
+    assert len(solve_degrees(spec, Window(2, 1), 1)) == 9
+    assert table_builds == [2]
+    sweep(spec, Window(2, 1), 1)
+    sweep(spec, Window(3, 2), 1)
+    assert table_builds == [2, 3]
+    assert set(spec.pair_tables) == {2, 3}
+    solve_degrees(b1_spec(), Window(2, 1), 1)
+    assert table_builds == [2, 3, 2]
+
+
+def test_constants_past_64_bits_stream_the_same_rows():
+    """The pair table's constants fall back from ``array('q')`` to a list."""
+    for spec in (WittType(AdditiveMap([2 ** 64, 1])),
+                 GeneralizedWitt(Pairing([[2 ** 63, 1], [0, 1]]))):
+        system = assemble(spec, (1, -1), Window(2, 1))
+        assert list(system.int_rows()) == list(_constraint_rows(system))
+        assert isinstance(spec.pair_tables[2][4], list)
+
+
+@st.composite
+def row_stream_specs(draw):
+    """Witt type, Block (g = 0, from (g, h), raw) and generalized Witt with
+    dim V 1 or 2, of rank 1 or 2, with small rational data."""
+    kind = draw(st.sampled_from(["witt", "block-g0", "block-gh", "block-raw", "gw"]))
+    rank = 1 if kind == "witt" and draw(st.booleans()) else 2
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.lists(value, min_size=rank, max_size=rank)
+    if kind == "witt":
+        return WittType(AdditiveMap(draw(vector)))
+    if kind == "gw":
+        return GeneralizedWitt(Pairing(draw(st.lists(vector, min_size=1, max_size=2))))
+    k = draw(value)
+    f = BiadditiveForm([[0, k], [-k, 0]])
+    if kind == "block-g0":
+        return Block.with_form(f)
+    g = AdditiveMap(draw(vector.filter(any)))
+    if kind == "block-raw":
+        return Block.raw_form(g, f)
+    return Block.from_gh(g, AdditiveMap(draw(vector)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=row_stream_specs(),
+       delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2, 3)]),
+       radius=st.integers(1, 3))
+def test_table_rows_match_the_slow_stream_row_by_row(spec, delta, radius):
+    """Every degree's rows, read through the window's one pair table with
+    bi-affine offsets, are the rows of the direct generator, in order."""
+    for a in box_points(1, spec.rank):
+        system = assemble(spec, a, Window(radius), delta=delta)
+        assert list(system.int_rows()) == list(_constraint_rows(system)), a
+    assert list(spec.pair_tables) == [radius]
 
 
 _SMALL = st.integers(-2, 2)
