@@ -9,7 +9,6 @@ quantification done by the verification scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product as iter_product
@@ -427,20 +426,29 @@ def bracket(spec, x: Element, y: Element) -> Element:
     return spec.bracket(x, y)
 
 
-@dataclass(frozen=True)
 class LieReport:
     """Outcome of the anticommutativity and Jacobi scans on a window.
 
-    ``visited`` counts the pairs and triples actually evaluated.
+    ``visited`` counts the pairs and triples evaluated, outside equality.
     """
 
-    anticommutative: bool
-    anticommutativity_witness: tuple
-    jacobi: bool
-    jacobi_witness: tuple
-    n_pairs: int
-    n_triples: int
-    visited: int = field(compare=False)
+    def __init__(self, anticommutativity_witness: tuple, jacobi_witness: tuple,
+                 n_pairs: int, n_triples: int, visited: int):
+        self.anticommutativity_witness = anticommutativity_witness
+        self.jacobi_witness = jacobi_witness
+        self.n_pairs, self.n_triples, self.visited = n_pairs, n_triples, visited
+
+    def __eq__(self, other):
+        return isinstance(other, LieReport) and (
+            dict(vars(self), visited=None) == dict(vars(other), visited=None))
+
+    @property
+    def anticommutative(self) -> bool:
+        return self.anticommutativity_witness is None
+
+    @property
+    def jacobi(self) -> bool:
+        return self.jacobi_witness is None
 
     @property
     def passed(self) -> bool:
@@ -611,8 +619,7 @@ def verify_lie_axioms(spec, window: Window, max_triples=None) -> LieReport:
     found = scan_identities(scan, _LIE_AXIOMS, ordered=False,
                             degree=2 * spec.coefficient_degree, max_triples=max_triples)
     (n_pairs, anti), (n_triples, jac) = found["anticommutativity"], found["jacobi"]
-    return LieReport(anti is None, _residual(anti), jac is None, _residual(jac),
-                     n_pairs, n_triples, scan.visited)
+    return LieReport(_residual(anti), _residual(jac), n_pairs, n_triples, scan.visited)
 
 
 def _residual(witness):
@@ -643,11 +650,9 @@ def square_predicate(spec, a) -> bool:
     return spec.g(a) != 0 or spec.h(a) + 2 != 0
 
 
-@dataclass(frozen=True)
 class CenterSquareReport:
-    confirmed: tuple
-    witnesses: dict
-    failures: tuple
+    def __init__(self, confirmed: tuple, witnesses: dict, failures: tuple):
+        self.confirmed, self.witnesses, self.failures = confirmed, witnesses, failures
 
     @property
     def passed(self) -> bool:
@@ -712,14 +717,11 @@ def verify_square(spec, window: Window) -> CenterSquareReport:
     return CenterSquareReport(tuple(confirmed), witnesses, tuple(failures))
 
 
-@dataclass(frozen=True)
 class WittTypeCorrespondence:
     """Rank-one reduction of a generalized Witt algebra to Witt type."""
 
-    f: AdditiveMap
-    v: tuple
-    verified: bool
-    n_pairs: int
+    def __init__(self, f: AdditiveMap, v: tuple, verified: bool, n_pairs: int):
+        self.f, self.v, self.verified, self.n_pairs = f, v, verified, n_pairs
 
     def target(self) -> WittType:
         return WittType(self.f)
@@ -815,11 +817,13 @@ def spec_to_json(spec) -> dict:
 
 
 def spec_from_json(data: dict):
-    family = data.get("family")
-    if family == "generalized_witt":
+    family, keys = data.get("family"), set(data) - {"family"}
+    if family == "generalized_witt" and keys == {"pairing"}:
         return GeneralizedWitt(Pairing.from_json(data["pairing"]))
+    if family == "witt_type" and keys == {"f"}:
+        return WittType(AdditiveMap.from_json(data["f"]))
     if family == "block":  # the three forms spec_to_json writes
-        raw, keys = data.get("raw", False), set(data) - {"family", "raw"}
+        raw, keys = data.get("raw", False), keys - {"raw"}
         if not isinstance(raw, bool):
             raise ValueError("'raw' must be true or false")
         if raw and keys == {"g", "f"}:
@@ -831,6 +835,6 @@ def spec_from_json(data: dict):
         if not raw and keys == {"f"}:
             return Block.with_form(BiadditiveForm.from_json(data["f"]))
         raise ValueError("a Block spec is {f}, {g, h} or {g, f, raw: true}")
-    if family == "witt_type":
-        return WittType(AdditiveMap.from_json(data["f"]))
+    if family in ("generalized_witt", "witt_type"):
+        raise ValueError("a generalized Witt spec is {pairing}, a Witt type spec {f}")
     raise ValueError("unknown algebra family %r" % (family,))

@@ -222,8 +222,9 @@ def _task_classify(spec, cfg, window):
             {"pass": ok, "witness": None if w is None else [_label_json(l) for l in w]}
             for ok, w in res.associativity_samples],
     }
-    verdicts = [("sweep", sweep_report.all_pass),
-                ("classify-associativity", res.associativity_pass)]
+    # a sweep of dimensions only asserts no family, so neither does the scan
+    associative = None if sweep_report.reason else res.associativity_pass
+    verdicts = [("sweep", sweep_report.all_pass), ("classify-associativity", associative)]
     if expected is not None:
         verdicts.append(("expected-parameters", res.n_parameters == expected))
     return result, verdicts
@@ -291,7 +292,7 @@ def run(config: dict) -> dict:
         },
         "result": result,
         "verdicts": [{"name": name, "pass": ok} for name, ok in verdicts],
-        "all_pass": all(ok for _, ok in verdicts),
+        "all_pass": all(ok for _, ok in verdicts if ok is not None),
         "timing_ms": elapsed_ms,
     }
 
@@ -393,7 +394,8 @@ def _emit(report, json_only: bool) -> None:
                                     "pass" if r["all_pass"] else "FAIL")
                      for r in report]
         else:
-            lines = ["%s: %s" % (v["name"], "pass" if v["pass"] else "FAIL")
+            lines = ["%s: %s" % (v["name"], {True: "pass", False: "FAIL",
+                                             None: "unasserted"}[v["pass"]])
                      for v in report["verdicts"]]
         sys.stderr.write("\n".join(lines) + "\n")
 

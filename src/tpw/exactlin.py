@@ -16,7 +16,6 @@ system's ``matrix``). No floating point appears anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -375,7 +374,6 @@ class RowSpace:
                               rows_checked=self.rows_checked)
 
 
-@dataclass(frozen=True)
 class NullspaceBasis:
     """Canonical basis of a matrix kernel.
 
@@ -386,10 +384,14 @@ class NullspaceBasis:
     does (``rows_generated`` is their sum); no count takes part in equality.
     """
 
-    n_cols: int
-    vectors: tuple
-    rows_consumed: int = field(default=0, compare=False)
-    rows_checked: int = field(default=0, compare=False)
+    def __init__(self, n_cols: int, vectors: tuple, rows_consumed: int = 0,
+                 rows_checked: int = 0):
+        self.n_cols, self.vectors = n_cols, vectors
+        self.rows_consumed, self.rows_checked = rows_consumed, rows_checked
+
+    def __eq__(self, other):
+        return (isinstance(other, NullspaceBasis) and self.n_cols == other.n_cols
+                and self.vectors == other.vectors)
 
     @property
     def dimension(self) -> int:

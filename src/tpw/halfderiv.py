@@ -26,7 +26,6 @@ tables to the window's inner box.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -37,7 +36,6 @@ from .lattice import Window, add, box_points, norm_inf, zero
 
 __all__ = [
     "DegreeResult",
-    "HalfDerivationComponent",
     "HalfDerivationSystem",
     "MissingDegreeError",
     "PredictedBasis",
@@ -56,30 +54,20 @@ class MissingDegreeError(Exception):
     """A per-degree family lacks a degree required by the window."""
 
 
-@dataclass(frozen=True)
-class HalfDerivationComponent:
-    """Coefficient table of one graded component.
+class PredictedBasis:
+    """Spanning maps the classification predicts for one degree.
 
-    ``table`` maps a box index x to the coefficient of the image at
-    degree + x: a scalar for the scalar families, a dim V x dim V matrix
-    (tuple of row tuples) for the generalized Witt family.
+    A component is a coefficient table: box index x -> the coefficient of
+    the image at degree + x, a scalar for the scalar families, a dim V x
+    dim V matrix (tuple of row tuples) for the generalized Witt family.
     """
 
-    degree: tuple
-    table: dict
+    def __init__(self, degree: tuple, components: tuple, authoritative: bool = True,
+                 names: tuple = ()):
+        self.degree, self.components = degree, components
+        self.authoritative, self.names = authoritative, names
 
 
-@dataclass(frozen=True)
-class PredictedBasis:
-    """Spanning maps the classification predicts for one degree."""
-
-    degree: tuple
-    components: tuple
-    authoritative: bool = True
-    names: tuple = ()
-
-
-@dataclass
 class HalfDerivationSystem:
     """Homogeneous system for one degree on one window, generated lazily.
 
@@ -89,11 +77,9 @@ class HalfDerivationSystem:
     streamed rows on first use.
     """
 
-    spec: object
-    degree: tuple
-    window: Window
-    delta: Fraction
-    columns: tuple
+    def __init__(self, spec, degree: tuple, window: Window, delta: Fraction, columns: tuple):
+        self.spec, self.degree, self.window = spec, degree, window
+        self.delta, self.columns = delta, columns
 
     @property
     def n_unknowns(self) -> int:
@@ -173,17 +159,17 @@ def columns_for(spec, window: Window):
     return tuple((x, r, c) for x in box for r in dv for c in dv)
 
 
-def component_vector(spec, window: Window, component: HalfDerivationComponent):
+def component_vector(spec, window: Window, table: dict):
     """Flatten a component table into the canonical column order."""
     cols = columns_for(spec, window)
     zero_f = Fraction(0)
     if spec.vectorial:
         vec = []
         for (x, r, c) in cols:
-            m = component.table.get(x)
+            m = table.get(x)
             vec.append(Fraction(m[r][c]) if m is not None else zero_f)
         return tuple(vec)
-    return tuple(Fraction(component.table.get(x, zero_f)) for x in cols)
+    return tuple(Fraction(table.get(x, zero_f)) for x in cols)
 
 
 def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
@@ -270,9 +256,8 @@ def predicted(spec, degree, window: Window) -> PredictedBasis:
     one = (tuple(tuple(Fraction(int(r == c)) for c in dv) for r in dv)
            if spec.vectorial else Fraction(1))
     named = _PREDICTIONS[spec.family](spec, degree, window, box, one)
-    return PredictedBasis(
-        degree, tuple(HalfDerivationComponent(degree, table) for _, table in named),
-        _authoritative(spec), tuple(name for name, _ in named))
+    return PredictedBasis(degree, tuple(table for _, table in named),
+                          _authoritative(spec), tuple(name for name, _ in named))
 
 
 def _authoritative(spec):
@@ -333,20 +318,19 @@ def inner_projection(spec, window: Window, vectors):
             RowSpace(rows, len(positions)))
 
 
-@dataclass(frozen=True)
 class DegreeResult:
     """One degree's kernel against its prediction: the record a sweep reports."""
 
-    degree: tuple
-    n_unknowns: int
-    n_constraints: int
-    computed_dim: int
-    projected_dim: int
-    predicted_dim: int
-    membership: tuple
-    visible: tuple
-    excess: tuple
-    authoritative: bool
+    def __init__(self, degree: tuple, n_unknowns: int, n_constraints: int,
+                 computed_dim: int, projected_dim: int, predicted_dim: int,
+                 membership: tuple, visible: tuple, excess: tuple, authoritative: bool):
+        self.degree, self.n_unknowns, self.n_constraints = degree, n_unknowns, n_constraints
+        self.computed_dim, self.projected_dim = computed_dim, projected_dim
+        self.predicted_dim, self.membership = predicted_dim, membership
+        self.visible, self.excess, self.authoritative = visible, excess, authoritative
+
+    def __eq__(self, other):
+        return isinstance(other, DegreeResult) and vars(self) == vars(other)
 
     @property
     def membership_pass(self) -> bool:
@@ -385,7 +369,7 @@ def compare(spec, window: Window, computed: NullspaceBasis,
     agree; the computed directions outside the predicted span are listed
     as excess (for non-authoritative families flagged, not failed).
     """
-    vectors = [component_vector(spec, window, comp) for comp in expected.components]
+    vectors = [component_vector(spec, window, table) for table in expected.components]
     kernel = RowSpace(computed.vectors, computed.n_cols) if vectors else None
     membership = tuple(v in kernel for v in vectors)
     keys, computed_rows, computed_space = inner_projection(spec, window, computed.vectors)
@@ -400,17 +384,19 @@ def compare(spec, window: Window, computed: NullspaceBasis,
                         excess, expected.authoritative)
 
 
-@dataclass(frozen=True)
 class SweepReport:
-    """Aggregated per-degree comparison over a box of degrees."""
+    """Aggregated per-degree comparison over a box of degrees; ``reason``
+    says why it reports dimensions only, or is None if it asserts them."""
 
-    family: str
-    window: Window
-    delta: Fraction
-    degree_bound: int
-    results: tuple
-    verdict: str
-    authoritative: bool
+    def __init__(self, family: str, window: Window, delta: Fraction, degree_bound: int,
+                 results: tuple, verdict: str, reason: str):
+        self.family, self.window, self.delta = family, window, delta
+        self.degree_bound, self.results = degree_bound, results
+        self.verdict, self.reason = verdict, reason
+
+    @property
+    def authoritative(self) -> bool:
+        return all(r.authoritative for r in self.results)
 
     @property
     def all_pass(self) -> bool:
@@ -482,4 +468,4 @@ def sweep(spec, window: Window, degree_bound: int, delta=HALF,
             else "; excess dimensions present"
         verdict = "Delta contains %s (non-authoritative%s)" % (body, extra)
     return SweepReport(spec.family, window, Fraction(delta), degree_bound,
-                       tuple(results), verdict, authoritative)
+                       tuple(results), verdict, reason)

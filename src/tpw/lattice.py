@@ -7,7 +7,6 @@ biadditive forms and pairings by their matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -74,7 +73,6 @@ def search_order(radius: int, rank: int):
     return sorted(box_points(radius, rank), key=key)
 
 
-@dataclass(frozen=True)
 class Window:
     """Finite truncation of the index group.
 
@@ -83,17 +81,14 @@ class Window:
     radius ``inner_margin`` (default: ceil(radius / 2)).
     """
 
-    radius: int
-    inner_margin: int = None
-
-    def __post_init__(self):
-        if self.radius < 1:
+    def __init__(self, radius: int, inner_margin: int = None):
+        if radius < 1:
             raise ValueError("window radius must be positive")
-        if self.inner_margin is None:
-            object.__setattr__(
-                self, "inner_margin", min(-(-self.radius // 2), self.radius - 1))
-        if not 0 <= self.inner_margin < self.radius:
+        if inner_margin is None:
+            inner_margin = min(-(-radius // 2), radius - 1)
+        if not 0 <= inner_margin < radius:
             raise ValueError("inner_margin must satisfy 0 <= m < radius")
+        self.radius, self.inner_margin = radius, inner_margin
 
     def contains(self, a) -> bool:
         return norm_inf(a) <= self.radius
@@ -259,12 +254,11 @@ def form_from_gh(g: AdditiveMap, h: AdditiveMap) -> BiadditiveForm:
         [[gv[i] * hv[j] - hv[i] * gv[j] for j in range(n)] for i in range(n)])
 
 
-@dataclass(frozen=True)
 class WitnessReport:
     """Witnesses of non-degeneracy found within a window."""
 
-    witnesses: dict
-    missing: tuple
+    def __init__(self, witnesses: dict, missing: tuple):
+        self.witnesses, self.missing = witnesses, missing
 
     @property
     def degenerate_in_window(self) -> bool:

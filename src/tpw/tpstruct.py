@@ -9,7 +9,6 @@ recovers the product family from a computed space of scaled derivations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactlin import RowSpace, int_row
@@ -27,7 +26,7 @@ from .algebra import (
     _ZERO,
     _check_coefficients,
 )
-from .halfderiv import HalfDerivationComponent, MissingDegreeError, inner_projection
+from .halfderiv import MissingDegreeError, inner_projection
 from .lattice import Window, add, box_points, search_order, sub
 
 __all__ = [
@@ -66,6 +65,7 @@ class _Product:
     """
 
     coefficient_degree = None
+    json_key = None  # the JSON key of the rule's data, beside "variant"
 
     def check_domain(self, spec):
         pass
@@ -102,6 +102,7 @@ class Mutation(_Product):
     """
 
     variant = "mutation"
+    json_key = "w"
     coefficient_degree = 0  # u_a . u_b = sum_c w_c u_(a+b+c)
 
     def __init__(self, w: Element):
@@ -120,11 +121,11 @@ class Mutation(_Product):
         return {add(ab, c): wc for c, wc in self._shifts.items()}
 
     def to_json(self) -> dict:
-        return {"variant": self.variant, "w": element_to_json(self.w)}
+        return {"variant": self.variant, self.json_key: element_to_json(self.w)}
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(element_from_json(data["w"]))
+        return cls(element_from_json(data[cls.json_key]))
 
 
 class SingleIdempotent(_Product):
@@ -289,24 +290,33 @@ class _CheckedProduct:
         return out
 
 
-@dataclass(frozen=True)
 class IdentityCheck:
-    """Pass flag plus the first witness tuple with both evaluated sides."""
+    """The first witness tuple with both evaluated sides; None when passing."""
 
-    passed: bool
-    witness: tuple
+    def __init__(self, witness: tuple):
+        self.witness = witness
+
+    def __eq__(self, other):
+        return isinstance(other, IdentityCheck) and self.witness == other.witness
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    """The four identities; ``visited`` counts the pairs and triples evaluated."""
+    """The four identities; ``visited``, the tuples evaluated, is outside equality."""
 
-    commutative: IdentityCheck
-    associative: IdentityCheck
-    trans_leibniz: IdentityCheck
-    poisson_leibniz: IdentityCheck
-    n_triples: int
-    visited: int = field(compare=False)
+    def __init__(self, commutative: IdentityCheck, associative: IdentityCheck,
+                 trans_leibniz: IdentityCheck, poisson_leibniz: IdentityCheck,
+                 n_triples: int, visited: int):
+        self.commutative, self.associative = commutative, associative
+        self.trans_leibniz, self.poisson_leibniz = trans_leibniz, poisson_leibniz
+        self.n_triples, self.visited = n_triples, visited
+
+    def __eq__(self, other):
+        return isinstance(other, VerificationReport) and (
+            dict(vars(self), visited=None) == dict(vars(other), visited=None))
 
     @property
     def tp_pass(self) -> bool:
@@ -377,7 +387,7 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
         tuples=_support_tuples(scan.labels, product.support(spec.rank)),
         degree=p if p is None else p + max(p, spec.coefficient_degree))
 
-    checks = {name: IdentityCheck(w is None, w) for name, (_, w) in found.items()}
+    checks = {name: IdentityCheck(w) for name, (_, w) in found.items()}
     n_triples = max(found[name][0] for name in _TRIPLE_IDENTITIES)
     return VerificationReport(**checks, n_triples=n_triples, visited=scan.visited)
 
@@ -437,8 +447,9 @@ def _support_pairs(at, support):
 def left_mult_table(spec, product, z, window: Window) -> dict:
     """Graded components of x -> u_z . x over the window's box.
 
-    Returns a map degree -> component table, ready to be flattened and
-    checked for membership in the assembled per-degree solution spaces.
+    Returns a map degree -> component table ``{x: coefficient}``, ready for
+    ``halfderiv.component_vector`` and membership in the assembled
+    per-degree solution spaces.
     """
     product.check_domain(spec)
     z = tuple(z)
@@ -447,21 +458,15 @@ def left_mult_table(spec, product, z, window: Window) -> dict:
     for x in box_points(window.radius, spec.rank):
         for idx, c in product.basis_product(z, x).items():
             tables.setdefault(sub(idx, x), {})[x] = c
-    return {
-        degree: HalfDerivationComponent(degree, table)
-        for degree, table in sorted(tables.items())
-    }
+    return dict(sorted(tables.items()))
 
 
-@dataclass(frozen=True)
 class ClassifyParameter:
-    name: str
-    left_index: tuple
-    degree: tuple
-    basis_position: int
+    def __init__(self, name: str, left_index: tuple, degree: tuple, basis_position: int):
+        self.name, self.left_index = name, left_index
+        self.degree, self.basis_position = degree, basis_position
 
 
-@dataclass(frozen=True)
 class ClassifyResult:
     """Solution family of the windowed commutativity system.
 
@@ -472,12 +477,15 @@ class ClassifyResult:
     value, its verdict and first failing triple.
     """
 
-    n_parameters: int
-    parameters: tuple
-    generators: tuple
-    associativity_samples: tuple
-    associativity_pass: bool
-    seed: int
+    def __init__(self, parameters: tuple, generators: tuple,
+                 associativity_samples: tuple, associativity_pass: bool, seed: int):
+        self.parameters, self.generators = parameters, generators
+        self.associativity_samples = associativity_samples
+        self.associativity_pass, self.seed = associativity_pass, seed
+
+    @property
+    def n_parameters(self) -> int:
+        return len(self.generators)
 
 
 def _action_tables(spec, delta_bases, window, degree_bound):
@@ -551,8 +559,7 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     draws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in generators]
              for _ in range(n_samples if generators else 0)]
     passed, samples = _span_associativity(spec, generators, inner, draws, max_triples)
-    return ClassifyResult(len(generators), tuple(parameters), tuple(generators),
-                          tuple(samples), passed, seed)
+    return ClassifyResult(tuple(parameters), tuple(generators), tuple(samples), passed, seed)
 
 
 def _table_product(spec, vec, labels, maps):
@@ -644,4 +651,7 @@ def product_from_json(data: dict):
     variant = data.get("variant")
     if variant not in _VARIANTS:
         raise ValueError("unknown product variant %r" % (variant,))
+    keys = {"variant", _VARIANTS[variant].json_key} - {None}
+    if set(data) != keys:
+        raise ValueError("%s product keys are {%s}" % (variant, ", ".join(sorted(keys))))
     return _VARIANTS[variant].from_json(data)

@@ -360,10 +360,10 @@ def element_verify(spec, product, window):
     n_triples = (max(n_assoc, n_trans, n_poisson) if assoc and trans and poisson
                  else len(labels) ** 3)
     return VerificationReport(
-        commutative=IdentityCheck(comm is None, comm),
-        associative=IdentityCheck(assoc is None, assoc),
-        trans_leibniz=IdentityCheck(trans is None, trans),
-        poisson_leibniz=IdentityCheck(poisson is None, poisson),
+        commutative=IdentityCheck(comm),
+        associative=IdentityCheck(assoc),
+        trans_leibniz=IdentityCheck(trans),
+        poisson_leibniz=IdentityCheck(poisson),
         n_triples=n_triples,
         visited=n_comm + n_assoc + n_trans + n_poisson,
     )
@@ -400,8 +400,7 @@ def element_lie(spec, window):
     jac, n_triples = first(
         ((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)),
         lambda x, y, z: br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y))
-    return LieReport(anti is None, anti, jac is None, jac, n_pairs, n_triples,
-                     visited=n_pairs + n_triples)
+    return LieReport(anti, jac, n_pairs, n_triples, visited=n_pairs + n_triples)
 
 
 def element_associativity(spec, product, labels):

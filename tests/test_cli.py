@@ -202,6 +202,28 @@ def test_console_script_entry_point(tmp_path):
     assert "lie-axioms: pass" in proc.stderr
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every start-up pays for what ``import tpw.cli`` loads; modules that the
+    interpreter's site set-up loaded before it do not count."""
+    code = ("import sys; before = set(sys.modules); import tpw.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_an_unasserted_verdict_exits_0_and_says_so(tmp_path, capsys):
+    """On a degenerate Block the sweep reports dimensions only, so classify-tp
+    asserts no associativity: that verdict is null and fails no job."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(small("classify-tp", {**B1, "g": ["1", "0"], "h": ["-1", "0"]},
+                                     payload={"degree_bound": 1})))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert {"name": "classify-associativity", "pass": None} in json.loads(out)["verdicts"]
+    assert "classify-associativity: unasserted" in err
+
+
 def test_reproduce_suite_thmA():
     reports = reproduce("thmA")
     assert [r["job"] for r in reports] == ["witt-rigidity", "witt-type-mutation"]
@@ -441,6 +463,11 @@ def _table_product(entry):
         "variant": "mutation", "w": _TWICE}}), "payload.product"),
     (small("verify-structure", WT, payload={"product": _table_product({"value": _TWICE})}),
      "payload.product"),
+    (small("check-lie", dict(WT, raw=True)), "algebra"),
+    (small("check-lie", {"family": "generalized_witt", "pairing": [["1"]], "f": ["1"]}),
+     "algebra"),
+    (small("verify-structure", WT, payload={"product": {"variant": "zero", "w": []}}),
+     "payload.product"),
 ], ids=["product-list", "table-value-int", "table-index-int", "table-index-text",
         "multiplier-int",
         "algebra-map-int", "radius-bool", "margin-bool", "seed-bool",
@@ -449,7 +476,8 @@ def _table_product(entry):
         "multiplier-index-float", "multiplier-index-bool", "table-index-float",
         "map-string", "pairing-string", "form-row-strings", "form-with-g",
         "gh-with-f", "raw-not-bool", "raw-g-of-another-rank", "multiplier-index-twice",
-        "table-value-index-twice"])
+        "table-value-index-twice", "witt-type-with-raw", "pairing-with-f",
+        "zero-product-with-w"])
 def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ConfigError, match=re.escape(field)):
         run(json.loads(json.dumps(cfg)))

@@ -18,7 +18,6 @@ from oracles import (
 from tpw import exactlin, halfderiv
 from tpw.algebra import Block, GeneralizedWitt, WittType
 from tpw.halfderiv import (
-    HalfDerivationComponent,
     PredictedBasis,
     assemble,
     columns_for,
@@ -80,8 +79,7 @@ def test_membership_of_alpha_for_block_g0():
     window = Window(2, 1)
     spec = b0_spec()
     system = assemble(spec, (0, 0), window)
-    alpha = HalfDerivationComponent((0, 0), {(0, 0): Fraction(1)})
-    vec = component_vector(spec, window, alpha)
+    vec = component_vector(spec, window, {(0, 0): Fraction(1)})
     assert all(x == 0 for x in system.matrix.apply(vec))
 
 
@@ -89,8 +87,7 @@ def test_membership_of_alpha_pair_for_b1():
     window = Window(3, 2)
     spec = b1_spec()
     system = assemble(spec, (0, 1), window)
-    alpha = HalfDerivationComponent((0, 1), {(0, -2): Fraction(1)})
-    vec = component_vector(spec, window, alpha)
+    vec = component_vector(spec, window, {(0, -2): Fraction(1)})
     assert all(x == 0 for x in system.matrix.apply(vec))
 
 
@@ -110,7 +107,7 @@ def test_inner_derivation_is_a_derivation_at_delta_one():
     c = (1,)
     system = assemble(spec, c, window, delta=Fraction(1))
     table = {x: spec.f(x) - spec.f(c) for x in box_points(3, 1)}
-    vec = component_vector(spec, window, HalfDerivationComponent(c, table))
+    vec = component_vector(spec, window, table)
     assert all(r == 0 for r in system.matrix.apply(vec))
 
 
@@ -121,18 +118,18 @@ def test_delta_zero_rejected():
 
 def test_predicted_shapes():
     window = Window(3, 2)
-    assert [c.table for c in predicted(b0_spec(), (0, 0), window).components] == [
+    assert list(predicted(b0_spec(), (0, 0), window).components) == [
         {x: Fraction(1) for x in box_points(3, 2)},
         {(0, 0): Fraction(1)},
     ]
     assert predicted(b0_spec(), (1, 0), window).components == ()
     p = predicted(b1_spec(), (0, 1), window)
     assert len(p.components) == 1
-    assert p.components[0].table == {(0, -2): Fraction(1)}
+    assert p.components[0] == {(0, -2): Fraction(1)}
     assert predicted(gw_spec(), (1, 1), window).components == ()
     shift = predicted(WittType(AdditiveMap([1])), (2,), Window(3, 1))
     assert not shift.authoritative
-    assert shift.components[0].table == {x: Fraction(1) for x in box_points(3, 1)}
+    assert shift.components[0] == {x: Fraction(1) for x in box_points(3, 1)}
 
 
 def test_compare_flags_membership_failure():
@@ -140,8 +137,7 @@ def test_compare_flags_membership_failure():
     spec = b0_spec()
     system = assemble(spec, (1, 0), window)
     computed = solve(system)
-    bogus = PredictedBasis((1, 0), (
-        HalfDerivationComponent((1, 0), {(0, 0): Fraction(1)}),))
+    bogus = PredictedBasis((1, 0), ({(0, 0): Fraction(1)},))
     rep = compare(spec, window, computed, bogus)
     assert not rep.membership_pass
     assert not rep.passed

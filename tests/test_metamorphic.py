@@ -171,6 +171,55 @@ def test_classify_verdicts_are_invariant(case, radius):
     assert before["result"]["n_parameters"] == after["result"]["n_parameters"]
 
 
+_DEGENERATE_BLOCK = {"family": "block", "g": ["1", "0"], "h": ["-1", "0"]}
+
+
+def _grown(task, spec, windows):
+    """The reports of ``task`` at degree bound 1 on each ``(radius, inner_margin)``."""
+    return [run({"algebra": spec, "window": {"radius": r, "inner_margin": m},
+                 "task": task, "payload": {"degree_bound": 1}}) for r, m in windows]
+
+
+@settings(max_examples=12, deadline=None)
+@example(spec={"family": "generalized_witt", "pairing": [["1", "0"], ["0", "1"]]})
+@example(spec={"family": "generalized_witt", "pairing": [["1", "2"]]})
+@example(spec={"family": "generalized_witt", "pairing": [["1", "1"], ["1", "1"]]})
+@example(spec={"family": "block", "f": [["0", "-1"], ["1", "0"]]})
+@example(spec=_B1)
+@example(spec=_DEGENERATE_BLOCK)
+@example(spec=_WITT)
+@example(spec={"family": "witt_type", "f": ["1"]})
+@given(spec=specs())
+def test_projected_dimensions_do_not_depend_on_the_window(spec):
+    """Growing the window around a fixed inner box moves only the boundary,
+    which the inner projection leaves out."""
+    reports = _grown("solve-half-derivations", spec, [(2, 1), (3, 1), (4, 1)])
+    dims = [{tuple(d["degree"]): d["projected_dim"] for d in report["result"]["degrees"]}
+            for report in reports]
+    assert dims[0] == dims[1] == dims[2]
+
+
+@st.composite
+def _degenerate_blocks(draw):
+    """A Block from (g, h) with h parallel to g, so that f = 0."""
+    g, k = draw(_vector(2)), draw(_RATIONAL)
+    return {"family": "block", "g": _json(g), "h": _json([k * x for x in g])}
+
+
+@settings(max_examples=5, deadline=None)
+@example(spec=_DEGENERATE_BLOCK)
+@example(spec={"family": "block", "g": ["1", "0"], "h": ["0", "0"]})
+@example(spec={"family": "block", "g": ["1", "1"], "h": ["2", "2"]})
+@given(spec=_degenerate_blocks())
+def test_classify_asserts_nothing_on_a_degenerate_block(spec):
+    """The sweep reports dimensions only, so the family's associativity, read
+    off a boundary-affected inner box, is unasserted on every window."""
+    for report in _grown("classify-tp", spec, [(2, 1), (3, 1), (4, 1), (3, 2)]):
+        assert report["result"]["sweep_verdict"] == "dimension report only (degenerate form f)"
+        assert report["verdicts"][1] == {"name": "classify-associativity", "pass": None}
+        assert report["all_pass"]
+
+
 def _has_gh_form(g, f):
     """Whether f = g h^T - h g^T for some rational h, by one exact solve."""
     n = len(g)

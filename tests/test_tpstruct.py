@@ -221,7 +221,7 @@ def test_left_mult_table_single_idempotent():
     window = Window(2, 1)
     comps = left_mult_table(spec, SingleIdempotent(), (0, 0), window)
     assert list(comps) == [(0, 0)]
-    assert comps[(0, 0)].table == {(0, 0): Fraction(1)}
+    assert comps[(0, 0)] == {(0, 0): Fraction(1)}
 
 
 def test_left_mult_table_zero_product():
@@ -233,7 +233,7 @@ def test_left_mult_table_mutation_shifts():
     comps = left_mult_table(spec, Mutation(Element({(1,): 1, (-1,): 1})),
                             (0,), Window(3, 1))
     assert set(comps) == {(1,), (-1,)}
-    for table in (comps[(1,)].table, comps[(-1,)].table):
+    for table in (comps[(1,)], comps[(-1,)]):
         assert table == {x: Fraction(1) for x in box_points(3, 1)}
 
 
@@ -346,7 +346,7 @@ def test_star_left_mult_is_the_alpha_map():
     window = Window(3, 2)
     comps = left_mult_table(spec, star_product(), (0, -2), window)
     assert list(comps) == [(0, 1)]
-    assert comps[(0, 1)].table == {(0, -2): Fraction(1)}
+    assert comps[(0, 1)] == {(0, -2): Fraction(1)}
     system = assemble(spec, (0, 1), window)
     vec = component_vector(spec, window, comps[(0, 1)])
     assert all(r == 0 for r in system.matrix.apply(vec))
