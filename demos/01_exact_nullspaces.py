@@ -20,8 +20,9 @@ for v in basis.vectors:
     print("  residual:", [scalar_to_str(x) for x in m.apply(v)])
 
 # Rank and nullity always add up to the number of columns.
-wide = SparseMatrix.from_rows([[2, 4, 0, 6], [1, 2, 0, 3], [0, 0, 5, 1]])
-print("\nwide matrix: rank", RowSpace.from_source(wide).rank, "+ nullity",
+wide_rows = [(2, 4, 0, 6), (1, 2, 0, 3), (0, 0, 5, 1)]
+wide = SparseMatrix.from_rows(wide_rows)
+print("\nwide matrix: rank", RowSpace(wide_rows).rank, "+ nullity",
       nullspace(wide).dimension, "= 4 columns")
 
 # Membership is decided exactly as well. A RowSpace is built once and then
@@ -32,7 +33,7 @@ print("\n(-2,-2,2) in kernel span:", target in kernel, in_span(target, basis))
 print("(1,0,0) in kernel span:   ", (1, 0, 0) in kernel)
 
 # The canonical reduced-echelon basis of a row space, whatever rows span it.
-rows = RowSpace([(2, 4, 0, 6), (1, 2, 0, 3), (0, 0, 5, 1)])
+rows = RowSpace(wide_rows)
 print("row space of the wide matrix: rank", rows.rank)
 for row in rows.basis():
     print("  basis row:", [scalar_to_str(x) for x in row])

@@ -222,11 +222,14 @@ def _task_classify(spec, cfg, window):
             {"pass": ok, "witness": None if w is None else [_label_json(l) for l in w]}
             for ok, w in res.associativity_samples],
     }
-    # a sweep of dimensions only asserts no family, so neither does the scan
-    associative = None if sweep_report.reason else res.associativity_pass
-    verdicts = [("sweep", sweep_report.all_pass), ("classify-associativity", associative)]
+    # a sweep of dimensions only asserts no family, so neither the scan nor
+    # the parameter count is asserted
+    asserted = sweep_report.reason is None
+    verdicts = [("sweep", sweep_report.all_pass),
+                ("classify-associativity", res.associativity_pass if asserted else None)]
     if expected is not None:
-        verdicts.append(("expected-parameters", res.n_parameters == expected))
+        verdicts.append(("expected-parameters",
+                         res.n_parameters == expected if asserted else None))
     return result, verdicts
 
 

@@ -2,16 +2,15 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), which
 already carry the canonical invariants we need: reduced representation and
-a positive denominator. ``RowSpace`` is the one elimination kernel: an
+a positive denominator. ``kernel_of`` is the one kernel algorithm: it
+shrinks an integer kernel basis, from the identity, by each drawn row that
+meets it, and reads the canonical basis off what is left. ``nullspace``
+and the classifier's commutativity solve both call it. ``RowSpace`` is an
 incremental echelon of denominator-cleared integer rows with per-row gcd
-reduction, which keeps entry growth bounded in practice while every
-intermediate value stays exact. ``RowSpace.from_source`` reads every row
-source by one rule, elimination and then a certificate against an integer
-kernel basis; ``RowSpace.kernel()`` is the one kernel read-out. A rank, a
-row-space basis, ``nullspace``, ``in_span``, the classifier's
-commutativity solve and every span check after a solve are reads of one
-``RowSpace``. ``SparseMatrix`` holds a matrix assembled from entries (a
-system's ``matrix``). No floating point appears anywhere in this package.
+reduction; a rank, a row-space basis, ``in_span``, every span check after
+a solve and the kernel read-out are reads of one ``RowSpace``.
+``SparseMatrix`` holds a matrix assembled from entries (a system's
+``matrix``). No floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ __all__ = [
     "SparseMatrix",
     "in_span",
     "int_row",
+    "kernel_of",
     "nullspace",
     "scalar_from_str",
     "scalar_to_str",
@@ -135,6 +135,8 @@ def _gcd_normalize(row):
     g = 0
     for v in row.values():
         g = gcd(g, v)
+        if g == 1:
+            break
     if g == 0:
         return {}
     if row[min(row)] < 0:
@@ -158,9 +160,9 @@ class RowSpace:
 
     Rows are stored as gcd-reduced integer dicts (column -> nonzero int)
     keyed by leading column. ``RowSpace(vectors, n_cols)`` spans dense
-    rational vectors; ``RowSpace.from_source`` eliminates a row source.
-    ``v in space`` decides membership exactly and ``basis()`` returns the
-    unique reduced echelon basis, so insertion order never shows.
+    rational vectors and ``insert`` adds an integer row. ``v in space``
+    decides membership exactly and ``basis()`` returns the unique reduced
+    echelon basis, so insertion order never shows.
     """
 
     def __init__(self, vectors=(), n_cols=None):
@@ -169,88 +171,9 @@ class RowSpace:
             n_cols = len(vectors[0]) if vectors else 0
         self.n_cols = n_cols
         self.rows = {}
-        self._reduced = None  # (rank, rows): rows are only added, each raising the rank
-        self.rows_consumed = 0
-        self.rows_checked = 0
         for v in vectors:
             self._check_length(v)
             self.insert(_vector_int_row(v))
-
-    @classmethod
-    def from_source(cls, source) -> "RowSpace":
-        """The row space of ``source``, its rows drawn in stream order.
-
-        ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator
-        of integer row dicts; a ``SparseMatrix`` is one. Rows are eliminated
-        until as many of them have reduced to zero as the kernel still has
-        dimensions (``n_cols - rank``); each later row of the same stream
-        is checked against the kernel K of the rows before it
-        (``_certify``). So every drawn row is consumed or checked
-        (``rows_generated = rows_consumed + rows_checked``), and
-        ``rows_consumed - rank``, the rows reduced for nothing, never
-        exceeds ``n_cols``. ``n_rows x n_cols`` is checked against
-        ``DEFAULT_MAX_CELLS`` before any row is drawn, and no row is drawn
-        once the rank reaches ``n_cols``.
-        """
-        if source.n_rows * source.n_cols > DEFAULT_MAX_CELLS:
-            raise DimensionOverflowError(
-                "%dx%d matrix exceeds the %d-cell limit"
-                % (source.n_rows, source.n_cols, DEFAULT_MAX_CELLS))
-        space = cls(n_cols=source.n_cols)
-        rows = source.int_rows()
-        zeros = 0
-        for row in rows:
-            rank = space.rank
-            space.rows_consumed += 1
-            space.insert(row)
-            if space.rank == space.n_cols:
-                return space
-            zeros += space.rank == rank
-            if zeros >= space.n_cols - space.rank:
-                break
-        space._certify(rows)
-        return space
-
-    def _certify(self, rows):
-        """Add ``rows`` to the span, eliminating only those that shrink it.
-
-        K, an integer basis of the kernel of the span, is kept by stable id
-        in canonical order and indexed by column. A row with zero dot product
-        against all of K lies in the span and is only counted in
-        ``rows_checked``. A row r with r . k0 = s0 != 0, k0 of least id, is
-        inserted and K loses k0: each k with r . k = s becomes s0 k - s k0,
-        which r annihilates, and only k0 and these leave and re-enter the
-        index. So K stays the kernel of the span, and the row space is exact.
-        """
-        kernel = dict(enumerate(int_row(k) for k in self._kernel_dicts()))
-        index = {c: {} for c in range(self.n_cols)}  # column -> {id: entry}
-        for i, k in kernel.items():
-            for c, v in k.items():
-                index[c][i] = v
-        for row in rows:
-            dots = {}
-            for c, v in row.items():
-                for i, kv in index[c].items():
-                    dots[i] = dots.get(i, 0) + v * kv
-            dots = {i: s for i, s in dots.items() if s}
-            if not dots:
-                self.rows_checked += 1
-                continue
-            self.rows_consumed += 1
-            self.insert(row)
-            if self.rank == self.n_cols:
-                return
-            i0 = min(dots)
-            s0, k0 = dots.pop(i0), kernel.pop(i0)
-            for i in (i0, *dots):
-                for c in k0 if i == i0 else kernel[i]:
-                    del index[c][i]
-            for i, s in dots.items():
-                k = kernel[i] = _gcd_normalize(
-                    {c: w for c in kernel[i].keys() | k0.keys()
-                     if (w := s0 * kernel[i].get(c, 0) - s * k0.get(c, 0))})
-                for c, v in k.items():
-                    index[c][i] = v
 
     @property
     def rank(self) -> int:
@@ -301,10 +224,12 @@ class RowSpace:
         self._check_length(vector)
         return not self.reduce(_vector_int_row(vector))
 
-    def reduced_fraction_rows(self):
-        """Back-substitute into reduced echelon rows with unit pivots, once per rank."""
-        if self._reduced is not None and self._reduced[0] == self.rank:
-            return self._reduced[1]
+    def basis(self) -> tuple:
+        """Canonical reduced-echelon basis as dense rows, by pivot column.
+
+        Each row is back-substituted in Fractions to a unit pivot with zeros
+        at every other pivot, from the last pivot column down.
+        """
         reduced = {}
         for col in sorted(self.rows, reverse=True):
             src = self.rows[col]
@@ -321,12 +246,6 @@ class RowSpace:
                     else:
                         row.pop(cc, None)
             reduced[col] = row
-        self._reduced = self.rank, reduced
-        return reduced
-
-    def basis(self) -> tuple:
-        """Canonical reduced-echelon basis as dense rows, by pivot column."""
-        reduced = self.reduced_fraction_rows()
         zero = Fraction(0)
         out = []
         for p in sorted(reduced):
@@ -336,52 +255,17 @@ class RowSpace:
             out.append(tuple(vec))
         return tuple(out)
 
-    def _kernel_dicts(self):
-        """Canonical kernel basis as sparse rational dicts, by free column."""
-        reduced = self.reduced_fraction_rows()
-        pivots = sorted(reduced)
-        one = Fraction(1)
-        vectors = []
-        for f in range(self.n_cols):
-            if f in reduced:
-                continue
-            vec = {f: one}
-            for p in pivots:
-                if p >= f:
-                    break
-                coeff = reduced[p].get(f)
-                if coeff:
-                    vec[p] = -coeff
-            vectors.append(vec)
-        return vectors
-
-    def kernel(self) -> "NullspaceBasis":
-        """Canonical basis of the vectors every row annihilates.
-
-        Vector k has a unit entry at its own free (non-pivot) column and
-        zeros at the other free columns; it depends only on the span.
-        """
-        n_cols = self.n_cols
-        zero = Fraction(0)
-        vectors = []
-        for k in (self._kernel_dicts() if self.rank < n_cols else ()):
-            vec = [zero] * n_cols
-            for c, v in k.items():
-                vec[c] = v
-            vectors.append(tuple(vec))
-        return NullspaceBasis(n_cols, tuple(vectors),
-                              rows_consumed=self.rows_consumed,
-                              rows_checked=self.rows_checked)
-
 
 class NullspaceBasis:
     """Canonical basis of a matrix kernel.
 
-    Vector k carries a unit entry at its own free column and zeros at all
-    other free columns, which makes the basis uniquely determined by the
-    kernel itself: golden comparisons stay byte-stable. ``rows_consumed``
-    and ``rows_checked`` count the drawn rows as ``RowSpace.from_source``
-    does (``rows_generated`` is their sum); no count takes part in equality.
+    Vector k carries a unit entry at its own free column, its last nonzero
+    one, and zeros at all other free columns, which makes the basis
+    uniquely determined by the kernel itself: golden comparisons stay
+    byte-stable. ``rows_consumed`` counts the drawn rows that shrank the
+    kernel (the rank) and ``rows_checked`` those that did not, as
+    ``kernel_of`` draws them (``rows_generated`` is their sum); no count
+    takes part in equality.
     """
 
     def __init__(self, n_cols: int, vectors: tuple, rows_consumed: int = 0,
@@ -402,13 +286,78 @@ class NullspaceBasis:
         return self.rows_consumed + self.rows_checked
 
 
-def nullspace(source) -> NullspaceBasis:
-    """Exact canonical kernel basis of a matrix or a row source.
+def kernel_of(rows, n_cols: int) -> NullspaceBasis:
+    """Canonical basis of the vectors that every integer row dict annihilates.
 
-    ``source`` is read by ``RowSpace.from_source``. Deterministic: the
-    result depends only on the row space, not on row order or row scaling.
+    An integer basis K of the kernel starts at the identity and is kept by
+    stable id, with a column index (column -> {id: entry}). A drawn row r
+    that annihilates K lies in the span of the rows before it and is only
+    counted. Otherwise K shrinks by one: k0 is the sparsest vector r meets
+    (least id on ties), s0 = r . k0, each k with r . k = s != 0 becomes
+    s0 k - s k0 over its content, and k0 leaves; only these vectors change
+    in the index. No row is drawn once K is empty. The canonical basis is
+    read off K once (``_canonical``), so it depends only on the row space,
+    not on row order or row scaling.
     """
-    return RowSpace.from_source(source).kernel()
+    kernel = {c: {c: 1} for c in range(n_cols)}  # id -> integer vector
+    index = [{c: 1} for c in range(n_cols)]  # column -> {id: entry}
+    consumed = checked = 0
+    for row in rows if kernel else ():
+        dots = {}
+        get = dots.get
+        for c, v in row.items():
+            for i, kv in index[c].items():
+                dots[i] = get(i, 0) + v * kv
+        if not any(dots.values()):
+            checked += 1
+            continue
+        consumed += 1
+        dots = {i: s for i, s in dots.items() if s}
+        i0 = min(dots, key=lambda i: (len(kernel[i]), i))
+        s0, k0 = dots.pop(i0), kernel.pop(i0)
+        for c in k0:
+            del index[c][i0]
+        for i, s in dots.items():
+            g = gcd(s0, s)
+            a, s = s0 // g, s // g
+            k = {c: a * v for c, v in kernel[i].items()}
+            for c, v in k0.items():
+                w = k.get(c, 0) - s * v
+                if w:
+                    k[c] = w
+                else:  # c cancels, so it was in k
+                    del k[c], index[c][i]
+            k = kernel[i] = _gcd_normalize(k)
+            for c, v in k.items():
+                index[c][i] = v
+        if not kernel:
+            break
+    return NullspaceBasis(n_cols, _canonical(kernel.values(), n_cols),
+                          rows_consumed=consumed, rows_checked=checked)
+
+
+def _canonical(vectors, n_cols):
+    """The canonical basis of the span of integer dicts ``vectors``: their
+    reduced echelon with each lead at its largest column, by lead column."""
+    last = n_cols - 1
+    space = RowSpace(n_cols=n_cols)
+    for k in vectors:
+        space.insert({last - c: v for c, v in k.items()})
+    return tuple(vec[::-1] for vec in reversed(space.basis()))
+
+
+def nullspace(source) -> NullspaceBasis:
+    """Exact canonical kernel basis of a row source, by ``kernel_of``.
+
+    ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator of
+    integer row dicts; a ``SparseMatrix`` is one. ``n_rows x n_cols`` is
+    checked against ``DEFAULT_MAX_CELLS`` before any row is drawn.
+    """
+    if source.n_rows * source.n_cols > DEFAULT_MAX_CELLS:
+        raise DimensionOverflowError(
+            "%dx%d matrix exceeds the %d-cell limit"
+            % (source.n_rows, source.n_cols, DEFAULT_MAX_CELLS))
+    return kernel_of(source.int_rows(), source.n_cols)
 
 
 def _vector_int_row(vector):

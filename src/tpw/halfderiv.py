@@ -12,10 +12,10 @@ is the computational heart of the workbench.
 Rows are streamed, never stored: pairs with a point of small norm come
 first. Every degree of a window reads one pair table of positions and
 structure constants t(x, y), and the bi-affine offsets of t turn it into
-that degree's rows. ``exactlin.RowSpace.from_source`` eliminates them in
-that order until as many have reduced to zero as the kernel has
-dimensions left; every later row is checked against the kernel the rows
-before it leave and eliminated only when it shrinks that kernel.
+that degree's rows. ``exactlin.nullspace`` reads them in that order into
+an integer kernel basis that starts at the identity: a row that meets it
+shrinks it by one, a row that does not is only counted, and no row is
+drawn once it is empty.
 
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported

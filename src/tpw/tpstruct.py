@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exactlin import RowSpace, int_row
+from .exactlin import int_row, kernel_of
 from .algebra import (
     Element,
     FamilyMismatchError,
@@ -523,7 +523,7 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     unknown combination of the per-degree solution bases (multiplication
     by any element of a transposed Poisson structure is a half-derivation).
     Commutativity of the product becomes a homogeneous linear system in
-    those coefficients, whose rows go into one ``RowSpace``; its canonical
+    those coefficients, whose rows go to ``kernel_of``; its canonical
     kernel gives the generators. One scan over the inner triples then
     decides exactly whether every product of the family is associative,
     and reports each of ``n_samples`` seeded random parameter values with
@@ -533,23 +533,10 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     inner = box_points(window.inner_margin, spec.rank)
     labels = spec.basis_labels(inner)
     m = len(maps)
-    # unknown i * m + t: the coefficient of map t in L_(labels[i])
-    space = RowSpace(n_cols=len(labels) * m)
-    for i, l1 in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            l2 = labels[j]
-            row = {}  # L_l1(l2) - L_l2(l1), one row per image index
-            for t, (_, _, action) in enumerate(maps):
-                for out, val in action.get(l2, {}).items():
-                    row.setdefault(out, {})[i * m + t] = val
-                for out, val in action.get(l1, {}).items():
-                    row.setdefault(out, {})[j * m + t] = -val
-            for cell in row.values():
-                space.insert(int_row(cell))
-
     parameters = []
     generators = []
-    for p, vec in enumerate(space.kernel().vectors):
+    kernel = kernel_of(_commutativity_rows(labels, maps), len(labels) * m)
+    for p, vec in enumerate(kernel.vectors):
         pivot = max(i for i, v in enumerate(vec) if v)
         e, k, _ = maps[pivot % m]
         parameters.append(ClassifyParameter("p%d" % p, labels[pivot // m], e, k))
@@ -560,6 +547,24 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
              for _ in range(n_samples if generators else 0)]
     passed, samples = _span_associativity(spec, generators, inner, draws, max_triples)
     return ClassifyResult(tuple(parameters), tuple(generators), tuple(samples), passed, seed)
+
+
+def _commutativity_rows(labels, maps):
+    """The integer rows of L_l1(l2) - L_l2(l1) = 0, one per pair l1 < l2
+    and image index; unknown i * m + t is the coefficient of map t in
+    L_(labels[i])."""
+    m = len(maps)
+    for i, l1 in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            l2 = labels[j]
+            row = {}
+            for t, (_, _, action) in enumerate(maps):
+                for out, val in action.get(l2, {}).items():
+                    row.setdefault(out, {})[i * m + t] = val
+                for out, val in action.get(l1, {}).items():
+                    row.setdefault(out, {})[j * m + t] = -val
+            for cell in row.values():
+                yield int_row(cell)
 
 
 def _table_product(spec, vec, labels, maps):

@@ -3,13 +3,13 @@
 The elimination oracles are textbook row reduction over Fractions, dense
 or row at a time on dict rows, with none of the library's machinery, so
 the paths share no code. ``_constraint_rows`` and ``RebuildingRowSpace``
-are the slow paths the row stream and the kernel certificate replaced,
+are the slow paths the row stream and the in-place kernel index replaced,
 kept to be compared with them on the same inputs.
 """
 
 from fractions import Fraction
 
-from tpw.exactlin import RowSpace, _gcd_normalize, int_row
+from tpw.exactlin import NullspaceBasis, _gcd_normalize
 
 
 def dense_rref(rows):
@@ -265,14 +265,26 @@ def _constraint_rows(system):
                             yield row
 
 
-class RebuildingRowSpace(RowSpace):
-    """``RowSpace`` whose ``_certify`` rebuilds the kernel's column index
-    after every inserted row, as the kernel certificate was first written."""
+class RebuildingRowSpace:
+    """The row space of a row source as the kernel loop of
+    ``exactlin.kernel_of`` reads it, with the column index of the kernel
+    basis K rebuilt after every shrink, as the loop was first written.
 
-    def _certify(self, rows):
-        kernel = [int_row(k) for k in self._kernel_dicts()]
+    K starts at the identity and is a list in id order, so a position
+    orders like a stable id. ``kernel()`` reads the canonical basis off K
+    by ``dense_rref`` on the reversed columns.
+    """
+
+    def __init__(self, source):
+        self.n_cols = source.n_cols
+        self.rows_consumed = self.rows_checked = 0
+        kernel = [{c: 1} for c in range(self.n_cols)]
         index = _column_index(kernel)
-        for row in rows:
+        rows = source.int_rows()
+        while kernel:
+            row = next(rows, None)
+            if row is None:
+                break
             dots = {}
             for c, v in row.items():
                 for i, kv in index.get(c, ()):
@@ -282,16 +294,21 @@ class RebuildingRowSpace(RowSpace):
                 self.rows_checked += 1
                 continue
             self.rows_consumed += 1
-            self.insert(row)
-            if self.rank == self.n_cols:
-                return
-            i0 = min(dots)
+            i0 = min(dots, key=lambda i: (len(kernel[i]), i))
             s0, k0 = dots[i0], kernel[i0]
             kernel = [k if i not in dots else _gcd_normalize(
                 {c: w for c in k.keys() | k0.keys()
                  if (w := s0 * k.get(c, 0) - dots[i] * k0.get(c, 0))})
                 for i, k in enumerate(kernel) if i != i0]
             index = _column_index(kernel)
+        self.vectors = kernel
+
+    def kernel(self):
+        n = self.n_cols
+        reversed_rows = [[k.get(c, 0) for c in reversed(range(n))] for k in self.vectors]
+        mat, pivots = dense_rref(reversed_rows)
+        vectors = tuple(tuple(mat[r][::-1]) for r in reversed(range(len(pivots))))
+        return NullspaceBasis(n, vectors, self.rows_consumed, self.rows_checked)
 
 
 def _column_index(vectors):

@@ -224,6 +224,23 @@ def test_an_unasserted_verdict_exits_0_and_says_so(tmp_path, capsys):
     assert "classify-associativity: unasserted" in err
 
 
+@pytest.mark.parametrize("radius,margin,n_parameters", [(2, 1, 1), (3, 2, 0)])
+def test_expected_parameters_are_unasserted_on_a_degenerate_block(tmp_path, capsys, radius,
+                                                                   margin, n_parameters):
+    """A dimension-only sweep asserts no family, so neither is its parameter
+    count, which here depends on the window: the job exits 0 on both."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(small(
+        "classify-tp", {**B1, "g": ["1", "0"], "h": ["-1", "0"]},
+        payload={"degree_bound": 1, "expected_parameters": 1}, radius=radius, margin=margin)))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["result"]["n_parameters"] == n_parameters
+    assert {"name": "expected-parameters", "pass": None} in report["verdicts"]
+    assert "expected-parameters: unasserted" in err
+
+
 def test_reproduce_suite_thmA():
     reports = reproduce("thmA")
     assert [r["job"] for r in reports] == ["witt-rigidity", "witt-type-mutation"]

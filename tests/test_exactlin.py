@@ -78,7 +78,10 @@ def test_nullspace_back_substitution_example():
 
 
 def _rank(m):
-    return RowSpace.from_source(m).rank
+    space = RowSpace(n_cols=m.n_cols)
+    for row in m.int_rows():
+        space.insert(row)
+    return space.rank
 
 
 def test_rank_examples():
@@ -148,8 +151,8 @@ def test_oracle_equivalence_small_dense():
         oracle = oracle_nullspace(rows, n_cols)
         assert ns.dimension == len(oracle)
         assert sparse_nullspace((dict(enumerate(r)) for r in rows), n_cols) == oracle
-        assert _rank(SparseMatrix.from_rows(rows)) == oracle_rank(rows)
-        assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
+        assert n_cols - ns.dimension == oracle_rank(rows)
+        assert ns.rows_consumed == n_cols - ns.dimension
         for v in ns.vectors:
             assert oracle_in_span(v, oracle)
         for v in oracle:
@@ -191,23 +194,42 @@ def test_row_order_does_not_matter():
 
 
 def test_row_space_basis_is_canonical():
-    a = SparseMatrix.from_rows([[2, 4, 6], [1, 1, 1]])
-    b = SparseMatrix.from_rows([[1, 1, 1], [3, 5, 7], [1, 2, 3]])
-    assert RowSpace.from_source(a).basis() == RowSpace.from_source(b).basis()
+    a = RowSpace([[2, 4, 6], [1, 1, 1]])
+    b = RowSpace([[1, 1, 1], [3, 5, 7], [1, 2, 3]])
+    assert a.basis() == b.basis()
+    assert a.rank == b.rank == oracle_rank([[1, 1, 1], [1, 2, 3]])
 
 
 def test_reads_after_an_insertion_see_the_new_row():
-    """The back-substituted rows are kept per rank: a row that raises the
-    rank is seen by the next basis and kernel, a row in the span changes
-    neither."""
+    """A row that raises the rank is seen by the next basis, a row in the
+    span changes nothing."""
     space = RowSpace([(1, 2, 0, 1)])
-    first = space.kernel().vectors
+    first = space.basis()
     space.insert(int_row({0: 2, 1: 4, 3: 2}))
-    assert space.kernel().vectors == first
+    assert space.basis() == first
     space.insert(int_row({2: 1, 3: 3}))
     fresh = RowSpace([(1, 2, 0, 1), (0, 0, 1, 3)])
-    assert space.basis() == fresh.basis()
-    assert space.kernel().vectors == fresh.kernel().vectors != first
+    assert space.basis() == fresh.basis() != first
+
+
+def test_the_read_out_depends_only_on_the_span_of_the_kernel():
+    """A kernel basis recombined by a random invertible integer matrix
+    reads out as the canonical basis."""
+    rng = random.Random(21)
+    for _ in range(150):
+        n_cols = rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n_cols)]
+                for _ in range(rng.randint(0, n_cols))]
+        oracle = oracle_nullspace(rows, n_cols)
+        d = len(oracle)
+        mix = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+        while d and oracle_rank(mix) < d:
+            mix = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+        mixed = [int_row({c: x for c in range(n_cols)
+                          if (x := sum(m * v[c] for m, v in zip(coeffs, oracle)))})
+                 for coeffs in mix]
+        rng.shuffle(mixed)
+        assert list(exactlin._canonical(mixed, n_cols)) == oracle
 
 
 def test_row_space_membership_checks_the_column_count():
@@ -239,43 +261,43 @@ class _Rows:
 
 
 def test_late_rows_that_fail_the_check_shrink_the_kernel():
-    """x0 - x1 and x1 + x2 + x3 are eliminated; the repeat 2 x0 - 2 x1 is
-    the first row to reduce to zero and their sum x0 + x2 + x3 the second,
-    which leaves rank 2 with two zero rows for two open kernel dimensions,
-    so every later row is checked against K = <(-1, -1, 1, 0),
-    (-1, -1, 0, 1)>."""
+    """K starts at the identity on four columns. x0 - x1, x1 + x2 + x3 and
+    x0 + x1 each meet K and shrink it, to K = <(0, 0, -1, 1)>; the repeat
+    2 x0 - 2 x1, the sum x0 + x2 + x3 and 3 x0 + 3 x1 - x2 - x3 meet no
+    vector of K and are only checked."""
     rows = [
         {0: 1, 1: -1},
-        {0: 2, 1: -2},              # a repeat up to scaling: reduces to zero
+        {0: 2, 1: -2},              # a repeat up to scaling: checked
         {1: 1, 2: 1, 3: 1},
-        {0: 1, 2: 1, 3: 1},         # reduces to zero: the switch fires
-        {0: 1, 1: 1},               # meets K: inserted, K = <(0, 0, -1, 1)>
+        {0: 1, 2: 1, 3: 1},         # the sum of the two rows before: checked
+        {0: 1, 1: 1},               # meets K: K = <(0, 0, -1, 1)>
         {0: 3, 1: 3, 2: -1, 3: -1}, # checked: it meets no vector of K
-        {1: 3, 2: 1, 3: -1},        # meets K: inserted, and the rank is full
+        {1: 3, 2: 1, 3: -1},        # meets K: K is empty, the rank is full
         {0: 5, 3: 2},               # never drawn
     ]
     source = CountingSource(_Rows(4, rows))
     ns = nullspace(source)
     assert ns.vectors == ()
-    assert (source.drawn, ns.rows_consumed, ns.rows_checked) == (7, 6, 1)
+    assert (source.drawn, ns.rows_consumed, ns.rows_checked) == (7, 4, 3)
     rows[6:] = [{0: 1, 1: 2, 2: 1, 3: 1}]  # checked: in the span as well
     source = CountingSource(_Rows(4, rows))
     ns = nullspace(source)
     assert ns.vectors == ((0, 0, -1, 1),)
     assert ns == nullspace(SparseMatrix.from_rows(
         [[row.get(c, 0) for c in range(4)] for row in rows]))
-    assert (source.drawn, ns.rows_consumed, ns.rows_checked) == (7, 5, 2)
+    assert (source.drawn, ns.rows_consumed, ns.rows_checked) == (7, 3, 4)
 
 
 def test_no_row_is_drawn_once_the_checked_rows_saturate_the_rank():
-    """The rank saturates after the switch (x0 + x1 reduces to zero, one
-    kernel dimension is open), and before it."""
-    for rows, counts in [([{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}], (4, 4, 0)),
-                         ([{0: 1}, {1: 1}, {2: 1}], (3, 3, 0))]:
+    """K empties after a checked row (x0 + x1 meets no vector of K), with
+    none, and at once when there are no columns."""
+    for n_cols, rows, counts in [(3, [{0: 1}, {1: 1}, {0: 1, 1: 1}, {2: 1}], (4, 3, 1)),
+                                 (3, [{0: 1}, {1: 1}, {2: 1}], (3, 3, 0)),
+                                 (0, [], (0, 0, 0))]:
         def stream():
             yield from rows
             raise AssertionError("a row was drawn after the rank saturated")
-        source = CountingSource(_Rows(3, stream, n_rows=len(rows) + 1))
+        source = CountingSource(_Rows(n_cols, stream, n_rows=len(rows) + 1))
         ns = nullspace(source)
         assert ns.vectors == ()
         assert (source.drawn, ns.rows_consumed, ns.rows_checked) == counts
@@ -283,9 +305,9 @@ def test_no_row_is_drawn_once_the_checked_rows_saturate_the_rank():
 
 def test_checked_rows_give_the_kernel_of_all_rows():
     """Random streams against the dense oracle. Each opens with k
-    independent rows and n_cols distinct combinations of them, which reduce
-    to zero, so the switch fires inside that prefix; the random rows after
-    it must still shrink the kernel, as they do in most cases."""
+    independent rows and n_cols distinct combinations of them, which are
+    only checked; the random rows after them must still shrink the kernel,
+    as they do in most cases."""
     rng = random.Random(8)
     shrunk = 0
     for _ in range(150):
@@ -304,7 +326,7 @@ def test_checked_rows_give_the_kernel_of_all_rows():
         ns = nullspace(source)
         assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
         assert ns == nullspace(SparseMatrix.from_rows(dense))
-        assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
+        assert ns.rows_consumed == n_cols - ns.dimension
         assert source.drawn == ns.rows_consumed + ns.rows_checked == ns.rows_generated
         shrunk += oracle_rank(dense) > k
     assert shrunk > 50
@@ -327,17 +349,17 @@ def test_repeated_rescaled_and_negated_rows_give_the_oracle_kernel():
         ns = nullspace(source)
         assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
         assert source.drawn == ns.rows_consumed + ns.rows_checked
-        assert ns.rows_consumed - (n_cols - ns.dimension) <= n_cols
+        assert ns.rows_consumed == n_cols - ns.dimension
         repeats += source.drawn > n_cols - ns.dimension
     assert repeats > 75
 
 
 def test_in_place_kernel_index_matches_the_rebuilt_one():
-    """Random streams that open with rank 1 and n_cols - 1 multiples of
-    their first row, so the switch fires with a kernel of dimension
-    n_cols - 1; the later rows, random ones and sums of earlier ones, shrink
-    it many times. The in-place column index gives the kernel, and consumes
-    and checks the rows, as rebuilding the index after every insert does."""
+    """Random streams that open with a row and n_cols - 1 multiples of it,
+    which are only checked; the later rows, random ones and sums of earlier
+    ones, shrink the kernel many times. The in-place column index gives the
+    kernel, and consumes and checks the rows, as rebuilding the index after
+    every shrink does."""
     rng = random.Random(16)
     shrinks = 0
     for _ in range(150):
@@ -350,11 +372,11 @@ def test_in_place_kernel_index_matches_the_rebuilt_one():
             if rng.random() < 0.3:
                 dense.append([u + v for u, v in zip(*rng.sample(dense, 2))])
         source = _Rows(n_cols, [{c: v for c, v in enumerate(r) if v} for r in dense])
-        space = RowSpace.from_source(source)
-        rebuilt = RebuildingRowSpace.from_source(source)
-        assert space.kernel() == rebuilt.kernel()
-        assert list(space.kernel().vectors) == oracle_nullspace(dense, n_cols)
-        assert (space.rows_consumed, space.rows_checked) == (
+        ns = nullspace(source)
+        rebuilt = RebuildingRowSpace(source)
+        assert ns == rebuilt.kernel()
+        assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
+        assert (ns.rows_consumed, ns.rows_checked) == (
             rebuilt.rows_consumed, rebuilt.rows_checked)
-        shrinks += space.rows_consumed - n_cols
+        shrinks += ns.rows_consumed
     assert shrinks > 500
