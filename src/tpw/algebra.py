@@ -1,10 +1,10 @@
 """The three graded Lie algebra families as exact sparse structures.
 
-Every family carries a basis indexed by lattice points (for the
-generalized Witt family, lattice points times a basis of V). Elements are
-finitely supported coefficient maps; brackets are evaluated exactly on
-those supports, never truncated. Windows only bound the universal
-quantification done by the verification scans.
+Each basis element has a label: its lattice point a, or (a, i) for
+a (x) v_i of generalized Witt. Every element is a finite map from labels
+to rationals, brackets are exact on its support, never truncated, and
+only the JSON functions write generalized Witt coefficients as dim V
+arrays. Windows only bound the quantification of the verification scans.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "element_from_json",
     "element_to_json",
     "index_from_json",
+    "label_to_json",
     "spec_from_json",
     "spec_to_json",
     "square_predicate",
@@ -76,44 +77,22 @@ def limited(items, max_triples=None):
         yield item
 
 
-def _coeff_is_zero(c):
-    if isinstance(c, tuple):
-        return not any(c)
-    return not c
-
-
-def _coeff_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
-
-
-def _coeff_scale(k, c):
-    if isinstance(c, tuple):
-        return tuple(k * x for x in c)
-    return k * c
-
-
 class Element:
-    """Finitely supported combination of graded basis elements.
+    """Finitely supported combination of basis elements.
 
-    Keys are lattice index tuples; values are rational coefficients
-    (scalar families) or rational vectors (generalized Witt). Zero
-    coefficients are never stored.
+    Keys are basis labels: the lattice point a for Witt type and Block,
+    the pair (a, i) for a (x) v_i of generalized Witt. Values are nonzero
+    ``Fraction`` coefficients; zero coefficients are never stored.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         cleaned = {}
-        if terms:
-            for idx, c in terms.items():
-                if isinstance(c, tuple):
-                    c = tuple(Fraction(x) for x in c)
-                else:
-                    c = Fraction(c)
-                if not _coeff_is_zero(c):
-                    cleaned[tuple(idx)] = c
+        for label, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                cleaned[label] = c
         self.terms = cleaned
 
     @property
@@ -122,35 +101,26 @@ class Element:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for idx, c in other.terms.items():
-            if idx in out:
-                s = _coeff_add(out[idx], c)
-                if _coeff_is_zero(s):
-                    del out[idx]
+        for label, c in other.terms.items():
+            if label in out:
+                s = out[label] + c
+                if s:
+                    out[label] = s
                 else:
-                    out[idx] = s
+                    del out[label]
             else:
-                out[idx] = c
-        res = Element.__new__(Element)
-        res.terms = out
-        return res
+                out[label] = c
+        return _element(out)
 
     def __neg__(self):
-        res = Element.__new__(Element)
-        res.terms = {idx: _coeff_scale(-1, c) for idx, c in self.terms.items()}
-        return res
+        return _element({label: -c for label, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __rmul__(self, k):
         k = Fraction(k)
-        res = Element.__new__(Element)
-        if k:
-            res.terms = {idx: _coeff_scale(k, c) for idx, c in self.terms.items()}
-        else:
-            res.terms = {}
-        return res
+        return _element({label: k * c for label, c in self.terms.items()} if k else {})
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
@@ -158,12 +128,29 @@ class Element:
     def __repr__(self):
         if not self.terms:
             return "Element(0)"
-        bits = ["%s: %s" % (idx, c) for idx, c in sorted(self.terms.items())]
+        bits = ["%s: %s" % (label, c) for label, c in sorted(self.terms.items())]
         return "Element{%s}" % ", ".join(bits)
 
 
+def _element(terms, scale=1):
+    """The element of ``terms``, nonzero Fractions already, divided by ``scale``."""
+    res = Element.__new__(Element)
+    res.terms = terms if scale == 1 else {label: c / scale for label, c in terms.items()}
+    return res
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool (JSON true and false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_point(x) -> bool:
+    """Whether the sequence ``x`` holds only integers that are not bools."""
+    return all(_is_int(v) for v in x)
+
+
 class _Family:
-    """Element-level bracket shared by the three families.
+    """Element-level bracket and basis labels shared by the three families.
 
     Each family defines ``structure_constants``, built on first use and
     kept on the instance: a pair ``(scale, t)`` of a positive integer and
@@ -173,6 +160,11 @@ class _Family:
     It is the one definition of the bracket: elements, the half-derivation
     rows and every scan read it. ``t`` raises ``RankMismatchError`` for an
     index whose rank is not the algebra's.
+
+    A basis label names e_(x,i): the scalar families label e_x by the
+    point x, generalized Witt by (x, i). ``point`` and ``shift`` read and
+    move a label's lattice point, ``is_label`` tells labels apart from
+    other keys; no other code needs to know a label's shape.
 
     ``coefficient_degree`` bounds the degree of ``t(x, y)`` in each lattice
     coordinate of x and of y: every family's constants are affine in each
@@ -191,34 +183,17 @@ class _Family:
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of ``t`` to elements; exact, untruncated."""
         scale, t = self.structure_constants
-        vectorial = self.vectorial
         acc = {}
         for a, xa in x.terms.items():
             for b, yb in y.terms.items():
-                tab = t(a, b)
-                idx = add(a, b)
-                if not vectorial:
-                    c = tab[0][0][0]
-                    if c:
-                        acc[idx] = acc.get(idx, 0) + xa * yb * c
-                    continue
-                out = acc.setdefault(idx, [Fraction(0)] * self.dim_v)
-                for i, v in enumerate(xa):
-                    for j, w in enumerate(yb):
-                        if v and w:
-                            vw = v * w
-                            for l, c in enumerate(tab[i][j]):
-                                if c:
-                                    out[l] += vw * c
-        terms = {}
-        for idx, c in acc.items():
-            if vectorial:
-                c = tuple(c)
-            if not _coeff_is_zero(c):
-                terms[idx] = c if scale == 1 else _coeff_scale(Fraction(1, scale), c)
-        res = Element.__new__(Element)
-        res.terms = terms
-        return res
+                c = t(a, b)[0][0][0]
+                if c:
+                    ab = add(a, b)
+                    acc[ab] = acc.get(ab, 0) + xa * yb * c
+        return _element({label: c for label, c in acc.items() if c}, scale)
+
+    def basis_element(self, label) -> Element:
+        return Element({label: 1})
 
 
 class GeneralizedWitt(_Family):
@@ -263,37 +238,63 @@ class GeneralizedWitt(_Family):
                       for l in dv] for j in dv] for i in dv]
         return scale, t
 
+    def bracket(self, x: Element, y: Element) -> Element:
+        """Bilinear extension of ``t`` to elements; exact, untruncated."""
+        scale, t = self.structure_constants
+        acc = {}
+        for (a, i), v in x.terms.items():
+            for (b, j), w in y.terms.items():
+                ab, vw = add(a, b), v * w
+                for l, c in enumerate(t(a, b)[i][j]):
+                    if c:
+                        label = (ab, l)
+                        acc[label] = acc.get(label, 0) + vw * c
+        return _element({label: c for label, c in acc.items() if c}, scale)
+
     def basis(self, a, i: int = 0) -> Element:
-        vec = [Fraction(0)] * self.dim_v
-        vec[i] = Fraction(1)
-        return Element({tuple(a): tuple(vec)})
+        return Element({(tuple(a), i): 1})
 
     def element(self, a, v) -> Element:
-        return Element({tuple(a): tuple(Fraction(x) for x in v)})
+        """The element a (x) v, for v given by its coordinates in V."""
+        return Element({(tuple(a), i): x for i, x in enumerate(v)})
 
     def basis_labels(self, points):
         return [(a, i) for a in points for i in range(self.dim_v)]
 
-    def basis_element(self, label) -> Element:
-        a, i = label
-        return self.basis(a, i)
+    def point(self, label):
+        return label[0]
+
+    def shift(self, label, d):
+        return add(label[0], d), label[1]
+
+    def is_label(self, label) -> bool:
+        try:
+            a, i = label
+            return _is_point(a) and _is_int(i) and 0 <= i < self.dim_v
+        except (TypeError, ValueError):
+            return False
 
 
 class _ScalarFamily(_Family):
-    """A family with one basis element per lattice point."""
+    """A family with one basis element per lattice point, labelled by it."""
 
     def bracket_coeff(self, a, b) -> Fraction:
         scale, t = self.structure_constants
         return Fraction(t(a, b)[0][0][0], scale)
 
     def basis(self, a) -> Element:
-        return Element({tuple(a): Fraction(1)})
+        return Element({tuple(a): 1})
 
     def basis_labels(self, points):
         return list(points)
 
-    def basis_element(self, label) -> Element:
-        return self.basis(label)
+    def point(self, label):
+        return label
+
+    def shift(self, label, d):
+        return add(label, d)
+
+    is_label = staticmethod(_is_point)
 
 
 class Block(_ScalarFamily):
@@ -411,18 +412,27 @@ def _scalar_constants(form, lin):
     return scale, t
 
 
-def _check_coefficients(spec, terms, what):
-    """Raise ``SpecMismatchError`` unless every coefficient has the family's
-    shape: a scalar for the scalar families, a dim V vector for generalized Witt."""
-    for c in terms.values():
-        if isinstance(c, tuple) != spec.vectorial or spec.vectorial and len(c) != spec.dim_v:
-            raise SpecMismatchError("%s coefficients do not match the family" % what)
+def _check_points(spec, points, what):
+    """Raise ``RankMismatchError`` unless every point has the algebra's rank."""
+    for p in points:
+        if len(p) != spec.rank:
+            raise RankMismatchError("%s %s does not have the algebra's rank %d"
+                                    % (what, p, spec.rank))
+
+
+def _check_labels(spec, labels, what):
+    """Raise ``SpecMismatchError`` unless every label is a basis label of
+    the family, ``RankMismatchError`` unless its point has the algebra's rank."""
+    for label in labels:
+        if not spec.is_label(label):
+            raise SpecMismatchError("%s label %r does not match the family" % (what, label))
+    _check_points(spec, map(spec.point, labels), what + " index")
 
 
 def bracket(spec, x: Element, y: Element) -> Element:
     """Bilinear extension of the family's basis bracket; exact, untruncated."""
     for el in (x, y):
-        _check_coefficients(spec, el.terms, "element")
+        _check_labels(spec, el.terms, "element")
     return spec.bracket(x, y)
 
 
@@ -458,11 +468,12 @@ class LieReport:
 class _Scan:
     """Identities on the basis labels of some points, in their order.
 
-    Tuples are of label positions. ``br`` memoizes the bracket of two
-    basis elements; given a ``product`` (a bilinear map on elements with a
-    memoized ``pair`` of basis labels), ``mul`` gives their product.
-    ``visited`` counts the tuples evaluated. ``shared`` keeps, for the last
-    tuple, the terms that several of its identities read.
+    Tuples are of label positions; ``points`` holds each label's lattice
+    point. ``br`` memoizes the bracket of two basis elements; given a
+    ``product`` (a bilinear map on elements with a memoized ``pair`` of
+    basis labels), ``mul`` gives their product. ``visited`` counts the
+    tuples evaluated. ``shared`` keeps, for the last tuple, the terms that
+    several of its identities read.
     """
 
     last = None, None
@@ -472,6 +483,7 @@ class _Scan:
         self.bracket = spec.bracket
         self.product = product
         self.labels = spec.basis_labels(points)
+        self.points = [spec.point(l) for l in self.labels]
         self.elems = [spec.basis_element(l) for l in self.labels]
         self._br = [None] * len(self.labels)
         self.visited = 0
@@ -748,7 +760,7 @@ def witt_to_witt_type(spec: GeneralizedWitt, v=None, window: Window = None):
         """a (x) v -> e_a maps [a (x) v, b (x) v] to [e_a, e_b]."""
         a, b = s.labels[i], s.labels[j]
         w_side = spec.bracket(spec.element(a, v), spec.element(b, v))
-        return Element({idx: c[0] / v[0] for idx, c in w_side.terms.items()}), s.br(i, j)
+        return Element({a: c / v[0] for (a, _), c in w_side.terms.items()}), s.br(i, j)
 
     scan = _Scan(WittType(f), box_points(window.radius, spec.rank))
     n_pairs, witness = scan_identities(scan, ((2, {"bracket": intertwined}),),
@@ -763,36 +775,47 @@ def _lattice_units(rank):
         yield tuple(unit)
 
 
-def element_to_json(el: Element):
-    out = []
-    for idx in sorted(el.terms):
-        c = el.terms[idx]
-        if isinstance(c, tuple):
-            coeff = [scalar_to_str(x) for x in c]
-        else:
-            coeff = scalar_to_str(c)
-        out.append({"index": list(idx), "coeff": coeff})
-    return out
+def element_to_json(el: Element, spec):
+    """The JSON terms of an element of ``spec``, one per lattice point in
+    order: a "p/q" coefficient, or for generalized Witt the array of the
+    dim V coordinates at the point."""
+    if not spec.vectorial:
+        return [{"index": list(a), "coeff": scalar_to_str(c)}
+                for a, c in sorted(el.terms.items())]
+    return [{"index": list(a), "coeff": [scalar_to_str(el.terms.get((a, i), 0))
+                                         for i in range(spec.dim_v)]}
+            for a in sorted({a for a, _ in el.terms})]
 
 
-def index_from_json(data) -> tuple:
-    """A lattice index from a JSON list; only integers that are not bools."""
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in data):
+def label_to_json(label, spec):
+    """A basis label as JSON: the point's list, or [[a], i] for generalized Witt."""
+    return [list(label[0]), label[1]] if spec.vectorial else list(label)
+
+
+def index_from_json(data, spec) -> tuple:
+    """A lattice point of ``spec``'s rank from a JSON list of integers."""
+    if not _is_point(data):
         raise ValueError("index %r is not a list of integers" % (data,))
+    _check_points(spec, [data], "index")
     return tuple(data)
 
 
-def element_from_json(data) -> Element:
-    terms = {}
+def element_from_json(data, spec) -> Element:
+    """An element of ``spec`` from its JSON terms. Every index and
+    coefficient is checked, zeros included, before zeros are dropped."""
+    terms, seen = {}, set()
     for item in data:
-        idx = index_from_json(item["index"])
-        if idx in terms:
-            raise ValueError("index %s appears twice in an element" % (idx,))
-        coeff = item["coeff"]
-        if isinstance(coeff, list):
-            terms[idx] = tuple(scalar_from_str(x) for x in coeff)
+        a, coeff = index_from_json(item["index"], spec), item["coeff"]
+        if a in seen:
+            raise ValueError("index %s appears twice in an element" % (a,))
+        seen.add(a)
+        if isinstance(coeff, list) != spec.vectorial or (
+                spec.vectorial and len(coeff) != spec.dim_v):
+            raise SpecMismatchError("index %s: coefficients do not match the family" % (a,))
+        if spec.vectorial:
+            terms.update(((a, i), scalar_from_str(c)) for i, c in enumerate(coeff))
         else:
-            terms[idx] = scalar_from_str(coeff)
+            terms[a] = scalar_from_str(coeff)
     return Element(terms)
 
 

@@ -12,14 +12,16 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import exactlin, halfderiv, tpstruct
 from .algebra import (
     FamilyMismatchError,
+    SpecMismatchError,
+    _is_int,
     spec_from_json,
     spec_to_json,
     element_to_json,
+    label_to_json,
     verify_center,
     verify_lie_axioms,
     verify_square,
@@ -53,11 +55,6 @@ def _require(config, field, kind=None):
     return value
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool (JSON true and false load as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_config(data: dict) -> dict:
     """Validate a raw config dict and fill the defaults in."""
     if not isinstance(data, dict):
@@ -66,7 +63,7 @@ def load_config(data: dict) -> dict:
     algebra = _require(cfg, "algebra", dict)
     try:
         spec = spec_from_json(algebra)
-    except (KeyError, ValueError, TypeError, RankMismatchError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError("field 'algebra' is invalid: %s" % exc)
     if spec.rank < 1:
         raise ConfigError("field 'algebra' is invalid: the lattice has rank 0")
@@ -129,22 +126,16 @@ def _task_check_lie(spec, cfg, window):
             ("anticommutativity_witness", "pair", report.anticommutativity_witness),
             ("jacobi_witness", "triple", report.jacobi_witness)):
         if witness is not None:  # the labels, then the residual
-            result[name] = {labels: [_label_json(l) for l in witness[:-1]],
-                            "residual": element_to_json(witness[-1])}
+            result[name] = {labels: [label_to_json(l, spec) for l in witness[:-1]],
+                            "residual": element_to_json(witness[-1], spec)}
     return result, [("lie-axioms", report.passed)]
 
 
-def _label_json(label):
-    if isinstance(label, tuple) and label and isinstance(label[0], tuple):
-        return [list(label[0]), label[1]]
-    return list(label)
-
-
 def _task_witnesses(spec, cfg, window):
-    if spec.family == "generalized_witt":
-        datum = spec.pairing
-    elif spec.family == "block":
-        datum = spec.f
+    if spec.family == "generalized_witt":  # a witness is a vector of V
+        datum, entry = spec.pairing, scalar_to_str
+    elif spec.family == "block":  # ... or a lattice point
+        datum, entry = spec.f, int
     else:
         raise ConfigError("field 'task': witnesses needs a form or a pairing")
     report = nondegeneracy_witnesses(datum, window)
@@ -155,9 +146,7 @@ def _task_witnesses(spec, cfg, window):
     }
     sample = {}
     for a in sorted(report.witnesses)[:16]:
-        w = report.witnesses[a]
-        sample[",".join(map(str, a))] = (
-            [scalar_to_str(x) for x in w] if isinstance(w[0], Fraction) else list(w))
+        sample[",".join(map(str, a))] = [entry(x) for x in report.witnesses[a]]
     result["witness_sample"] = sample
     return result, [("non-degenerate-in-window", not report.degenerate_in_window)]
 
@@ -167,9 +156,9 @@ def _task_center_square(spec, cfg, window):
     square = verify_square(spec, window)
     result = {
         "center_confirmed": len(center.confirmed) + len(center.witnesses),
-        "center_failures": [_label_json(a) for a, _ in center.failures],
+        "center_failures": [label_to_json(a, spec) for a, _ in center.failures],
         "square_confirmed": len(square.confirmed) + len(square.witnesses),
-        "square_failures": [_label_json(a) for a, _ in square.failures],
+        "square_failures": [label_to_json(a, spec) for a, _ in square.failures],
     }
     return result, [("center", center.passed), ("square", square.passed)]
 
@@ -214,12 +203,13 @@ def _task_classify(spec, cfg, window):
         "sweep_verdict": sweep_report.verdict,
         "n_parameters": res.n_parameters,
         "parameters": [
-            {"name": p.name, "left_index": _label_json(p.left_index),
+            {"name": p.name, "left_index": label_to_json(p.left_index, spec),
              "degree": list(p.degree), "basis_position": p.basis_position}
             for p in res.parameters],
-        "generators": [product_to_json(g) for g in res.generators],
+        "generators": [product_to_json(g, spec) for g in res.generators],
         "associativity_samples": [
-            {"pass": ok, "witness": None if w is None else [_label_json(l) for l in w]}
+            {"pass": ok,
+             "witness": None if w is None else [label_to_json(l, spec) for l in w]}
             for ok, w in res.associativity_samples],
     }
     # a sweep of dimensions only asserts no family, so neither the scan nor
@@ -241,7 +231,9 @@ def _task_verify_structure(spec, cfg, window):
     if not isinstance(require_poisson, bool):
         raise ConfigError("field 'payload.require_poisson' must be true or false")
     try:
-        product = product_from_json(payload["product"])
+        product = product_from_json(payload["product"], spec)
+    except (SpecMismatchError, RankMismatchError):
+        raise  # well formed, but off the algebra's family or rank: an invalid job
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError("field 'payload.product' is invalid: %s" % exc)
     report = tpstruct.verify(spec, product, window,
@@ -253,9 +245,9 @@ def _task_verify_structure(spec, cfg, window):
         if check.witness is not None:
             labels, lhs, rhs = check.witness
             entry["witness"] = {
-                "labels": [_label_json(l) for l in labels],
-                "lhs": element_to_json(lhs),
-                "rhs": element_to_json(rhs),
+                "labels": [label_to_json(l, spec) for l in labels],
+                "lhs": element_to_json(lhs, spec),
+                "rhs": element_to_json(rhs, spec),
             }
         result[name] = entry
     verdicts = [("tp-axioms", report.tp_pass)]

@@ -185,8 +185,10 @@ class RowSpace:
                 "vector length %d != %d columns" % (len(vector), self.n_cols))
 
     def reduce(self, row):
-        """Return the normalized remainder of an integer ``row`` against the basis."""
-        row = dict(row)
+        """Return the normalized remainder of an integer ``row`` against the basis.
+
+        Explicit zero entries are dropped first: a zero lead would be stored."""
+        row = {c: v for c, v in row.items() if v}
         while row:
             lead = min(row)
             pivot = self.rows.get(lead)

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class RankMismatchError(Exception):
+class RankMismatchError(ValueError):
     """A group element does not match the rank of the map or form."""
 
 

@@ -24,7 +24,9 @@ from .algebra import (
     square_predicate,
     _Scan,
     _ZERO,
-    _check_coefficients,
+    _check_labels,
+    _check_points,
+    _element,
 )
 from .halfderiv import MissingDegreeError, inner_projection
 from .lattice import Window, add, box_points, search_order, sub
@@ -51,11 +53,13 @@ __all__ = [
 class _Product:
     """A commutative product given by its basis rule.
 
-    ``basis_product(a, b)`` maps each lattice index c to the nonzero scalar
-    coefficient of u_c in u_a . u_b (of u_c (x) v for generalized Witt with
-    dim V = 1, V = span{v}). ``check_domain(spec)`` raises
-    ``FamilyMismatchError`` or ``ValueError`` unless the rule is defined on
-    ``spec``; every entry point runs it before reading the rule.
+    ``basis_product(spec, u, v)`` maps the basis labels of ``spec`` to the
+    nonzero coefficients of u . v for basis labels u and v; every rule
+    lives where each lattice point has one label (dim V = 1 for
+    generalized Witt), and reads and moves points through ``spec``.
+    ``check_domain(spec)`` raises ``FamilyMismatchError`` or
+    ``ValueError`` unless the rule is defined on ``spec``; every entry
+    point runs it before reading the rule.
 
     Each rule also says where ``verify`` may skip work: ``support(rank)``
     is the finite set of unordered index pairs {a, b} whose product can be
@@ -73,11 +77,11 @@ class _Product:
     def support(self, rank):
         return None
 
-    def to_json(self) -> dict:
+    def to_json(self, spec) -> dict:
         return {"variant": self.variant}
 
     @classmethod
-    def from_json(cls, data: dict):
+    def from_json(cls, data: dict, spec):
         return cls()
 
 
@@ -86,7 +90,7 @@ class ZeroProduct(_Product):
 
     variant = "zero"
 
-    def basis_product(self, a, b):
+    def basis_product(self, spec, u, v):
         return {}
 
     def support(self, rank):
@@ -107,25 +111,23 @@ class Mutation(_Product):
 
     def __init__(self, w: Element):
         self.w = w
-        self._shifts = _scalars(w.terms)
 
     def check_domain(self, spec):
         if spec.family == "block" or spec.dim_v != 1:
             raise FamilyMismatchError("mutations live on Witt type and on generalized "
                                       "Witt with dim V = 1")
-        _check_ranks(spec, self.w.terms, "multiplier index")
-        _check_coefficients(spec, self.w.terms, "multiplier")
+        _check_labels(spec, self.w.terms, "multiplier")
 
-    def basis_product(self, a, b):
-        ab = add(a, b)
-        return {add(ab, c): wc for c, wc in self._shifts.items()}
+    def basis_product(self, spec, u, v):
+        d = add(spec.point(u), spec.point(v))
+        return {spec.shift(l, d): c for l, c in self.w.terms.items()}
 
-    def to_json(self) -> dict:
-        return {"variant": self.variant, self.json_key: element_to_json(self.w)}
+    def to_json(self, spec) -> dict:
+        return {"variant": self.variant, self.json_key: element_to_json(self.w, spec)}
 
     @classmethod
-    def from_json(cls, data: dict):
-        return cls(element_from_json(data[cls.json_key]))
+    def from_json(cls, data: dict, spec):
+        return cls(element_from_json(data[cls.json_key], spec))
 
 
 class SingleIdempotent(_Product):
@@ -137,8 +139,8 @@ class SingleIdempotent(_Product):
         if spec.family != "block" or not spec.g_is_zero:
             raise FamilyMismatchError("single idempotent product needs Block with g = 0")
 
-    def basis_product(self, a, b):
-        return {a: Fraction(1)} if a == b and not any(a) else {}
+    def basis_product(self, spec, u, v):  # Block: labels are points
+        return {u: Fraction(1)} if u == v and not any(u) else {}
 
     def support(self, rank):
         origin = (0,) * rank
@@ -150,8 +152,8 @@ class ExplicitProduct(_Product):
 
     Keys are unordered pairs of lattice points; values are elements. Pairs
     missing from the table multiply to zero. Defined on the scalar
-    families and on generalized Witt with dim V = 1, with values whose
-    coefficients have the family's shape.
+    families and on generalized Witt with dim V = 1, with values over the
+    family's basis labels.
     """
 
     variant = "explicit"
@@ -165,31 +167,30 @@ class ExplicitProduct(_Product):
                 raise ValueError("conflicting table entries for %s" % (key,))
             entries[key] = value
         self.table = {key: value for key, value in entries.items() if not value.is_zero}
-        self._rule = {key: _scalars(value.terms) for key, value in self.table.items()}
 
     def check_domain(self, spec):
         if spec.dim_v != 1:
             raise FamilyMismatchError("table products need a rank-one coefficient family")
         for (a, b), value in self.table.items():
-            _check_ranks(spec, (a, b), "table index")
-            _check_ranks(spec, value.terms, "table value index")
-            _check_coefficients(spec, value.terms, "table value at %s:" % ((a, b),))
+            _check_points(spec, (a, b), "table index")
+            _check_labels(spec, value.terms, "table value at %s:" % ((a, b),))
 
-    def basis_product(self, a, b):
-        return self._rule.get(_pair_key(a, b), {})
+    def basis_product(self, spec, u, v):
+        value = self.table.get(_pair_key(spec.point(u), spec.point(v)))
+        return {} if value is None else value.terms
 
     def support(self, rank):
-        return frozenset(self._rule)
+        return frozenset(self.table)
 
-    def to_json(self) -> dict:
-        return {"variant": self.variant,
-                self.json_key: [{"a": list(a), "b": list(b), "value": element_to_json(v)}
-                                for (a, b), v in sorted(self.table.items())]}
+    def to_json(self, spec) -> dict:
+        return {"variant": self.variant, self.json_key: [
+            {"a": list(a), "b": list(b), "value": element_to_json(v, spec)}
+            for (a, b), v in sorted(self.table.items())]}
 
     @classmethod
-    def from_json(cls, data: dict):
-        return cls({(index_from_json(item["a"]), index_from_json(item["b"])):
-                    element_from_json(item["value"]) for item in data[cls.json_key]})
+    def from_json(cls, data: dict, spec):
+        return cls({(index_from_json(item["a"], spec), index_from_json(item["b"], spec)):
+                    element_from_json(item["value"], spec) for item in data[cls.json_key]})
 
 
 class ExtensionByZero(ExplicitProduct):
@@ -220,18 +221,6 @@ _VARIANTS = {cls.variant: cls for cls in (ZeroProduct, Mutation, SingleIdempoten
                                           ExplicitProduct, ExtensionByZero)}
 
 
-def _scalars(terms):
-    """Element terms with 1-tuple (dim V = 1) coefficients unwrapped."""
-    return {idx: c[0] if isinstance(c, tuple) else c for idx, c in terms.items()}
-
-
-def _check_ranks(spec, indices, what):
-    for idx in indices:
-        if len(idx) != spec.rank:
-            raise ValueError("%s %s does not have the algebra's rank %d"
-                             % (what, idx, spec.rank))
-
-
 def _pair_key(a, b):
     return (a, b) if a <= b else (b, a)
 
@@ -256,7 +245,7 @@ class _CheckedProduct:
 
     def __init__(self, spec, product):
         product.check_domain(spec)
-        self.vectorial = spec.vectorial
+        self.spec = spec
         self.rule = product.basis_product
         self.basis = spec.basis_element
         self._pairs = {}
@@ -265,21 +254,16 @@ class _CheckedProduct:
         xs, ys = x.terms, y.terms
         if not (xs and ys):
             return Element()
-        if self.vectorial:  # dim V = 1: coefficients are 1-tuples
-            xs = {a: c[0] for a, c in xs.items()}
-            ys = {b: c[0] for b, c in ys.items()}
-        rule = self.rule
+        rule, spec = self.rule, self.spec
         acc = {}
-        for a, xa in xs.items():
-            for b, yb in ys.items():
-                ab = rule(a, b)
-                if ab:
-                    k = xa * yb
-                    for c, v in ab.items():
-                        acc[c] = acc.get(c, 0) + k * v
-        out = Element.__new__(Element)
-        out.terms = {c: (v,) if self.vectorial else v for c, v in acc.items() if v}
-        return out
+        for u, xu in xs.items():
+            for v, yv in ys.items():
+                uv = rule(spec, u, v)
+                if uv:
+                    k = xu * yv
+                    for l, c in uv.items():
+                        acc[l] = acc.get(l, 0) + k * c
+        return _element({l: c for l, c in acc.items() if c})
 
     def pair(self, u, v) -> Element:
         out = self._pairs.get((u, v))
@@ -384,7 +368,7 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     p = product.coefficient_degree
     found = scan_identities(
         scan, _IDENTITIES, ordered=True, max_triples=max_triples,
-        tuples=_support_tuples(scan.labels, product.support(spec.rank)),
+        tuples=_support_tuples(scan.points, product.support(spec.rank)),
         degree=p if p is None else p + max(p, spec.coefficient_degree))
 
     checks = {name: IdentityCheck(w) for name, (_, w) in found.items()}
@@ -392,8 +376,9 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     return VerificationReport(**checks, n_triples=n_triples, visited=scan.visited)
 
 
-def _support_tuples(labels, support):
-    """The index pairs and triples of ``labels`` that meet ``support``, sorted.
+def _support_tuples(points, support):
+    """The index pairs and triples of the labels at ``points`` that meet
+    ``support``, sorted.
 
     A pair (u, v) meets it when {u, v} is a support pair; a triple
     (u, v, w) when {u, v}, {v, w}, {u, w}, {u, v + w} or {u + w, v} is one,
@@ -402,10 +387,9 @@ def _support_tuples(labels, support):
     """
     if support is None:
         return None
-    n, at = len(labels), _label_positions(labels)
-    points = [_bare(l) for l in labels]
+    n, at = len(points), _positions(points)
     pairs = _support_pairs(at, support)
-    triples = set(_associator_triples(labels, support))  # u . v and v . w
+    triples = set(_associator_triples(points, support))  # u . v and v . w
     triples.update((i, k, j) for i, j in pairs for k in range(n))  # u . w
     for p, q in _oriented(support):
         for i in at.get(p, ()):  # u . [v, w]
@@ -417,19 +401,19 @@ def _support_tuples(labels, support):
     return [sorted(pairs), sorted(triples)]
 
 
-def _associator_triples(labels, support):
-    """The index triples (u, v, w) of ``labels`` that have {u, v} or {v, w}
-    in ``support``, sorted: in the scan's nested order."""
-    pairs = _support_pairs(_label_positions(labels), support)
-    return sorted({t for i, j in pairs for k in range(len(labels))
+def _associator_triples(points, support):
+    """The index triples (u, v, w) of the labels at ``points`` that have
+    {u, v} or {v, w} in ``support``, sorted: in the scan's nested order."""
+    pairs = _support_pairs(_positions(points), support)
+    return sorted({t for i, j in pairs for k in range(len(points))
                    for t in ((i, j, k), (k, i, j))})
 
 
-def _label_positions(labels):
-    """Each lattice point's positions in ``labels``."""
+def _positions(points):
+    """Each lattice point's positions in ``points``."""
     at = {}
-    for i, l in enumerate(labels):
-        at.setdefault(_bare(l), []).append(i)
+    for i, p in enumerate(points):
+        at.setdefault(p, []).append(i)
     return at
 
 
@@ -453,11 +437,12 @@ def left_mult_table(spec, product, z, window: Window) -> dict:
     """
     product.check_domain(spec)
     z = tuple(z)
-    _check_ranks(spec, [z], "left factor index")
+    _check_points(spec, [z], "left factor index")
+    (u,), box = spec.basis_labels([z]), box_points(window.radius, spec.rank)
     tables = {}
-    for x in box_points(window.radius, spec.rank):
-        for idx, c in product.basis_product(z, x).items():
-            tables.setdefault(sub(idx, x), {})[x] = c
+    for x, v in zip(box, spec.basis_labels(box)):  # one label per point
+        for l, c in product.basis_product(spec, u, v).items():
+            tables.setdefault(sub(spec.point(l), x), {})[x] = c
     return dict(sorted(tables.items()))
 
 
@@ -579,18 +564,13 @@ def _table_product(spec, vec, labels, maps):
     for pos, value in enumerate(vec):
         if not value:
             continue
-        a = _bare(labels[pos // m])
+        a = spec.point(labels[pos // m])
         for l2, img in maps[pos % m][2].items():
-            b = _bare(l2)
+            b = spec.point(l2)
             if a <= b:
-                contrib = Element({_bare(out): (value * val,) if spec.vectorial
-                                   else value * val for out, val in img.items()})
+                contrib = Element({out: value * val for out, val in img.items()})
                 table[(a, b)] = table.get((a, b), Element()) + contrib
     return ExplicitProduct({key: v for key, v in table.items() if not v.is_zero})
-
-
-def _bare(label):
-    return label[0] if isinstance(label[0], tuple) else label
 
 
 def _span_associativity(spec, generators, points, draws, max_triples=None):
@@ -643,20 +623,22 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
     support = set().union(*(g.support(spec.rank) for g in generators))
     found = scan_identities(scan, ((3, identities),), ordered=True,
                             max_triples=max_triples,
-                            tuples=[_associator_triples(scan.labels, support)])
+                            tuples=[_associator_triples(scan.points, support)])
     samples = [found.get(n, (0, None))[1] for n in range(len(draws))]
     return found["family"][1] is None, [(w is None, w and w[0]) for w in samples]
 
 
-def product_to_json(product) -> dict:
-    return product.to_json()
+def product_to_json(product, spec) -> dict:
+    return product.to_json(spec)
 
 
-def product_from_json(data: dict):
+def product_from_json(data: dict, spec):
+    """A product on ``spec`` from its JSON form; every index and coefficient
+    given is checked against ``spec``, zero-valued ones included."""
     variant = data.get("variant")
     if variant not in _VARIANTS:
         raise ValueError("unknown product variant %r" % (variant,))
     keys = {"variant", _VARIANTS[variant].json_key} - {None}
     if set(data) != keys:
         raise ValueError("%s product keys are {%s}" % (variant, ", ".join(sorted(keys))))
-    return _VARIANTS[variant].from_json(data)
+    return _VARIANTS[variant].from_json(data, spec)

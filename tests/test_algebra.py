@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import element_lie, scalar_bracket_coeff
 from tpw.algebra import (
@@ -117,14 +119,14 @@ def test_generalized_witt_bracket_example():
     x = spec.basis((1, 0), 0)
     y = spec.basis((0, 1), 0)
     out = bracket(spec, x, y)
-    assert out == Element({(1, 1): (Fraction(-1), Fraction(0))})
+    assert out == Element({((1, 1), 0): Fraction(-1)})
 
 
 def test_bracket_rejects_mismatched_elements():
     with pytest.raises(SpecMismatchError):
         bracket(gw_spec(), Element({(0, 0): Fraction(1)}), Element({(0, 0): Fraction(1)}))
     with pytest.raises(SpecMismatchError):
-        bracket(gw_spec(), gw_spec().basis((0, 0)), Element({(0, 0): (1, 0, 0)}))
+        bracket(gw_spec(), gw_spec().basis((0, 0)), Element({((0, 0), 2): 1}))
 
 
 def test_witt_type_bracket():
@@ -152,16 +154,19 @@ CLOSED_FORMULA_SPECS = {
 def closed_formula_bracket(spec, x, y):
     """Bilinear sum of the paper's basis formula over the terms of x and y."""
     out = Element()
-    for a, xa in x.terms.items():
-        for b, yb in y.terms.items():
-            idx = tuple(s + t for s, t in zip(a, b))
+    for u, xu in x.terms.items():
+        for v, yv in y.terms.items():
             if spec.family == "generalized_witt":
-                # <v, b> w - <w, a> v
-                vb, wa = spec.pairing(xa, b), spec.pairing(yb, a)
-                coeff = tuple(vb * wl - wa * vl for vl, wl in zip(xa, yb))
+                # [a (x) v_i, b (x) v_j] = <v_i, b> v_j - <v_j, a> v_i
+                (a, i), (b, j) = u, v
+                unit = [[int(k == l) for l in range(spec.dim_v)] for k in range(spec.dim_v)]
+                ab = tuple(s + t for s, t in zip(a, b))
+                term = (spec.pairing(unit[i], b) * spec.basis(ab, j)
+                        - spec.pairing(unit[j], a) * spec.basis(ab, i))
             else:
-                coeff = xa * yb * scalar_bracket_coeff(spec, a, b)
-            out = out + Element({idx: coeff})
+                ab = tuple(s + t for s, t in zip(u, v))
+                term = Element({ab: scalar_bracket_coeff(spec, u, v)})
+            out = out + xu * yv * term
     return out
 
 
@@ -190,7 +195,7 @@ def test_bracket_follows_the_closed_formula(name):
         x, y = rand_elem(), rand_elem()
         assert bracket(spec, x, y) == closed_formula_bracket(spec, x, y)
 
-    wrong_rank = Element({idx + (1,): c for idx, c in basis[1].terms.items()})
+    wrong_rank = spec.basis_element(spec.basis_labels([spec.point(labels[1]) + (1,)])[0])
     with pytest.raises(RankMismatchError):
         bracket(spec, wrong_rank, basis[1])
     with pytest.raises(RankMismatchError):
@@ -317,12 +322,60 @@ def test_spec_json_round_trip():
     assert b.bracket_coeff((1, 0), (0, 1)) == -2
 
 
-def test_element_json_round_trip():
-    from fractions import Fraction
+_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))  # zeros too
 
+
+def _points(rank):
+    return st.tuples(*[st.integers(-2, 2)] * rank)
+
+
+@st.composite
+def family_elements(draw):
+    """A spec of each family, rank 1-2 (generalized Witt with dim V 1-3),
+    and a sum of up to three drawn terms, any coordinate possibly zero."""
+    rank = draw(st.integers(1, 2))
+    family = draw(st.sampled_from(["generalized_witt", "witt_type", "block"]))
+    if family == "generalized_witt":
+        dim_v = draw(st.integers(1, 3))
+        spec = GeneralizedWitt(Pairing([[1] * rank] * dim_v))
+        terms = [spec.element(draw(_points(rank)), draw(st.lists(_RATIONAL, min_size=dim_v,
+                                                                 max_size=dim_v)))
+                 for _ in range(draw(st.integers(0, 3)))]
+    else:
+        spec = (WittType(AdditiveMap([1] * rank)) if family == "witt_type"
+                else Block.with_form(BiadditiveForm([[0] * rank] * rank)))
+        terms = [Element({draw(_points(rank)): draw(_RATIONAL)})
+                 for _ in range(draw(st.integers(0, 3)))]
+    return spec, sum(terms, Element())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=family_elements())
+def test_element_json_round_trip(case):
     from tpw.algebra import element_from_json, element_to_json
 
-    scalar = Element({(1, 0): Fraction(2, 3), (0, -2): Fraction(-5)})
-    vector = Element({(1, 1): (Fraction(1), Fraction(0, 1))})
-    for el in (scalar, vector, Element()):
-        assert element_from_json(element_to_json(el)) == el
+    spec, el = case
+    back = element_from_json(element_to_json(el, spec), spec)
+    assert back == el
+    assert all(type(c) is Fraction for x in (el, back) for c in x.terms.values())
+
+
+@st.composite
+def tensor_pairs(draw):
+    """A rational pairing, rank 1-2 and dim V 1-3, and two tensors a (x) v, b (x) w."""
+    rank, dim_v = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    spec = GeneralizedWitt(Pairing(draw(st.lists(
+        st.lists(_RATIONAL, min_size=rank, max_size=rank), min_size=dim_v, max_size=dim_v))))
+    vectors = st.lists(_RATIONAL, min_size=dim_v, max_size=dim_v)
+    return spec, draw(_points(rank)), draw(vectors), draw(_points(rank)), draw(vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tensor_pairs())
+def test_generalized_witt_bracket_follows_the_pairing(case):
+    """[a (x) v, b (x) w] = (<v, b> w - <w, a> v) at a + b, by ``Pairing.__call__``."""
+    spec, a, v, b, w = case
+    vb, wa = spec.pairing(v, b), spec.pairing(w, a)
+    expected = spec.element(tuple(s + t for s, t in zip(a, b)),
+                            [vb * wl - wa * vl for vl, wl in zip(v, w)])
+    assert spec.bracket(spec.element(a, v), spec.element(b, w)) == expected

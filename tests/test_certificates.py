@@ -111,11 +111,11 @@ def test_coefficient_degree_bounds_the_constants(name):
 def test_mutation_coefficients_do_not_depend_on_the_indices():
     """Degree 0: u_a . u_b = sum_c w_c u_(a+b+c) with the same w_c for all a, b."""
     w = Element({(1, 0): Fraction(-2, 3), (0, -2): 5, (0, 0): 1})
-    product = Mutation(w)
+    product, spec = Mutation(w), WittType(AdditiveMap([1, 2]))
     assert product.coefficient_degree == 0
     box = box_points(3, 2)
     seen = {frozenset((sub(idx, add(a, b)), c)
-                      for idx, c in product.basis_product(a, b).items())
+                      for idx, c in product.basis_product(spec, a, b).items())
             for a in box for b in box}
     assert seen == {frozenset(w.terms.items())}
 
@@ -135,7 +135,7 @@ def test_lie_scan_cost_does_not_grow_with_the_radius(name):
     (WittType(AdditiveMap([1])), Element({(0,): 1})),
     (WittType(AdditiveMap([1])), Element({(-2,): Fraction(3, 4), (1,): -1})),
     (WittType(AdditiveMap([2, -1])), Element({(1, 1): Fraction(1, 2)})),
-    (GeneralizedWitt(Pairing([[1]])), Element({(1,): (Fraction(2, 3),), (-1,): (1,)})),
+    (GeneralizedWitt(Pairing([[1]])), Element({((1,), 0): Fraction(2, 3), ((-1,), 0): 1})),
 ], ids=["unit", "two-terms", "rank-2", "gw1"])
 def test_mutation_scan_cost_does_not_grow_with_the_radius(spec, w):
     """The tp axioms pass on the grid; the Poisson rule's first witness is
@@ -199,11 +199,11 @@ def test_lie_scan_matches_the_oracle_on_random_specs(spec):
 
 
 def _element(draw, spec, rank):
-    """1-2 terms at indices of Box(2), with the family's coefficient shape."""
+    """1-2 terms at indices of Box(2), keyed by the family's basis labels."""
     terms = {}
     for _ in range(draw(st.integers(1, 2))):
         c = draw(_RATIONAL.filter(bool))
-        terms[tuple(draw(_vector(rank)))] = (c,) if spec.vectorial else c
+        terms[spec.basis_labels([tuple(draw(_vector(rank)))])[0]] = c
     return Element(terms)
 
 

@@ -530,16 +530,58 @@ def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
            payload={"product": {"variant": "mutation",
                                 "w": [{"index": [0], "coeff": "1"}]}}),
      "coefficients do not match the family"),
+    # zero coefficients and zero values are checked as given, before they vanish
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0], "coeff": []}]}}),
+     "coefficients do not match the family"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0], "coeff": ["0"]}]}}),
+     "coefficients do not match the family"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0, 0], "coeff": "0"}]}}), "rank 1"),
+    (small("verify-structure", {"family": "generalized_witt", "pairing": [["1"]]},
+           payload={"product": {"variant": "mutation",
+                                "w": [{"index": [0], "coeff": []}]}}),
+     "coefficients do not match the family"),
+    (small("verify-structure", {"family": "generalized_witt", "pairing": [["1"]]},
+           payload={"product": {"variant": "mutation",
+                                "w": [{"index": [0], "coeff": "0"}]}}),
+     "coefficients do not match the family"),
+    (small("verify-structure", {"family": "generalized_witt", "pairing": [["1"]]},
+           payload={"product": {"variant": "mutation",
+                                "w": [{"index": [0], "coeff": ["0", "0"]}]}}),
+     "coefficients do not match the family"),
+    (small("verify-structure", WT, payload={"product": _table_product(
+        {"a": [0, 0], "value": []})}), "rank 1"),
+    (small("verify-structure", WT, payload={"product": _table_product(
+        {"a": [0, 0], "value": [{"index": [1], "coeff": "0"}]})}), "rank 1"),
 ], ids=["idempotent-on-g-nonzero", "center-square-on-witt-type", "multiplier-rank",
         "star-rank", "center-square-degenerate", "star-degenerate",
         "table-value-of-two-components", "multiplier-vector-on-witt-type",
-        "multiplier-scalar-on-gw1"])
+        "multiplier-scalar-on-gw1", "zero-multiplier-empty-array-on-witt-type",
+        "zero-multiplier-array-on-witt-type", "zero-multiplier-rank",
+        "zero-multiplier-empty-array-on-gw1", "zero-multiplier-scalar-on-gw1",
+        "zero-multiplier-two-components-on-gw1", "empty-table-value-key-rank",
+        "zero-table-value-key-rank"])
 def test_products_and_tasks_off_their_family_exit_2(tmp_path, capsys, cfg, message):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 2
     err = capsys.readouterr().err
     assert "invalid job" in err and message in err
+
+
+@pytest.mark.parametrize("entry", [
+    {"a": [1, 0], "b": [1, 0], "value": []},
+    {"a": [0, -2], "b": [0, -2], "value": [{"index": [1, 1], "coeff": "0"}]},
+], ids=["square-key", "off-centre-index"])
+def test_zero_star_entries_need_only_the_shape_and_rank(tmp_path, entry):
+    """A zero value is central, so a star entry worth 0 is checked for its
+    shape and rank but not for the square and the center."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(small("verify-structure", B1, payload={"product": {
+        "variant": "extension_by_zero", "star": [entry]}})))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 0
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "many"])

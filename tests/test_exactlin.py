@@ -212,6 +212,25 @@ def test_reads_after_an_insertion_see_the_new_row():
     assert space.basis() == fresh.basis() != first
 
 
+def test_inserted_rows_with_explicit_zeros_match_the_oracle():
+    """Zero entries of an inserted row are not stored: {0: 0, 1: 1} spans
+    e_1 alone, and with {0: 1} the whole of Q^2."""
+    space = RowSpace((), 2)
+    space.insert({0: 0, 1: 1})
+    assert space.basis() == ((0, 1),)
+    space.insert({0: 1})
+    assert space.rank == 2 and space.basis() == ((1, 0), (0, 1))
+    rng = random.Random(7)
+    for _ in range(40):
+        rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(5)] for _ in range(4)]
+        space = RowSpace((), 5)
+        for r in rows:
+            space.insert(dict(enumerate(r)))  # every zero given explicitly
+        mat, pivots = dense_rref(rows)
+        assert space.rank == len(pivots)
+        assert space.basis() == tuple(tuple(r) for r in mat[:len(pivots)])
+
+
 def test_the_read_out_depends_only_on_the_span_of_the_kernel():
     """A kernel basis recombined by a random invertible integer matrix
     reads out as the canonical basis."""

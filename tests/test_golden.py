@@ -2,8 +2,9 @@
 
 ``tests/golden/reports.json`` holds, without ``timing_ms``, the reports of
 ``tpw reproduce --suite all`` and of ``JOBS``, one job for each task the
-suites miss plus a failing classification. A change that alters reports
-on purpose regenerates the file from the tree it wants to pin:
+suites miss, a failing classification, and two generalized Witt jobs whose
+reports print coefficient arrays. A change that alters reports on purpose
+regenerates the file from the tree it wants to pin:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -42,6 +43,16 @@ JOBS = {
     # the truncated group product of Witt type fails at the window boundary
     "witt-failing-classify": {
         "algebra": {"family": "witt_type", "f": ["1"]},
+        "window": _window(3, 1), "task": "classify-tp", "payload": {"degree_bound": 1}},
+    # generalized Witt elements print as arrays: the Poisson witness's sides
+    "gw1-poisson-mutation-verify": {
+        "algebra": {"family": "generalized_witt", "pairing": [["1"]]},
+        "window": _window(3, 1), "task": "verify-structure",
+        "payload": {"require_poisson": True, "product": {"variant": "mutation", "w": [
+            {"index": [0], "coeff": ["1"]}, {"index": [1], "coeff": ["-2/3"]}]}}},
+    # ... and the generators' values, with [[a], i] labels in the witnesses
+    "gw1-failing-classify": {
+        "algebra": {"family": "generalized_witt", "pairing": [["1"]]},
         "window": _window(3, 1), "task": "classify-tp", "payload": {"degree_bound": 1}},
 }
 
