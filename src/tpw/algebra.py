@@ -68,12 +68,13 @@ class LimitExceededError(Exception):
     """A verification scan exceeded the configured tuple limit."""
 
 
-def limited(items, max_triples=None):
-    """The tuples of a scan, raising ``LimitExceededError`` before the one
-    past ``max_triples``: a stage never evaluates more than the limit allows."""
+def limited(items, max_triples, stage):
+    """The tuples of a scan, raising ``LimitExceededError`` (naming ``stage``)
+    before the one past ``max_triples``. The limit selects no tuple."""
     for n, item in enumerate(items, 1):
         if max_triples is not None and n > max_triples:
-            raise LimitExceededError("max_triples limit %d exceeded" % max_triples)
+            raise LimitExceededError(
+                "max_triples limit %d exceeded in stage %s" % (max_triples, stage))
         yield item
 
 
@@ -558,9 +559,7 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
     ``_index_tuples(n, arity, ordered)``; a witness sits at its tuple's
     ``_position`` there, and a passing identity has no witness and the number
     of tuples of its stage. The one rule for the tuples visited:
-    - ``max_triples`` below the last stage's tuple count: all, raising
-      ``LimitExceededError`` before the tuple past it;
-    - else ``tuples``, per stage the sorted index tuples that can fail;
+    - ``tuples``, per stage the sorted index tuples that can fail;
     - else ``degree``, for residual coefficients that are polynomials of that
       per-coordinate degree in the lattice indices, when the scan's labels open
       with those of the grid Box(r), 2r + 1 > ``degree``: the grid's tuples
@@ -572,12 +571,9 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
       index) holding a failure has a grid index, so has its first failing row,
       and so on. A stage is certified only when the ones before it pass (the
       Jacobi sum on unordered tuples needs anticommutativity);
-    - else all.
+    - else all. Of those, ``limited`` lets a stage evaluate ``max_triples``.
     """
     spec, n = scan.spec, len(scan.labels)
-    if max_triples is not None and (
-            max_triples < _index_tuples(n, stages[-1][0], ordered)[0]):
-        tuples = degree = None
     grid = [] if degree is None or tuples is not None else spec.basis_labels(
         search_order((degree + 1) // 2, spec.rank))
     certify = grid and scan.labels[:len(grid)] == grid
@@ -588,7 +584,8 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
             every = _index_tuples(len(grid), arity, ordered)[1]
         elif tuples is not None:
             every = tuples[s]
-        hits = scan.first_witnesses(limited(every, max_triples), identities)
+        stage = ", ".join(map(str, identities))
+        hits = scan.first_witnesses(limited(every, max_triples, stage), identities)
         certify = certify and not hits
         for name in identities:
             idx, w = hits.get(name, (None, None))

@@ -361,8 +361,8 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     so only ``_support_tuples`` can. A rule of per-coordinate
     ``coefficient_degree`` p, with the family's bracket of degree d, leaves
     residual coefficients of per-coordinate degree at most p + max(p, d),
-    certified on a grid. ``max_triples`` below the window's number of
-    triples scans every tuple, up to the limit.
+    certified on a grid. ``max_triples`` caps the tuples each stage
+    evaluates and selects none of them.
     """
     scan = _Scan(spec, search_order(window.radius, spec.rank), _CheckedProduct(spec, product))
     p = product.coefficient_degree
@@ -431,9 +431,10 @@ def _support_pairs(at, support):
 def left_mult_table(spec, product, z, window: Window) -> dict:
     """Graded components of x -> u_z . x over the window's box.
 
-    Returns a map degree -> component table ``{x: coefficient}``, ready for
-    ``halfderiv.component_vector`` and membership in the assembled
-    per-degree solution spaces.
+    Returns a map degree -> component table ``{x: coefficient}``, the
+    coefficient a 1 x 1 matrix ``((c,),)`` on generalized Witt (dim V = 1),
+    ready for ``halfderiv.component_vector`` and membership in the
+    assembled per-degree solution spaces.
     """
     product.check_domain(spec)
     z = tuple(z)
@@ -442,7 +443,7 @@ def left_mult_table(spec, product, z, window: Window) -> dict:
     tables = {}
     for x, v in zip(box, spec.basis_labels(box)):  # one label per point
         for l, c in product.basis_product(spec, u, v).items():
-            tables.setdefault(sub(spec.point(l), x), {})[x] = c
+            tables.setdefault(sub(spec.point(l), x), {})[x] = ((c,),) if spec.vectorial else c
     return dict(sorted(tables.items()))
 
 
@@ -584,16 +585,19 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
     ``shared`` memo computes the nonzero A_ij of a tuple once for all of
     them; only ``_associator_triples``, with {u, v} or {v, w} a key of some
     T_j, can fail. Returns the family verdict and one
-    ``(passed, first failing triple)`` per draw. With m generators and n
-    labels, m^2 n^3 associators above ``max_triples`` are refused unscanned.
+    ``(passed, first failing triple)`` per draw. The m^2 associators of m
+    generators at each of those triples, if over ``max_triples``, are refused unscanned.
     """
     if not generators:
         return True, [(True, None)] * len(draws)
     scan, m = _Scan(spec, points), len(generators)
-    if max_triples is not None and m * m * len(scan.labels) ** 3 > max_triples:
+    support = set().union(*(g.support(spec.rank) for g in generators))
+    triples = _associator_triples(scan.points, support)
+    if max_triples is not None and m * m * len(triples) > max_triples:
         raise LimitExceededError(
-            "max_triples limit %d exceeded: %d generators form %d associators at"
-            " each of %d triples" % (max_triples, m, m * m, len(scan.labels) ** 3))
+            "max_triples limit %d exceeded in stage associativity: %d generators"
+            " form %d associators at each of %d triples"
+            % (max_triples, m, m * m, len(triples)))
     muls = [_CheckedProduct(spec, g) for g in generators]
 
     def associators(s, *idx):
@@ -620,10 +624,8 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
 
     identities = {"family": family}  # a zero draw never fails
     identities.update((n, draw(c)) for n, c in enumerate(draws) if any(c))
-    support = set().union(*(g.support(spec.rank) for g in generators))
     found = scan_identities(scan, ((3, identities),), ordered=True,
-                            max_triples=max_triples,
-                            tuples=[_associator_triples(scan.points, support)])
+                            max_triples=max_triples, tuples=[triples])
     samples = [found.get(n, (0, None))[1] for n in range(len(draws))]
     return found["family"][1] is None, [(w is None, w and w[0]) for w in samples]
 

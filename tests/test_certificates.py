@@ -46,6 +46,7 @@ from tpw.tpstruct import (
     ExtensionByZero,
     Mutation,
     ZeroProduct,
+    _support_tuples,
     verify,
 )
 
@@ -259,18 +260,25 @@ def _bench_raw_block():
     (WittType(AdditiveMap([1])), {((0,), (1,)): Element({(1,): 1})}),
 ], ids=["block-g0", "witt"])
 def test_limited_product_scan_agrees_with_the_certificate(spec, table):
-    """A table failing all three triple identities: the full scans under
-    ``max_triples`` = n^3 - 1 find every witness before the limit and
-    report what the finite-support scan does."""
+    """A table failing all three triple identities: a ``max_triples`` equal
+    to the most tuples a stage evaluates (every support pair, or the support
+    triples up to the last first witness) gives the unlimited report, and
+    one less stops the scan."""
     product = ExplicitProduct(table)
     window = Window(2, 1)
-    n = len(spec.basis_labels(box_points(window.radius, spec.rank)))
+    points = search_order(window.radius, spec.rank)
+    labels = spec.basis_labels(points)
     certified = verify(spec, product, window)
+    checks = (certified.associative, certified.trans_leibniz, certified.poisson_leibniz)
     assert certified.commutative.passed
-    assert not (certified.associative.passed or certified.trans_leibniz.passed
-                or certified.poisson_leibniz.passed)
-    assert certified.n_triples < n ** 3
-    assert verify(spec, product, window, max_triples=n ** 3 - 1) == certified
+    assert not any(check.passed for check in checks)
+    pairs, triples = _support_tuples(points, product.support(spec.rank))
+    last = max(triples.index(tuple(labels.index(l) for l in check.witness[0]))
+               for check in checks)
+    largest = max(len(pairs), last + 1)
+    assert verify(spec, product, window, max_triples=largest) == certified
+    with pytest.raises(LimitExceededError):
+        verify(spec, product, window, max_triples=largest - 1)
 
 
 def _fails(where):
@@ -298,8 +306,8 @@ def test_a_stage_is_certified_only_after_the_stages_before_it_pass():
 
 
 def test_given_tuples_come_before_the_certificate_and_the_limit_before_both():
-    """Only the given tuples are scanned, even with a ``degree``; a
-    ``max_triples`` below the full count scans every tuple instead."""
+    """Only the given tuples are scanned, even with a ``degree``, and
+    ``max_triples`` caps them: it selects no other tuples."""
     at_origin = _fails(lambda s, idx: idx == (0, 0))  # label 0 is the origin
     stages = ((2, {"origin": at_origin}),)
     given = [[(0, 1), (1, 1)]]
@@ -309,8 +317,10 @@ def test_given_tuples_come_before_the_certificate_and_the_limit_before_both():
     assert scan.visited == 2
     assert scan_identities(_witt_scan(), stages, ordered=True, degree=2)["origin"][0] == 1
     never = ((2, {"never": _fails(lambda s, idx: False)}),)
-    with pytest.raises(LimitExceededError):
-        scan_identities(_witt_scan(), never, ordered=True, tuples=given, max_triples=48)
+    assert scan_identities(_witt_scan(), never, ordered=True, tuples=given,
+                           max_triples=2) == {"never": (49, None)}
+    with pytest.raises(LimitExceededError, match="limit 1 exceeded in stage never"):
+        scan_identities(_witt_scan(), never, ordered=True, tuples=given, max_triples=1)
 
 
 @pytest.mark.parametrize("ordered", [True, False])
@@ -352,18 +362,22 @@ def raw_blocks(draw):
 @example(spec=_bench_raw_block())
 @given(spec=raw_blocks())
 def test_limited_lie_scan_agrees_with_the_certificate(spec):
-    """On Window(2, 1), a ``max_triples`` one below the full count scans the
-    window flat: it gives the certified report, witness and counts included,
-    or reaches the limit without a witness where the certificate passes. The
-    benchmark's raw Block fails Jacobi long before the limit."""
+    """On Window(2, 1), a ``max_triples`` equal to the most tuples a stage
+    evaluates gives the unlimited report, and one less stops the scan. A raw
+    Block is anticommutative, so both stages are certified on Box(1): every
+    grid pair, then the grid triples up to the Jacobi witness, or all. The
+    benchmark's raw Block needs 406 of the 3,654 grid triples."""
     window = Window(2, 1)
-    n = len(spec.basis_labels(box_points(2, spec.rank)))
+    grid = search_order(1, spec.rank)
+    m = len(grid)
     certified = verify_lie_axioms(spec, window)
-    if certified.passed:
-        with pytest.raises(LimitExceededError):
-            verify_lie_axioms(spec, window, max_triples=comb(n + 2, 3) - 1)
-    else:
-        assert verify_lie_axioms(spec, window, max_triples=comb(n + 2, 3) - 1) == certified
+    assert certified.anticommutative
+    triples = comb(m + 2, 3) if certified.jacobi else _position(
+        tuple(grid.index(a) for a in certified.jacobi_witness[:3]), m, False)
+    largest = max(comb(m + 1, 2), triples)
+    assert verify_lie_axioms(spec, window, max_triples=largest) == certified
+    with pytest.raises(LimitExceededError):
+        verify_lie_axioms(spec, window, max_triples=largest - 1)
 
 
 @st.composite

@@ -362,21 +362,52 @@ def test_pair_stages_stop_at_max_triples(task, payload, tmp_path, monkeypatch, c
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
     assert "max_triples" in capsys.readouterr().err
-    assert 0 < len(calls) <= 2 * 10
+    # each stage evaluates at most 10 tuples, and a tuple's identities read
+    # at most 12 basis products and brackets of one-term elements
+    assert 0 < len(calls) <= 12 * 2 * 10
+
+
+def _limited_run(tmp_path, cfg, limit):
+    cfg = dict(cfg, limits={"max_triples": limit})
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["run", "--config", str(path), "--json-only"])
 
 
 def test_classify_associativity_samples_respect_max_triples(tmp_path, capsys):
-    # 9 inner labels: the one associativity scan of the passing family
-    # visits 9^3 = 729 triples, however many samples it reports
+    # 9 inner labels: the one associativity scan of the passing family, one
+    # generator with the single key {0, 0}, evaluates the 17 triples with 0
+    # first or second, however many samples it reports
     cfg = small("classify-tp", B0, payload={"degree_bound": 1})
-    path = tmp_path / "job.json"
-    cfg["limits"] = {"max_triples": 729 - 1}
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
-    assert "max_triples" in capsys.readouterr().err
-    cfg["limits"] = {"max_triples": 729}
-    path.write_text(json.dumps(cfg))
-    assert cli.main(["run", "--config", str(path), "--json-only"]) == 0
+    assert _limited_run(tmp_path, cfg, 17 - 1) == 3
+    assert "max_triples limit 16 exceeded in stage associativity: 1 generators form" \
+        " 1 associators at each of 17 triples" in capsys.readouterr().err
+    assert _limited_run(tmp_path, cfg, 17) == 0
+
+
+def test_a_limit_at_the_tuples_a_certified_lie_scan_needs_passes(tmp_path, capsys):
+    # rank 1: 3 grid labels, 6 grid pairs and 10 grid triples decide both stages
+    cfg = small("check-lie", WT)
+    assert _limited_run(tmp_path, cfg, 10) == 0
+    assert _limited_run(tmp_path, cfg, 9) == 3
+    assert "max_triples limit 9 exceeded in stage jacobi" in capsys.readouterr().err
+
+
+def test_a_limit_at_the_corrupted_blocks_witness_gives_the_unlimited_report(
+        tmp_path, capsys):
+    # 378 grid pairs pass; the Jacobi witness is grid triple 406
+    cfg = small("check-lie", {"family": "block", "g": ["1", "0", "0"], "raw": True,
+                              "f": [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]]},
+                radius=3, margin=1)
+    unlimited = run(cfg)
+    assert _limited_run(tmp_path, cfg, 406) == 1
+    report = json.loads(capsys.readouterr().out)
+    for r in (report, unlimited):
+        r.pop("timing_ms")
+        r["config"].pop("limits", None)
+    assert report == unlimited
+    assert _limited_run(tmp_path, cfg, 405) == 3
+    assert "exceeded in stage jacobi" in capsys.readouterr().err
 
 
 def test_classify_refuses_more_associators_than_max_triples(tmp_path, capsys):

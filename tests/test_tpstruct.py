@@ -341,6 +341,20 @@ def test_mutation_left_mults_are_half_derivations():
         assert all(r == 0 for r in system.matrix.apply(vec))
 
 
+def test_gw1_mutation_left_mults_are_half_derivations():
+    """The dim V = 1 twin: components come as 1 x 1 matrices."""
+    spec = gw1_spec()
+    window = Window(3, 1)
+    w = Element({((1,), 0): Fraction(1, 2), ((0,), 0): Fraction(-3)})
+    comps = left_mult_table(spec, Mutation(w), (1,), window)
+    assert set(comps) == {(2,), (1,)}
+    assert comps[(2,)][(0,)] == ((Fraction(1, 2),),)
+    for degree, comp in comps.items():
+        system = assemble(spec, degree, window)
+        vec = component_vector(spec, window, comp)
+        assert any(vec) and all(r == 0 for r in system.matrix.apply(vec))
+
+
 def test_star_left_mult_is_the_alpha_map():
     spec = b1_spec()
     window = Window(3, 2)
