@@ -1,4 +1,4 @@
-"""Structure data on the index lattice: maps, forms, witnesses, cosets.
+"""Structure data on the index lattice: maps, forms, witnesses.
 
 The algebras are graded by points of an integer lattice. Their defining
 data are additive maps into the rationals, antisymmetric biadditive
@@ -9,8 +9,6 @@ from tpw import (
     AdditiveMap,
     BiadditiveForm,
     Window,
-    common_nonvanishing,
-    coset_filter,
     form_from_gh,
     nondegeneracy_witnesses,
 )
@@ -34,11 +32,3 @@ print("witness for (3,0):", report.witnesses[(3, 0)])
 zero_form = BiadditiveForm([[0, 0], [0, 0]])
 print("zero form is degenerate in the window:",
       nondegeneracy_witnesses(zero_form, window).degenerate_in_window)
-
-# Two nonzero additive maps always share a point where both are nonzero.
-a = common_nonvanishing(AdditiveMap([1, -1]), AdditiveMap([1, 1]), window)
-print("\ncommon non-vanishing point:", a)
-
-# Level sets g = lambda, h = mu pick out the special grading indices.
-print("points with (g,h) = (0,-2):", coset_filter(g, h, 0, -2, window))
-print("points with (g,h) = (0,-1):", coset_filter(g, h, 0, -1, window))

@@ -21,8 +21,6 @@ from .lattice import (
     Pairing,
     Window,
     box_points,
-    common_nonvanishing,
-    coset_filter,
     form_from_gh,
     nondegeneracy_witnesses,
 )
@@ -57,9 +55,7 @@ __all__ = [
     "box_points",
     "bracket",
     "center_predicate",
-    "common_nonvanishing",
     "compare",
-    "coset_filter",
     "form_from_gh",
     "in_span",
     "nondegeneracy_witnesses",

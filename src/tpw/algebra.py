@@ -151,15 +151,17 @@ def _is_point(x) -> bool:
 
 
 class _Family:
-    """Element-level bracket and basis labels shared by the three families.
+    """The label bracket and basis labels shared by the three families.
 
     Each family defines ``structure_constants``, built on first use and
     kept on the instance: a pair ``(scale, t)`` of a positive integer and
     a function with
     [e_(x,i), e_(y,j)] = sum_l t(x, y)[i][j][l] / scale e_(x+y,l),
     where i, j, l index a basis of V (only 0 for the scalar families).
-    It is the one definition of the bracket: elements, the half-derivation
-    rows and every scan read it. ``t`` raises ``RankMismatchError`` for an
+    It is the one definition of the bracket: ``label_bracket`` reads it
+    afresh on each call, the half-derivation rows read the whole table per
+    pair of points, and ``bracket``, the one bracket of elements, extends
+    ``label_bracket`` bilinearly. ``t`` raises ``RankMismatchError`` for an
     index whose rank is not the algebra's.
 
     A basis label names e_(x,i): the scalar families label e_x by the
@@ -182,16 +184,15 @@ class _Family:
         return {}
 
     def bracket(self, x: Element, y: Element) -> Element:
-        """Bilinear extension of ``t`` to elements; exact, untruncated."""
-        scale, t = self.structure_constants
+        """Bilinear extension of ``label_bracket`` to elements; exact, untruncated."""
+        scale, label_bracket = self.structure_constants[0], self.label_bracket
         acc = {}
-        for a, xa in x.terms.items():
-            for b, yb in y.terms.items():
-                c = t(a, b)[0][0][0]
-                if c:
-                    ab = add(a, b)
-                    acc[ab] = acc.get(ab, 0) + xa * yb * c
-        return _element({label: c for label, c in acc.items() if c}, scale)
+        for u, xu in x.terms.items():
+            for v, yv in y.terms.items():
+                k = xu * yv
+                for l, c in label_bracket(u, v):
+                    acc[l] = acc.get(l, 0) + k * c
+        return _element({l: c for l, c in acc.items() if c}, scale)
 
     def basis_element(self, label) -> Element:
         return Element({label: 1})
@@ -232,25 +233,23 @@ class GeneralizedWitt(_Family):
         pcol = _cached_by_index(
             self.rank, lambda x: [sum(r * c for r, c in zip(row, x)) for row in pm])
 
-        def t(x, y):
-            # <v_i, y> v_j - <v_j, x> v_i
+        def t(x, y, i=None, j=None):
+            """The table t(x, y), or only its [i][j] row when i and j are given."""
             px, py = pcol(x), pcol(y)
-            return [[[(py[i] if l == j else 0) - (px[j] if l == i else 0)
-                      for l in dv] for j in dv] for i in dv]
+            rows, cols = (dv, dv) if i is None else ((i,), (j,))
+            # <v_r, y> v_c - <v_c, x> v_r
+            table = [[[(py[r] if l == c else 0) - (px[c] if l == r else 0) for l in dv]
+                      for c in cols] for r in rows]
+            return table if i is None else table[0][0]
         return scale, t
 
-    def bracket(self, x: Element, y: Element) -> Element:
-        """Bilinear extension of ``t`` to elements; exact, untruncated."""
-        scale, t = self.structure_constants
-        acc = {}
-        for (a, i), v in x.terms.items():
-            for (b, j), w in y.terms.items():
-                ab, vw = add(a, b), v * w
-                for l, c in enumerate(t(a, b)[i][j]):
-                    if c:
-                        label = (ab, l)
-                        acc[label] = acc.get(label, 0) + vw * c
-        return _element({label: c for label, c in acc.items() if c}, scale)
+    def label_bracket(self, u, v):
+        """The nonzero ``(label, numerator)`` terms of scale [e_u, e_v]: the
+        [i][j] row of t(a, b) alone, for u = (a, i) and v = (b, j)."""
+        (a, i), (b, j) = u, v
+        ab = add(a, b)
+        return [((ab, l), c) for l, c in enumerate(self.structure_constants[1](a, b, i, j))
+                if c]
 
     def basis(self, a, i: int = 0) -> Element:
         return Element({(tuple(a), i): 1})
@@ -282,6 +281,11 @@ class _ScalarFamily(_Family):
     def bracket_coeff(self, a, b) -> Fraction:
         scale, t = self.structure_constants
         return Fraction(t(a, b)[0][0][0], scale)
+
+    def label_bracket(self, a, b):
+        """The nonzero ``(label, numerator)`` term of scale [e_a, e_b]."""
+        c = self.structure_constants[1](a, b)[0][0][0]
+        return [(add(a, b), c)] if c else []
 
     def basis(self, a) -> Element:
         return Element({tuple(a): 1})
@@ -470,11 +474,12 @@ class _Scan:
     """Identities on the basis labels of some points, in their order.
 
     Tuples are of label positions; ``points`` holds each label's lattice
-    point. ``br`` memoizes the bracket of two basis elements; given a
-    ``product`` (a bilinear map on elements with a memoized ``pair`` of
-    basis labels), ``mul`` gives their product. ``visited`` counts the
-    tuples evaluated. ``shared`` keeps, for the last tuple, the terms that
-    several of its identities read.
+    point. ``label_bracket`` memoizes the spec's integer label bracket, the
+    scan's one memo of brackets; ``br`` reads its entry over ``scale`` as an
+    element. Given a ``product`` (a bilinear map on elements with a memoized
+    ``pair`` of basis labels), ``mul`` gives their product. ``visited``
+    counts the tuples evaluated. ``shared`` keeps, for the last tuple, the
+    terms that several of its identities read.
     """
 
     last = None, None
@@ -482,20 +487,28 @@ class _Scan:
     def __init__(self, spec, points, product=None):
         self.spec = spec
         self.bracket = spec.bracket
+        self.scale = spec.structure_constants[0]
         self.product = product
         self.labels = spec.basis_labels(points)
         self.points = [spec.point(l) for l in self.labels]
         self.elems = [spec.basis_element(l) for l in self.labels]
-        self._br = [None] * len(self.labels)
+        self._brackets = {}
         self.visited = 0
 
-    def br(self, i, j):
-        row = self._br[i]
+    def label_bracket(self, u, v):
+        """``spec.label_bracket(u, v)``, computed once per pair of labels."""
+        row = self._brackets.get(u)
         if row is None:
-            row = self._br[i] = [None] * len(self.labels)
-        if row[j] is None:
-            row[j] = self.bracket(self.elems[i], self.elems[j])
-        return row[j]
+            row = self._brackets[u] = {}
+        terms = row.get(v)
+        if terms is None:
+            terms = row[v] = self.spec.label_bracket(u, v)
+        return terms
+
+    def br(self, i, j):
+        """The bracket of the basis elements at positions i and j."""
+        terms = self.label_bracket(self.labels[i], self.labels[j])
+        return _element({l: Fraction(c, self.scale) for l, c in terms})
 
     def mul(self, i, j):
         return self.product.pair(self.labels[i], self.labels[j])
@@ -596,16 +609,31 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
 _ZERO = Element()
 
 
+def _sides(acc, scale):
+    """Both sides, residual and zero, of an identity whose residual has the
+    integer numerators ``acc`` over ``scale``: Fractions only in a witness."""
+    terms = {l: Fraction(c, scale) for l, c in acc.items() if c}
+    return (_element(terms) if terms else _ZERO), _ZERO
+
+
 def _anticommutativity(s, i, j):
-    """[x, y] + [y, x] = 0."""
-    return s.br(i, j) + s.br(j, i), _ZERO
+    """[x, y] + [y, x] = 0, on numerators over scale."""
+    x, y = s.labels[i], s.labels[j]
+    acc = {}
+    for l, c in s.label_bracket(x, y) + s.label_bracket(y, x):
+        acc[l] = acc.get(l, 0) + c
+    return _sides(acc, s.scale)
 
 
 def _jacobi(s, i, j, k):
-    """[[x, y], z] + [[y, z], x] + [[z, x], y] = 0."""
-    bracket, e = s.bracket, s.elems
-    return (bracket(s.br(i, j), e[k]) + bracket(s.br(j, k), e[i])
-            + bracket(s.br(k, i), e[j])), _ZERO
+    """[[x, y], z] + [[y, z], x] + [[z, x], y] = 0, on numerators over scale^2."""
+    label_bracket, x, y, z = s.label_bracket, s.labels[i], s.labels[j], s.labels[k]
+    acc = {}
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        for l, c in label_bracket(u, v):
+            for m, d in label_bracket(l, w):
+                acc[m] = acc.get(m, 0) + c * d
+    return _sides(acc, s.scale * s.scale)
 
 
 _LIE_AXIOMS = ((2, {"anticommutativity": _anticommutativity}), (3, {"jacobi": _jacobi}))

@@ -19,11 +19,8 @@ __all__ = [
     "RankMismatchError",
     "Window",
     "WitnessReport",
-    "ZeroMapError",
     "add",
     "box_points",
-    "common_nonvanishing",
-    "coset_filter",
     "form_from_gh",
     "nondegeneracy_witnesses",
     "norm_inf",
@@ -35,10 +32,6 @@ __all__ = [
 
 class RankMismatchError(ValueError):
     """A group element does not match the rank of the map or form."""
-
-
-class ZeroMapError(Exception):
-    """An operation required a nonzero additive map."""
 
 
 def add(a, b):
@@ -300,25 +293,3 @@ def nondegeneracy_witnesses(datum, window: Window) -> WitnessReport:
             else:
                 witnesses[a] = hit
     return WitnessReport(witnesses, tuple(missing))
-
-
-def common_nonvanishing(alpha: AdditiveMap, beta: AdditiveMap, window: Window):
-    """A point where two nonzero additive maps both take nonzero values.
-
-    Searches radius-increasing shells; a point with coordinates in {0, 1}^n
-    always works, so the search succeeds within the unit shell.
-    """
-    if alpha.is_zero or beta.is_zero:
-        raise ZeroMapError("both maps must be nonzero")
-    for a in search_order(window.radius, alpha.rank):
-        if alpha(a) and beta(a):
-            return a
-    raise RuntimeError("no common non-vanishing point in window")
-
-
-def coset_filter(g: AdditiveMap, h: AdditiveMap, lam, mu, window: Window):
-    """Sorted list of box points a with g(a) = lam and h(a) = mu."""
-    lam = Fraction(lam)
-    mu = Fraction(mu)
-    return [a for a in box_points(window.radius, g.rank)
-            if g(a) == lam and h(a) == mu]

@@ -222,21 +222,35 @@ def non_anticommutative_block():
     return spec
 
 
+def rational_raw_block():
+    """A rank-3 raw Block of scale 6 whose Jacobi residual is 1/6 at (1, 1, 1):
+    the numerator 6 over scale^2 = 36, which over scale alone would read 1."""
+    third = Fraction(1, 3)
+    return Block.raw_form(AdditiveMap([Fraction(1, 2), 0, 0]),
+                          BiadditiveForm([[0, 0, 0], [0, 0, third], [0, -third, 0]]))
+
+
 LIE_ORACLE_SPECS = {
     "gw-rank1-dimv1": lambda: GeneralizedWitt(Pairing([[1]])),
     "gw-rank1-dimv2": lambda: GeneralizedWitt(Pairing([[1], [Fraction(-2, 3)]])),
     "gw-rank2-dimv1": lambda: GeneralizedWitt(Pairing([[1, Fraction(1, 2)]])),
     "gw-rank2-dimv2": gw_spec,
+    "gw-rank2-dimv3": lambda: GeneralizedWitt(Pairing([[1, 0], [0, 1], [1, 1]])),
     "block-g0": b0_spec,
     "block-gh": b1_spec,
     "corrupted-block": corrupted_block,
     "witt": witt_spec,
     "non-anticommutative": non_anticommutative_block,
+    "rational-raw-block": rational_raw_block,
 }
 
 
-@pytest.mark.parametrize("radius", (1, 2))
-@pytest.mark.parametrize("name", sorted(LIE_ORACLE_SPECS))
+# at radius 2 the oracle would bracket the 75 labels of dim V = 3 afresh: too slow
+LIE_ORACLE_CASES = [(name, radius) for radius in (1, 2) for name in sorted(LIE_ORACLE_SPECS)
+                    if (name, radius) != ("gw-rank2-dimv3", 2)]
+
+
+@pytest.mark.parametrize("name, radius", LIE_ORACLE_CASES)
 def test_lie_scan_matches_the_element_oracle(name, radius):
     spec = LIE_ORACLE_SPECS[name]()
     window = Window(radius, radius - 1)

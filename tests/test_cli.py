@@ -351,7 +351,7 @@ def test_pair_stages_stop_at_max_triples(task, payload, tmp_path, monkeypatch, c
     from tpw.tpstruct import SingleIdempotent
 
     calls = []
-    for cls, name in ((Block, "bracket"), (SingleIdempotent, "basis_product")):
+    for cls, name in ((Block, "label_bracket"), (SingleIdempotent, "basis_product")):
         def counted(self, *args, _fn=getattr(cls, name)):
             calls.append(name)
             return _fn(self, *args)
@@ -363,7 +363,7 @@ def test_pair_stages_stop_at_max_triples(task, payload, tmp_path, monkeypatch, c
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
     assert "max_triples" in capsys.readouterr().err
     # each stage evaluates at most 10 tuples, and a tuple's identities read
-    # at most 12 basis products and brackets of one-term elements
+    # at most 12 basis products and brackets of two basis labels
     assert 0 < len(calls) <= 12 * 2 * 10
 
 

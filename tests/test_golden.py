@@ -2,9 +2,10 @@
 
 ``tests/golden/reports.json`` holds, without ``timing_ms``, the reports of
 ``tpw reproduce --suite all`` and of ``JOBS``, one job for each task the
-suites miss, a failing classification, and two generalized Witt jobs whose
-reports print coefficient arrays. A change that alters reports on purpose
-regenerates the file from the tree it wants to pin:
+suites miss, a failing classification, two generalized Witt jobs whose
+reports print coefficient arrays, and two ``check-lie`` jobs whose brackets
+have several terms (dim V = 3) or a scale above 1. A change that alters
+reports on purpose regenerates the file from the tree it wants to pin:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,6 +28,16 @@ JOBS = {
     "corrupted-block-check-lie": {
         "algebra": {"family": "block", "raw": True, "g": ["1", "0", "0"],
                     "f": [["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]]},
+        "window": _window(2, 1), "task": "check-lie"},
+    # dim V = 3: each bracket of two labels has up to two terms
+    "gw-rank2-dimv3-check-lie": {
+        "algebra": {"family": "generalized_witt",
+                    "pairing": [["1", "0"], ["0", "1"], ["1", "1"]]},
+        "window": _window(2, 1), "task": "check-lie"},
+    # scale 6: the Jacobi residual 1/6 is the numerator 6 over scale^2 = 36
+    "rational-raw-block-check-lie": {
+        "algebra": {"family": "block", "raw": True, "g": ["1/2", "0", "0"],
+                    "f": [["0", "0", "0"], ["0", "0", "1/3"], ["0", "-1/3", "0"]]},
         "window": _window(2, 1), "task": "check-lie"},
     "block-g1-center-square": {
         "algebra": {"family": "block", "g": ["-1", "0"], "h": ["0", "1"]},

@@ -11,11 +11,8 @@ from tpw.lattice import (
     Pairing,
     RankMismatchError,
     Window,
-    ZeroMapError,
     add,
     box_points,
-    common_nonvanishing,
-    coset_filter,
     form_from_gh,
     nondegeneracy_witnesses,
     search_order,
@@ -110,30 +107,6 @@ def test_nondegeneracy_witnesses_pairing():
     degenerate = Pairing([[1, 0], [0, 0]])
     report = nondegeneracy_witnesses(degenerate, Window(1))
     assert (0, 1) in report.missing
-
-
-def test_common_nonvanishing_examples():
-    w = Window(3, 1)
-    assert common_nonvanishing(AdditiveMap([1, 0]), AdditiveMap([0, 1]), w) == (1, 1)
-    assert common_nonvanishing(AdditiveMap([1, 0]), AdditiveMap([1, 0]), w) == (1, 0)
-    found = common_nonvanishing(AdditiveMap([1, -1]), AdditiveMap([1, 1]), w)
-    assert found == (1, 0)
-    alpha, beta = AdditiveMap([1, -1]), AdditiveMap([1, 1])
-    assert alpha(found) != 0 and beta(found) != 0
-
-
-def test_common_nonvanishing_rejects_zero_maps():
-    with pytest.raises(ZeroMapError):
-        common_nonvanishing(AdditiveMap([0, 0]), AdditiveMap([1, 0]), Window(2))
-
-
-def test_coset_filter_b1():
-    g = AdditiveMap([-1, 0])
-    h = AdditiveMap([0, 1])
-    w = Window(3, 1)
-    assert coset_filter(g, h, 0, -2, w) == [(0, -2)]
-    assert coset_filter(g, h, 0, -1, w) == [(0, -1)]
-    assert coset_filter(g, h, 0, 0, w) == [(0, 0)]
 
 
 def test_window_invariants():
