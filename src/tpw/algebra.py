@@ -826,10 +826,15 @@ def index_from_json(data, spec) -> tuple:
 
 
 def element_from_json(data, spec) -> Element:
-    """An element of ``spec`` from its JSON terms. Every index and
-    coefficient is checked, zeros included, before zeros are dropped."""
+    """An element of ``spec`` from its JSON list of ``{"index", "coeff"}``
+    terms. Every index and coefficient is checked, zeros included, before
+    zeros are dropped."""
+    if not isinstance(data, list):
+        raise ValueError("an element is a list of terms, not %r" % (data,))
     terms, seen = {}, set()
     for item in data:
+        if not isinstance(item, dict) or set(item) != {"index", "coeff"}:
+            raise ValueError("a term has the keys {coeff, index}: %r" % (item,))
         a, coeff = index_from_json(item["index"], spec), item["coeff"]
         if a in seen:
             raise ValueError("index %s appears twice in an element" % (a,))

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import exactlin
 from .algebra import center_predicate, square_predicate
 from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
-from .lattice import Window, add, box_points, norm_inf, zero
+from .lattice import RankMismatchError, Window, add, box_points, norm_inf, zero
 
 __all__ = [
     "DegreeResult",
@@ -103,17 +103,16 @@ class HalfDerivationSystem:
         row of a label with itself is zero: only labels (x, i) < (y, j) of the
         window's ``_pair_table`` give rows, and rows that vanish are skipped.
         Every family's t is bi-affine, so t(a + x, y) = t(x, y) + [t(a, y) -
-        t(0, y)] and t(x, a + y) = t(x, y) + [t(x, a) - t(x, 0)]: per degree,
-        one offset per box point on each side, and a row is a few integer adds.
+        t(0, y)], where t(a, y) - t(0, y) = sum_m a_m [t(e_m, y) - t(0, y)],
+        and the same holds on the other side: per degree, one offset per box
+        point on each side, combined from the table's unit differences by
+        integer multiply-adds, and a row is a few integer adds.
         """
         spec, a, delta = self.spec, self.degree, self.delta
-        box, pxs, pys, pxys, consts = _pair_table(spec, self.window.radius)
-        _, t = spec.structure_constants
-        o = zero(spec.rank)
-        off_x = [[u - v for u, v in zip(_flat(t(a, y)), _flat(t(o, y)))] for y in box]
-        off_y = [[u - v for u, v in zip(_flat(t(x, a)), _flat(t(x, o)))] for x in box]
+        _, pxs, pys, pxys, consts, units_x, units_y = _pair_table(spec, self.window.radius)
         dv = spec.dim_v
         dv2, dv3, span = dv * dv, dv * dv * dv, range(dv)
+        off_x, off_y = _offsets(units_x, a, dv3), _offsets(units_y, a, dv3)
         image_w, side_w = delta.denominator, delta.numerator  # 1/delta = image_w / side_w
         # per row (i, j, k), per l: where t(x, y), t(a + x, y) and t(x, a + y)
         # are read, and the column each writes past its base
@@ -182,6 +181,9 @@ def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
     streams them when solved or materialized.
     """
     degree = tuple(degree)
+    if len(degree) != spec.rank:  # the offsets read one coordinate per unit difference
+        raise RankMismatchError("degree %s does not have the algebra's rank %d"
+                                % (degree, spec.rank))
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError("delta must be nonzero")
@@ -206,12 +208,18 @@ def _n_constraints(spec, window: Window):
 
 
 def _pair_table(spec, radius):
-    """``(box, pos x, pos y, pos x+y, t(x, y))`` over the unordered pairs of
-    Box(radius) with x + y in it, in stream order: x through the box sorted
-    by ``norm_inf``, y from x on (past x on a scalar family, whose diagonal
-    row is zero); t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. Kept in
-    ``spec.pair_tables``, as ``array('q')`` columns (the constants a list
-    if one exceeds 64 bits)."""
+    """The window's degree-invariant row data, built once per (spec, radius):
+    ``(box, pos x, pos y, pos x+y, t(x, y), units x, units y)``.
+
+    The first five run over the unordered pairs of Box(radius) with x + y
+    in it, in stream order: x through the box sorted by ``norm_inf``, y
+    from x on (past x on a scalar family, whose diagonal row is zero);
+    t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. The last two are the
+    unit differences every degree's offsets combine: ``units x[m]`` holds
+    t(e_m, y) - t(0, y) flattened for each y of the box in turn, ``units
+    y[m]`` t(x, e_m) - t(x, 0) for each x. Kept in ``spec.pair_tables``,
+    the pair columns as ``array('q')`` (the constants a list if one
+    exceeds 64 bits)."""
     tables = spec.pair_tables
     if radius not in tables:
         try:
@@ -222,21 +230,49 @@ def _pair_table(spec, radius):
 
 
 def _build_pair_table(spec, radius, consts):
-    box = box_points(radius, spec.rank)
-    pos = {x: n for n, x in enumerate(box)}
-    order = sorted(box, key=norm_inf)
+    rank = spec.rank
+    box = box_points(radius, rank)
+    order = sorted(range(len(box)), key=lambda p: norm_inf(box[p]))
+    # q(x) = sum_m x_m width^(rank-1-m) is additive, q(x + y) = q(x) + q(y),
+    # and one-to-one on Box(2 radius), which holds every x + y: at[q(x + y) +
+    # corner] is the position of x + y in Box(radius), or -1 off it
+    width = 4 * radius + 1
+    qs = [sum(c * width ** (rank - 1 - m) for m, c in enumerate(x)) for x in box]
+    corner = (width ** rank - 1) // 2
+    at = [-1] * width ** rank
+    for p, q in enumerate(qs):
+        at[q + corner] = p
     # rows are homogeneous, so the constants' common scale drops out
     _, t = spec.structure_constants
     pxs, pys, pxys = array("q"), array("q"), array("q")
-    for n, x in enumerate(order):
-        for y in order[n + (not spec.vectorial):]:
-            pxy = pos.get(add(x, y))
-            if pxy is not None:
-                pxs.append(pos[x])
-                pys.append(pos[y])
+    for n, px in enumerate(order):
+        x, qx = box[px], qs[px] + corner
+        for py in order[n + (not spec.vectorial):]:
+            pxy = at[qx + qs[py]]
+            if pxy >= 0:
+                pxs.append(px)
+                pys.append(py)
                 pxys.append(pxy)
-                consts.extend(_flat(t(x, y)))
-    return box, pxs, pys, pxys, consts
+                consts.extend(_flat(t(x, box[py])))
+    o = zero(rank)
+    units = [tuple(int(m == k) for k in range(rank)) for m in range(rank)]
+    base = [_flat(t(o, y)) for y in box]
+    units_x = [[u - v for y, c in zip(box, base) for u, v in zip(_flat(t(e, y)), c)]
+               for e in units]
+    base = [_flat(t(x, o)) for x in box]
+    units_y = [[u - v for x, c in zip(box, base) for u, v in zip(_flat(t(x, e)), c)]
+               for e in units]
+    return box, pxs, pys, pxys, consts, units_x, units_y
+
+
+def _offsets(units, a, size):
+    """sum_m a_m units[m], cut into one list of ``size`` per box point:
+    t(a, y) - t(0, y) on the x side, t(x, a) - t(x, 0) on the y side."""
+    flat = [0] * len(units[0])
+    for am, unit in zip(a, units):
+        if am:
+            flat = [s + am * d for s, d in zip(flat, unit)]
+    return [flat[p:p + size] for p in range(0, len(flat), size)]
 
 
 def _flat(c):
@@ -250,14 +286,25 @@ def solve(system: HalfDerivationSystem) -> NullspaceBasis:
 
 def predicted(spec, degree, window: Window) -> PredictedBasis:
     """Spanning maps predicted for this degree by the classification."""
-    degree = tuple(degree)
+    return _predictor(spec, window)(degree)
+
+
+def _predictor(spec, window: Window):
+    """The prediction of every degree on ``window``, as a function of the
+    degree: the window's degree-invariant work is done here, once."""
     box = box_points(window.radius, spec.rank)
     dv = range(spec.dim_v)
     one = (tuple(tuple(Fraction(int(r == c)) for c in dv) for r in dv)
            if spec.vectorial else Fraction(1))
-    named = _PREDICTIONS[spec.family](spec, degree, window, box, one)
-    return PredictedBasis(degree, tuple(table for _, table in named),
-                          _authoritative(spec), tuple(name for name, _ in named))
+    named_at = _PREDICTIONS[spec.family](spec, window, box, one)
+    authoritative = _authoritative(spec)
+
+    def at(degree):
+        degree = tuple(degree)
+        named = named_at(degree)
+        return PredictedBasis(degree, tuple(table for _, table in named),
+                              authoritative, tuple(name for name, _ in named))
+    return at
 
 
 def _authoritative(spec):
@@ -267,24 +314,29 @@ def _authoritative(spec):
     return spec.family == "block" or spec.dim_v > 1
 
 
-def _predicted_witt(spec, degree, window, box, one):
+def _predicted_witt(spec, window, box, one):
     """Witt type and generalized Witt: shifts (dim V = 1) or the identity."""
     if spec.dim_v == 1:
-        return [("shift", {x: one for x in box})]
-    return [("id", {x: one for x in box})] if not any(degree) else []
+        return lambda degree: [("shift", {x: one for x in box})]
+    return lambda degree: [] if any(degree) else [("id", {x: one for x in box})]
 
 
-def _predicted_block(spec, degree, window, box, one):
+def _predicted_block(spec, window, box, one):
     """The identity at degree 0, and u_b -> u_(b + degree) for each b
-    outside the square whose target lies in the window and in the center."""
-    named = [("id", {x: one for x in box})] if not any(degree) else []
-    for b in box:
-        target = add(b, degree)
-        if (not square_predicate(spec, b) and window.contains(target)
-                and center_predicate(spec, target)):
-            name = "alpha" if spec.g_is_zero else "alpha_(%s,%s)" % (_fmt(b), _fmt(target))
-            named.append((name, {b: one}))
-    return named
+    outside the square whose target lies in the window and in the center.
+    The points b off the square are found once per window; each degree
+    tests only them."""
+    off_square = [b for b in box if not square_predicate(spec, b)]
+
+    def named_at(degree):
+        named = [("id", {x: one for x in box})] if not any(degree) else []
+        for b in off_square:
+            target = add(b, degree)
+            if window.contains(target) and center_predicate(spec, target):
+                name = "alpha" if spec.g_is_zero else "alpha_(%s,%s)" % (_fmt(b), _fmt(target))
+                named.append((name, {b: one}))
+        return named
+    return named_at
 
 
 _PREDICTIONS = {
@@ -298,10 +350,21 @@ def _fmt(point):
     return "(" + ",".join(str(x) for x in point) + ")"
 
 
-def inner_column_positions(spec, window: Window):
-    """Positions of the columns whose box index lies in the inner box."""
-    return [i for i, col in enumerate(columns_for(spec, window))
-            if window.in_inner(col[0] if spec.vectorial else col)]
+def inner_column_positions(spec, window: Window) -> tuple:
+    """Positions of the columns whose box index lies in the inner box.
+
+    They depend on the spec only through its rank and dim V (a box point
+    has dim V^2 columns, one on the scalar families), so one tuple per
+    (rank, dim V, radius, inner margin) serves every degree and caller.
+    """
+    return _inner_positions(spec.rank, spec.dim_v, window.radius, window.inner_margin)
+
+
+@lru_cache
+def _inner_positions(rank, dim_v, radius, margin):
+    window, per_point = Window(radius, margin), dim_v * dim_v
+    return tuple(n * per_point + k for n, x in enumerate(box_points(radius, rank))
+                 if window.in_inner(x) for k in range(per_point))
 
 
 def inner_projection(spec, window: Window, vectors):
@@ -448,10 +511,11 @@ def sweep(spec, window: Window, degree_bound: int, delta=HALF,
         reason = "delta != 1/2"
     elif _authoritative(spec) and not spec.nondegenerate:
         reason = "degenerate %s" % ("form f" if spec.family == "block" else "pairing")
+    predict = _predictor(spec, window) if reason is None else None
     results = []
     span_names = []
     for a in box_points(degree_bound, spec.rank):
-        exp = (predicted(spec, a, window) if reason is None
+        exp = (predict(a) if reason is None
                else PredictedBasis(tuple(a), (), authoritative=False))
         rep = compare(spec, window, solved[tuple(a)], exp)
         span_names.extend(name for name, vis in zip(exp.names, rep.visible) if vis)

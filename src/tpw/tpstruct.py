@@ -189,8 +189,15 @@ class ExplicitProduct(_Product):
 
     @classmethod
     def from_json(cls, data: dict, spec):
+        items = data[cls.json_key]
+        if not isinstance(items, list):
+            raise ValueError("%r is a list of table items, not %r" % (cls.json_key, items))
+        for item in items:
+            if not isinstance(item, dict) or set(item) != {"a", "b", "value"}:
+                raise ValueError("a %r item has the keys {a, b, value}: %r"
+                                 % (cls.json_key, item))
         return cls({(index_from_json(item["a"], spec), index_from_json(item["b"], spec)):
-                    element_from_json(item["value"], spec) for item in data[cls.json_key]})
+                    element_from_json(item["value"], spec) for item in items})
 
 
 class ExtensionByZero(ExplicitProduct):

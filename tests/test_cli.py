@@ -516,6 +516,21 @@ def _table_product(entry):
      "algebra"),
     (small("verify-structure", WT, payload={"product": {"variant": "zero", "w": []}}),
      "payload.product"),
+    # elements and tables have the documented JSON shapes: an object is not
+    # an empty list, and a term or table item has no other keys
+    (small("verify-structure", WT, payload={"product": {"variant": "mutation", "w": {}}}),
+     "payload.product"),
+    (small("verify-structure", B1, payload={"product": {
+        "variant": "extension_by_zero", "star": {}}}), "payload.product"),
+    (small("verify-structure", WT, payload={"product": {"variant": "explicit", "table": {}}}),
+     "payload.product"),
+    (small("verify-structure", WT, payload={"product": _table_product({"value": {}})}),
+     "payload.product"),
+    (small("verify-structure", WT, payload={"product": {
+        "variant": "mutation", "w": [{"index": [0], "coeff": "1", "typo": "2"}]}}),
+     "payload.product"),
+    (small("verify-structure", WT, payload={"product": _table_product({"c": "1"})}),
+     "payload.product"),
 ], ids=["product-list", "table-value-int", "table-index-int", "table-index-text",
         "multiplier-int",
         "algebra-map-int", "radius-bool", "margin-bool", "seed-bool",
@@ -525,7 +540,8 @@ def _table_product(entry):
         "map-string", "pairing-string", "form-row-strings", "form-with-g",
         "gh-with-f", "raw-not-bool", "raw-g-of-another-rank", "multiplier-index-twice",
         "table-value-index-twice", "witt-type-with-raw", "pairing-with-f",
-        "zero-product-with-w"])
+        "zero-product-with-w", "multiplier-object", "star-object", "table-object",
+        "table-value-object", "term-unknown-key", "table-item-unknown-key"])
 def test_malformed_configs_name_the_field(tmp_path, capsys, cfg, field):
     with pytest.raises(ConfigError, match=re.escape(field)):
         run(json.loads(json.dumps(cfg)))

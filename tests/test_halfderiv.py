@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -28,7 +28,8 @@ from tpw.halfderiv import (
     solve_degrees,
     sweep,
 )
-from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, box_points
+from tpw.lattice import (AdditiveMap, BiadditiveForm, Pairing, RankMismatchError, Window,
+                         box_points)
 
 
 def b1_spec():
@@ -395,6 +396,63 @@ def test_table_rows_match_the_slow_stream_row_by_row(spec, delta, radius):
         system = assemble(spec, a, Window(radius), delta=delta)
         assert list(system.int_rows()) == list(_constraint_rows(system)), a
     assert list(spec.pair_tables) == [radius]
+
+
+@settings(max_examples=30, deadline=None)
+@example(spec=b1_spec(), degree=(2, -3), radius=3, delta=Fraction(1, 2))
+@given(spec=row_stream_specs(),
+       degree=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       radius=st.integers(1, 3),
+       delta=st.sampled_from([Fraction(1, 2), Fraction(2, 3)]))
+def test_offsets_combine_exactly_at_degrees_outside_box_1(spec, degree, radius, delta):
+    """A degree's offsets are the sum of a_m times the window's unit
+    differences, also where some |a_m| >= 2: the rows equal the direct
+    generator's, in order."""
+    a = degree[:spec.rank]
+    assume(max(map(abs, a)) >= 2)
+    system = assemble(spec, a, Window(radius), delta=delta)
+    assert list(system.int_rows()) == list(_constraint_rows(system))
+
+
+@pytest.mark.parametrize("degree", [(1,), (1, 0, 0)])
+def test_a_degree_of_another_rank_is_refused(degree):
+    with pytest.raises(RankMismatchError):
+        solve(assemble(b1_spec(), degree, Window(2, 1)))
+
+
+def _count_t_calls(spec):
+    """Route the spec's structure constants through a counter of t calls."""
+    scale, t = spec.structure_constants
+    calls = []
+    spec.structure_constants = scale, lambda *args: calls.append(args) or t(*args)
+    return calls
+
+
+@pytest.mark.parametrize("make_spec", [b0_spec, b1_spec, gw_spec,
+                                       lambda: WittType(AdditiveMap([1, 2, 3]))],
+                         ids=["block-g0", "block-gh", "gw", "witt-rank3"])
+def test_per_window_work_does_not_grow_with_the_degree_count(make_spec, monkeypatch):
+    """A sweep evaluates t and the square predicate once per window,
+    however many degrees read them; the inner positions are one shared tuple."""
+    window = Window(3, 2) if make_spec().rank < 3 else Window(2, 1)
+    t_calls = []
+    for bound in (0, 1):
+        spec = make_spec()
+        calls = _count_t_calls(spec)
+        sweep(spec, window, bound)
+        t_calls.append(len(calls))
+    assert t_calls[0] == t_calls[1]
+    positions = halfderiv.inner_column_positions(spec, window)
+    assert isinstance(positions, tuple)
+    assert halfderiv.inner_column_positions(make_spec(), window) is positions
+    assert positions == tuple(i for i, _ in _inner_columns(spec, window))
+    if spec.family == "block":
+        square = halfderiv.square_predicate
+        points = []
+        monkeypatch.setattr(halfderiv, "square_predicate",
+                            lambda spec, b: points.append(b) or square(spec, b))
+        sweep(make_spec(), window, 1)
+        assert 0 < len(points) <= len(box_points(window.radius, spec.rank))
 
 
 _SMALL = st.integers(-2, 2)
