@@ -475,24 +475,24 @@ class _Scan:
 
     Tuples are of label positions; ``points`` holds each label's lattice
     point. ``label_bracket`` memoizes the spec's integer label bracket, the
-    scan's one memo of brackets; ``br`` reads its entry over ``scale`` as an
-    element. Given a ``product`` (a bilinear map on elements with a memoized
-    ``pair`` of basis labels), ``mul`` gives their product. ``visited``
-    counts the tuples evaluated. ``shared`` keeps, for the last tuple, the
-    terms that several of its identities read.
+    scan's one memo of brackets, whose numerators are over ``scale``; ``br``
+    reads its entry as an element. Given a ``product`` (a checked product
+    with an integer ``label_product`` over its own ``scale``),
+    ``label_product`` memoizes it beside the brackets. ``visited`` counts
+    the tuples evaluated. ``shared`` keeps, for the last tuple, the terms
+    that several of its identities read.
     """
 
     last = None, None
 
     def __init__(self, spec, points, product=None):
         self.spec = spec
-        self.bracket = spec.bracket
         self.scale = spec.structure_constants[0]
         self.product = product
         self.labels = spec.basis_labels(points)
         self.points = [spec.point(l) for l in self.labels]
         self.elems = [spec.basis_element(l) for l in self.labels]
-        self._brackets = {}
+        self._brackets, self._products = {}, {}
         self.visited = 0
 
     def label_bracket(self, u, v):
@@ -505,13 +505,20 @@ class _Scan:
             terms = row[v] = self.spec.label_bracket(u, v)
         return terms
 
+    def label_product(self, u, v):
+        """``product.label_product(u, v)``, computed once per pair of labels."""
+        row = self._products.get(u)
+        if row is None:
+            row = self._products[u] = {}
+        terms = row.get(v)
+        if terms is None:
+            terms = row[v] = self.product.label_product(u, v)
+        return terms
+
     def br(self, i, j):
         """The bracket of the basis elements at positions i and j."""
         terms = self.label_bracket(self.labels[i], self.labels[j])
         return _element({l: Fraction(c, self.scale) for l, c in terms})
-
-    def mul(self, i, j):
-        return self.product.pair(self.labels[i], self.labels[j])
 
     def shared(self, idx, terms):
         """``terms(self, *idx)``, computed once while the scan is at ``idx``."""

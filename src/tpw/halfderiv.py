@@ -150,11 +150,19 @@ class HalfDerivationSystem:
 
 
 def columns_for(spec, window: Window):
-    """Unknowns of a degree: x per box index, or (x, r, c) for matrix tables."""
-    box = box_points(window.radius, spec.rank)
-    if not spec.vectorial:
+    """Unknowns of a degree: x per box index, or (x, r, c) for matrix tables.
+
+    One tuple per (rank, dim V, vectorial, radius) serves every degree and caller.
+    """
+    return _columns(spec.rank, spec.dim_v, spec.vectorial, window.radius)
+
+
+@lru_cache
+def _columns(rank, dim_v, vectorial, radius):
+    box = box_points(radius, rank)
+    if not vectorial:
         return tuple(box)
-    dv = range(spec.dim_v)
+    dv = range(dim_v)
     return tuple((x, r, c) for x in box for r in dv for c in dv)
 
 

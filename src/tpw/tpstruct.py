@@ -26,6 +26,7 @@ from .algebra import (
     _ZERO,
     _check_labels,
     _check_points,
+    _common_denominator,
     _element,
 )
 from .halfderiv import MissingDegreeError, inner_projection
@@ -59,7 +60,9 @@ class _Product:
     generalized Witt), and reads and moves points through ``spec``.
     ``check_domain(spec)`` raises ``FamilyMismatchError`` or
     ``ValueError`` unless the rule is defined on ``spec``; every entry
-    point runs it before reading the rule.
+    point runs it before reading the rule. ``coefficients()`` gives the
+    numbers in the rule's data, whose common denominator clears every
+    coefficient the rule returns.
 
     Each rule also says where ``verify`` may skip work: ``support(rank)``
     is the finite set of unordered index pairs {a, b} whose product can be
@@ -73,6 +76,9 @@ class _Product:
 
     def check_domain(self, spec):
         pass
+
+    def coefficients(self):
+        return ()
 
     def support(self, rank):
         return None
@@ -117,6 +123,9 @@ class Mutation(_Product):
             raise FamilyMismatchError("mutations live on Witt type and on generalized "
                                       "Witt with dim V = 1")
         _check_labels(spec, self.w.terms, "multiplier")
+
+    def coefficients(self):
+        return self.w.terms.values()
 
     def basis_product(self, spec, u, v):
         d = add(spec.point(u), spec.point(v))
@@ -174,6 +183,9 @@ class ExplicitProduct(_Product):
         for (a, b), value in self.table.items():
             _check_points(spec, (a, b), "table index")
             _check_labels(spec, value.terms, "table value at %s:" % ((a, b),))
+
+    def coefficients(self):
+        return [c for value in self.table.values() for c in value.terms.values()]
 
     def basis_product(self, spec, u, v):
         value = self.table.get(_pair_key(spec.point(u), spec.point(v)))
@@ -248,6 +260,9 @@ class _CheckedProduct:
     """A product on a spec, its domain checked once, as a bilinear map.
 
     ``pair`` memoizes the products of basis elements by unordered label pair.
+    ``scale`` is the common denominator of the coefficients the rule can
+    return, so ``label_product`` gives u . v for labels u and v as integer
+    ``(label, numerator)`` terms over it.
     """
 
     def __init__(self, spec, product):
@@ -255,7 +270,13 @@ class _CheckedProduct:
         self.spec = spec
         self.rule = product.basis_product
         self.basis = spec.basis_element
+        self.scale = _common_denominator(product.coefficients())
         self._pairs = {}
+
+    def label_product(self, u, v):
+        scale = self.scale
+        return tuple((l, c.numerator * (scale // c.denominator))
+                     for l, c in self.rule(self.spec, u, v).items())
 
     def __call__(self, x: Element, y: Element) -> Element:
         xs, ys = x.terms, y.terms
@@ -320,31 +341,66 @@ class VerificationReport:
         return self.tp_pass and self.poisson_leibniz.passed
 
 
-def _commutative(s, u, v):
-    """u . v = v . u."""
-    return s.product(s.elems[u], s.elems[v]), s.product(s.elems[v], s.elems[u])
+_PASS = _ZERO, _ZERO
 
 
-def _associative(s, u, v, w):
-    """(u . v) . w = u . (v . w)."""
-    return s.product(s.mul(u, v), s.elems[w]), s.product(s.elems[u], s.mul(v, w))
+def _both_sides(lhs, rhs, scale):
+    """Both sides of an identity from their integer numerators over ``scale``:
+    the passing pair when they agree once zero entries are dropped, else
+    Fraction elements, built only for a witness."""
+    if lhs != rhs:
+        lhs = {l: c for l, c in lhs.items() if c}
+        rhs = {l: c for l, c in rhs.items() if c}
+        if lhs != rhs:
+            return tuple(_element({l: Fraction(c, scale) for l, c in side.items()})
+                         for side in (lhs, rhs))
+    return _PASS
 
 
-def _leibniz_terms(s, u, v, w):
-    """u . [v, w] and [u . v, w]: both Leibniz rules read them."""
-    return s.product(s.elems[u], s.br(v, w)), s.bracket(s.mul(u, v), s.elems[w])
+def _compose(acc, terms, inner):
+    """``acc`` plus the numerators of sum_l c inner(l) over ``terms`` (l, c),
+    ``inner`` giving a label's integer terms."""
+    for l, c in terms:
+        for m, d in inner(l):
+            acc[m] = acc.get(m, 0) + c * d
+    return acc
 
 
-def _trans_leibniz(s, u, v, w):
-    """2 u . [v, w] = [u . v, w] + [v, u . w]."""
-    u_vw, uv_w = s.shared((u, v, w), _leibniz_terms)
-    return 2 * u_vw, uv_w + s.bracket(s.elems[v], s.mul(u, w))
+def _commutative(s, i, j):
+    """u . v = v . u, on numerators over the product's scale ps."""
+    mul, u, v = s.label_product, s.labels[i], s.labels[j]
+    return _both_sides(dict(mul(u, v)), dict(mul(v, u)), s.product.scale)
 
 
-def _poisson_leibniz(s, u, v, w):
-    """[u . v, w] = u . [v, w] + [u, w] . v."""
-    u_vw, uv_w = s.shared((u, v, w), _leibniz_terms)
-    return uv_w, u_vw + s.product(s.br(u, w), s.elems[v])
+def _associative(s, i, j, k):
+    """(u . v) . w = u . (v . w), on numerators over ps^2."""
+    mul, u, v, w = s.label_product, s.labels[i], s.labels[j], s.labels[k]
+    return _both_sides(_compose({}, mul(u, v), lambda l: mul(l, w)),
+                       _compose({}, mul(v, w), lambda l: mul(u, l)), s.product.scale ** 2)
+
+
+def _leibniz_terms(s, i, j, k):
+    """u . [v, w] and [u . v, w] on numerators over ps bs, bs the bracket's
+    scale: both Leibniz rules read them."""
+    mul, br, u, v, w = s.label_product, s.label_bracket, s.labels[i], s.labels[j], s.labels[k]
+    return (_compose({}, br(v, w), lambda l: mul(u, l)),
+            _compose({}, mul(u, v), lambda l: br(l, w)))
+
+
+def _trans_leibniz(s, i, j, k):
+    """2 u . [v, w] = [u . v, w] + [v, u . w], on numerators over ps bs."""
+    u_vw, uv_w = s.shared((i, j, k), _leibniz_terms)
+    u, v, w = s.labels[i], s.labels[j], s.labels[k]
+    rhs = _compose(dict(uv_w), s.label_product(u, w), lambda l: s.label_bracket(v, l))
+    return _both_sides({l: 2 * c for l, c in u_vw.items()}, rhs, s.product.scale * s.scale)
+
+
+def _poisson_leibniz(s, i, j, k):
+    """[u . v, w] = u . [v, w] + [u, w] . v, on numerators over ps bs."""
+    u_vw, uv_w = s.shared((i, j, k), _leibniz_terms)
+    u, v, w = s.labels[i], s.labels[j], s.labels[k]
+    rhs = _compose(dict(u_vw), s.label_bracket(u, w), lambda l: s.label_product(l, v))
+    return _both_sides(uv_w, rhs, s.product.scale * s.scale)
 
 
 _TRIPLE_IDENTITIES = {"associative": _associative, "trans_leibniz": _trans_leibniz,
@@ -362,6 +418,12 @@ def verify(spec, product, window: Window, max_triples=None) -> VerificationRepor
     Poisson rule [x . y, z] = x . [y, z] + [x, z] . y run over triples.
     ``n_triples`` is where a joint triple scan stops: at the last of the
     three first witnesses, or after every triple when one identity holds.
+
+    Each identity adds the integer numerators of its two sides over one
+    scale, built from the product's scale ps and the bracket's scale bs:
+    ps for commutativity, ps^2 for associativity, ps bs for both Leibniz
+    rules. A witness's sides become ``Fraction`` elements only once the
+    tuple fails.
 
     ``scan_identities`` evaluates only tuples that can fail. A product of
     finite ``support`` makes u . v vanish unless {u, v} is a support pair,

@@ -28,7 +28,9 @@ from tpw.algebra import (
     _ZERO,
     _index_tuples,
     _position,
+    center_predicate,
     scan_identities,
+    square_predicate,
     verify_lie_axioms,
 )
 from tpw.lattice import (
@@ -45,6 +47,7 @@ from tpw.tpstruct import (
     ExplicitProduct,
     ExtensionByZero,
     Mutation,
+    SingleIdempotent,
     ZeroProduct,
     _support_tuples,
     verify,
@@ -208,32 +211,62 @@ def _element(draw, spec, rank):
     return Element(terms)
 
 
+_BLOCK_G1 = Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 1]))
+
+
 @st.composite
 def products_on_specs(draw):
-    """Random mutation multipliers and random tables on their families."""
+    """A random product of each variant on its families, with its window.
+
+    Mutation multipliers and table values have rational terms, often of
+    different denominators, so a product's scale is their LCM. The
+    extensions by zero live on Block (g, h) = ((-1, 0), (0, 1)), whose one
+    star key off the square in Box(2), {(0, -2), (0, -2)}, lies in Window(2, 1).
+    """
+    variant = draw(st.sampled_from(["mutation", "explicit", "zero", "single_idempotent",
+                                    "extension_by_zero"]))
+    if variant == "extension_by_zero":
+        box = box_points(2, 2)
+        keys = [a for a in box if not square_predicate(_BLOCK_G1, a)]
+        center = [a for a in box if center_predicate(_BLOCK_G1, a)]
+        star = {}
+        for _ in range(draw(st.integers(0, 2))):
+            key = tuple(sorted(draw(st.sampled_from(keys)) for _ in range(2)))
+            star[key] = Element({draw(st.sampled_from(center)): draw(_RATIONAL)})
+        return _BLOCK_G1, ExtensionByZero(star), Window(2, 1)
     rank = draw(st.integers(1, 2))
     gw = GeneralizedWitt(Pairing([draw(_vector(rank, _RATIONAL))]))
     witt = WittType(AdditiveMap(draw(_vector(rank, _RATIONAL))))
-    if draw(st.booleans()):
+    block_g0 = Block.with_form(BiadditiveForm(
+        _antisymmetric(draw(_vector(rank * (rank - 1) // 2)), rank)))
+    if variant == "mutation":
         spec = draw(st.sampled_from([gw, witt]))
-        return spec, Mutation(_element(draw, spec, rank))
-    specs = [gw, witt, Block.with_form(BiadditiveForm(
-        _antisymmetric(draw(_vector(rank * (rank - 1) // 2)), rank)))]
+        return spec, Mutation(_element(draw, spec, rank)), _window(rank)
+    if variant == "single_idempotent":
+        return block_g0, SingleIdempotent(), _window(rank)
+    specs = [gw, witt, block_g0]
+    if variant == "zero":
+        return draw(st.sampled_from(specs)), ZeroProduct(), _window(rank)
     if rank == 2:
-        specs.append(Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 1])))
+        specs.append(_BLOCK_G1)
     spec = draw(st.sampled_from(specs))
     table = {}
     for _ in range(draw(st.integers(0, 3))):
         key = tuple(sorted(tuple(draw(_vector(rank))) for _ in range(2)))
         table[key] = _element(draw, spec, rank)
-    return spec, ExplicitProduct(table)
+    return spec, ExplicitProduct(table), _window(rank)
 
 
 @settings(max_examples=25, deadline=None)
 @given(case=products_on_specs())
+# scale 6: denominators 2 and 3 in one multiplier, in two table values
+@example(case=(WittType(AdditiveMap([1])), Mutation(Element(
+    {(0,): Fraction(1, 2), (1,): Fraction(-2, 3)})), Window(2, 1)))
+@example(case=(Block.with_form(BiadditiveForm([[0, -1], [1, 0]])), ExplicitProduct(
+    {((0, 0), (1, 0)): Element({(1, 0): Fraction(1, 2)}),
+     ((0, 1), (1, 0)): Element({(0, 0): Fraction(-2, 3)})}), Window(1, 0)))
 def test_verify_matches_the_oracle_on_random_products(case):
-    spec, product = case
-    window = _window(spec.rank)
+    spec, product, window = case
     assert verify(spec, product, window) == element_verify(spec, product, window)
 
 

@@ -3,9 +3,11 @@
 ``tests/golden/reports.json`` holds, without ``timing_ms``, the reports of
 ``tpw reproduce --suite all`` and of ``JOBS``, one job for each task the
 suites miss, a failing classification, two generalized Witt jobs whose
-reports print coefficient arrays, and two ``check-lie`` jobs whose brackets
-have several terms (dim V = 3) or a scale above 1. A change that alters
-reports on purpose regenerates the file from the tree it wants to pin:
+reports print coefficient arrays, two ``check-lie`` jobs whose brackets
+have several terms (dim V = 3) or a scale above 1, and two
+``verify-structure`` jobs whose products have a scale above 1. A change
+that alters reports on purpose regenerates the file from the tree it
+wants to pin:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -61,6 +63,19 @@ JOBS = {
         "window": _window(3, 1), "task": "verify-structure",
         "payload": {"require_poisson": True, "product": {"variant": "mutation", "w": [
             {"index": [0], "coeff": ["1"]}, {"index": [1], "coeff": ["-2/3"]}]}}},
+    # table values over scale 6: the witnesses' sides have denominators 2, 3 and 4
+    "rational-table-verify": {
+        "algebra": {"family": "block", "f": [["0", "-1"], ["1", "0"]]},
+        "window": _window(2, 1), "task": "verify-structure",
+        "payload": {"product": {"variant": "explicit", "table": [
+            {"a": [0, 0], "b": [1, 0], "value": [{"index": [1, 0], "coeff": "1/2"},
+                                                 {"index": [0, 1], "coeff": "-2/3"}]}]}}},
+    # a rational multiplier: the TP axioms hold, the Poisson rule fails with lhs 2/3
+    "rational-mutation-verify": {
+        "algebra": {"family": "witt_type", "f": ["1"]},
+        "window": _window(2, 1), "task": "verify-structure",
+        "payload": {"product": {"variant": "mutation", "w": [
+            {"index": [0], "coeff": "1/2"}, {"index": [1], "coeff": "-2/3"}]}}},
     # ... and the generators' values, with [[a], i] labels in the witnesses
     "gw1-failing-classify": {
         "algebra": {"family": "generalized_witt", "pairing": [["1"]]},
