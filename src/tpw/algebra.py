@@ -278,10 +278,6 @@ class GeneralizedWitt(_Family):
 class _ScalarFamily(_Family):
     """A family with one basis element per lattice point, labelled by it."""
 
-    def bracket_coeff(self, a, b) -> Fraction:
-        scale, t = self.structure_constants
-        return Fraction(t(a, b)[0][0][0], scale)
-
     def label_bracket(self, a, b):
         """The nonzero ``(label, numerator)`` term of scale [e_a, e_b]."""
         c = self.structure_constants[1](a, b)[0][0][0]
@@ -475,10 +471,9 @@ class _Scan:
 
     Tuples are of label positions; ``points`` holds each label's lattice
     point. ``label_bracket`` memoizes the spec's integer label bracket, the
-    scan's one memo of brackets, whose numerators are over ``scale``; ``br``
-    reads its entry as an element. Given a ``product`` (a checked product
-    with an integer ``label_product`` over its own ``scale``),
-    ``label_product`` memoizes it beside the brackets. ``visited`` counts
+    scan's one memo of brackets, whose numerators are over ``scale``. A
+    ``product``, if given, is a checked product with its own memoized
+    integer ``label_product`` over its own ``scale``. ``visited`` counts
     the tuples evaluated. ``shared`` keeps, for the last tuple, the terms
     that several of its identities read.
     """
@@ -491,8 +486,7 @@ class _Scan:
         self.product = product
         self.labels = spec.basis_labels(points)
         self.points = [spec.point(l) for l in self.labels]
-        self.elems = [spec.basis_element(l) for l in self.labels]
-        self._brackets, self._products = {}, {}
+        self._brackets = {}
         self.visited = 0
 
     def label_bracket(self, u, v):
@@ -504,21 +498,6 @@ class _Scan:
         if terms is None:
             terms = row[v] = self.spec.label_bracket(u, v)
         return terms
-
-    def label_product(self, u, v):
-        """``product.label_product(u, v)``, computed once per pair of labels."""
-        row = self._products.get(u)
-        if row is None:
-            row = self._products[u] = {}
-        terms = row.get(v)
-        if terms is None:
-            terms = row[v] = self.product.label_product(u, v)
-        return terms
-
-    def br(self, i, j):
-        """The bracket of the basis elements at positions i and j."""
-        terms = self.label_bracket(self.labels[i], self.labels[j])
-        return _element({l: Fraction(c, self.scale) for l, c in terms})
 
     def shared(self, idx, terms):
         """``terms(self, *idx)``, computed once while the scan is at ``idx``."""
@@ -614,22 +593,36 @@ def scan_identities(scan, stages, ordered, degree=None, max_triples=None, tuples
 
 
 _ZERO = Element()
+_PASS = _ZERO, _ZERO
 
 
-def _sides(acc, scale):
-    """Both sides, residual and zero, of an identity whose residual has the
-    integer numerators ``acc`` over ``scale``: Fractions only in a witness."""
-    terms = {l: Fraction(c, scale) for l, c in acc.items() if c}
-    return (_element(terms) if terms else _ZERO), _ZERO
+def _both_sides(lhs, rhs, scale):
+    """Both sides of an identity from their integer numerators over ``scale``:
+    the passing pair when they agree once zero entries are dropped, else
+    Fraction elements, built only for a witness."""
+    if lhs != rhs:
+        lhs = {l: c for l, c in lhs.items() if c}
+        rhs = {l: c for l, c in rhs.items() if c}
+        if lhs != rhs:
+            return tuple(_element({l: Fraction(c, scale) for l, c in side.items()})
+                         for side in (lhs, rhs))
+    return _PASS
+
+
+def _compose(acc, terms, inner):
+    """``acc`` plus the numerators of sum_l c inner(l) over ``terms`` (l, c),
+    ``inner`` giving a label's integer terms."""
+    for l, c in terms:
+        for m, d in inner(l):
+            acc[m] = acc.get(m, 0) + c * d
+    return acc
 
 
 def _anticommutativity(s, i, j):
     """[x, y] + [y, x] = 0, on numerators over scale."""
     x, y = s.labels[i], s.labels[j]
-    acc = {}
-    for l, c in s.label_bracket(x, y) + s.label_bracket(y, x):
-        acc[l] = acc.get(l, 0) + c
-    return _sides(acc, s.scale)
+    return _both_sides(dict(s.label_bracket(x, y)),
+                       {l: -c for l, c in s.label_bracket(y, x)}, s.scale)
 
 
 def _jacobi(s, i, j, k):
@@ -640,7 +633,7 @@ def _jacobi(s, i, j, k):
         for l, c in label_bracket(u, v):
             for m, d in label_bracket(l, w):
                 acc[m] = acc.get(m, 0) + c * d
-    return _sides(acc, s.scale * s.scale)
+    return _both_sides(acc, {}, s.scale * s.scale)
 
 
 _LIE_AXIOMS = ((2, {"anticommutativity": _anticommutativity}), (3, {"jacobi": _jacobi}))
@@ -715,13 +708,13 @@ def verify_center(spec, window: Window) -> CenterSquareReport:
     confirmed, witnesses, failures = [], {}, []
     for a in box_points(window.inner_margin, spec.rank):
         if center_predicate(spec, a):
-            bad = next((b for b in box if spec.bracket_coeff(a, b)), None)
+            bad = next((b for b in box if spec.label_bracket(a, b)), None)
             if bad is None:
                 confirmed.append(a)
             else:
                 failures.append((a, bad))
         else:
-            hit = next((b for b in order if spec.bracket_coeff(a, b)), None)
+            hit = next((b for b in order if spec.label_bracket(a, b)), None)
             if hit is None:
                 failures.append((a, None))
             else:
@@ -744,15 +737,16 @@ def verify_square(spec, window: Window) -> CenterSquareReport:
     confirmed, witnesses, failures = [], {}, []
     for a in box_points(window.inner_margin, spec.rank):
         if square_predicate(spec, a):
-            b = next((b for b in order if spec.bracket_coeff(sub(a, b), b)), None)
+            b = next((b for b in order if spec.label_bracket(sub(a, b), b)), None)
             if b is None:
                 failures.append((a, None))
             else:
-                witnesses[a] = (b, spec.bracket_coeff(sub(a, b), b))
+                (_, c), = spec.label_bracket(sub(a, b), b)
+                witnesses[a] = (b, Fraction(c, spec.structure_constants[0]))
         else:
             bad = next(
                 (x for x in box
-                 if sub(a, x) in box_set and spec.bracket_coeff(x, sub(a, x))),
+                 if sub(a, x) in box_set and spec.label_bracket(x, sub(a, x))),
                 None)
             if bad is None:
                 confirmed.append(a)
@@ -787,14 +781,18 @@ def witt_to_witt_type(spec: GeneralizedWitt, v=None, window: Window = None):
     if window is None:
         window = Window(2)
     f = AdditiveMap([spec.pairing(v, unit) for unit in _lattice_units(spec.rank)])
+    scan = _Scan(WittType(f), box_points(window.radius, spec.rank))
+    gs, ws = spec.structure_constants[0], scan.scale
+    p, q = v[0].numerator, v[0].denominator
 
     def intertwined(s, i, j):
-        """a (x) v -> e_a maps [a (x) v, b (x) v] to [e_a, e_b]."""
+        """a (x) v -> e_a maps [a (x) v, b (x) v] to [e_a, e_b]: for v = (p/q),
+        p [e_(a,0), e_(b,0)] / gs = q [e_a, e_b] / ws, over gs ws q."""
         a, b = s.labels[i], s.labels[j]
-        w_side = spec.bracket(spec.element(a, v), spec.element(b, v))
-        return Element({a: c / v[0] for (a, _), c in w_side.terms.items()}), s.br(i, j)
+        lhs = {ab: p * ws * c for (ab, _), c in spec.label_bracket((a, 0), (b, 0))}
+        rhs = {l: q * gs * c for l, c in s.label_bracket(a, b)}
+        return _both_sides(lhs, rhs, gs * ws * q)
 
-    scan = _Scan(WittType(f), box_points(window.radius, spec.rank))
     n_pairs, witness = scan_identities(scan, ((2, {"bracket": intertwined}),),
                                        ordered=True)["bracket"]
     return WittTypeCorrespondence(f, v, witness is None, n_pairs)

@@ -195,12 +195,12 @@ def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    columns = columns_for(spec, window)
-    if max_unknowns is not None and len(columns) > max_unknowns:
+    # the count of ``columns_for``'s keys, known before any key is built
+    n = (2 * window.radius + 1) ** spec.rank * (spec.dim_v ** 2 if spec.vectorial else 1)
+    if max_unknowns is not None and n > max_unknowns:
         raise exactlin.DimensionOverflowError(
-            "%d unknowns exceed the max_unknowns limit %d"
-            % (len(columns), max_unknowns))
-    return HalfDerivationSystem(spec, degree, window, delta, columns)
+            "%d unknowns exceed the max_unknowns limit %d" % (n, max_unknowns))
+    return HalfDerivationSystem(spec, degree, window, delta, columns_for(spec, window))
 
 
 def _n_constraints(spec, window: Window):

@@ -22,11 +22,13 @@ from .algebra import (
     index_from_json,
     scan_identities,
     square_predicate,
+    _PASS,
     _Scan,
-    _ZERO,
+    _both_sides,
     _check_labels,
     _check_points,
     _common_denominator,
+    _compose,
     _element,
 )
 from .halfderiv import MissingDegreeError, inner_projection
@@ -259,24 +261,28 @@ def multiply(spec, product, x: Element, y: Element) -> Element:
 class _CheckedProduct:
     """A product on a spec, its domain checked once, as a bilinear map.
 
-    ``pair`` memoizes the products of basis elements by unordered label pair.
     ``scale`` is the common denominator of the coefficients the rule can
     return, so ``label_product`` gives u . v for labels u and v as integer
-    ``(label, numerator)`` terms over it.
+    ``(label, numerator)`` terms over it, computed once per pair of labels.
     """
 
     def __init__(self, spec, product):
         product.check_domain(spec)
         self.spec = spec
         self.rule = product.basis_product
-        self.basis = spec.basis_element
         self.scale = _common_denominator(product.coefficients())
-        self._pairs = {}
+        self._products = {}
 
     def label_product(self, u, v):
-        scale = self.scale
-        return tuple((l, c.numerator * (scale // c.denominator))
-                     for l, c in self.rule(self.spec, u, v).items())
+        row = self._products.get(u)
+        if row is None:
+            row = self._products[u] = {}
+        terms = row.get(v)
+        if terms is None:
+            scale = self.scale
+            terms = row[v] = tuple((l, c.numerator * (scale // c.denominator))
+                                   for l, c in self.rule(self.spec, u, v).items())
+        return terms
 
     def __call__(self, x: Element, y: Element) -> Element:
         xs, ys = x.terms, y.terms
@@ -292,14 +298,6 @@ class _CheckedProduct:
                     for l, c in uv.items():
                         acc[l] = acc.get(l, 0) + k * c
         return _element({l: c for l, c in acc.items() if c})
-
-    def pair(self, u, v) -> Element:
-        out = self._pairs.get((u, v))
-        if out is None:
-            a, b = _pair_key(u, v)
-            out = self(self.basis(a), self.basis(b))
-            self._pairs[(u, v)] = self._pairs[(v, u)] = out
-        return out
 
 
 class IdentityCheck:
@@ -341,40 +339,15 @@ class VerificationReport:
         return self.tp_pass and self.poisson_leibniz.passed
 
 
-_PASS = _ZERO, _ZERO
-
-
-def _both_sides(lhs, rhs, scale):
-    """Both sides of an identity from their integer numerators over ``scale``:
-    the passing pair when they agree once zero entries are dropped, else
-    Fraction elements, built only for a witness."""
-    if lhs != rhs:
-        lhs = {l: c for l, c in lhs.items() if c}
-        rhs = {l: c for l, c in rhs.items() if c}
-        if lhs != rhs:
-            return tuple(_element({l: Fraction(c, scale) for l, c in side.items()})
-                         for side in (lhs, rhs))
-    return _PASS
-
-
-def _compose(acc, terms, inner):
-    """``acc`` plus the numerators of sum_l c inner(l) over ``terms`` (l, c),
-    ``inner`` giving a label's integer terms."""
-    for l, c in terms:
-        for m, d in inner(l):
-            acc[m] = acc.get(m, 0) + c * d
-    return acc
-
-
 def _commutative(s, i, j):
     """u . v = v . u, on numerators over the product's scale ps."""
-    mul, u, v = s.label_product, s.labels[i], s.labels[j]
+    mul, u, v = s.product.label_product, s.labels[i], s.labels[j]
     return _both_sides(dict(mul(u, v)), dict(mul(v, u)), s.product.scale)
 
 
 def _associative(s, i, j, k):
     """(u . v) . w = u . (v . w), on numerators over ps^2."""
-    mul, u, v, w = s.label_product, s.labels[i], s.labels[j], s.labels[k]
+    mul, u, v, w = s.product.label_product, s.labels[i], s.labels[j], s.labels[k]
     return _both_sides(_compose({}, mul(u, v), lambda l: mul(l, w)),
                        _compose({}, mul(v, w), lambda l: mul(u, l)), s.product.scale ** 2)
 
@@ -382,7 +355,8 @@ def _associative(s, i, j, k):
 def _leibniz_terms(s, i, j, k):
     """u . [v, w] and [u . v, w] on numerators over ps bs, bs the bracket's
     scale: both Leibniz rules read them."""
-    mul, br, u, v, w = s.label_product, s.label_bracket, s.labels[i], s.labels[j], s.labels[k]
+    mul, br = s.product.label_product, s.label_bracket
+    u, v, w = s.labels[i], s.labels[j], s.labels[k]
     return (_compose({}, br(v, w), lambda l: mul(u, l)),
             _compose({}, mul(u, v), lambda l: br(l, w)))
 
@@ -391,7 +365,7 @@ def _trans_leibniz(s, i, j, k):
     """2 u . [v, w] = [u . v, w] + [v, u . w], on numerators over ps bs."""
     u_vw, uv_w = s.shared((i, j, k), _leibniz_terms)
     u, v, w = s.labels[i], s.labels[j], s.labels[k]
-    rhs = _compose(dict(uv_w), s.label_product(u, w), lambda l: s.label_bracket(v, l))
+    rhs = _compose(dict(uv_w), s.product.label_product(u, w), lambda l: s.label_bracket(v, l))
     return _both_sides({l: 2 * c for l, c in u_vw.items()}, rhs, s.product.scale * s.scale)
 
 
@@ -399,7 +373,7 @@ def _poisson_leibniz(s, i, j, k):
     """[u . v, w] = u . [v, w] + [u, w] . v, on numerators over ps bs."""
     u_vw, uv_w = s.shared((i, j, k), _leibniz_terms)
     u, v, w = s.labels[i], s.labels[j], s.labels[k]
-    rhs = _compose(dict(u_vw), s.label_bracket(u, w), lambda l: s.label_product(l, v))
+    rhs = _compose(dict(u_vw), s.label_bracket(u, w), lambda l: s.product.label_product(l, v))
     return _both_sides(uv_w, rhs, s.product.scale * s.scale)
 
 
@@ -638,9 +612,10 @@ def _table_product(spec, vec, labels, maps):
         for l2, img in maps[pos % m][2].items():
             b = spec.point(l2)
             if a <= b:
-                contrib = Element({out: value * val for out, val in img.items()})
-                table[(a, b)] = table.get((a, b), Element()) + contrib
-    return ExplicitProduct({key: v for key, v in table.items() if not v.is_zero})
+                entry = table.setdefault((a, b), {})
+                for out, val in img.items():
+                    entry[out] = entry.get(out, 0) + value * val
+    return ExplicitProduct({key: Element(terms) for key, terms in table.items()})
 
 
 def _span_associativity(spec, generators, points, draws, max_triples=None):
@@ -650,12 +625,15 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
     A_ij(u, v, w) = T_i(T_j(u, v), w) - T_i(u, T_j(v, w)), so every P is
     associative exactly when each A_ij + A_ji vanishes on every triple.
     One scan over the labels of ``points`` checks that as one family
-    identity, and each nonzero draw c as sum c_i c_j A_ij = 0. The scan's
-    ``shared`` memo computes the nonzero A_ij of a tuple once for all of
-    them; only ``_associator_triples``, with {u, v} or {v, w} a key of some
-    T_j, can fail. Returns the family verdict and one
-    ``(passed, first failing triple)`` per draw. The m^2 associators of m
-    generators at each of those triples, if over ``max_triples``, are refused unscanned.
+    identity, and each nonzero draw c as sum c_i c_j A_ij = 0. A_ij is
+    integer numerators over s_i s_j, s_i the scale of T_i, and a draw sums
+    them over D, weighing each by c_i c_j D / (s_i s_j), D the weights'
+    common denominator. The scan's ``shared`` memo computes the nonzero
+    A_ij of a tuple once for all of them; only ``_associator_triples``,
+    with {u, v} or {v, w} a key of some T_j, can fail. Returns the family
+    verdict and one ``(passed, first failing triple)`` per draw. The m^2
+    associators of m generators at each of those triples, if over
+    ``max_triples``, are refused unscanned.
     """
     if not generators:
         return True, [(True, None)] * len(draws)
@@ -668,27 +646,41 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
             " form %d associators at each of %d triples"
             % (max_triples, m, m * m, len(triples)))
     muls = [_CheckedProduct(spec, g) for g in generators]
+    scales = [t.scale for t in muls]
 
     def associators(s, *idx):
-        """The nonzero A_ij at the tuple, by (i, j)."""
+        """The nonzero numerator terms of A_ij at the tuple, by (i, j)."""
         u, v, w = (s.labels[k] for k in idx)
-        eu, ew = s.elems[idx[0]], s.elems[idx[2]]
-        sides = {(i, j): (ti(tj.pair(u, v), ew), ti(eu, tj.pair(v, w)))
-                 for i, ti in enumerate(muls) for j, tj in enumerate(muls)}
-        return {ij: lhs - rhs for ij, (lhs, rhs) in sides.items()
-                if lhs.terms != rhs.terms}
+        out = {}
+        for j, tj in enumerate(muls):
+            uv, vw = tj.label_product(u, v), tj.label_product(v, w)
+            if uv or vw:
+                vw = [(l, -c) for l, c in vw]
+                for i, ti in enumerate(muls):
+                    acc = _compose(_compose({}, uv, lambda l: ti.label_product(l, w)),
+                                   vw, lambda l: ti.label_product(u, l))
+                    terms = tuple((l, c) for l, c in acc.items() if c)
+                    if terms:
+                        out[i, j] = terms
+        return out
 
     def family(s, *idx):
-        """A_ij + A_ji = 0 for all i, j: the first nonzero sum, else 0."""
+        """A_ij + A_ji = 0 for all i, j: the first failing sum, else the pass."""
         a = s.shared(idx, associators)
-        sums = (x + a.get((j, i), _ZERO) for (i, j), x in a.items())
-        return next((x for x in sums if x.terms), _ZERO), _ZERO
+        sums = (_both_sides(_compose({}, (((i, j), 1), ((j, i), 1)), lambda ij: a.get(ij, ())),
+                            {}, scales[i] * scales[j]) for i, j in a)
+        return next((sides for sides in sums if sides is not _PASS), _PASS)
 
     def draw(c):
+        weights = {(i, j): Fraction(c[i] * c[j], scales[i] * scales[j])
+                   for i in range(m) for j in range(m)}
+        scale = _common_denominator(weights.values())
+        weights = {ij: int(x * scale) for ij, x in weights.items()}
+
         def sides(s, *idx):
             """sum c_i c_j A_ij = 0."""
             a = s.shared(idx, associators)
-            return sum((c[i] * c[j] * x for (i, j), x in a.items()), _ZERO), _ZERO
+            return _both_sides(_compose({}, ((ij, weights[ij]) for ij in a), a.get), {}, scale)
         return sides
 
     identities = {"family": family}  # a zero draw never fails

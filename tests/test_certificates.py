@@ -317,7 +317,7 @@ def test_limited_product_scan_agrees_with_the_certificate(spec, table):
 def _fails(where):
     """Synthetic sides that differ exactly on the tuples ``where`` accepts."""
     def sides(s, *idx):
-        return (s.elems[idx[0]] if where(s, idx) else _ZERO), _ZERO
+        return (s.spec.basis_element(s.labels[idx[0]]) if where(s, idx) else _ZERO), _ZERO
     return sides
 
 

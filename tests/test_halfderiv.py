@@ -57,6 +57,27 @@ def test_assemble_counts_unknowns_and_pairs():
     assert system.n_constraints == per_axis ** 2
 
 
+@pytest.mark.parametrize("spec,n", [(b1_spec(), 25), (gw_spec(), 25 * 4)],
+                         ids=["block", "generalized-witt"])
+def test_max_unknowns_admits_exactly_the_column_count(spec, n):
+    assert assemble(spec, (0, 0), Window(2, 1), max_unknowns=n).n_unknowns == n
+    with pytest.raises(exactlin.DimensionOverflowError,
+                       match="%d unknowns exceed the max_unknowns limit %d" % (n, n - 1)):
+        assemble(spec, (0, 0), Window(2, 1), max_unknowns=n - 1)
+
+
+def test_max_unknowns_refuses_before_any_column_is_built(monkeypatch):
+    """The refusal counts the columns of Box(300) without building its
+    361,201 keys (times dim V^2 for generalized Witt)."""
+    def no_columns(*args):
+        raise AssertionError("a column key was built")
+    monkeypatch.setattr(halfderiv, "_columns", no_columns)
+    for spec, n in ((b0_spec(), 601 ** 2), (gw_spec(), 601 ** 2 * 4)):
+        with pytest.raises(exactlin.DimensionOverflowError,
+                           match="%d unknowns exceed the max_unknowns limit 10" % n):
+            assemble(spec, (0, 0), Window(300), max_unknowns=10)
+
+
 def test_assemble_generalized_witt_unknowns():
     window = Window(2, 1)
     system = assemble(gw_spec(), (1, 0), window)

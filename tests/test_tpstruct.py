@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpw import tpstruct
@@ -518,8 +518,31 @@ def tables_and_draws(draw):
     return tables, draws
 
 
+def _table(entries):
+    """A table product from ``(a, b, value label, coefficient)`` entries."""
+    return ExplicitProduct({(a, b): Element({l: c}) for a, b, l, c in entries})
+
+
+# T/2 and T/3 for T = (u_0 . u_(1,0) = u_(1,0)), which is not associative:
+# coprime scales 2 and 3, and draws whose products are zero, one of
+# denominator 3, so each A_ii is weighed by c_i^2 / s_i^2
+_COPRIME_SCALES = ([_table([((0, 0), (1, 0), (1, 0), Fraction(1, 2))]),
+                    _table([((0, 0), (1, 0), (1, 0), Fraction(1, 3))])],
+                   [[2, -3], [Fraction(2, 3), -1], [1, 1]])
+# k[x]/(x^3) on 1 = u_0, x = u_(1,0), x^2 = u_(0,1), split into its unit
+# part (scale 2) and x . x = x^2 (scale 3): every product of the span is
+# associative, yet A_12 = -A_21 != 0 at (x, x, 1)
+_SPLIT_POLYNOMIALS = ([_table([((0, 0), (0, 0), (0, 0), Fraction(1, 2)),
+                               ((0, 0), (1, 0), (1, 0), Fraction(1, 2)),
+                               ((0, 0), (0, 1), (0, 1), Fraction(1, 2))]),
+                       _table([((1, 0), (1, 0), (0, 1), Fraction(1, 3))])],
+                      [[Fraction(1, 3), 2]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=tables_and_draws())
+@example(case=_COPRIME_SCALES)
+@example(case=_SPLIT_POLYNOMIALS)
 def test_span_associativity_matches_the_element_oracle(case):
     """Each sample is the oracle's verdict on the summed table, and the
     family passes exactly when every T_i and every T_i + T_j is associative
@@ -533,6 +556,24 @@ def test_span_associativity_matches_the_element_oracle(case):
     polarized = [_combined(gens, [int(k in (i, j)) for k in range(len(gens))])
                  for i in range(len(gens)) for j in range(i, len(gens))]
     assert passed == all(element_associativity(spec, p, labels)[0] for p in polarized)
+
+
+def test_span_scan_does_no_element_arithmetic(monkeypatch):
+    """The span scan reads integer label products: neither a product of
+    elements nor an element sum runs, on a passing family (Block g = 0)
+    or on a failing one that builds witnesses (Witt type f = (1))."""
+    cases = [(b0_spec(), Window(3, 2), True), (witt_spec(), Window(3, 1), False)]
+    solved = [solve_degrees(spec, window, 1) for spec, window, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("element arithmetic in the span scan")
+    monkeypatch.setattr(tpstruct._CheckedProduct, "__call__", refuse)
+    monkeypatch.setattr(Element, "__add__", refuse)
+    for (spec, window, passes), degrees in zip(cases, solved):
+        res = classify(spec, degrees, window, 1)
+        assert res.associativity_pass == passes
+        assert all(ok == passes for ok, _ in res.associativity_samples)
+        assert all((witness is None) == passes for _, witness in res.associativity_samples)
 
 
 @pytest.mark.parametrize("spec", [b0_spec(), b1_spec()], ids=["block-g0", "block-g1"])
