@@ -183,6 +183,22 @@ class _Family:
     def pair_tables(self):  # radius -> ``halfderiv``'s pair table, built on first use
         return {}
 
+    @cached_property
+    def reflection_sign(self):
+        """s in (1, -1) with t(-x, -y) = s t(x, y) for all x, y, else None.
+
+        Then e_(x,i) -> s e_(-x,i) is an automorphism. The difference of the
+        two sides has per-coordinate degree ``coefficient_degree``, so it
+        vanishes everywhere once it does on the grid Box(r), 2r + 1 >
+        ``coefficient_degree`` (the certificate of ``scan_identities``)."""
+        t, neg = self.structure_constants[1], lambda p: tuple(-c for c in p)
+        grid = box_points((self.coefficient_degree + 1) // 2, self.rank)
+        pairs = [([v for ci in t(x, y) for cij in ci for v in cij],
+                  [v for ci in t(neg(x), neg(y)) for cij in ci for v in cij])
+                 for x in grid for y in grid]
+        return next((s for s in (1, -1)
+                     if all(m == [s * v for v in c] for c, m in pairs)), None)
+
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of ``label_bracket`` to elements; exact, untruncated."""
         scale, label_bracket = self.structure_constants[0], self.label_bracket

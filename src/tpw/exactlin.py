@@ -266,8 +266,9 @@ class NullspaceBasis:
     uniquely determined by the kernel itself: golden comparisons stay
     byte-stable. ``rows_consumed`` counts the drawn rows that shrank the
     kernel (the rank) and ``rows_checked`` those that did not, as
-    ``kernel_of`` draws them (``rows_generated`` is their sum); no count
-    takes part in equality.
+    ``kernel_of`` draws them (``rows_generated`` is their sum); a kernel
+    read off another one draws no row and both read 0 (``halfderiv``'s
+    mirrored degrees). No count takes part in equality.
     """
 
     def __init__(self, n_cols: int, vectors: tuple, rows_consumed: int = 0,

@@ -15,7 +15,10 @@ structure constants t(x, y), and the bi-affine offsets of t turn it into
 that degree's rows. ``exactlin.nullspace`` reads them in that order into
 an integer kernel basis that starts at the identity: a row that meets it
 shrinks it by one, a row that does not is only counted, and no row is
-drawn once it is empty.
+drawn once it is empty. Where the structure constants certify the point
+reflection e_(x,i) -> s e_(-x,i) (``reflection_sign``), ``solve_degrees``
+solves one degree of each pair a, -a and reads the other's kernel off it
+through the column permutation phi'[x] = phi[-x].
 
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported
@@ -195,12 +198,18 @@ def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
     delta = Fraction(delta)
     if delta == 0:
         raise ValueError("delta must be nonzero")
-    # the count of ``columns_for``'s keys, known before any key is built
-    n = (2 * window.radius + 1) ** spec.rank * (spec.dim_v ** 2 if spec.vectorial else 1)
+    _check_unknowns(spec, window, max_unknowns)
+    return HalfDerivationSystem(spec, degree, window, delta, columns_for(spec, window))
+
+
+def _check_unknowns(spec, window: Window, max_unknowns):
+    """Refuse past ``max_unknowns`` from the count of ``columns_for``'s keys
+    (dim V^2 per box point, one on the scalar families), known before any
+    key is built."""
+    n = (2 * window.radius + 1) ** spec.rank * spec.dim_v ** 2
     if max_unknowns is not None and n > max_unknowns:
         raise exactlin.DimensionOverflowError(
             "%d unknowns exceed the max_unknowns limit %d" % (n, max_unknowns))
-    return HalfDerivationSystem(spec, degree, window, delta, columns_for(spec, window))
 
 
 def _n_constraints(spec, window: Window):
@@ -492,13 +501,36 @@ def solve_degrees(spec, window: Window, degree_bound: int, delta=HALF,
     """Assemble and solve every degree in Box(degree_bound).
 
     Returns degree -> kernel (``NullspaceBasis``): the one map of solved
-    degrees, read as it is by ``sweep`` and ``tpstruct.classify``.
+    degrees, read as it is by ``sweep`` and ``tpstruct.classify``. The
+    unknowns are counted against ``max_unknowns`` before any degree is
+    built. With s = ``spec.reflection_sign``, e_(x,i) -> s e_(-x,i) is an
+    automorphism, which carries the degree-a system onto the degree -a one
+    with phi'[x] = phi[-x]: the kernel at -a is then read off the kernel at
+    a (``_mirrored``), and one degree of each pair is solved.
     """
     if degree_bound > window.radius:
         raise ValueError("degree_bound must not exceed the window radius")
-    return {tuple(a): solve(assemble(spec, a, window, delta=delta,
-                                     max_unknowns=max_unknowns))
-            for a in box_points(degree_bound, spec.rank)}
+    _check_unknowns(spec, window, max_unknowns)
+    mirror = spec.reflection_sign is not None
+    out = {}
+    for a in box_points(degree_bound, spec.rank):
+        partner = out.get(tuple(-c for c in a)) if mirror else None
+        out[a] = (solve(assemble(spec, a, window, delta=delta)) if partner is None
+                  else _mirrored(partner, spec.dim_v ** 2))
+    return out
+
+
+def _mirrored(kernel: NullspaceBasis, per_point: int) -> NullspaceBasis:
+    """The kernel at -a from the kernel at a: the entry at (x, r, c) moves to
+    (-x, r, c), that is from box position p to N - 1 - p (``box_points``
+    order), and the moved span is put back in canonical form. No row is
+    drawn."""
+    n = kernel.n_cols
+    last = n // per_point - 1
+    moved = [exactlin.int_row({(last - c // per_point) * per_point + c % per_point: v
+                               for c, v in enumerate(vector) if v})
+             for vector in kernel.vectors]
+    return NullspaceBasis(n, exactlin._canonical(moved, n))
 
 
 def sweep(spec, window: Window, degree_bound: int, delta=HALF,

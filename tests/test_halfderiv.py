@@ -375,6 +375,83 @@ def test_a_sweep_builds_one_pair_table_per_window(table_builds):
     assert table_builds == [2, 3, 2]
 
 
+def test_a_refused_sweep_never_builds_the_degree_box(monkeypatch):
+    """Block g = 0 at radius 600 has the default degree bound 300: the
+    refusal comes before the 361,201 degrees of Box(300) are listed."""
+    calls = []
+    monkeypatch.setattr(halfderiv, "box_points",
+                        lambda *args: calls.append(args) or box_points(*args))
+    window = Window(600)
+    with pytest.raises(exactlin.DimensionOverflowError,
+                       match="%d unknowns exceed the max_unknowns limit 10" % 1201 ** 2):
+        solve_degrees(b0_spec(), window, window.inner_margin, max_unknowns=10)
+    with pytest.raises(exactlin.DimensionOverflowError):
+        sweep(b0_spec(), window, window.inner_margin, max_unknowns=10)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec,sign", [
+    (gw_spec(), -1), (GeneralizedWitt(Pairing([[1], [2]])), -1),
+    (WittType(AdditiveMap([1, 2])), -1), (b0_spec(), 1), (b1_spec(), None),
+    (Block.raw_form(AdditiveMap([1, 0]), BiadditiveForm([[0, 0], [0, 0]])), -1),
+    (WittType(AdditiveMap([0])), 1)],
+    ids=["gw", "gw-dimv2-rank1", "witt", "block-g0", "block-gh", "raw-f0", "abelian"])
+def test_reflection_sign_of_each_family(spec, sign):
+    """x (x) v -> (-x) (x) (-v) on generalized Witt, e_x -> -e_(-x) on Witt
+    type, e_x -> e_(-x) on Block g = 0; c(x, y) = x^T M y + g(x) - g(y)
+    with both parts has neither."""
+    assert spec.reflection_sign == sign
+
+
+_HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
+_MIRROR_SPECS = {  # every family, with rank-1, rational and degenerate pairings
+    "gw-rank1": GeneralizedWitt(Pairing([[1], [2]])),
+    "gw-rational": GeneralizedWitt(Pairing([[_HALF, 3], [0, -_TWO_THIRDS]])),
+    "gw-degenerate": GeneralizedWitt(Pairing([[1, 1], [1, 1]])),
+    "witt": WittType(AdditiveMap([1, 2])),
+    "block-g0": b0_spec(),
+    "block-gh": b1_spec(),
+    "block-gh-rational": Block.from_gh(AdditiveMap([_HALF, 0]),
+                                       AdditiveMap([1, -_TWO_THIRDS])),
+}
+
+
+@pytest.mark.parametrize("delta", [_HALF, Fraction(1), _TWO_THIRDS])
+@pytest.mark.parametrize("name", _MIRROR_SPECS)
+def test_mirrored_kernels_match_the_solve_of_every_degree(monkeypatch, name, delta):
+    """A spec with a reflection sign solves (|Box(1)| + 1) / 2 degrees and
+    reads the others off their partners; Block (g, h) solves them all."""
+    spec, window = _MIRROR_SPECS[name], Window(2, 1)
+    degrees = box_points(1, spec.rank)
+    calls, kernel_of = [], exactlin.kernel_of
+    monkeypatch.setattr(exactlin, "kernel_of",
+                        lambda rows, n: calls.append(n) or kernel_of(rows, n))
+    solved = solve_degrees(spec, window, 1, delta=delta)
+    n_solved = len(calls)
+    assert solved == {a: solve(assemble(spec, a, window, delta=delta)) for a in degrees}
+    mirrored = {a for a, b in solved.items() if b.rows_generated == 0}
+    if spec.reflection_sign is None:
+        assert n_solved == len(degrees) and not mirrored
+    else:  # the second degree of each pair a, -a in box order draws no row
+        assert n_solved == (len(degrees) + 1) // 2
+        assert mirrored == set(degrees[n_solved:])
+
+
+@settings(max_examples=15, deadline=None)
+@given(g=st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+       k=st.fractions(min_value=-2, max_value=2, max_denominator=2),
+       zero=st.sampled_from(["g", "f", None]),
+       delta=st.sampled_from([_HALF, Fraction(1), _TWO_THIRDS]))
+def test_mirrored_kernels_match_on_raw_blocks(g, k, zero, delta):
+    """Raw Blocks with g = 0 (sign +1), f = 0 (sign -1) or neither (none)."""
+    g = [0, 0] if zero == "g" else g
+    k = 0 if zero == "f" else k
+    spec = Block.raw_form(AdditiveMap(g), BiadditiveForm([[0, k], [-k, 0]]))
+    window = Window(2, 1)
+    assert solve_degrees(spec, window, 1, delta=delta) == {
+        a: solve(assemble(spec, a, window, delta=delta)) for a in box_points(1, 2)}
+
+
 def test_constants_past_64_bits_stream_the_same_rows():
     """The pair table's constants fall back from ``array('q')`` to a list."""
     for spec in (WittType(AdditiveMap([2 ** 64, 1])),

@@ -10,6 +10,11 @@ and the commutativity system all ignore. So neither transform may change
 the `check-lie` verdict, the `classify-tp` verdicts and parameter count,
 or any degree's computed and projected dimension, read at degree P e.
 
+The point reflection x -> -x is one such P, and where the bracket itself
+is invariant, e_(x,i) -> s e_(-x,i) for a sign s, it maps the degree-a
+half-derivation system of a spec onto its own degree -a system, so the
+kernel at -a is the kernel at a with its box columns reflected.
+
 A rank-3 raw Block (g, f) is a Lie algebra exactly when g = 0 or
 f = g h^T - h g^T for some h; that is decided here by an exact solve, apart
 from the Lie scan.
@@ -21,7 +26,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_rref
+from tpw.algebra import Block, spec_from_json
 from tpw.cli import run
+from tpw.halfderiv import assemble, columns_for, solve
+from tpw.lattice import AdditiveMap, BiadditiveForm, Window, box_points
 
 _RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _NONZERO = _RATIONAL.filter(bool)
@@ -247,3 +255,63 @@ def test_a_raw_block_is_lie_exactly_when_f_has_the_gh_form(case):
     report = run({"algebra": spec, "window": {"radius": 2, "inner_margin": 1},
                   "task": "check-lie"})
     assert report["all_pass"] == (not any(g) or _has_gh_form(g, f))
+
+
+@st.composite
+def _symmetric_specs(draw):
+    """Witt type, generalized Witt (rank 1 or 2) and Block g = 0: each has
+    the point reflection e_(x,i) -> s e_(-x,i) as an automorphism."""
+    spec = draw(specs().filter(lambda spec: "h" not in spec))
+    return spec_from_json(spec)
+
+
+def _mirror(spec, window, vectors):
+    """The vectors with phi'[x, r, c] = phi[-x, r, c], in canonical form:
+    the reduced echelon with each lead at its largest column, by lead."""
+    cols = columns_for(spec, window)
+    at = {col: n for n, col in enumerate(cols)}
+    flip = [at[(_neg(col[0]),) + col[1:] if spec.vectorial else _neg(col)] for col in cols]
+    moved = [[v[p] for p in reversed(flip)] for v in vectors]  # columns reversed
+    rref, pivots = dense_rref(moved) if moved else ([], [])
+    return tuple(tuple(row[::-1]) for row in reversed(rref[:len(pivots)]))
+
+
+def _neg(x):
+    return tuple(-c for c in x)
+
+
+@settings(max_examples=20, deadline=None)
+@example(spec=spec_from_json({"family": "generalized_witt", "pairing": [["1"], ["2"]]}),
+         delta=Fraction(1, 2))
+@given(spec=_symmetric_specs(),
+       delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2, 3)]))
+def test_the_kernel_at_minus_a_is_the_reflected_kernel_at_a(spec, delta):
+    """Each degree solved on its own, apart from ``solve_degrees``."""
+    window = Window(2, 1)
+    for a in box_points(1, spec.rank):
+        kernel = solve(assemble(spec, a, window, delta=delta))
+        mirrored = solve(assemble(spec, _neg(a), window, delta=delta))
+        assert mirrored.vectors == _mirror(spec, window, kernel.vectors), a
+
+
+@st.composite
+def _signed_raw_blocks(draw):
+    """A rank-2 raw Block whose g or f may be zero: reflection sign +1, -1
+    or none."""
+    zero = draw(st.sampled_from(["g", "f", None]))
+    g = [0, 0] if zero == "g" else draw(_vector(2))
+    f = [[0, 0], [0, 0]] if zero == "f" else draw(_form(2))
+    return Block.raw_form(AdditiveMap(g), BiadditiveForm(f))
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=_signed_raw_blocks())
+def test_the_reflection_sign_on_the_grid_holds_on_box_3(spec):
+    """``reflection_sign`` reads Box(1); every pair of Box(3) agrees with it."""
+    box = box_points(3, spec.rank)
+
+    def reflects(s):
+        return all(dict(spec.label_bracket(_neg(x), _neg(y))) ==
+                   {_neg(l): s * c for l, c in spec.label_bracket(x, y)}
+                   for x in box for y in box)
+    assert spec.reflection_sign == next((s for s in (1, -1) if reflects(s)), None)
