@@ -17,6 +17,8 @@ from tpw import (
     solve,
     sweep,
 )
+from tpw.halfderiv import solve_degrees
+from tpw.lattice import act
 
 window = Window(3, 2)
 
@@ -46,3 +48,22 @@ for r in report.results:
 
 # Degrees where nothing survives are the rigidity statements; the two
 # visible degrees carry the identity and the center-valued map.
+
+# The signed permutations of the lattice that the structure constants
+# certify carry each degree's kernel to the others of its orbit: only the
+# first degree of an orbit is solved, the others are transported and draw
+# no row.
+print("\nsolved and transported degrees at degree bound 1:")
+for name, spec in [("generalized Witt", GeneralizedWitt(Pairing([[1, 0], [0, 1]]))),
+                   ("Block g=0", b0), ("Block g!=0", b1)]:
+    kernels = solve_degrees(spec, window, 1)
+    solved = [a for a, kernel in kernels.items() if kernel.rows_generated]
+    print("  %s: %d automorphisms certified" % (name, len(spec.automorphisms)))
+    for a, kernel in kernels.items():
+        if a in solved:
+            print("    degree %s: solved, %d rows drawn" % (a, kernel.rows_generated))
+        else:  # the representative: the first solved degree some sigma carries to a
+            first = next(b for b in solved
+                         if any(act(sigma, b) == a for sigma, _, _ in spec.automorphisms))
+            print("    degree %s: transported from %s" % (a, first))
+

@@ -22,10 +22,12 @@ from .lattice import (
     Pairing,
     RankMismatchError,
     Window,
+    act,
     add,
     box_points,
     form_from_gh,
     search_order,
+    signed_permutations,
     sub,
 )
 
@@ -184,20 +186,40 @@ class _Family:
         return {}
 
     @cached_property
-    def reflection_sign(self):
-        """s in (1, -1) with t(-x, -y) = s t(x, y) for all x, y, else None.
+    def automorphisms(self):
+        """One ``(sigma, tau, s)`` per signed permutation sigma of the lattice
+        (``act``) that the constants certify, the identity first: tau is a
+        signed permutation of the V basis, v_i -> eps_i v_(tau i), with
+        t(sigma x, sigma y)[tau i][tau j][tau l] = s eps_i eps_j eps_l t(x, y)[i][j][l],
+        so e_(x,i) -> s eps_i e_(sigma x, tau i) is an automorphism. Both sides
+        have degree d = ``coefficient_degree`` in each coordinate, so they agree
+        everywhere once they do on {0..d}^n x {0..d}^n (Alon, Combinatorial
+        Nullstellensatz, 1999, Lemma 2.1, as in ``scan_identities``). t is read
+        once per pair, and each (tau, s) once: with eps_0 = 1, since (tau, -eps,
+        -s) is the same map."""
+        t, table, dv = self.structure_constants[1], {}, range(self.dim_v)
 
-        Then e_(x,i) -> s e_(-x,i) is an automorphism. The difference of the
-        two sides has per-coordinate degree ``coefficient_degree``, so it
-        vanishes everywhere once it does on the grid Box(r), 2r + 1 >
-        ``coefficient_degree`` (the certificate of ``scan_identities``)."""
-        t, neg = self.structure_constants[1], lambda p: tuple(-c for c in p)
-        grid = box_points((self.coefficient_degree + 1) // 2, self.rank)
-        pairs = [([v for ci in t(x, y) for cij in ci for v in cij],
-                  [v for ci in t(neg(x), neg(y)) for cij in ci for v in cij])
-                 for x in grid for y in grid]
-        return next((s for s in (1, -1)
-                     if all(m == [s * v for v in c] for c, m in pairs)), None)
+        def at(x, y):
+            if (x, y) not in table:
+                table[x, y] = [v for ci in t(x, y) for cij in ci for v in cij]
+            return table[x, y]
+        corner = list(iter_product(range(self.coefficient_degree + 1), repeat=self.rank))
+        sides = [at(x, y) for x in corner for y in corner]
+        triples = [(i, j, l) for i in dv for j in dv for l in dv]
+        maps = [(tau, s, [(tau[i][0] * len(dv) + tau[j][0]) * len(dv) + tau[l][0]
+                          for i, j, l in triples],
+                 [s * tau[i][1] * tau[j][1] * tau[l][1] for i, j, l in triples])
+                for tau in signed_permutations(self.dim_v) if tau[0][1] == 1 for s in (1, -1)]
+        found = []
+        for sigma in signed_permutations(self.rank):
+            moved = [act(sigma, x) for x in corner]
+            for tau, s, reads, signs in maps:
+                images = (at(x, y) for x in moved for y in moved)
+                if all([m[k] for k in reads] == [e * v for e, v in zip(signs, c)]
+                       for c, m in zip(sides, images)):
+                    found.append((sigma, tau, s))
+                    break
+        return tuple(found)
 
     def bracket(self, x: Element, y: Element) -> Element:
         """Bilinear extension of ``label_bracket`` to elements; exact, untruncated."""
@@ -380,6 +402,11 @@ class WittType(_ScalarFamily):
     @property
     def rank(self) -> int:
         return self.f.rank
+
+    @cached_property
+    def nondegenerate(self) -> bool:
+        """Whether f has rank n over Q: f != 0 at rank 1, never at a higher rank."""
+        return RowSpace([self.f.gen_values]).rank == self.rank
 
     @cached_property
     def structure_constants(self):

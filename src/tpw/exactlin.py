@@ -268,7 +268,8 @@ class NullspaceBasis:
     kernel (the rank) and ``rows_checked`` those that did not, as
     ``kernel_of`` draws them (``rows_generated`` is their sum); a kernel
     read off another one draws no row and both read 0 (``halfderiv``'s
-    mirrored degrees). No count takes part in equality.
+    transported degrees, all but the first of each orbit). No count takes
+    part in equality.
     """
 
     def __init__(self, n_cols: int, vectors: tuple, rows_consumed: int = 0,

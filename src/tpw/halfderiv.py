@@ -15,10 +15,12 @@ structure constants t(x, y), and the bi-affine offsets of t turn it into
 that degree's rows. ``exactlin.nullspace`` reads them in that order into
 an integer kernel basis that starts at the identity: a row that meets it
 shrinks it by one, a row that does not is only counted, and no row is
-drawn once it is empty. Where the structure constants certify the point
-reflection e_(x,i) -> s e_(-x,i) (``reflection_sign``), ``solve_degrees``
-solves one degree of each pair a, -a and reads the other's kernel off it
-through the column permutation phi'[x] = phi[-x].
+drawn once it is empty. The signed permutations sigma of the lattice that
+the structure constants certify (``spec.automorphisms``, each with a signed
+permutation tau of the V basis) split the degrees into orbits:
+``solve_degrees`` solves the first degree of each orbit and carries its
+kernel to the others by the signed column permutation
+phi'[sigma x] = tau phi[x] tau^-1.
 
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported
@@ -35,7 +37,7 @@ from functools import cached_property, lru_cache
 from . import exactlin
 from .algebra import center_predicate, square_predicate
 from .exactlin import NullspaceBasis, RowSpace, SparseMatrix
-from .lattice import RankMismatchError, Window, add, box_points, norm_inf, zero
+from .lattice import RankMismatchError, Window, act, add, box_points, norm_inf, zero
 
 __all__ = [
     "DegreeResult",
@@ -325,10 +327,11 @@ def _predictor(spec, window: Window):
 
 
 def _authoritative(spec):
-    """Block and generalized Witt (dim V > 1) predictions are authoritative;
-    the shift maps that mutations give Witt type and dim V = 1 are flagged
-    as non-authoritative, and excess dimensions merely get reported."""
-    return spec.family == "block" or spec.dim_v > 1
+    """Block, generalized Witt with dim V > 1 and every rank-1 spec (the
+    dim V = 1 theorem: Delta = span{shift}) are asserted; the shift maps of
+    Witt type and dim V = 1 at a higher rank are flagged as non-authoritative,
+    and excess dimensions merely get reported."""
+    return spec.family == "block" or spec.dim_v > 1 or spec.rank == 1
 
 
 def _predicted_witt(spec, window, box, one):
@@ -503,34 +506,37 @@ def solve_degrees(spec, window: Window, degree_bound: int, delta=HALF,
     Returns degree -> kernel (``NullspaceBasis``): the one map of solved
     degrees, read as it is by ``sweep`` and ``tpstruct.classify``. The
     unknowns are counted against ``max_unknowns`` before any degree is
-    built. With s = ``spec.reflection_sign``, e_(x,i) -> s e_(-x,i) is an
-    automorphism, which carries the degree-a system onto the degree -a one
-    with phi'[x] = phi[-x]: the kernel at -a is then read off the kernel at
-    a (``_mirrored``), and one degree of each pair is solved.
+    built. An automorphism of ``spec.automorphisms`` carries the degree-a
+    system onto the degree sigma a one, and its kernel with it: the first
+    degree of each orbit in ``box_points`` order is solved, the others are
+    transported (``_transported``).
     """
     if degree_bound > window.radius:
         raise ValueError("degree_bound must not exceed the window radius")
     _check_unknowns(spec, window, max_unknowns)
-    mirror = spec.reflection_sign is not None
-    out = {}
-    for a in box_points(degree_bound, spec.rank):
-        partner = out.get(tuple(-c for c in a)) if mirror else None
-        out[a] = (solve(assemble(spec, a, window, delta=delta)) if partner is None
-                  else _mirrored(partner, spec.dim_v ** 2))
-    return out
+    box, out = box_points(degree_bound, spec.rank), {}
+    for a in box:
+        if a not in out:
+            out[a] = kernel = solve(assemble(spec, a, window, delta=delta))
+            for element in spec.automorphisms:
+                if act(element[0], a) not in out:
+                    out[act(element[0], a)] = _transported(spec, window, kernel, element)
+    return {a: out[a] for a in box}
 
 
-def _mirrored(kernel: NullspaceBasis, per_point: int) -> NullspaceBasis:
-    """The kernel at -a from the kernel at a: the entry at (x, r, c) moves to
-    (-x, r, c), that is from box position p to N - 1 - p (``box_points``
-    order), and the moved span is put back in canonical form. No row is
-    drawn."""
-    n = kernel.n_cols
-    last = n // per_point - 1
-    moved = [exactlin.int_row({(last - c // per_point) * per_point + c % per_point: v
-                               for c, v in enumerate(vector) if v})
-             for vector in kernel.vectors]
-    return NullspaceBasis(n, exactlin._canonical(moved, n))
+def _transported(spec, window: Window, kernel: NullspaceBasis, element) -> NullspaceBasis:
+    """The kernel at sigma a from the kernel at a: conjugating by the
+    automorphism e_(x,i) -> s eps_i e_(sigma x, tau i) of ``element`` moves the
+    entry at (x, r, c) to (sigma x, tau r, tau c) times eps_r eps_c, and the
+    moved span is put back in canonical form. No row is drawn."""
+    sigma, tau, _ = element
+    box, dv = box_points(window.radius, spec.rank), spec.dim_v
+    at = {x: p for p, x in enumerate(box)}
+    cols = [((at[act(sigma, x)] * dv + tau[r][0]) * dv + tau[c][0], tau[r][1] * tau[c][1])
+            for x in box for r in range(dv) for c in range(dv)]
+    vectors = [exactlin.int_row({cols[n][0]: cols[n][1] * v for n, v in enumerate(vector) if v})
+               for vector in kernel.vectors]
+    return NullspaceBasis(kernel.n_cols, exactlin._canonical(vectors, kernel.n_cols))
 
 
 def sweep(spec, window: Window, degree_bound: int, delta=HALF,
@@ -550,7 +556,8 @@ def sweep(spec, window: Window, degree_bound: int, delta=HALF,
     if Fraction(delta) != HALF:
         reason = "delta != 1/2"
     elif _authoritative(spec) and not spec.nondegenerate:
-        reason = "degenerate %s" % ("form f" if spec.family == "block" else "pairing")
+        reason = "degenerate %s" % {"block": "form f", "witt_type": "map f"}.get(
+            spec.family, "pairing")
     predict = _predictor(spec, window) if reason is None else None
     results = []
     span_names = []

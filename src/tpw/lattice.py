@@ -8,7 +8,7 @@ biadditive forms and pairings by their matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 from .exactlin import scalar_from_str, scalar_to_str
 
@@ -19,12 +19,14 @@ __all__ = [
     "RankMismatchError",
     "Window",
     "WitnessReport",
+    "act",
     "add",
     "box_points",
     "form_from_gh",
     "nondegeneracy_witnesses",
     "norm_inf",
     "search_order",
+    "signed_permutations",
     "sub",
     "zero",
 ]
@@ -54,6 +56,21 @@ def box_points(radius: int, rank: int):
     """All points with coordinates in [-radius, radius], lexicographic."""
     rng = range(-radius, radius + 1)
     return [p for p in iter_product(rng, repeat=rank)]
+
+
+def signed_permutations(rank: int):
+    """The signed permutations of Z^rank, the identity first, as one
+    ``(image, sign)`` per basis vector: they map each Box(r) onto itself."""
+    return [tuple(zip(perm, signs)) for perm in permutations(range(rank))
+            for signs in iter_product((1, -1), repeat=rank)]
+
+
+def act(g, x):
+    """g x for a signed permutation ``g``."""
+    out = [0] * len(x)
+    for xi, (k, s) in zip(x, g):
+        out[k] = s * xi
+    return tuple(out)
 
 
 def search_order(radius: int, rank: int):

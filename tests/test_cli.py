@@ -412,7 +412,8 @@ def test_a_limit_at_the_corrupted_blocks_witness_gives_the_unlimited_report(
 
 def test_classify_refuses_more_associators_than_max_triples(tmp_path, capsys):
     # abelian rank 1 at Window(2, 1): 14 generators, 3 inner labels, so the
-    # scan forms up to 14^2 associators at each of 3^3 triples
+    # scan forms up to 14^2 associators at each of 3^3 triples; f = 0 is
+    # degenerate, so the scan runs in full and its verdict reads unasserted
     limit = 14 ** 2 * 3 ** 3
     cfg = small("classify-tp", {"family": "witt_type", "f": ["0"]},
                 payload={"degree_bound": 1})
@@ -424,8 +425,11 @@ def test_classify_refuses_more_associators_than_max_triples(tmp_path, capsys):
         capsys.readouterr().err)
     cfg["limits"] = {"max_triples": limit}
     path.write_text(json.dumps(cfg))
-    assert cli.main(["run", "--config", str(path), "--json-only"]) == 1
-    assert "limit" not in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 0
+    out = capsys.readouterr()
+    assert "limit" not in out.err
+    assert json.loads(out.out)["verdicts"][1] == {"name": "classify-associativity",
+                                                 "pass": None}
 
 
 def test_classify_associativity_is_decided_without_samples(tmp_path, capsys):

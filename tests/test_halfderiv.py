@@ -29,7 +29,7 @@ from tpw.halfderiv import (
     sweep,
 )
 from tpw.lattice import (AdditiveMap, BiadditiveForm, Pairing, RankMismatchError, Window,
-                         box_points)
+                         act, box_points)
 
 
 def b1_spec():
@@ -150,8 +150,9 @@ def test_predicted_shapes():
     assert p.components[0] == {(0, -2): Fraction(1)}
     assert predicted(gw_spec(), (1, 1), window).components == ()
     shift = predicted(WittType(AdditiveMap([1])), (2,), Window(3, 1))
-    assert not shift.authoritative
+    assert shift.authoritative  # the dim V = 1 theorem, asserted at rank 1
     assert shift.components[0] == {x: Fraction(1) for x in box_points(3, 1)}
+    assert not predicted(WittType(AdditiveMap([1, 2])), (1, 0), Window(3, 1)).authoritative
 
 
 def test_compare_flags_membership_failure():
@@ -189,12 +190,33 @@ def test_sweep_b1_sees_alpha_only_with_wide_inner_box():
 
 
 def test_sweep_witt_type_is_non_authoritative():
-    report = sweep(WittType(AdditiveMap([1])), Window(3, 1), 1)
+    """At rank 2 the shifts are only bounded below: f = (1, 2) is outside
+    the dim V = 1 theorem, whose rank-1 case the next test asserts."""
+    report = sweep(WittType(AdditiveMap([1, 2])), Window(3, 1), 1)
     assert not report.authoritative
     assert "non-authoritative" in report.verdict
     for r in report.results:
         assert r.membership_pass
         assert r.projected_dim >= 1
+
+
+@pytest.mark.parametrize("spec", [WittType(AdditiveMap([1])), GeneralizedWitt(Pairing([[1]])),
+                                  WittType(AdditiveMap([Fraction(-2, 3)]))],
+                         ids=["witt", "gw", "witt-rational"])
+def test_rank_1_sweeps_assert_the_shift(spec):
+    """dim V = 1 at rank 1: Delta is exactly span{shift} at every degree."""
+    report = sweep(spec, Window(4, 2), 2)
+    assert report.authoritative and report.all_pass
+    assert report.verdict == "Delta = span{shift}"
+    assert all(r.projected_dim == r.predicted_dim == 1 for r in report.results)
+
+
+@pytest.mark.parametrize("spec,reason", [(WittType(AdditiveMap([0])), "map f"),
+                                         (GeneralizedWitt(Pairing([[0]])), "pairing")])
+def test_a_rank_1_spec_with_zero_data_reports_dimensions_only(spec, reason):
+    report = sweep(spec, Window(3, 1), 1)
+    assert report.verdict == "dimension report only (degenerate %s)" % reason
+    assert not spec.nondegenerate and not report.authoritative
 
 
 def test_sweep_report_json_round_trip_fields():
@@ -397,30 +419,89 @@ def test_a_refused_sweep_never_builds_the_degree_box(monkeypatch):
     (WittType(AdditiveMap([0])), 1)],
     ids=["gw", "gw-dimv2-rank1", "witt", "block-g0", "block-gh", "raw-f0", "abelian"])
 def test_reflection_sign_of_each_family(spec, sign):
-    """x (x) v -> (-x) (x) (-v) on generalized Witt, e_x -> -e_(-x) on Witt
-    type, e_x -> e_(-x) on Block g = 0; c(x, y) = x^T M y + g(x) - g(y)
-    with both parts has neither."""
-    assert spec.reflection_sign == sign
+    """The point reflection's element of ``spec.automorphisms``: x (x) v ->
+    (-x) (x) (-v) on generalized Witt, e_x -> -e_(-x) on Witt type, e_x ->
+    e_(-x) on Block g = 0; c(x, y) = x^T M y + g(x) - g(y) with both parts
+    has none."""
+    minus = tuple((k, -1) for k in range(spec.rank))
+    identity = tuple((i, 1) for i in range(spec.dim_v))
+    assert next(((tau, s) for sigma, tau, s in spec.automorphisms if sigma == minus),
+                (identity, None)) == (identity, sign)
+
+
+def _rank3_block():
+    """The held-out rank-3 Block: g = e1, h = e2."""
+    return Block.from_gh(AdditiveMap([1, 0, 0]), AdditiveMap([0, 1, 0]))
+
+
+_SWAPPED = GeneralizedWitt(Pairing([[0, 1], [1, 0]]))  # <v_0, x> = x_1, <v_1, x> = x_0
+
+
+@pytest.mark.parametrize("spec,order", [
+    (gw_spec(), 8), (_SWAPPED, 8), (b0_spec(), 8), (b1_spec(), 2),
+    (Block.from_gh(AdditiveMap([-1, 0]), AdditiveMap([0, 3])), 2),
+    (WittType(AdditiveMap([1, 2])), 2), (WittType(AdditiveMap([1])), 2),
+    (_rank3_block(), 4)],
+    ids=["gw", "gw-swapped", "block-g0", "block-gh", "block-no-coset", "witt",
+         "witt-rank1", "block-rank3"])
+def test_automorphism_group_order_of_each_spec(spec, order):
+    """One element per sigma, the identity first; each tau keeps the pairing
+    and fixes the basis of V on the scalar families."""
+    group = spec.automorphisms
+    assert len(group) == order == len({sigma for sigma, _, _ in group})
+    assert group[0] == (tuple((k, 1) for k in range(spec.rank)),
+                        tuple((i, 1) for i in range(spec.dim_v)), 1)
+    if spec.vectorial:  # <v_(tau i), sigma x> = s eps_i <v_i, x>
+        for sigma, tau, s in group:
+            for i, (j, e) in enumerate(tau):
+                for x in box_points(1, spec.rank):
+                    assert spec.pairing(_unit(spec, j), act(sigma, x)) == (
+                        s * e * spec.pairing(_unit(spec, i), x))
+    else:
+        assert all(tau == ((0, 1),) for _, tau, _ in group)
+
+
+def _unit(spec, i):
+    return [int(k == i) for k in range(spec.dim_v)]
+
+
+def test_tau_differs_from_sigma_on_the_swapped_pairing():
+    """sigma = diag(-1, 1) negates <v_1, .> = x_0 only: tau = diag(1, -1), s = 1."""
+    assert (((0, -1), (1, 1)), ((0, 1), (1, -1)), 1) in _SWAPPED.automorphisms
 
 
 _HALF, _TWO_THIRDS = Fraction(1, 2), Fraction(2, 3)
-_MIRROR_SPECS = {  # every family, with rank-1, rational and degenerate pairings
+_MIRROR_SPECS = {  # every family: rank-1, rational, degenerate and swapped (tau != sigma)
+    # pairings, and the held-out rank-3 Block
     "gw-rank1": GeneralizedWitt(Pairing([[1], [2]])),
     "gw-rational": GeneralizedWitt(Pairing([[_HALF, 3], [0, -_TWO_THIRDS]])),
     "gw-degenerate": GeneralizedWitt(Pairing([[1, 1], [1, 1]])),
+    "gw-swapped": _SWAPPED,
     "witt": WittType(AdditiveMap([1, 2])),
     "block-g0": b0_spec(),
     "block-gh": b1_spec(),
     "block-gh-rational": Block.from_gh(AdditiveMap([_HALF, 0]),
                                        AdditiveMap([1, -_TWO_THIRDS])),
+    "block-rank3": _rank3_block(),
 }
+
+
+def _orbits(spec, degrees):
+    """The orbits of the certified sigma on ``degrees``, each in box order."""
+    orbits = []
+    for a in degrees:
+        if not any(a in orbit for orbit in orbits):
+            images = {act(sigma, a) for sigma, _, _ in spec.automorphisms}
+            orbits.append([b for b in degrees if b in images])
+    return orbits
 
 
 @pytest.mark.parametrize("delta", [_HALF, Fraction(1), _TWO_THIRDS])
 @pytest.mark.parametrize("name", _MIRROR_SPECS)
 def test_mirrored_kernels_match_the_solve_of_every_degree(monkeypatch, name, delta):
-    """A spec with a reflection sign solves (|Box(1)| + 1) / 2 degrees and
-    reads the others off their partners; Block (g, h) solves them all."""
+    """One degree of each orbit of the certified group is solved, the first
+    in box order; every other degree is transported (it draws no row) and
+    equals the solve of its own system."""
     spec, window = _MIRROR_SPECS[name], Window(2, 1)
     degrees = box_points(1, spec.rank)
     calls, kernel_of = [], exactlin.kernel_of
@@ -429,12 +510,10 @@ def test_mirrored_kernels_match_the_solve_of_every_degree(monkeypatch, name, del
     solved = solve_degrees(spec, window, 1, delta=delta)
     n_solved = len(calls)
     assert solved == {a: solve(assemble(spec, a, window, delta=delta)) for a in degrees}
-    mirrored = {a for a, b in solved.items() if b.rows_generated == 0}
-    if spec.reflection_sign is None:
-        assert n_solved == len(degrees) and not mirrored
-    else:  # the second degree of each pair a, -a in box order draws no row
-        assert n_solved == (len(degrees) + 1) // 2
-        assert mirrored == set(degrees[n_solved:])
+    orbits = _orbits(spec, degrees)
+    assert n_solved == len(orbits)
+    assert {a for a, b in solved.items() if b.rows_generated == 0} == {
+        a for orbit in orbits for a in orbit[1:]}
 
 
 @settings(max_examples=15, deadline=None)
@@ -443,7 +522,8 @@ def test_mirrored_kernels_match_the_solve_of_every_degree(monkeypatch, name, del
        zero=st.sampled_from(["g", "f", None]),
        delta=st.sampled_from([_HALF, Fraction(1), _TWO_THIRDS]))
 def test_mirrored_kernels_match_on_raw_blocks(g, k, zero, delta):
-    """Raw Blocks with g = 0 (sign +1), f = 0 (sign -1) or neither (none)."""
+    """Raw Blocks with g = 0 (8 elements), f = 0 (sigma with g o sigma = +-g)
+    or neither."""
     g = [0, 0] if zero == "g" else g
     k = 0 if zero == "f" else k
     spec = Block.raw_form(AdditiveMap(g), BiadditiveForm([[0, k], [-k, 0]]))

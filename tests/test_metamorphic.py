@@ -10,10 +10,14 @@ and the commutativity system all ignore. So neither transform may change
 the `check-lie` verdict, the `classify-tp` verdicts and parameter count,
 or any degree's computed and projected dimension, read at degree P e.
 
-The point reflection x -> -x is one such P, and where the bracket itself
-is invariant, e_(x,i) -> s e_(-x,i) for a sign s, it maps the degree-a
-half-derivation system of a spec onto its own degree -a system, so the
-kernel at -a is the kernel at a with its box columns reflected.
+The kernels move with the labels. Pulled back by P, and on generalized
+Witt by a signed permutation tau of the V basis as well (row i of the
+pairing becomes eps_i times row tau i), the spec's kernel at P^-1 a is the
+original kernel at a carried by phi'[P^-1 x] = tau^-1 phi[x] tau, whether
+or not P is an automorphism. Where (sigma, tau) is one, the same move
+stays inside one spec: the kernel at sigma a is the kernel at a carried by
+it, which is how ``solve_degrees`` transports a kernel along an orbit.
+The group it reads, certified on the grid, is brute-forced here on Box(3).
 
 A rank-3 raw Block (g, f) is a Lie algebra exactly when g = 0 or
 f = g h^T - h g^T for some h; that is decided here by an exact solve, apart
@@ -25,11 +29,13 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from itertools import permutations, product as iter_product
+
 from oracles import dense_rref
-from tpw.algebra import Block, spec_from_json
+from tpw.algebra import Block, GeneralizedWitt, WittType, spec_from_json
 from tpw.cli import run
-from tpw.halfderiv import assemble, columns_for, solve
-from tpw.lattice import AdditiveMap, BiadditiveForm, Window, box_points
+from tpw.halfderiv import _transported, assemble, columns_for, solve
+from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, box_points
 
 _RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _NONZERO = _RATIONAL.filter(bool)
@@ -265,19 +271,38 @@ def _symmetric_specs(draw):
     return spec_from_json(spec)
 
 
-def _mirror(spec, window, vectors):
-    """The vectors with phi'[x, r, c] = phi[-x, r, c], in canonical form:
-    the reduced echelon with each lead at its largest column, by lead."""
+def _carried(spec, window, vectors, g, tau):
+    """The vectors with phi'[g x, tau r, tau c] = eps_r eps_c phi[x, r, c], for
+    g and tau given as (perm, signs), in canonical form: the reduced echelon
+    with each lead at its largest column, by lead."""
     cols = columns_for(spec, window)
     at = {col: n for n, col in enumerate(cols)}
-    flip = [at[(_neg(col[0]),) + col[1:] if spec.vectorial else _neg(col)] for col in cols]
-    moved = [[v[p] for p in reversed(flip)] for v in vectors]  # columns reversed
+    if spec.vectorial:
+        perm, signs = tau
+        moves = [(at[tuple(_point(x, *g)), perm[r], perm[c]], signs[r] * signs[c])
+                 for x, r, c in cols]
+    else:
+        moves = [(at[tuple(_point(x, *g))], 1) for x in cols]
+    moved = []
+    for v in vectors:
+        row = [Fraction(0)] * len(cols)
+        for (n, sign), value in zip(moves, v):
+            row[n] = sign * value
+        moved.append(row[::-1])  # columns reversed
     rref, pivots = dense_rref(moved) if moved else ([], [])
     return tuple(tuple(row[::-1]) for row in reversed(rref[:len(pivots)]))
 
 
 def _neg(x):
     return tuple(-c for c in x)
+
+
+def _inverse(perm, signs):
+    """P^-1 for P e_i = signs[i] e_perm[i]."""
+    inv_perm, inv_signs = [0] * len(perm), [0] * len(perm)
+    for i, (k, s) in enumerate(zip(perm, signs)):
+        inv_perm[k], inv_signs[k] = i, s
+    return inv_perm, inv_signs
 
 
 @settings(max_examples=20, deadline=None)
@@ -288,30 +313,117 @@ def _neg(x):
 def test_the_kernel_at_minus_a_is_the_reflected_kernel_at_a(spec, delta):
     """Each degree solved on its own, apart from ``solve_degrees``."""
     window = Window(2, 1)
+    minus, fixed = (range(spec.rank), [-1] * spec.rank), (range(spec.dim_v), [1] * spec.dim_v)
     for a in box_points(1, spec.rank):
         kernel = solve(assemble(spec, a, window, delta=delta))
         mirrored = solve(assemble(spec, _neg(a), window, delta=delta))
-        assert mirrored.vectors == _mirror(spec, window, kernel.vectors), a
+        assert mirrored.vectors == _carried(spec, window, kernel.vectors, minus, fixed), a
 
 
 @st.composite
-def _signed_raw_blocks(draw):
-    """A rank-2 raw Block whose g or f may be zero: reflection sign +1, -1
-    or none."""
-    zero = draw(st.sampled_from(["g", "f", None]))
-    g = [0, 0] if zero == "g" else draw(_vector(2))
-    f = [[0, 0], [0, 0]] if zero == "f" else draw(_form(2))
-    return Block.raw_form(AdditiveMap(g), BiadditiveForm(f))
+def _relabelings(draw):
+    """A spec of ``specs()`` or a generalized Witt one with dim V = 2, a
+    transform of the lattice and a signed permutation of the V basis."""
+    if draw(st.booleans()):
+        spec = draw(specs())
+    else:
+        rank = draw(st.integers(1, 2))
+        spec = {"family": "generalized_witt",
+                "pairing": [_json(draw(_vector(rank))) for _ in range(2)]}
+    dv = len(spec.get("pairing", [()]))
+    tau = (draw(st.permutations(range(dv))),
+           draw(st.lists(st.sampled_from([1, -1]), min_size=dv, max_size=dv)))
+    return spec, draw(transforms(_rank(spec))), tau
 
 
-@settings(max_examples=20, deadline=None)
-@given(spec=_signed_raw_blocks())
-def test_the_reflection_sign_on_the_grid_holds_on_box_3(spec):
-    """``reflection_sign`` reads Box(1); every pair of Box(3) agrees with it."""
-    box = box_points(3, spec.rank)
+@settings(max_examples=12, deadline=None)
+@example(case=({"family": "generalized_witt", "pairing": [["0", "1"], ["1", "0"]]},
+               ([0, 1], [-1, 1], Fraction(1)), ([1, 0], [1, -1])),
+         delta=Fraction(1))
+@example(case=(_B1, ([1, 0], [1, -1], Fraction(2)), ([0], [1])), delta=Fraction(1))
+@given(case=_relabelings(),
+       delta=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2, 3)]))
+def test_a_relabeled_spec_has_the_carried_kernels(case, delta):
+    """The pulled-back spec solved at P^-1 a equals the kernel at a carried
+    by (P^-1, tau^-1), through ``_transported`` and through the dense
+    oracle; no group is read."""
+    spec, (perm, signs, lam), (tperm, tsigns) = case
+    pulled = transformed(spec, perm, signs, lam)
+    if "pairing" in spec:
+        pulled["pairing"] = [_json([e * Fraction(v) for v in pulled["pairing"][k]])
+                             for k, e in zip(tperm, tsigns)]
+    original, pulled = spec_from_json(spec), spec_from_json(pulled)
+    back, tau_back = _inverse(perm, signs), _inverse(tperm, tsigns)
+    element = (tuple(zip(*back)), tuple(zip(*tau_back)), 1)
+    window = Window(2, 1)
+    for a in box_points(1, original.rank):
+        kernel = solve(assemble(original, a, window, delta=delta))
+        carried = solve(assemble(pulled, tuple(_point(a, *back)), window, delta=delta))
+        assert carried == _transported(pulled, window, kernel, element), a
+        assert carried.vectors == _carried(pulled, window, kernel.vectors, back, tau_back), a
 
-    def reflects(s):
-        return all(dict(spec.label_bracket(_neg(x), _neg(y))) ==
-                   {_neg(l): s * c for l, c in spec.label_bracket(x, y)}
-                   for x in box for y in box)
-    assert spec.reflection_sign == next((s for s in (1, -1) if reflects(s)), None)
+
+def _signed_perms(n):
+    return [(perm, signs) for perm in permutations(range(n))
+            for signs in iter_product((1, -1), repeat=n)]
+
+
+def _keeps_brackets(spec, labels, brackets, g, tau, s):
+    """Whether theta(e_(x,i)) = s eps_i e_(g x, tau i) keeps every bracket of
+    ``brackets``, a map (u, v) -> {label: coefficient} of [e_u, e_v] for u, v
+    in ``labels``."""
+    def image(label):  # theta(e_label) / s, as (label, sign)
+        if spec.vectorial:
+            (x, i) = label
+            return (tuple(_point(x, *g)), tau[0][i]), tau[1][i]
+        return tuple(_point(label, *g)), 1
+    images = {u: image(u) for u in labels}
+    for (u, v), terms in brackets.items():
+        (mu, su), (mv, sv) = images[u], images[v]
+        moved = {}
+        for l, c in terms.items():
+            ml, sl = images[l] if l in images else images.setdefault(l, image(l))
+            moved[ml] = s * sl * c
+        if {l: su * sv * c for l, c in brackets[mu, mv].items()} != moved:
+            return False
+    return True
+
+
+@st.composite
+def _group_specs(draw):
+    """Raw Blocks of rank 2 (g or f may be zero) and 3 (neither is), Witt
+    types of rank 1 and 2 and rank-2 pairings with dim V = 2, whose rows
+    may repeat, vanish or swap coordinates. A rank-3 spec with a large group
+    (Block g = 0, Witt type) would cost seconds at Box(3)."""
+    kind = draw(st.sampled_from(["raw-2", "raw-3", "witt", "gw"]))
+    if kind.startswith("raw"):
+        rank = int(kind[-1])
+        zero = draw(st.sampled_from(["g", "f", None])) if rank == 2 else None
+        g = [0] * rank if zero == "g" else draw(_vector(rank))
+        f = [[0] * rank] * rank if zero == "f" else draw(_form(rank))
+        return Block.raw_form(AdditiveMap(g), BiadditiveForm(f))
+    if kind == "witt":
+        return WittType(AdditiveMap(draw(_vector(draw(st.integers(1, 2))))))
+    entry = st.sampled_from([-1, 0, 1, 2])
+    return GeneralizedWitt(Pairing([[draw(entry) for _ in range(2)] for _ in range(2)]))
+
+
+@settings(max_examples=12, deadline=None)
+@example(spec=GeneralizedWitt(Pairing([[0, 1], [1, 0]])))
+@example(spec=GeneralizedWitt(Pairing([[1, 1], [1, 1]])))
+@given(spec=_group_specs())
+def test_the_certified_group_on_the_grid_holds_on_box_3(spec):
+    """``spec.automorphisms`` reads the grid; on every pair of labels of
+    Box(3), its sigma are exactly those with some (tau, s) that keeps the
+    bracket, and each of its (sigma, tau, s) keeps it."""
+    labels = spec.basis_labels(box_points(3, spec.rank))
+    brackets = {(u, v): dict(spec.label_bracket(u, v)) for u in labels for v in labels}
+    identity, *others = _signed_perms(spec.rank)  # the identity keeps every bracket
+    group = {tuple(zip(*g)) for g in [identity] + [
+        g for g in others if any(_keeps_brackets(spec, labels, brackets, g, tau, s)
+                                 for tau in _signed_perms(spec.dim_v) for s in (1, -1))]}
+    first, *rest = spec.automorphisms
+    assert first == (tuple(zip(*identity)), tuple(zip(*_signed_perms(spec.dim_v)[0])), 1)
+    assert {sigma for sigma, _, _ in spec.automorphisms} == group
+    for sigma, tau, s in rest:
+        assert _keeps_brackets(spec, labels, brackets, tuple(zip(*sigma)), tuple(zip(*tau)), s)
