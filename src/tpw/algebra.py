@@ -381,7 +381,9 @@ class Block(_ScalarFamily):
     @cached_property
     def nondegenerate(self) -> bool:
         """Whether f has rank n over Q, as the classification assumes; a raw
-        Block with g != 0 lacks the (g, h) presentation it needs first."""
+        Block with g != 0 lacks the (g, h) presentation it needs first. f =
+        g h^T - h g^T has rank <= 2 and an antisymmetric f of odd rank is
+        singular, so no Block (g, h) of rank >= 3, nor of odd rank, has it."""
         if not self.g_is_zero and self.h is None:
             raise FamilyMismatchError("predicate needs the (g, h) presentation")
         return RowSpace(self.f.matrix).rank == self.rank

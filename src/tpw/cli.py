@@ -56,7 +56,8 @@ def _require(config, field, kind=None):
 
 
 def load_config(data: dict) -> dict:
-    """Validate a raw config dict and fill the defaults in."""
+    """Validate a raw config dict and fill the defaults in; ``window.inner_margin``
+    is the radius of the inner box the comparisons read, not a margin width."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     cfg = dict(data)
@@ -421,7 +422,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a single job config")
     p_run.add_argument("--config", required=True, help="path to a JSON job config")
     p_run.add_argument("--radius", type=int, default=None)
-    p_run.add_argument("--margin", type=int, default=None)
+    p_run.add_argument("--margin", type=int, default=None,
+                       help="radius of the inner box (the config's window.inner_margin)")
     p_run.add_argument("--delta", type=str, default=None)
     p_run.add_argument("--seed", type=int, default=None)
 

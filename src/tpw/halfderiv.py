@@ -1,13 +1,13 @@
 """Per-degree constraint systems for scaled derivations and their solutions.
 
-A graded linear map of degree ``a`` sends the basis line at ``x`` to the
-line at ``a + x``; its coefficient table is the unknown vector. For each
+A graded linear map phi of degree ``a`` sends e_(x,c) to sum_r phi[x, r,
+c] e_(a+x, r): its unknowns are one dim V x dim V block per box point on
+every family (1 x 1 on Witt type and Block, the dim V = 1 case). For each
 window pair (x, y) with x, y and x + y inside the box, the defining
-relation of a delta-derivation is one homogeneous linear row (a block of
-rows for the generalized Witt family, whose per-index unknown is a full
-dim V x dim V matrix). Solving the assembled system exactly and comparing
-the solution space against the predicted spanning maps, degree by degree,
-is the computational heart of the workbench.
+relation of a delta-derivation is a block of dim V^3 homogeneous linear
+rows. Solving the assembled system exactly and comparing the solution
+space against the predicted spanning maps, degree by degree, is the
+computational heart of the workbench.
 
 Rows are streamed, never stored: pairs with a point of small norm come
 first. Every degree of a window reads one pair table of positions and
@@ -62,9 +62,10 @@ class MissingDegreeError(Exception):
 class PredictedBasis:
     """Spanning maps the classification predicts for one degree.
 
-    A component is a coefficient table: box index x -> the coefficient of
-    the image at degree + x, a scalar for the scalar families, a dim V x
-    dim V matrix (tuple of row tuples) for the generalized Witt family.
+    A component is a coefficient table: box index x -> the dim V x dim V
+    matrix (tuple of row tuples) whose entry [r][c] is the coefficient of
+    e_(degree+x, r) in the image of e_(x,c); ``((1,),)`` is the identity on
+    the scalar families.
     """
 
     def __init__(self, degree: tuple, components: tuple, authoritative: bool = True,
@@ -82,13 +83,12 @@ class HalfDerivationSystem:
     streamed rows on first use.
     """
 
-    def __init__(self, spec, degree: tuple, window: Window, delta: Fraction, columns: tuple):
-        self.spec, self.degree, self.window = spec, degree, window
-        self.delta, self.columns = delta, columns
+    def __init__(self, spec, degree: tuple, window: Window, delta: Fraction):
+        self.spec, self.degree, self.window, self.delta = spec, degree, window, delta
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.columns)
+        return _n_unknowns(self.spec, self.window)
 
     @property
     def n_constraints(self) -> int:
@@ -155,33 +155,25 @@ class HalfDerivationSystem:
 
 
 def columns_for(spec, window: Window):
-    """Unknowns of a degree: x per box index, or (x, r, c) for matrix tables.
+    """Unknowns of a degree: (x, r, c) per box point x and block entry [r][c].
 
-    One tuple per (rank, dim V, vectorial, radius) serves every degree and caller.
+    One tuple per (rank, dim V, radius) serves every degree and caller.
     """
-    return _columns(spec.rank, spec.dim_v, spec.vectorial, window.radius)
+    return _columns(spec.rank, spec.dim_v, window.radius)
 
 
 @lru_cache
-def _columns(rank, dim_v, vectorial, radius):
-    box = box_points(radius, rank)
-    if not vectorial:
-        return tuple(box)
+def _columns(rank, dim_v, radius):
     dv = range(dim_v)
-    return tuple((x, r, c) for x in box for r in dv for c in dv)
+    return tuple((x, r, c) for x in box_points(radius, rank) for r in dv for c in dv)
 
 
 def component_vector(spec, window: Window, table: dict):
-    """Flatten a component table into the canonical column order."""
-    cols = columns_for(spec, window)
+    """Flatten a table ``{x: dim V x dim V matrix}`` into the column order:
+    (x, r, c) reads ``table[x][r][c]``, zero where x is not in the table."""
     zero_f = Fraction(0)
-    if spec.vectorial:
-        vec = []
-        for (x, r, c) in cols:
-            m = table.get(x)
-            vec.append(Fraction(m[r][c]) if m is not None else zero_f)
-        return tuple(vec)
-    return tuple(Fraction(table.get(x, zero_f)) for x in cols)
+    return tuple(Fraction(table[x][r][c]) if x in table else zero_f
+                 for x, r, c in columns_for(spec, window))
 
 
 def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
@@ -201,14 +193,17 @@ def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
     if delta == 0:
         raise ValueError("delta must be nonzero")
     _check_unknowns(spec, window, max_unknowns)
-    return HalfDerivationSystem(spec, degree, window, delta, columns_for(spec, window))
+    return HalfDerivationSystem(spec, degree, window, delta)
+
+
+def _n_unknowns(spec, window: Window):
+    """The count of ``columns_for``'s keys, dim V^2 per box point, unbuilt."""
+    return (2 * window.radius + 1) ** spec.rank * spec.dim_v ** 2
 
 
 def _check_unknowns(spec, window: Window, max_unknowns):
-    """Refuse past ``max_unknowns`` from the count of ``columns_for``'s keys
-    (dim V^2 per box point, one on the scalar families), known before any
-    key is built."""
-    n = (2 * window.radius + 1) ** spec.rank * spec.dim_v ** 2
+    """Refuse past ``max_unknowns`` from ``_n_unknowns``, before any key is built."""
+    n = _n_unknowns(spec, window)
     if max_unknowns is not None and n > max_unknowns:
         raise exactlin.DimensionOverflowError(
             "%d unknowns exceed the max_unknowns limit %d" % (n, max_unknowns))
@@ -232,13 +227,13 @@ def _pair_table(spec, radius):
 
     The first five run over the unordered pairs of Box(radius) with x + y
     in it, in stream order: x through the box sorted by ``norm_inf``, y
-    from x on (past x on a scalar family, whose diagonal row is zero);
-    t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. The last two are the
-    unit differences every degree's offsets combine: ``units x[m]`` holds
-    t(e_m, y) - t(0, y) flattened for each y of the box in turn, ``units
-    y[m]`` t(x, e_m) - t(x, 0) for each x. Kept in ``spec.pair_tables``,
-    the pair columns as ``array('q')`` (the constants a list if one
-    exceeds 64 bits)."""
+    from x on (past x when dim V = 1, as a label with itself gives a zero
+    row); t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. The last two
+    are the unit differences every degree's offsets combine: ``units x[m]``
+    holds t(e_m, y) - t(0, y) flattened for each y of the box in turn,
+    ``units y[m]`` t(x, e_m) - t(x, 0) for each x. Kept in
+    ``spec.pair_tables``, the pair columns as ``array('q')`` (the constants
+    a list if one exceeds 64 bits)."""
     tables = spec.pair_tables
     if radius not in tables:
         try:
@@ -266,7 +261,7 @@ def _build_pair_table(spec, radius, consts):
     pxs, pys, pxys = array("q"), array("q"), array("q")
     for n, px in enumerate(order):
         x, qx = box[px], qs[px] + corner
-        for py in order[n + (not spec.vectorial):]:
+        for py in order[n + (spec.dim_v == 1):]:  # one label: (x, x) gives a zero row
             pxy = at[qx + qs[py]]
             if pxy >= 0:
                 pxs.append(px)
@@ -313,8 +308,7 @@ def _predictor(spec, window: Window):
     degree: the window's degree-invariant work is done here, once."""
     box = box_points(window.radius, spec.rank)
     dv = range(spec.dim_v)
-    one = (tuple(tuple(Fraction(int(r == c)) for c in dv) for r in dv)
-           if spec.vectorial else Fraction(1))
+    one = tuple(tuple(Fraction(int(r == c)) for c in dv) for r in dv)
     named_at = _PREDICTIONS[spec.family](spec, window, box, one)
     authoritative = _authoritative(spec)
 
@@ -374,8 +368,8 @@ def inner_column_positions(spec, window: Window) -> tuple:
     """Positions of the columns whose box index lies in the inner box.
 
     They depend on the spec only through its rank and dim V (a box point
-    has dim V^2 columns, one on the scalar families), so one tuple per
-    (rank, dim V, radius, inner margin) serves every degree and caller.
+    has dim V^2 columns), so one tuple per (rank, dim V, radius, inner
+    margin) serves every degree and caller.
     """
     return _inner_positions(spec.rank, spec.dim_v, window.radius, window.inner_margin)
 

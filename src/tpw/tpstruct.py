@@ -432,7 +432,7 @@ def _support_tuples(points, support):
         return None
     n, at = len(points), _positions(points)
     pairs = _support_pairs(at, support)
-    triples = set(_associator_triples(points, support))  # u . v and v . w
+    triples = _associator_triples(pairs, n)  # u . v and v . w
     triples.update((i, k, j) for i, j in pairs for k in range(n))  # u . w
     for p, q in _oriented(support):
         for i in at.get(p, ()):  # u . [v, w]
@@ -444,12 +444,10 @@ def _support_tuples(points, support):
     return [sorted(pairs), sorted(triples)]
 
 
-def _associator_triples(points, support):
-    """The index triples (u, v, w) of the labels at ``points`` that have
-    {u, v} or {v, w} in ``support``, sorted: in the scan's nested order."""
-    pairs = _support_pairs(_positions(points), support)
-    return sorted({t for i, j in pairs for k in range(len(points))
-                   for t in ((i, j, k), (k, i, j))})
+def _associator_triples(pairs, n):
+    """The index triples (u, v, w) of ``n`` labels that have (u, v) or
+    (v, w) in ``pairs``, the index pairs of ``_support_pairs``, as a set."""
+    return {t for i, j in pairs for k in range(n) for t in ((i, j, k), (k, i, j))}
 
 
 def _positions(points):
@@ -474,10 +472,10 @@ def _support_pairs(at, support):
 def left_mult_table(spec, product, z, window: Window) -> dict:
     """Graded components of x -> u_z . x over the window's box.
 
-    Returns a map degree -> component table ``{x: coefficient}``, the
-    coefficient a 1 x 1 matrix ``((c,),)`` on generalized Witt (dim V = 1),
-    ready for ``halfderiv.component_vector`` and membership in the
-    assembled per-degree solution spaces.
+    Returns a map degree -> component table ``{x: ((c,),)}``, the 1 x 1
+    block of the one label at each point (every product rule lives where
+    dim V = 1), ready for ``halfderiv.component_vector`` and membership in
+    the assembled per-degree solution spaces.
     """
     product.check_domain(spec)
     z = tuple(z)
@@ -486,7 +484,7 @@ def left_mult_table(spec, product, z, window: Window) -> dict:
     tables = {}
     for x, v in zip(box, spec.basis_labels(box)):  # one label per point
         for l, c in product.basis_product(spec, u, v).items():
-            tables.setdefault(sub(spec.point(l), x), {})[x] = ((c,),) if spec.vectorial else c
+            tables.setdefault(sub(spec.point(l), x), {})[x] = ((c,),)
     return dict(sorted(tables.items()))
 
 
@@ -523,6 +521,7 @@ def _action_tables(spec, delta_bases, window, degree_bound):
     Returns ``(degree, index, action)`` per map of the canonical basis of
     each solved space restricted to inner-box table indices, in degree
     order; ``action[l]`` maps each image index of u_l to its coefficient.
+    Column (x, r, c) sends the c-th label at x to the r-th label at e + x.
     """
     maps = []
     for e in box_points(degree_bound, spec.rank):
@@ -532,13 +531,9 @@ def _action_tables(spec, delta_bases, window, degree_bound):
         keys, _, space = inner_projection(spec, window, delta_bases[e].vectors)
         for k, row in enumerate(space.basis()):
             action = {}
-            for key, val in zip(keys, row):
+            for (x, r, c), val in zip(keys, row):
                 if val:
-                    if spec.vectorial:  # u_x (x) v_c -> val u_(x+e) (x) v_r
-                        x, r, c = key
-                        label, out = (x, c), (add(e, x), r)
-                    else:
-                        label, out = key, add(e, key)
+                    label, out = spec.basis_labels([x])[c], spec.basis_labels([add(e, x)])[r]
                     action.setdefault(label, {})[out] = val
             maps.append((e, k, action))
     return maps
@@ -639,7 +634,8 @@ def _span_associativity(spec, generators, points, draws, max_triples=None):
         return True, [(True, None)] * len(draws)
     scan, m = _Scan(spec, points), len(generators)
     support = set().union(*(g.support(spec.rank) for g in generators))
-    triples = _associator_triples(scan.points, support)
+    triples = sorted(_associator_triples(_support_pairs(_positions(scan.points), support),
+                                         len(scan.points)))  # the scan's nested order
     if max_triples is not None and m * m * len(triples) > max_triples:
         raise LimitExceededError(
             "max_triples limit %d exceeded in stage associativity: %d generators"

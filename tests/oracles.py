@@ -154,7 +154,8 @@ def ordered_pair_rows(spec, degree, radius, delta):
     The assembly as first written: a row (a block of dim V^3 rows for
     generalized Witt) for every ordered pair (x, y) with x, y and x + y in
     Box(radius), entries computed in Fractions straight from the family's
-    closed bracket formula. Columns follow ``halfderiv.columns_for``.
+    closed bracket formula. Column positions follow ``halfderiv.columns_for``
+    (its own keys are x on the scalar families).
     """
     from itertools import product as iter_product
 

@@ -16,7 +16,7 @@ from oracles import (
     sparse_nullspace,
 )
 from tpw import exactlin, halfderiv
-from tpw.algebra import Block, GeneralizedWitt, WittType
+from tpw.algebra import Block, Element, GeneralizedWitt, WittType, bracket
 from tpw.halfderiv import (
     PredictedBasis,
     assemble,
@@ -29,7 +29,7 @@ from tpw.halfderiv import (
     sweep,
 )
 from tpw.lattice import (AdditiveMap, BiadditiveForm, Pairing, RankMismatchError, Window,
-                         act, box_points)
+                         act, add, box_points)
 
 
 def b1_spec():
@@ -97,11 +97,42 @@ def test_identity_solves_degree_zero():
         assert all(x == 0 for x in system.matrix.apply(vec))
 
 
+def test_a_solved_vector_round_trips_through_its_table():
+    """On generalized Witt with dim V = 2 at delta = 1, each kernel vector
+    read as {x: block}, the entry [r][c] at column pos(x) dv^2 + r dv + c,
+    is a derivation phi(e_(x,c)) = sum_r block[r][c] e_(a+x, r) by the
+    element bracket, and ``component_vector`` gives the vector back. The
+    inner derivations have blocks that are not symmetric, so a transposed
+    read fails both."""
+    spec, window, a = gw_spec(), Window(2, 1), (1, 1)
+    box, dv = box_points(window.radius, spec.rank), range(spec.dim_v)
+    kernel = solve(assemble(spec, a, window, delta=Fraction(1)))
+    assert kernel.dimension == 2 and spec.dim_v == 2
+    for vector in kernel.vectors:
+        table = {x: tuple(tuple(vector[(n * 2 + r) * 2 + c] for c in dv) for r in dv)
+                 for n, x in enumerate(box)}
+        assert any(m[0][1] != m[1][0] for m in table.values())
+        assert component_vector(spec, window, table) == tuple(vector)
+
+        def phi(label):
+            x, c = label
+            return Element({(add(a, x), r): table[x][r][c] for r in dv})
+        labels = spec.basis_labels(box)
+        for u in labels:
+            for v in labels:
+                if window.contains(add(u[0], v[0])):
+                    eu, ev = Element({u: 1}), Element({v: 1})
+                    image = sum((k * phi(l) for l, k in bracket(spec, eu, ev).terms.items()),
+                                Element())
+                    assert image == (bracket(spec, phi(u), ev)
+                                     + bracket(spec, eu, phi(v))), (u, v)
+
+
 def test_membership_of_alpha_for_block_g0():
     window = Window(2, 1)
     spec = b0_spec()
     system = assemble(spec, (0, 0), window)
-    vec = component_vector(spec, window, {(0, 0): Fraction(1)})
+    vec = component_vector(spec, window, {(0, 0): ((Fraction(1),),)})
     assert all(x == 0 for x in system.matrix.apply(vec))
 
 
@@ -109,7 +140,7 @@ def test_membership_of_alpha_pair_for_b1():
     window = Window(3, 2)
     spec = b1_spec()
     system = assemble(spec, (0, 1), window)
-    vec = component_vector(spec, window, {(0, -2): Fraction(1)})
+    vec = component_vector(spec, window, {(0, -2): ((Fraction(1),),)})
     assert all(x == 0 for x in system.matrix.apply(vec))
 
 
@@ -128,7 +159,7 @@ def test_inner_derivation_is_a_derivation_at_delta_one():
     window = Window(3, 1)
     c = (1,)
     system = assemble(spec, c, window, delta=Fraction(1))
-    table = {x: spec.f(x) - spec.f(c) for x in box_points(3, 1)}
+    table = {x: ((spec.f(x) - spec.f(c),),) for x in box_points(3, 1)}
     vec = component_vector(spec, window, table)
     assert all(r == 0 for r in system.matrix.apply(vec))
 
@@ -141,17 +172,17 @@ def test_delta_zero_rejected():
 def test_predicted_shapes():
     window = Window(3, 2)
     assert list(predicted(b0_spec(), (0, 0), window).components) == [
-        {x: Fraction(1) for x in box_points(3, 2)},
-        {(0, 0): Fraction(1)},
+        {x: ((Fraction(1),),) for x in box_points(3, 2)},
+        {(0, 0): ((Fraction(1),),)},
     ]
     assert predicted(b0_spec(), (1, 0), window).components == ()
     p = predicted(b1_spec(), (0, 1), window)
     assert len(p.components) == 1
-    assert p.components[0] == {(0, -2): Fraction(1)}
+    assert p.components[0] == {(0, -2): ((Fraction(1),),)}
     assert predicted(gw_spec(), (1, 1), window).components == ()
     shift = predicted(WittType(AdditiveMap([1])), (2,), Window(3, 1))
     assert shift.authoritative  # the dim V = 1 theorem, asserted at rank 1
-    assert shift.components[0] == {x: Fraction(1) for x in box_points(3, 1)}
+    assert shift.components[0] == {x: ((Fraction(1),),) for x in box_points(3, 1)}
     assert not predicted(WittType(AdditiveMap([1, 2])), (1, 0), Window(3, 1)).authoritative
 
 
@@ -160,7 +191,7 @@ def test_compare_flags_membership_failure():
     spec = b0_spec()
     system = assemble(spec, (1, 0), window)
     computed = solve(system)
-    bogus = PredictedBasis((1, 0), ({(0, 0): Fraction(1)},))
+    bogus = PredictedBasis((1, 0), ({(0, 0): ((Fraction(1),),)},))
     rep = compare(spec, window, computed, bogus)
     assert not rep.membership_pass
     assert not rep.passed
@@ -661,7 +692,7 @@ def small_specs(draw):
 def _inner_columns(spec, window):
     """(position, key) of the columns whose box index is in the inner box."""
     return [(i, col) for i, col in enumerate(columns_for(spec, window))
-            if window.in_inner(col[0] if spec.vectorial else col)]
+            if window.in_inner(col[0])]
 
 
 def _inner_rows(spec, window, vectors):

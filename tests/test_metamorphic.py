@@ -276,13 +276,9 @@ def _carried(spec, window, vectors, g, tau):
     g and tau given as (perm, signs), in canonical form: the reduced echelon
     with each lead at its largest column, by lead."""
     cols = columns_for(spec, window)
-    at = {col: n for n, col in enumerate(cols)}
-    if spec.vectorial:
-        perm, signs = tau
-        moves = [(at[tuple(_point(x, *g)), perm[r], perm[c]], signs[r] * signs[c])
-                 for x, r, c in cols]
-    else:
-        moves = [(at[tuple(_point(x, *g))], 1) for x in cols]
+    at, (perm, signs) = {col: n for n, col in enumerate(cols)}, tau
+    moves = [(at[tuple(_point(x, *g)), perm[r], perm[c]], signs[r] * signs[c])
+             for x, r, c in cols]
     moved = []
     for v in vectors:
         row = [Fraction(0)] * len(cols)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tpw import tpstruct
+from tpw import cli, tpstruct
 from tpw.algebra import (
     Block,
     Element,
@@ -16,6 +16,7 @@ from tpw.algebra import (
     GeneralizedWitt,
     WittType,
     _Scan,
+    spec_from_json,
 )
 from tpw.halfderiv import assemble, component_vector, solve_degrees
 from tpw.lattice import AdditiveMap, BiadditiveForm, Pairing, Window, box_points
@@ -39,6 +40,10 @@ from oracles import element_associativity, element_verify
 
 def witt_spec():
     return WittType(AdditiveMap([1]))
+
+
+def gw1_spec():
+    return GeneralizedWitt(Pairing([[1]]))
 
 
 def b0_spec():
@@ -221,7 +226,7 @@ def test_left_mult_table_single_idempotent():
     window = Window(2, 1)
     comps = left_mult_table(spec, SingleIdempotent(), (0, 0), window)
     assert list(comps) == [(0, 0)]
-    assert comps[(0, 0)] == {(0, 0): Fraction(1)}
+    assert comps[(0, 0)] == {(0, 0): ((Fraction(1),),)}
 
 
 def test_left_mult_table_zero_product():
@@ -234,7 +239,7 @@ def test_left_mult_table_mutation_shifts():
                             (0,), Window(3, 1))
     assert set(comps) == {(1,), (-1,)}
     for table in (comps[(1,)], comps[(-1,)]):
-        assert table == {x: Fraction(1) for x in box_points(3, 1)}
+        assert table == {x: ((Fraction(1),),) for x in box_points(3, 1)}
 
 
 def test_left_mult_components_are_half_derivations():
@@ -329,23 +334,14 @@ def test_classify_requires_all_degrees():
         classify(spec, solved, window, 1)
 
 
-def test_mutation_left_mults_are_half_derivations():
-    spec = witt_spec()
+@pytest.mark.parametrize("spec,label", [(witt_spec(), lambda a: a),
+                                        (gw1_spec(), lambda a: (a, 0))],
+                         ids=["witt-type", "gw1"])
+def test_mutation_left_mults_are_half_derivations(spec, label):
+    """Witt type and generalized Witt with dim V = 1 give the same
+    components, each a table of 1 x 1 matrices."""
     window = Window(3, 1)
-    w = Element({(1,): Fraction(1, 2), (0,): Fraction(-3)})
-    comps = left_mult_table(spec, Mutation(w), (1,), window)
-    assert set(comps) == {(2,), (1,)}
-    for degree, comp in comps.items():
-        system = assemble(spec, degree, window)
-        vec = component_vector(spec, window, comp)
-        assert all(r == 0 for r in system.matrix.apply(vec))
-
-
-def test_gw1_mutation_left_mults_are_half_derivations():
-    """The dim V = 1 twin: components come as 1 x 1 matrices."""
-    spec = gw1_spec()
-    window = Window(3, 1)
-    w = Element({((1,), 0): Fraction(1, 2), ((0,), 0): Fraction(-3)})
+    w = Element({label((1,)): Fraction(1, 2), label((0,)): Fraction(-3)})
     comps = left_mult_table(spec, Mutation(w), (1,), window)
     assert set(comps) == {(2,), (1,)}
     assert comps[(2,)][(0,)] == ((Fraction(1, 2),),)
@@ -360,14 +356,10 @@ def test_star_left_mult_is_the_alpha_map():
     window = Window(3, 2)
     comps = left_mult_table(spec, star_product(), (0, -2), window)
     assert list(comps) == [(0, 1)]
-    assert comps[(0, 1)] == {(0, -2): Fraction(1)}
+    assert comps[(0, 1)] == {(0, -2): ((Fraction(1),),)}
     system = assemble(spec, (0, 1), window)
     vec = component_vector(spec, window, comps[(0, 1)])
     assert all(r == 0 for r in system.matrix.apply(vec))
-
-
-def gw1_spec():
-    return GeneralizedWitt(Pairing([[1]]))
 
 
 def _seeded_multiplier(rng):
@@ -624,3 +616,72 @@ def test_products_outside_their_domain_are_rejected(spec, product, error):
 def test_left_mult_table_rejects_an_index_of_another_rank():
     with pytest.raises(ValueError, match="rank 1"):
         left_mult_table(witt_spec(), Mutation(Element({(0,): 1})), (0, 5), Window(2, 1))
+
+
+# The B(q) family that the paper generalizes: basis L_(m,i), (m, i) in Z^2, with
+# [L_(m,i), L_(n,j)] = (n(i + q) - m(j + q)) L_(m+n,i+j). It is Block with
+# (g, h) = ((-q, 0), (0, 1/q)) for q != 0, and Block f = [[0, -1], [1, 0]] for
+# q = 0; its space of 1/2-derivations, and so its transposed Poisson family,
+# has one more direction exactly when q is an integer.
+
+_QS = [Fraction(q) for q in (0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-1, 3))]
+
+
+def _bq_json(q):
+    if q == 0:
+        return {"family": "block", "f": [["0", "-1"], ["1", "0"]]}
+    return {"family": "block", "g": [str(-q), "0"], "h": ["0", str(1 / q)]}
+
+
+def _bq_bracket(q, a, b):
+    """The coefficient of L_(m+n,i+j) in [L_(m,i), L_(n,j)], as written above."""
+    (m, i), (n, j) = a, b
+    return n * (i + q) - m * (j + q)
+
+
+def _label_bracket(spec, a, b):
+    """``spec.label_bracket`` as the one coefficient at a + b, over its scale."""
+    terms = dict(spec.label_bracket(a, b))
+    assert set(terms) <= {(a[0] + b[0], a[1] + b[1])}
+    return Fraction(sum(terms.values()), spec.structure_constants[0])
+
+
+@pytest.mark.parametrize("q", _QS, ids=str)
+def test_block_is_the_b_q_bracket(q):
+    spec = spec_from_json(_bq_json(q))
+    box = box_points(2, 2)
+    for a in box:
+        for b in box:
+            assert _label_bracket(spec, a, b) == _bq_bracket(q, a, b), (a, b)
+
+
+def test_the_empty_coset_block_of_the_suite_is_3_b_one_third():
+    case, = [c for c in cli.THEOREM_SUITES["thmB"] if c["name"] == "block-empty-coset-trivial"]
+    spec = spec_from_json(case["algebra"])
+    box = box_points(2, 2)
+    for a in box:
+        for b in box:
+            assert _label_bracket(spec, a, b) == 3 * _bq_bracket(Fraction(1, 3), a, b), (a, b)
+
+
+@pytest.mark.parametrize("q,radius,margin,bound", [
+    *((Fraction(q), 4, 2, 2) for q in (-1, 0, 1, Fraction(1, 2), Fraction(-1, 2),
+                                       Fraction(1, 3), Fraction(-1, 3))),
+    (Fraction(2), 6, 4, 2), (Fraction(-2), 6, 4, 2), (Fraction(3), 7, 6, 3),
+], ids=lambda v: str(v) if isinstance(v, Fraction) else None)
+def test_classify_tp_on_b_q_has_a_parameter_exactly_for_integer_q(q, radius, margin, bound):
+    """One parameter for q in Z, none otherwise, and the sweep asserts the
+    span: id, and for q in Z the alpha map u_(0,-2q) -> u_(0,-q), so the
+    inner box must hold (0, -2q)."""
+    integer = q.denominator == 1
+    report = cli.run({"algebra": _bq_json(q), "task": "classify-tp",
+                      "window": {"radius": radius, "inner_margin": margin},
+                      "payload": {"degree_bound": bound, "expected_parameters": int(integer)}})
+    names = {"id"}
+    if integer:
+        names.add("alpha" if q == 0 else "alpha_((0,%d),(0,%d))" % (-2 * q, -q))
+    verdict = report["result"]["sweep_verdict"]
+    assert verdict.startswith("Delta = span{") and verdict.endswith("}")
+    assert set(verdict[len("Delta = span{"):-1].split(", ")) == names
+    assert [v["pass"] for v in report["verdicts"]] == [True, True, True]
+    assert report["all_pass"]
