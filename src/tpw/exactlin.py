@@ -4,13 +4,15 @@ Scalars are arbitrary-precision rationals (``fractions.Fraction``), which
 already carry the canonical invariants we need: reduced representation and
 a positive denominator. ``kernel_of`` is the one kernel algorithm: it
 shrinks an integer kernel basis, from the identity, by each drawn row that
-meets it, and reads the canonical basis off what is left. ``nullspace``
-and the classifier's commutativity solve both call it. ``RowSpace`` is an
-incremental echelon of denominator-cleared integer rows with per-row gcd
-reduction; a rank, a row-space basis, ``in_span``, every span check after
-a solve and the kernel read-out are reads of one ``RowSpace``.
-``SparseMatrix`` holds a matrix assembled from entries (a system's
-``matrix``). No floating point appears anywhere in this package.
+meets it, and reads the canonical basis off what is left. It reads rows in
+orbits of a symmetry of the system and draws the rest of an orbit only
+when the orbit's first rows shrink the basis; a plain row stream is one
+orbit. ``nullspace`` and the classifier's commutativity solve both call
+it. ``RowSpace`` is an incremental echelon of denominator-cleared integer
+rows with per-row gcd reduction; a rank, a row-space basis, ``in_span``,
+every span check after a solve and the kernel read-out are reads of one
+``RowSpace``. ``SparseMatrix`` holds a matrix assembled from entries (a
+system's ``matrix``). No floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -114,6 +116,10 @@ class SparseMatrix:
         for row in self.row_dicts():
             if row:
                 yield int_row(row)
+
+    def orbits(self):
+        """The rows as ``kernel_of`` reads them: one orbit, nothing skipped."""
+        return [(self.int_rows(),)]
 
     def apply(self, vector):
         """Exact matrix-vector product."""
@@ -265,9 +271,10 @@ class NullspaceBasis:
     one, and zeros at all other free columns, which makes the basis
     uniquely determined by the kernel itself: golden comparisons stay
     byte-stable. ``rows_consumed`` counts the drawn rows that shrank the
-    kernel (the rank) and ``rows_checked`` those that did not, as
-    ``kernel_of`` draws them (``rows_generated`` is their sum); a kernel
-    read off another one draws no row and both read 0 (``halfderiv``'s
+    kernel (the rank) and ``rows_checked`` the drawn rows that did not
+    (``rows_generated`` is their sum); the rows of an orbit that
+    ``kernel_of`` skips are never drawn and count in neither. A kernel read
+    off another one draws no row and both read 0 (``halfderiv``'s
     transported degrees, all but the first of each orbit). No count takes
     part in equality.
     """
@@ -290,8 +297,15 @@ class NullspaceBasis:
         return self.rows_consumed + self.rows_checked
 
 
-def kernel_of(rows, n_cols: int) -> NullspaceBasis:
+def kernel_of(orbits, n_cols: int) -> NullspaceBasis:
     """Canonical basis of the vectors that every integer row dict annihilates.
+
+    The rows come in orbits of a group G of signed column permutations: an
+    orbit is a sequence of row iterables, its first rows first, and G
+    carries the span of the first onto the span of each other one (in
+    ``halfderiv``, the rows of one pair of the window, then those of its
+    images under the degree's stabilizer). A plain row stream is one orbit
+    of one iterable.
 
     An integer basis K of the kernel starts at the identity and is kept by
     stable id, with a column index (column -> {id: entry}). A drawn row r
@@ -299,41 +313,50 @@ def kernel_of(rows, n_cols: int) -> NullspaceBasis:
     counted. Otherwise K shrinks by one: k0 is the sparsest vector r meets
     (least id on ties), s0 = r . k0, each k with r . k = s != 0 becomes
     s0 k - s k0 over its content, and k0 leaves; only these vectors change
-    in the index. No row is drawn once K is empty. The canonical basis is
-    read off K once (``_canonical``), so it depends only on the row space,
-    not on row order or row scaling.
+    in the index. No row is drawn once K is empty. K is the kernel of whole
+    orbits, so G maps it onto itself: when an orbit's first rows annihilate
+    K, so do their images, and the rest of the orbit is never drawn. The
+    canonical basis is read off K once (``_canonical``), so it depends only
+    on the row space, not on row order, row scaling or the rows skipped.
     """
     kernel = {c: {c: 1} for c in range(n_cols)}  # id -> integer vector
     index = [{c: 1} for c in range(n_cols)]  # column -> {id: entry}
     consumed = checked = 0
-    for row in rows if kernel else ():
-        dots = {}
-        get = dots.get
-        for c, v in row.items():
-            for i, kv in index[c].items():
-                dots[i] = get(i, 0) + v * kv
-        if not any(dots.values()):
-            checked += 1
-            continue
-        consumed += 1
-        dots = {i: s for i, s in dots.items() if s}
-        i0 = min(dots, key=lambda i: (len(kernel[i]), i))
-        s0, k0 = dots.pop(i0), kernel.pop(i0)
-        for c in k0:
-            del index[c][i0]
-        for i, s in dots.items():
-            g = gcd(s0, s)
-            a, s = s0 // g, s // g
-            k = {c: a * v for c, v in kernel[i].items()}
-            for c, v in k0.items():
-                w = k.get(c, 0) - s * v
-                if w:
-                    k[c] = w
-                else:  # c cancels, so it was in k
-                    del k[c], index[c][i]
-            k = kernel[i] = _gcd_normalize(k)
-            for c, v in k.items():
-                index[c][i] = v
+    for orbit in orbits if kernel else ():
+        before = consumed
+        for rows in orbit:
+            for row in rows:
+                dots = {}
+                get = dots.get
+                for c, v in row.items():
+                    for i, kv in index[c].items():
+                        dots[i] = get(i, 0) + v * kv
+                if not any(dots.values()):
+                    checked += 1
+                    continue
+                consumed += 1
+                dots = {i: s for i, s in dots.items() if s}
+                i0 = min(dots, key=lambda i: (len(kernel[i]), i))
+                s0, k0 = dots.pop(i0), kernel.pop(i0)
+                for c in k0:
+                    del index[c][i0]
+                for i, s in dots.items():
+                    g = gcd(s0, s)
+                    a, s = s0 // g, s // g
+                    k = {c: a * v for c, v in kernel[i].items()}
+                    for c, v in k0.items():
+                        w = k.get(c, 0) - s * v
+                        if w:
+                            k[c] = w
+                        else:  # c cancels, so it was in k
+                            del k[c], index[c][i]
+                    k = kernel[i] = _gcd_normalize(k)
+                    for c, v in k.items():
+                        index[c][i] = v
+                if not kernel:
+                    break
+            if consumed == before or not kernel:
+                break  # the first rows annihilate K: so does the rest of the orbit
         if not kernel:
             break
     return NullspaceBasis(n_cols, _canonical(kernel.values(), n_cols),
@@ -353,15 +376,16 @@ def _canonical(vectors, n_cols):
 def nullspace(source) -> NullspaceBasis:
     """Exact canonical kernel basis of a row source, by ``kernel_of``.
 
-    ``source`` has ``n_rows``, ``n_cols`` and an ``int_rows()`` iterator of
-    integer row dicts; a ``SparseMatrix`` is one. ``n_rows x n_cols`` is
-    checked against ``DEFAULT_MAX_CELLS`` before any row is drawn.
+    ``source`` has ``n_rows``, ``n_cols`` and an ``orbits()`` iterator of
+    row orbits, as ``kernel_of`` reads them; a ``SparseMatrix`` is one.
+    ``n_rows x n_cols`` is checked against ``DEFAULT_MAX_CELLS`` before
+    ``orbits()`` is called.
     """
     if source.n_rows * source.n_cols > DEFAULT_MAX_CELLS:
         raise DimensionOverflowError(
             "%dx%d matrix exceeds the %d-cell limit"
             % (source.n_rows, source.n_cols, DEFAULT_MAX_CELLS))
-    return kernel_of(source.int_rows(), source.n_cols)
+    return kernel_of(source.orbits(), source.n_cols)
 
 
 def _vector_int_row(vector):

@@ -12,15 +12,18 @@ computational heart of the workbench.
 Rows are streamed, never stored: pairs with a point of small norm come
 first. Every degree of a window reads one pair table of positions and
 structure constants t(x, y), and the bi-affine offsets of t turn it into
-that degree's rows. ``exactlin.nullspace`` reads them in that order into
-an integer kernel basis that starts at the identity: a row that meets it
-shrinks it by one, a row that does not is only counted, and no row is
-drawn once it is empty. The signed permutations sigma of the lattice that
-the structure constants certify (``spec.automorphisms``, each with a signed
-permutation tau of the V basis) split the degrees into orbits:
-``solve_degrees`` solves the first degree of each orbit and carries its
-kernel to the others by the signed column permutation
-phi'[sigma x] = tau phi[x] tau^-1.
+that degree's rows. ``exactlin.nullspace`` reads them into an integer
+kernel basis that starts at the identity: a row that meets it shrinks it
+by one, a row that does not is only counted, and no row is drawn once it
+is empty. The signed permutations sigma of the lattice that the structure
+constants certify (``spec.automorphisms``, each with a signed permutation
+tau of the V basis) split the degrees into orbits: ``solve_degrees``
+solves the first degree of each orbit and carries its kernel to the
+others by the signed column permutation phi'[sigma x] = tau phi[x] tau^-1.
+Those that fix the degree split its pairs into orbits too
+(``_pair_orbits``): the rows of the pair (x, y) go to those of (sigma x,
+sigma y), so the rest of an orbit is drawn only when its first pair's
+rows shrink the kernel basis.
 
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported
@@ -77,10 +80,11 @@ class PredictedBasis:
 class HalfDerivationSystem:
     """Homogeneous system for one degree on one window, generated lazily.
 
-    ``int_rows()`` streams the constraint rows, which ``exactlin.nullspace``
-    reads as it reads any row source. ``n_constraints`` (alias ``n_rows``)
-    counts ordered pairs, as reports do; ``matrix`` materializes the
-    streamed rows on first use.
+    ``orbits()`` hands the constraint rows to ``exactlin.nullspace`` in
+    orbits of the degree's stabilizer, and ``int_rows()`` streams them in
+    pair order; both read one per-pair row builder. ``n_constraints``
+    (alias ``n_rows``) counts ordered pairs, as reports do; ``matrix``
+    materializes the streamed rows on first use.
     """
 
     def __init__(self, spec, degree: tuple, window: Window, delta: Fraction):
@@ -98,7 +102,23 @@ class HalfDerivationSystem:
     n_rows = n_constraints
 
     def int_rows(self):
-        """Stream the constraint rows as integer dicts.
+        """Stream the constraint rows as integer dicts, pair by pair in the
+        order of the window's ``_pair_table``."""
+        return self._pair_rows()(range(len(_pair_table(self.spec, self.window.radius)[1])))
+
+    def orbits(self):
+        """The rows as ``exactlin.kernel_of`` reads them: per orbit of the
+        certified sigma with sigma a = a (``_pair_orbits``), the rows of its
+        first pair, then those of the others, built only when drawn."""
+        a = self.degree
+        sigmas = tuple(sigma for sigma, _, _ in self.spec.automorphisms if act(sigma, a) == a)
+        draw = self._pair_rows()
+        return (map(draw, orbit)
+                for orbit in _pair_orbits(self.spec, self.window.radius, sigmas))
+
+    def _pair_rows(self):
+        """The row builder of the degree: ``draw(pairs)`` yields the rows of
+        each pair of the window's ``_pair_table`` that ``pairs`` indexes.
 
         The row of (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
         phi([u, v]) / delta - [phi(u), v] - [u, phi(v)] for u = e_(x,i) and
@@ -106,7 +126,7 @@ class HalfDerivationSystem:
         column (x, r, c) sits at pos(x) dv^2 + r dv + c, scaled by the
         numerator of delta. The row of (y, j; x, i; k) is its negation and the
         row of a label with itself is zero: only labels (x, i) < (y, j) of the
-        window's ``_pair_table`` give rows, and rows that vanish are skipped.
+        table's pairs give rows, and rows that vanish are skipped.
         Every family's t is bi-affine, so t(a + x, y) = t(x, y) + [t(a, y) -
         t(0, y)], where t(a, y) - t(0, y) = sum_m a_m [t(e_m, y) - t(0, y)],
         and the same holds on the other side: per degree, one offset per box
@@ -114,7 +134,7 @@ class HalfDerivationSystem:
         integer multiply-adds, and a row is a few integer adds.
         """
         spec, a, delta = self.spec, self.degree, self.delta
-        _, pxs, pys, pxys, consts, units_x, units_y = _pair_table(spec, self.window.radius)
+        _, pxs, pys, pxys, consts, units_x, units_y, *_ = _pair_table(spec, self.window.radius)
         dv = spec.dim_v
         dv2, dv3, span = dv * dv, dv * dv * dv, range(dv)
         off_x, off_y = _offsets(units_x, a, dv3), _offsets(units_y, a, dv3)
@@ -124,27 +144,31 @@ class HalfDerivationSystem:
         shapes = [(i, j, [((i * dv + j) * dv + l, k * dv + l, (l * dv + j) * dv + k,
                            l * dv + i, (i * dv + l) * dv + k, l * dv + j) for l in span])
                   for i in span for j in span for k in span]
-        for n, (px, py, pxy) in enumerate(zip(pxs, pys, pxys)):
-            at, ox, oy = n * dv3, off_x[py], off_y[px]
-            base_x, base_y, base_xy = px * dv2, py * dv2, pxy * dv2
-            for i, j, terms in shapes:
-                if px == py and j <= i:
-                    continue
-                row = {}
-                for ci, ki, cx, kx, cy, ky in terms:
-                    c = consts[at + ci]
-                    if c:
-                        row[base_xy + ki] = row.get(base_xy + ki, 0) + image_w * c
-                    c = consts[at + cx] + ox[cx]
-                    if c:
-                        row[base_x + kx] = row.get(base_x + kx, 0) - side_w * c
-                    c = consts[at + cy] + oy[cy]
-                    if c:
-                        row[base_y + ky] = row.get(base_y + ky, 0) - side_w * c
-                if pxy in (px, py) or px == py:  # blocks meet: entries may cancel
-                    row = {c: v for c, v in row.items() if v}
-                if row:
-                    yield row
+
+        def draw(pairs):
+            for n in pairs:
+                px, py, pxy = pxs[n], pys[n], pxys[n]
+                at, ox, oy = n * dv3, off_x[py], off_y[px]
+                base_x, base_y, base_xy = px * dv2, py * dv2, pxy * dv2
+                for i, j, terms in shapes:
+                    if px == py and j <= i:
+                        continue
+                    row = {}
+                    for ci, ki, cx, kx, cy, ky in terms:
+                        c = consts[at + ci]
+                        if c:
+                            row[base_xy + ki] = row.get(base_xy + ki, 0) + image_w * c
+                        c = consts[at + cx] + ox[cx]
+                        if c:
+                            row[base_x + kx] = row.get(base_x + kx, 0) - side_w * c
+                        c = consts[at + cy] + oy[cy]
+                        if c:
+                            row[base_y + ky] = row.get(base_y + ky, 0) - side_w * c
+                    if pxy in (px, py) or px == py:  # blocks meet: entries may cancel
+                        row = {c: v for c, v in row.items() if v}
+                    if row:
+                        yield row
+        return draw
 
     @cached_property
     def matrix(self) -> SparseMatrix:
@@ -223,7 +247,7 @@ def _n_constraints(spec, window: Window):
 
 def _pair_table(spec, radius):
     """The window's degree-invariant row data, built once per (spec, radius):
-    ``(box, pos x, pos y, pos x+y, t(x, y), units x, units y)``.
+    ``(box, pos x, pos y, pos x+y, t(x, y), units x, units y, index, orbits)``.
 
     The first five run over the unordered pairs of Box(radius) with x + y
     in it, in stream order: x through the box sorted by ``norm_inf``, y
@@ -231,9 +255,10 @@ def _pair_table(spec, radius):
     row); t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. The last two
     are the unit differences every degree's offsets combine: ``units x[m]``
     holds t(e_m, y) - t(0, y) flattened for each y of the box in turn,
-    ``units y[m]`` t(x, e_m) - t(x, 0) for each x. Kept in
-    ``spec.pair_tables``, the pair columns as ``array('q')`` (the constants
-    a list if one exceeds 64 bits)."""
+    ``units y[m]`` t(x, e_m) - t(x, 0) for each x. ``index[pos x * |box| +
+    pos y]`` is the pair of x and y, in either order, and ``orbits`` keeps
+    ``_pair_orbits`` per group. Kept in ``spec.pair_tables``, the pair
+    columns as ``array('q')`` (the constants a list if one exceeds 64 bits)."""
     tables = spec.pair_tables
     if radius not in tables:
         try:
@@ -259,11 +284,14 @@ def _build_pair_table(spec, radius, consts):
     # rows are homogeneous, so the constants' common scale drops out
     _, t = spec.structure_constants
     pxs, pys, pxys = array("q"), array("q"), array("q")
+    size = len(box)
+    index = array("q", bytes(8 * size * size))
     for n, px in enumerate(order):
         x, qx = box[px], qs[px] + corner
         for py in order[n + (spec.dim_v == 1):]:  # one label: (x, x) gives a zero row
             pxy = at[qx + qs[py]]
             if pxy >= 0:
+                index[px * size + py] = index[py * size + px] = len(pxs)
                 pxs.append(px)
                 pys.append(py)
                 pxys.append(pxy)
@@ -276,7 +304,42 @@ def _build_pair_table(spec, radius, consts):
     base = [_flat(t(x, o)) for x in box]
     units_y = [[u - v for x, c in zip(box, base) for u, v in zip(_flat(t(x, e)), c)]
                for e in units]
-    return box, pxs, pys, pxys, consts, units_x, units_y
+    return box, pxs, pys, pxys, consts, units_x, units_y, index, {}
+
+
+def _pair_orbits(spec, radius, sigmas):
+    """The window's pairs in orbits of the group ``sigmas``, by the stream
+    position of each orbit's first pair: one (first pair, other pairs) of
+    table indices per orbit. The pair {x, y} goes to {sigma x, sigma y},
+    which the table holds in one order or the other (``index``). The
+    trivial group gives one orbit, every pair first. Orbits are found as
+    they are drawn, and kept per window and group once all are found."""
+    box, pxs, pys, *_, index, orbits = _pair_table(spec, radius)
+    if len(sigmas) == 1:
+        yield range(len(pxs)), ()
+    elif sigmas in orbits:
+        yield from orbits[sigmas]
+    else:
+        size, perms = len(box), [_box_perm(sigma, radius) for sigma in sigmas[1:]]
+        seen, found = bytearray(len(pxs)), []
+        for n, (px, py) in enumerate(zip(pxs, pys)):
+            if not seen[n]:
+                rest = {index[p[px] * size + p[py]] for p in perms}
+                rest.discard(n)
+                rest = sorted(rest)
+                for m in rest:
+                    seen[m] = 1
+                found.append(((n,), rest))
+                yield found[-1]
+        orbits[sigmas] = found
+
+
+@lru_cache
+def _box_perm(sigma, radius):
+    """The position in Box(radius) of sigma x, for each point x of it."""
+    box = box_points(radius, len(sigma))
+    at = {x: p for p, x in enumerate(box)}
+    return tuple(at[act(sigma, x)] for x in box)
 
 
 def _offsets(units, a, size):
@@ -294,7 +357,7 @@ def _flat(c):
 
 
 def solve(system: HalfDerivationSystem) -> NullspaceBasis:
-    """Canonical exact nullspace of the system, from its streamed rows."""
+    """Canonical exact nullspace of the system, from its row orbits."""
     return exactlin.nullspace(system)
 
 
@@ -524,10 +587,9 @@ def _transported(spec, window: Window, kernel: NullspaceBasis, element) -> Nulls
     entry at (x, r, c) to (sigma x, tau r, tau c) times eps_r eps_c, and the
     moved span is put back in canonical form. No row is drawn."""
     sigma, tau, _ = element
-    box, dv = box_points(window.radius, spec.rank), spec.dim_v
-    at = {x: p for p, x in enumerate(box)}
-    cols = [((at[act(sigma, x)] * dv + tau[r][0]) * dv + tau[c][0], tau[r][1] * tau[c][1])
-            for x in box for r in range(dv) for c in range(dv)]
+    dv = spec.dim_v
+    cols = [((p * dv + tau[r][0]) * dv + tau[c][0], tau[r][1] * tau[c][1])
+            for p in _box_perm(sigma, window.radius) for r in range(dv) for c in range(dv)]
     vectors = [exactlin.int_row({cols[n][0]: cols[n][1] * v for n, v in enumerate(vector) if v})
                for vector in kernel.vectors]
     return NullspaceBasis(kernel.n_cols, exactlin._canonical(vectors, kernel.n_cols))

@@ -559,7 +559,7 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     m = len(maps)
     parameters = []
     generators = []
-    kernel = kernel_of(_commutativity_rows(labels, maps), len(labels) * m)
+    kernel = kernel_of([(_commutativity_rows(labels, maps),)], len(labels) * m)
     for p, vec in enumerate(kernel.vectors):
         pivot = max(i for i, v in enumerate(vec) if v)
         e, k, _ = maps[pivot % m]

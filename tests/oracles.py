@@ -116,15 +116,20 @@ def sparse_nullspace(rows, n_cols):
 
 
 class CountingSource:
-    """A row source that passes ``source``'s rows on and counts the draws."""
+    """A row source that passes ``source``'s row orbits on and counts the
+    rows drawn from them; the rows of a skipped orbit part are never drawn."""
 
     def __init__(self, source):
         self.source = source
         self.n_rows, self.n_cols = source.n_rows, source.n_cols
         self.drawn = 0
 
-    def int_rows(self):
-        for row in self.source.int_rows():
+    def orbits(self):
+        for orbit in self.source.orbits():
+            yield map(self._counted, orbit)
+
+    def _counted(self, rows):
+        for row in rows:
             self.drawn += 1
             yield row
 

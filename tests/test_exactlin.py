@@ -265,7 +265,8 @@ def test_row_space_membership_checks_the_column_count():
 
 
 class _Rows:
-    """A row source: ``n_rows``, ``n_cols`` and a fresh ``int_rows()`` stream.
+    """A row source: ``n_rows``, ``n_cols`` and a fresh ``int_rows()`` stream,
+    which ``orbits()`` hands on as one orbit.
 
     ``rows`` is a list of integer dicts, or a function returning an
     iterator, for streams that must not be drawn past some row."""
@@ -277,6 +278,9 @@ class _Rows:
 
     def int_rows(self):
         return self.rows() if callable(self.rows) else iter(self.rows)
+
+    def orbits(self):
+        return [(self.int_rows(),)]
 
 
 def test_late_rows_that_fail_the_check_shrink_the_kernel():

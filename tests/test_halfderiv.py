@@ -396,22 +396,31 @@ def table_builds(monkeypatch):
 
 
 def test_cell_limit_is_checked_before_any_row_is_built(monkeypatch, table_builds):
-    system = assemble(gw_spec(), (1, 0), Window(2, 1))
+    """The cell limit and ``max_unknowns`` refuse before any pair table,
+    pair orbit or row is built; degree (1, 0) has a stabilizer of order 2."""
+    spec = gw_spec()
+    system = assemble(spec, (1, 0), Window(2, 1))
     cells = system.n_constraints * system.n_unknowns
+    orbit_calls, pair_orbits = [], halfderiv._pair_orbits
+    monkeypatch.setattr(halfderiv, "_pair_orbits",
+                        lambda *args: orbit_calls.append(args[2]) or pair_orbits(*args))
 
     def no_rows():
         raise AssertionError("a row was requested")
-    system.int_rows = no_rows
+    system.int_rows = system.orbits = no_rows
     monkeypatch.setattr(exactlin, "DEFAULT_MAX_CELLS", cells - 1)
     with pytest.raises(exactlin.DimensionOverflowError):
         solve(system)
-    del system.int_rows
+    del system.int_rows, system.orbits
     with pytest.raises(exactlin.DimensionOverflowError):
         solve(system)
-    assert table_builds == []
+    with pytest.raises(exactlin.DimensionOverflowError):
+        solve_degrees(spec, Window(2, 1), 1, max_unknowns=system.n_unknowns - 1)
+    assert table_builds == [] and orbit_calls == []
     monkeypatch.setattr(exactlin, "DEFAULT_MAX_CELLS", cells)
     assert solve(system).dimension == 0
     assert table_builds == [2]
+    assert [len(sigmas) for sigmas in orbit_calls] == [2]
 
 
 def test_a_sweep_builds_one_pair_table_per_window(table_builds):
@@ -561,6 +570,74 @@ def test_mirrored_kernels_match_on_raw_blocks(g, k, zero, delta):
     window = Window(2, 1)
     assert solve_degrees(spec, window, 1, delta=delta) == {
         a: solve(assemble(spec, a, window, delta=delta)) for a in box_points(1, 2)}
+
+
+@st.composite
+def orbit_specs(draw):
+    """Specs whose certified groups fix some degrees: generalized Witt with
+    a random or a swapped pairing (tau != sigma), Witt type, raw Blocks and
+    rank-3 Blocks (g, h), each with the windows its rank affords."""
+    kind = draw(st.sampled_from(["gw", "gw-swapped", "witt", "block-raw", "block-rank3"]))
+    small = st.integers(-2, 2)
+    if kind == "block-rank3":
+        vector = st.lists(small, min_size=3, max_size=3)
+        spec = Block.from_gh(AdditiveMap(draw(vector.filter(any))), AdditiveMap(draw(vector)))
+        return spec, Window(1, 0)
+    vector = st.lists(small, min_size=2, max_size=2)
+    if kind == "gw":
+        spec = GeneralizedWitt(Pairing(draw(st.lists(vector, min_size=1, max_size=2))))
+    elif kind == "gw-swapped":
+        p, q = draw(small.filter(bool)), draw(small.filter(bool))
+        spec = GeneralizedWitt(Pairing([[0, p], [q, 0]]))
+    elif kind == "witt":
+        spec = WittType(AdditiveMap(draw(vector)))
+    else:
+        k = draw(small)
+        spec = Block.raw_form(AdditiveMap(draw(vector)), BiadditiveForm([[0, k], [-k, 0]]))
+    return spec, draw(st.sampled_from([Window(1, 0), Window(2, 1)]))
+
+
+@settings(max_examples=15, deadline=None)
+@example(case=(Block.raw_form(AdditiveMap([0, -2]), BiadditiveForm([[0, -1], [1, 0]])),
+               Window(1, 0)), delta=_HALF)
+@example(case=(_SWAPPED, Window(2, 1)), delta=_TWO_THIRDS)
+@example(case=(_rank3_block(), Window(1, 0)), delta=_HALF)
+@given(case=orbit_specs(), delta=st.sampled_from([_HALF, Fraction(1), _TWO_THIRDS]))
+def test_the_orbit_solve_matches_the_plain_stream_and_the_oracles(case, delta):
+    """The kernel drawn in orbits of each degree's stabilizer is the kernel
+    of the plain stream, of the materialized matrix and of the sparse
+    oracle; where it does not empty, with no more rows drawn. (Where it
+    empties, whole orbits may draw a few more.) The examples: reading the
+    whole group as the stabilizer gives dim 1, not 0, at degree (1, -1) of
+    the first; the signed permutations that fix the degree, certified or
+    not, give dim 2, not 0, at degree (-1, -1, -1) of the rank-3 Block (4 of
+    its 48 are certified); never drawing the rest of an orbit fails on all
+    three."""
+    spec, window = case
+    for a in box_points(1, spec.rank):
+        system = assemble(spec, a, window, delta=delta)
+        source = CountingSource(system)
+        kernel = solve(source)
+        plain = exactlin.kernel_of([(system.int_rows(),)], system.n_cols)
+        assert kernel == plain == exactlin.nullspace(system.matrix), a
+        assert kernel.vectors == tuple(sparse_nullspace(
+            system.matrix.row_dicts(), system.n_unknowns)), a
+        assert kernel.rows_consumed == plain.rows_consumed == system.n_cols - kernel.dimension
+        assert source.drawn == kernel.rows_generated, a
+        if kernel.dimension:  # then the plain stream draws every nonzero row
+            assert kernel.rows_generated <= plain.rows_generated, a
+
+
+def test_the_orbits_draw_fewer_rows_than_the_plain_stream():
+    """Generalized Witt, identity pairing, delta = 1, degree 0 on Window(3, 2):
+    the kernel never empties, so the plain stream draws every nonzero row,
+    and the stabilizer of order 8 skips most of them."""
+    system = assemble(gw_spec(), (0, 0), Window(3, 2), delta=Fraction(1))
+    plain = exactlin.nullspace(system.matrix)
+    kernel = solve(system)
+    assert kernel == plain and kernel.dimension == 2
+    assert (plain.rows_consumed, plain.rows_generated) == (194, 5242)
+    assert (kernel.rows_consumed, kernel.rows_generated) == (194, 1193)
 
 
 def test_constants_past_64_bits_stream_the_same_rows():
