@@ -9,15 +9,20 @@ orbits of a symmetry of the system and draws the rest of an orbit only
 when the orbit's first rows shrink the basis; a plain row stream is one
 orbit. ``nullspace`` and the classifier's commutativity solve both call
 it. ``RowSpace`` is an incremental echelon of denominator-cleared integer
-rows with per-row gcd reduction; a rank, a row-space basis, ``in_span``,
-every span check after a solve and the kernel read-out are reads of one
-``RowSpace``. ``SparseMatrix`` holds a matrix assembled from entries (a
-system's ``matrix``). No floating point appears anywhere in this package.
+rows with per-row gcd reduction and one fraction-free back-substitution
+(``reduced``); a rank, a row-space basis, ``in_span``, every span check
+after a solve and the canonical kernel basis are reads of it. A kernel
+basis stays in primitive integer rows (``NullspaceBasis.int_vectors``) from
+the elimination to every verdict; its ``Fraction`` vectors are built only
+when a caller reads them. ``SparseMatrix`` holds a matrix assembled from
+entries (a system's ``matrix``). No floating point appears anywhere in
+this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 __all__ = [
@@ -166,9 +171,11 @@ class RowSpace:
 
     Rows are stored as gcd-reduced integer dicts (column -> nonzero int)
     keyed by leading column. ``RowSpace(vectors, n_cols)`` spans dense
-    rational vectors and ``insert`` adds an integer row. ``v in space``
-    decides membership exactly and ``basis()`` returns the unique reduced
-    echelon basis, so insertion order never shows.
+    rational vectors, ``of_rows`` integer rows, and ``insert`` adds an
+    integer row. ``v in space`` decides membership exactly; ``reduced()``
+    returns the unique reduced echelon as primitive integer rows and
+    ``basis()`` the same rows with unit pivots, so insertion order never
+    shows.
     """
 
     def __init__(self, vectors=(), n_cols=None):
@@ -180,6 +187,14 @@ class RowSpace:
         for v in vectors:
             self._check_length(v)
             self.insert(_vector_int_row(v))
+
+    @classmethod
+    def of_rows(cls, rows, n_cols: int):
+        """The span of integer dict rows (column -> int) in ``n_cols`` columns."""
+        space = cls(n_cols=n_cols)
+        for row in rows:
+            space.insert(row)
+        return space
 
     @property
     def rank(self) -> int:
@@ -200,23 +215,9 @@ class RowSpace:
             pivot = self.rows.get(lead)
             if pivot is None:
                 return _gcd_normalize(row)
-            a = row[lead]
-            b = pivot[lead]
-            g = gcd(a, b)
-            mb = a // g
-            # Scale the row only when the pivot's lead does not divide its
-            # own, and only then take the content out again: the remainder
-            # is the same up to a factor, and it is normalized on return.
-            scaled = b != g
-            if scaled:
-                ma = b // g
-                row = {c: v * ma for c, v in row.items()}
-            for c, v in pivot.items():
-                w = row.get(c, 0) - v * mb
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
+            row, scaled = _eliminate(row, pivot, lead)
+            # the remainder is the same up to a factor, and it is normalized
+            # on return: take the content out only where the row was scaled
             if scaled and row:
                 row = _gcd_normalize(row)
         return {}
@@ -232,65 +233,90 @@ class RowSpace:
         self._check_length(vector)
         return not self.reduce(_vector_int_row(vector))
 
-    def basis(self) -> tuple:
-        """Canonical reduced-echelon basis as dense rows, by pivot column.
+    def reduced(self) -> tuple:
+        """The reduced echelon as primitive integer dicts, by pivot column.
 
-        Each row is back-substituted in Fractions to a unit pivot with zeros
-        at every other pivot, from the last pivot column down.
+        A row's pivot is its leading column, its entry there is positive
+        and every other pivot column is zero; its entries are in column
+        order. One fraction-free back-substitution from the last pivot
+        column down: each row is cleared at every later pivot by that
+        pivot's reduced row (``_eliminate``) and divided by its content.
         """
         reduced = {}
         for col in sorted(self.rows, reverse=True):
-            src = self.rows[col]
-            inv = Fraction(1, src[col])
-            row = {c: v * inv for c, v in src.items()}
-            for p in [c for c in row if c != col and c in reduced]:
-                coeff = row.pop(p)
-                for cc, vv in reduced[p].items():
-                    if cc == p:
-                        continue
-                    w = row.get(cc, 0) - coeff * vv
-                    if w:
-                        row[cc] = w
-                    else:
-                        row.pop(cc, None)
-            reduced[col] = row
-        zero = Fraction(0)
-        out = []
-        for p in sorted(reduced):
-            vec = [zero] * self.n_cols
-            for c, v in reduced[p].items():
-                vec[c] = v
-            out.append(tuple(vec))
-        return tuple(out)
+            row = dict(self.rows[col])
+            for p in [p for p in row if p != col and p in reduced]:
+                row, _ = _eliminate(row, reduced[p], p)
+            reduced[col] = dict(sorted(_gcd_normalize(row).items()))
+        return tuple(reduced[p] for p in sorted(reduced))
+
+    def basis(self) -> tuple:
+        """Canonical reduced-echelon basis as dense rows, by pivot column:
+        the rows of ``reduced()`` over their pivot entries, unit at the pivot."""
+        return tuple(_dense(row, row[min(row)], self.n_cols) for row in self.reduced())
+
+
+def _eliminate(row, pivot, col):
+    """Clear ``row`` at ``col`` by the integer row ``pivot``, positive there:
+    (b/g) row - (a/g) pivot for a and b their entries at col and g = gcd(a, b).
+    Returns the new row, ``row`` itself when b/g = 1, and whether it was scaled."""
+    a, b = row[col], pivot[col]
+    g = gcd(a, b)
+    scaled = b != g
+    if scaled:
+        row = {c: v * (b // g) for c, v in row.items()}
+    a //= g
+    for c, v in pivot.items():
+        w = row.get(c, 0) - v * a
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    return row, scaled
+
+
+def _dense(row, lead, n_cols):
+    """The integer dict ``row`` over ``lead`` as a dense tuple of Fractions."""
+    vec = [Fraction(0)] * n_cols
+    for c, v in row.items():
+        vec[c] = Fraction(v, lead)
+    return tuple(vec)
 
 
 class NullspaceBasis:
-    """Canonical basis of a matrix kernel.
+    """Canonical basis of a matrix kernel, kept as primitive integer rows.
 
-    Vector k carries a unit entry at its own free column, its last nonzero
-    one, and zeros at all other free columns, which makes the basis
-    uniquely determined by the kernel itself: golden comparisons stay
-    byte-stable. ``rows_consumed`` counts the drawn rows that shrank the
-    kernel (the rank) and ``rows_checked`` the drawn rows that did not
-    (``rows_generated`` is their sum); the rows of an orbit that
-    ``kernel_of`` skips are never drawn and count in neither. A kernel read
-    off another one draws no row and both read 0 (``halfderiv``'s
+    ``int_vectors`` holds the kernel's reduced echelon with each pivot at
+    its row's last nonzero column, by pivot column: each row is a primitive
+    integer dict in column order, positive at its pivot and zero at every
+    other pivot. That makes the basis uniquely determined by the kernel
+    itself, so golden comparisons stay byte-stable. ``vectors`` reads it as
+    dense ``Fraction`` rows with a unit at the pivot, built on first read;
+    no solve or verdict reads them. ``rows_consumed`` counts the drawn rows
+    that shrank the kernel (the rank) and ``rows_checked`` the drawn rows
+    that did not (``rows_generated`` is their sum); the rows of an orbit
+    that ``kernel_of`` skips are never drawn and count in neither. A kernel
+    read off another one draws no row and both read 0 (``halfderiv``'s
     transported degrees, all but the first of each orbit). No count takes
     part in equality.
     """
 
-    def __init__(self, n_cols: int, vectors: tuple, rows_consumed: int = 0,
+    def __init__(self, n_cols: int, int_vectors: tuple, rows_consumed: int = 0,
                  rows_checked: int = 0):
-        self.n_cols, self.vectors = n_cols, vectors
+        self.n_cols, self.int_vectors = n_cols, int_vectors
         self.rows_consumed, self.rows_checked = rows_consumed, rows_checked
+
+    @cached_property
+    def vectors(self) -> tuple:
+        return tuple(_dense(row, row[max(row)], self.n_cols) for row in self.int_vectors)
 
     def __eq__(self, other):
         return (isinstance(other, NullspaceBasis) and self.n_cols == other.n_cols
-                and self.vectors == other.vectors)
+                and self.int_vectors == other.int_vectors)
 
     @property
     def dimension(self) -> int:
-        return len(self.vectors)
+        return len(self.int_vectors)
 
     @property
     def rows_generated(self) -> int:
@@ -365,12 +391,13 @@ def kernel_of(orbits, n_cols: int) -> NullspaceBasis:
 
 def _canonical(vectors, n_cols):
     """The canonical basis of the span of integer dicts ``vectors``: their
-    reduced echelon with each lead at its largest column, by lead column."""
+    reduced echelon with each pivot at its largest column, by pivot column,
+    as primitive integer dicts in column order (``RowSpace.reduced`` on the
+    reversed columns)."""
     last = n_cols - 1
-    space = RowSpace(n_cols=n_cols)
-    for k in vectors:
-        space.insert({last - c: v for c, v in k.items()})
-    return tuple(vec[::-1] for vec in reversed(space.basis()))
+    space = RowSpace.of_rows(({last - c: v for c, v in k.items()} for k in vectors), n_cols)
+    return tuple({last - c: v for c, v in reversed(row.items())}
+                 for row in reversed(space.reduced()))
 
 
 def nullspace(source) -> NullspaceBasis:
@@ -394,4 +421,4 @@ def _vector_int_row(vector):
 
 def in_span(vector, basis: NullspaceBasis) -> bool:
     """Whether ``vector`` is a rational combination of the basis vectors."""
-    return vector in RowSpace(basis.vectors, basis.n_cols)
+    return vector in RowSpace.of_rows(basis.int_vectors, basis.n_cols)

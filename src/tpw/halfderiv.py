@@ -200,6 +200,14 @@ def component_vector(spec, window: Window, table: dict):
                  for x, r, c in columns_for(spec, window))
 
 
+def component_row(spec, window: Window, table: dict):
+    """The nonzero entries of ``component_vector`` as an integer dict row,
+    denominators cleared: the row that span checks read."""
+    return exactlin.int_row({n: Fraction(table[x][r][c])
+                             for n, (x, r, c) in enumerate(columns_for(spec, window))
+                             if x in table and table[x][r][c]})
+
+
 def assemble(spec, degree, window: Window, delta=HALF, max_unknowns=None):
     """Set up the homogeneous system for the degree-``degree`` component.
 
@@ -252,13 +260,14 @@ def _pair_table(spec, radius):
     The first five run over the unordered pairs of Box(radius) with x + y
     in it, in stream order: x through the box sorted by ``norm_inf``, y
     from x on (past x when dim V = 1, as a label with itself gives a zero
-    row); t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. The last two
-    are the unit differences every degree's offsets combine: ``units x[m]``
-    holds t(e_m, y) - t(0, y) flattened for each y of the box in turn,
-    ``units y[m]`` t(x, e_m) - t(x, 0) for each x. ``index[pos x * |box| +
-    pos y]`` is the pair of x and y, in either order, and ``orbits`` keeps
-    ``_pair_orbits`` per group. Kept in ``spec.pair_tables``, the pair
-    columns as ``array('q')`` (the constants a list if one exceeds 64 bits)."""
+    row); t(x, y) flattened, (i, j, l) at (i dv + j) dv + l. The next two
+    are the unit differences every degree's offsets combine, and t(x, y)
+    with them: ``units x[m]`` holds t(e_m, y) - t(0, y) flattened for each y
+    of the box in turn, ``units y[m]`` t(x, e_m) - t(x, 0) for each x.
+    ``index[pos x * |box| + pos y]`` is the pair of x and y, in either
+    order, and ``orbits`` keeps what ``_pair_orbits`` has found per group.
+    Kept in ``spec.pair_tables``, the pair columns as ``array('q')`` (the
+    constants a list if one exceeds 64 bits)."""
     tables = spec.pair_tables
     if radius not in tables:
         try:
@@ -281,13 +290,24 @@ def _build_pair_table(spec, radius, consts):
     at = [-1] * width ** rank
     for p, q in enumerate(qs):
         at[q + corner] = p
-    # rows are homogeneous, so the constants' common scale drops out
+    # rows are homogeneous, so the constants' common scale drops out; t is
+    # bi-affine, so t(x, y) = t(0, y) + sum_m x_m [t(e_m, y) - t(0, y)]: one
+    # call of t per box point and unit
     _, t = spec.structure_constants
+    o = zero(rank)
+    units = [tuple(int(m == k) for k in range(rank)) for m in range(rank)]
+    base_x = [v for y in box for v in _flat(t(o, y))]
+    units_x = [[u - v for u, v in zip((w for y in box for w in _flat(t(e, y))), base_x)]
+               for e in units]
+    base_y = [v for x in box for v in _flat(t(x, o))]
+    units_y = [[u - v for u, v in zip((w for x in box for w in _flat(t(x, e))), base_y)]
+               for e in units]
     pxs, pys, pxys = array("q"), array("q"), array("q")
-    size = len(box)
+    size, dv3 = len(box), spec.dim_v ** 3
     index = array("q", bytes(8 * size * size))
     for n, px in enumerate(order):
         x, qx = box[px], qs[px] + corner
+        tx = _combination(base_x, units_x, x)  # t(x, y) for each y of the box in turn
         for py in order[n + (spec.dim_v == 1):]:  # one label: (x, x) gives a zero row
             pxy = at[qx + qs[py]]
             if pxy >= 0:
@@ -295,15 +315,7 @@ def _build_pair_table(spec, radius, consts):
                 pxs.append(px)
                 pys.append(py)
                 pxys.append(pxy)
-                consts.extend(_flat(t(x, box[py])))
-    o = zero(rank)
-    units = [tuple(int(m == k) for k in range(rank)) for m in range(rank)]
-    base = [_flat(t(o, y)) for y in box]
-    units_x = [[u - v for y, c in zip(box, base) for u, v in zip(_flat(t(e, y)), c)]
-               for e in units]
-    base = [_flat(t(x, o)) for x in box]
-    units_y = [[u - v for x, c in zip(box, base) for u, v in zip(_flat(t(x, e)), c)]
-               for e in units]
+                consts.extend(tx[py * dv3:(py + 1) * dv3])
     return box, pxs, pys, pxys, consts, units_x, units_y, index, {}
 
 
@@ -313,25 +325,29 @@ def _pair_orbits(spec, radius, sigmas):
     table indices per orbit. The pair {x, y} goes to {sigma x, sigma y},
     which the table holds in one order or the other (``index``). The
     trivial group gives one orbit, every pair first. Orbits are found as
-    they are drawn, and kept per window and group once all are found."""
+    they are drawn. Per window and group, ``orbits`` keeps the orbits found
+    so far, the pairs they hold and the stream position to go on from: the
+    next solve with the group reads them and finds only the rest."""
     box, pxs, pys, *_, index, orbits = _pair_table(spec, radius)
     if len(sigmas) == 1:
         yield range(len(pxs)), ()
-    elif sigmas in orbits:
-        yield from orbits[sigmas]
-    else:
-        size, perms = len(box), [_box_perm(sigma, radius) for sigma in sigmas[1:]]
-        seen, found = bytearray(len(pxs)), []
-        for n, (px, py) in enumerate(zip(pxs, pys)):
-            if not seen[n]:
-                rest = {index[p[px] * size + p[py]] for p in perms}
-                rest.discard(n)
-                rest = sorted(rest)
-                for m in rest:
-                    seen[m] = 1
-                found.append(((n,), rest))
-                yield found[-1]
-        orbits[sigmas] = found
+        return
+    state = orbits.setdefault(sigmas, [[], bytearray(len(pxs)), 0])
+    found, seen = state[0], state[1]
+    yield from found
+    size, perms = len(box), [_box_perm(sigma, radius) for sigma in sigmas[1:]]
+    for n in range(state[2], len(pxs)):
+        if not seen[n]:
+            px, py = pxs[n], pys[n]
+            rest = {index[p[px] * size + p[py]] for p in perms}
+            rest.discard(n)
+            rest = sorted(rest)
+            for m in rest:
+                seen[m] = 1
+            found.append(((n,), rest))
+            state[2] = n + 1
+            yield found[-1]
+    state[2] = len(pxs)
 
 
 @lru_cache
@@ -345,11 +361,16 @@ def _box_perm(sigma, radius):
 def _offsets(units, a, size):
     """sum_m a_m units[m], cut into one list of ``size`` per box point:
     t(a, y) - t(0, y) on the x side, t(x, a) - t(x, 0) on the y side."""
-    flat = [0] * len(units[0])
+    flat = _combination([0] * len(units[0]), units, a)
+    return [flat[p:p + size] for p in range(0, len(flat), size)]
+
+
+def _combination(flat, units, a):
+    """flat + sum_m a_m units[m], entry by entry."""
     for am, unit in zip(a, units):
         if am:
             flat = [s + am * d for s, d in zip(flat, unit)]
-    return [flat[p:p + size] for p in range(0, len(flat), size)]
+    return flat
 
 
 def _flat(c):
@@ -444,18 +465,26 @@ def _inner_positions(rank, dim_v, radius, margin):
                  if window.in_inner(x) for k in range(per_point))
 
 
-def inner_projection(spec, window: Window, vectors):
-    """Restrict full-box vectors to the inner-box columns.
+@lru_cache
+def _inner_at(rank, dim_v, radius, margin):
+    """Column position -> its place among ``_inner_positions``."""
+    return {p: n for n, p in enumerate(_inner_positions(rank, dim_v, radius, margin))}
+
+
+def inner_projection(spec, window: Window, rows):
+    """Restrict full-box integer dict rows to the inner-box columns.
 
     Returns the kept column keys (from ``columns_for``), the projected
-    rows, one per vector and zero rows included, and their ``RowSpace``.
-    Every span check after the solve reads this one projection.
+    rows keyed by inner position, one per row and empty rows included,
+    and their ``RowSpace``. Every span check after the solve reads this
+    one projection.
     """
     cols = columns_for(spec, window)
     positions = inner_column_positions(spec, window)
-    rows = [tuple(v[p] for p in positions) for v in vectors]
+    at = _inner_at(spec.rank, spec.dim_v, window.radius, window.inner_margin)
+    rows = [{at[c]: v for c, v in row.items() if c in at} for row in rows]
     return (tuple(cols[p] for p in positions), rows,
-            RowSpace(rows, len(positions)))
+            RowSpace.of_rows(rows, len(positions)))
 
 
 class DegreeResult:
@@ -503,24 +532,27 @@ def compare(spec, window: Window, computed: NullspaceBasis,
 
     Membership: every predicted component must solve all assembled
     constraints, which is equivalent to lying in the computed nullspace
-    (one ``RowSpace`` of the kernel, built only when there are predicted
-    components). Projection: ``inner_projection`` restricts computed and
-    predicted vectors to inner-box columns and their span dimensions must
-    agree; the computed directions outside the predicted span are listed
-    as excess (for non-authoritative families flagged, not failed).
+    (one ``RowSpace`` of the kernel's integer rows, built only when there
+    are predicted components). Projection: ``inner_projection`` restricts
+    computed and predicted rows to inner-box columns and their span
+    dimensions must agree; the computed directions outside the predicted
+    span are listed as excess, with the values of the kernel's unit-pivot
+    ``vectors`` (for non-authoritative families flagged, not failed).
     """
-    vectors = [component_vector(spec, window, table) for table in expected.components]
-    kernel = RowSpace(computed.vectors, computed.n_cols) if vectors else None
-    membership = tuple(v in kernel for v in vectors)
-    keys, computed_rows, computed_space = inner_projection(spec, window, computed.vectors)
-    _, predicted_rows, predicted_space = inner_projection(spec, window, vectors)
+    rows = [component_row(spec, window, table) for table in expected.components]
+    kernel = RowSpace.of_rows(computed.int_vectors, computed.n_cols) if rows else None
+    membership = tuple(not kernel.reduce(row) for row in rows)
+    keys, computed_rows, computed_space = inner_projection(spec, window, computed.int_vectors)
+    _, predicted_rows, predicted_space = inner_projection(spec, window, rows)
     excess = ()
     if computed_space.rank > predicted_space.rank:
-        excess = tuple({k: v for k, v in zip(keys, row) if v} for row in computed_rows
-                       if any(row) and row not in predicted_space)
+        leads = (full[max(full)] for full in computed.int_vectors)
+        excess = tuple({keys[p]: Fraction(v, lead) for p, v in row.items()}
+                       for row, lead in zip(computed_rows, leads)
+                       if row and predicted_space.reduce(row))
     return DegreeResult(expected.degree, computed.n_cols, _n_constraints(spec, window),
                         computed.dimension, computed_space.rank, predicted_space.rank,
-                        membership, tuple(any(row) for row in predicted_rows),
+                        membership, tuple(bool(row) for row in predicted_rows),
                         excess, expected.authoritative)
 
 
@@ -590,9 +622,8 @@ def _transported(spec, window: Window, kernel: NullspaceBasis, element) -> Nulls
     dv = spec.dim_v
     cols = [((p * dv + tau[r][0]) * dv + tau[c][0], tau[r][1] * tau[c][1])
             for p in _box_perm(sigma, window.radius) for r in range(dv) for c in range(dv)]
-    vectors = [exactlin.int_row({cols[n][0]: cols[n][1] * v for n, v in enumerate(vector) if v})
-               for vector in kernel.vectors]
-    return NullspaceBasis(kernel.n_cols, exactlin._canonical(vectors, kernel.n_cols))
+    rows = [{cols[n][0]: cols[n][1] * v for n, v in row.items()} for row in kernel.int_vectors]
+    return NullspaceBasis(kernel.n_cols, exactlin._canonical(rows, kernel.n_cols))
 
 
 def sweep(spec, window: Window, degree_bound: int, delta=HALF,

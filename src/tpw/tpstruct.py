@@ -528,13 +528,14 @@ def _action_tables(spec, delta_bases, window, degree_bound):
         e = tuple(e)
         if e not in delta_bases:
             raise MissingDegreeError("no solved degree %s" % (e,))
-        keys, _, space = inner_projection(spec, window, delta_bases[e].vectors)
-        for k, row in enumerate(space.basis()):
+        keys, _, space = inner_projection(spec, window, delta_bases[e].int_vectors)
+        for k, row in enumerate(space.reduced()):
+            lead = row[min(row)]
             action = {}
-            for (x, r, c), val in zip(keys, row):
-                if val:
-                    label, out = spec.basis_labels([x])[c], spec.basis_labels([add(e, x)])[r]
-                    action.setdefault(label, {})[out] = val
+            for p, val in row.items():
+                x, r, c = keys[p]
+                label, out = spec.basis_labels([x])[c], spec.basis_labels([add(e, x)])[r]
+                action.setdefault(label, {})[out] = Fraction(val, lead)
             maps.append((e, k, action))
     return maps
 
@@ -560,11 +561,13 @@ def classify(spec, delta_bases: dict, window: Window, degree_bound: int,
     parameters = []
     generators = []
     kernel = kernel_of([(_commutativity_rows(labels, maps),)], len(labels) * m)
-    for p, vec in enumerate(kernel.vectors):
-        pivot = max(i for i, v in enumerate(vec) if v)
+    for p, row in enumerate(kernel.int_vectors):
+        pivot = max(row)
         e, k, _ = maps[pivot % m]
         parameters.append(ClassifyParameter("p%d" % p, labels[pivot // m], e, k))
-        generators.append(_table_product(spec, vec, labels, maps))
+        lead = row[pivot]
+        generators.append(_table_product(
+            spec, {pos: Fraction(v, lead) for pos, v in row.items()}, labels, maps))
 
     rng = random.Random(seed)
     draws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in generators]
@@ -591,8 +594,9 @@ def _commutativity_rows(labels, maps):
                 yield int_row(cell)
 
 
-def _table_product(spec, vec, labels, maps):
-    """The table product whose left multiplications combine the maps by ``vec``.
+def _table_product(spec, coefficients, labels, maps):
+    """The table product whose left multiplications combine the maps by
+    ``coefficients`` (unknown position -> nonzero value, in position order).
 
     The entry u_l1 . u_l2 (l1 <= l2) is L_l1(u_l2); the symmetric
     L_l2(u_l1) agrees on commutativity solutions, so taking one
@@ -600,9 +604,7 @@ def _table_product(spec, vec, labels, maps):
     """
     m = len(maps)
     table = {}
-    for pos, value in enumerate(vec):
-        if not value:
-            continue
+    for pos, value in coefficients.items():
         a = spec.point(labels[pos // m])
         for l2, img in maps[pos % m][2].items():
             b = spec.point(l2)

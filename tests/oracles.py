@@ -2,12 +2,15 @@
 
 The elimination oracles are textbook row reduction over Fractions, dense
 or row at a time on dict rows, with none of the library's machinery, so
-the paths share no code. ``_constraint_rows`` and ``RebuildingRowSpace``
-are the slow paths the row stream and the in-place kernel index replaced,
-kept to be compared with them on the same inputs.
+the paths share no code. ``_constraint_rows``, ``RebuildingRowSpace``,
+``fraction_back_substitution`` and ``slow_pair_constants`` are the slow
+paths the row stream, the in-place kernel index, the fraction-free
+back-substitution and the pair table's unit differences replaced, kept to
+be compared with them on the same inputs.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from tpw.exactlin import NullspaceBasis, _gcd_normalize
 
@@ -313,8 +316,60 @@ class RebuildingRowSpace:
         n = self.n_cols
         reversed_rows = [[k.get(c, 0) for c in reversed(range(n))] for k in self.vectors]
         mat, pivots = dense_rref(reversed_rows)
-        vectors = tuple(tuple(mat[r][::-1]) for r in reversed(range(len(pivots))))
-        return NullspaceBasis(n, vectors, self.rows_consumed, self.rows_checked)
+        rows = tuple(primitive_row(mat[r][::-1]) for r in reversed(range(len(pivots))))
+        return NullspaceBasis(n, rows, self.rows_consumed, self.rows_checked)
+
+
+def primitive_row(vector):
+    """The nonzero entries of a rational vector as an integer dict in column
+    order, scaled by a positive rational to coprime integers."""
+    entries = {c: Fraction(v) for c, v in enumerate(vector) if v}
+    scale = lcm(*(v.denominator for v in entries.values()))
+    ints = {c: int(v * scale) for c, v in entries.items()}
+    content = gcd(*ints.values())
+    return {c: v // content for c, v in ints.items()}
+
+
+def check_canonical(basis):
+    """Assert the canonical form of a ``NullspaceBasis``: primitive integer
+    rows in column order, by pivot, each positive at its pivot (its last
+    nonzero column) and zero at every other pivot."""
+    pivots = [max(row) for row in basis.int_vectors]
+    assert pivots == sorted(set(pivots)), pivots
+    for row, p in zip(basis.int_vectors, pivots):
+        assert list(row) == sorted(row) and all(row.values()), row
+        assert row[p] > 0 and gcd(*row.values()) == 1, row
+        assert not any(q in row for q in pivots if q != p), row
+
+
+def fraction_back_substitution(space):
+    """The reduced echelon of a ``RowSpace`` as dense rows, by pivot column,
+    back-substituted in Fractions as ``RowSpace.basis()`` first was: each
+    row to a unit pivot with zeros at every other pivot, from the last
+    pivot column down."""
+    reduced = {}
+    for col in sorted(space.rows, reverse=True):
+        src = space.rows[col]
+        inv = Fraction(1, src[col])
+        row = {c: v * inv for c, v in src.items()}
+        for p in [c for c in row if c != col and c in reduced]:
+            coeff = row.pop(p)
+            for cc, vv in reduced[p].items():
+                if cc == p:
+                    continue
+                w = row.get(cc, 0) - coeff * vv
+                if w:
+                    row[cc] = w
+                else:
+                    row.pop(cc, None)
+        reduced[col] = row
+    out = []
+    for p in sorted(reduced):
+        vec = [Fraction(0)] * space.n_cols
+        for c, v in reduced[p].items():
+            vec[c] = v
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 def _column_index(vectors):
@@ -436,3 +491,22 @@ def element_associativity(spec, product, labels):
     witness, _ = _first_failure(
         spec, labels, lambda x, y, z: (mul(mul(x, y), z), mul(x, mul(y, z))))
     return (witness is None, None if witness is None else witness[0])
+
+
+def slow_pair_constants(spec, radius):
+    """The constants of ``halfderiv._pair_table`` as its pairs were first
+    filled: t(x, y) flattened, one call of the family's t per pair, for x
+    through Box(radius) sorted by the max norm and y from x on (past x when
+    dim V = 1), wherever x + y lies in the box."""
+    from itertools import product as iter_product
+
+    box = list(iter_product(range(-radius, radius + 1), repeat=spec.rank))
+    inside = set(box)
+    order = sorted(box, key=lambda p: max(map(abs, p), default=0))
+    _, t = spec.structure_constants
+    consts = []
+    for n, x in enumerate(order):
+        for y in order[n + (spec.dim_v == 1):]:
+            if tuple(s + u for s, u in zip(x, y)) in inside:
+                consts.extend(v for ci in t(x, y) for cij in ci for v in cij)
+    return consts

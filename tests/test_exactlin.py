@@ -1,5 +1,6 @@
 """Tests for the exact rational linear algebra kernel."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from tpw.exactlin import (
 from oracles import (
     CountingSource,
     RebuildingRowSpace,
+    check_canonical,
     dense_rref,
+    fraction_back_substitution,
     oracle_in_span,
     oracle_nullspace,
     oracle_rank,
@@ -93,7 +96,7 @@ def test_rank_examples():
 
 
 def test_in_span_examples():
-    basis = NullspaceBasis(2, ((Fraction(0), Fraction(1)),))
+    basis = NullspaceBasis(2, ({1: 1},))
     assert in_span((Fraction(0), Fraction(2)), basis)
     assert in_span((0, 0), basis)
     assert not in_span((Fraction(1), Fraction(0)), basis)
@@ -134,6 +137,48 @@ def test_kernel_vectors_are_exact_solutions():
             assert all(x == 0 for x in m.apply(v))
 
 
+def _reversed_fraction_read(basis):
+    """The kernel read out as ``_canonical`` first did: the Fraction
+    back-substitution of the echelon of its rows on reversed columns."""
+    last = basis.n_cols - 1
+    space = RowSpace.of_rows(({last - c: v for c, v in row.items()}
+                              for row in basis.int_vectors), basis.n_cols)
+    return tuple(vec[::-1] for vec in reversed(fraction_back_substitution(space)))
+
+
+def test_kernels_are_primitive_integer_rows_read_as_fractions():
+    """Random kernels are in canonical integer form, and ``vectors`` is the
+    Fraction back-substitution of their span."""
+    rng = random.Random(29)
+    for _ in range(120):
+        m = _random_matrix(rng, rng.randint(0, 9), rng.randint(1, 9),
+                           span=rng.choice([4, 40]))
+        ns = nullspace(m)
+        check_canonical(ns)
+        assert ns.vectors == _reversed_fraction_read(ns)
+        assert ns.dimension == len(ns.vectors)
+
+
+def test_the_reduced_echelon_is_the_fraction_back_substitution_scaled():
+    """``RowSpace.reduced()`` rows are primitive, positive at their leading
+    column and zero at every other one; ``basis()`` is the Fraction
+    back-substitution of the same echelon."""
+    rng = random.Random(30)
+    for _ in range(120):
+        n_cols = rng.randint(1, 8)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(n_cols)]
+                for _ in range(rng.randint(0, 8))]
+        space = RowSpace(rows, n_cols)
+        reduced = space.reduced()
+        leads = [min(row) for row in reduced]
+        assert leads == sorted(space.rows)
+        for row, lead in zip(reduced, leads):
+            assert list(row) == sorted(row) and row[lead] > 0
+            assert math.gcd(*row.values()) == 1
+            assert not any(q in row for q in leads if q != lead)
+        assert space.basis() == fraction_back_substitution(space)
+
+
 def test_rank_nullity_on_random_sparse_matrices():
     rng = random.Random(60)
     for n_rows, n_cols in [(60, 60), (50, 60), (60, 40), (17, 23)]:
@@ -150,6 +195,7 @@ def test_oracle_equivalence_small_dense():
         ns = nullspace(SparseMatrix.from_rows(rows))
         oracle = oracle_nullspace(rows, n_cols)
         assert ns.dimension == len(oracle)
+        check_canonical(ns)
         assert sparse_nullspace((dict(enumerate(r)) for r in rows), n_cols) == oracle
         assert n_cols - ns.dimension == oracle_rank(rows)
         assert ns.rows_consumed == n_cols - ns.dimension
@@ -180,6 +226,8 @@ def test_row_scaling_leaves_nullspace_unchanged():
         entries = [(r, c, v) for r, row in enumerate(scaled) for c, v in row.items()]
         m2 = SparseMatrix(m.n_rows, m.n_cols, entries)
         assert nullspace(m).vectors == nullspace(m2).vectors
+        assert nullspace(m) == nullspace(m2)
+        assert nullspace(m).int_vectors == nullspace(m2).int_vectors
 
 
 def test_row_order_does_not_matter():
@@ -248,7 +296,7 @@ def test_the_read_out_depends_only_on_the_span_of_the_kernel():
                           if (x := sum(m * v[c] for m, v in zip(coeffs, oracle)))})
                  for coeffs in mix]
         rng.shuffle(mixed)
-        assert list(exactlin._canonical(mixed, n_cols)) == oracle
+        assert list(NullspaceBasis(n_cols, exactlin._canonical(mixed, n_cols)).vectors) == oracle
 
 
 def test_row_space_membership_checks_the_column_count():
@@ -348,6 +396,7 @@ def test_checked_rows_give_the_kernel_of_all_rows():
         source = CountingSource(_Rows(n_cols, rows))
         ns = nullspace(source)
         assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
+        check_canonical(ns)
         assert ns == nullspace(SparseMatrix.from_rows(dense))
         assert ns.rows_consumed == n_cols - ns.dimension
         assert source.drawn == ns.rows_consumed + ns.rows_checked == ns.rows_generated
@@ -371,6 +420,7 @@ def test_repeated_rescaled_and_negated_rows_give_the_oracle_kernel():
             {c: v for c, v in enumerate(r) if v} for r in dense]))
         ns = nullspace(source)
         assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
+        check_canonical(ns)
         assert source.drawn == ns.rows_consumed + ns.rows_checked
         assert ns.rows_consumed == n_cols - ns.dimension
         repeats += source.drawn > n_cols - ns.dimension

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from oracles import (
     CountingSource,
     _constraint_rows,
+    check_canonical,
     oracle_in_span,
     oracle_rank,
     ordered_pair_rows,
+    slow_pair_constants,
     sparse_nullspace,
 )
 from tpw import exactlin, halfderiv
@@ -550,6 +552,8 @@ def test_mirrored_kernels_match_the_solve_of_every_degree(monkeypatch, name, del
     solved = solve_degrees(spec, window, 1, delta=delta)
     n_solved = len(calls)
     assert solved == {a: solve(assemble(spec, a, window, delta=delta)) for a in degrees}
+    for kernel in solved.values():  # the transported ones are put back in canonical form
+        check_canonical(kernel)
     orbits = _orbits(spec, degrees)
     assert n_solved == len(orbits)
     assert {a for a, b in solved.items() if b.rows_generated == 0} == {
@@ -622,6 +626,7 @@ def test_the_orbit_solve_matches_the_plain_stream_and_the_oracles(case, delta):
         assert kernel == plain == exactlin.nullspace(system.matrix), a
         assert kernel.vectors == tuple(sparse_nullspace(
             system.matrix.row_dicts(), system.n_unknowns)), a
+        check_canonical(kernel)
         assert kernel.rows_consumed == plain.rows_consumed == system.n_cols - kernel.dimension
         assert source.drawn == kernel.rows_generated, a
         if kernel.dimension:  # then the plain stream draws every nonzero row
@@ -647,6 +652,83 @@ def test_constants_past_64_bits_stream_the_same_rows():
         system = assemble(spec, (1, -1), Window(2, 1))
         assert list(system.int_rows()) == list(_constraint_rows(system))
         assert isinstance(spec.pair_tables[2][4], list)
+
+
+@st.composite
+def pair_table_specs(draw):
+    """A spec and a radius: rational raw Blocks of rank 2 or 3 (any
+    antisymmetric f), generalized Witt with dim V = 2 or 3, Witt type, and
+    each of these with a constant past 64 bits."""
+    kind = draw(st.sampled_from(["block-raw", "gw", "witt"]))
+    rank = draw(st.integers(2, 3)) if kind == "block-raw" else 2
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.lists(value, min_size=rank, max_size=rank)
+    big = draw(st.sampled_from([0, 2 ** 64, -(2 ** 65) + 1]))
+    if kind == "block-raw":
+        upper = draw(st.lists(value, min_size=rank * rank, max_size=rank * rank))
+        upper[rank - 1] += big
+        f = [[upper[i * rank + j] if i < j else -upper[j * rank + i] if j < i else 0
+              for j in range(rank)] for i in range(rank)]
+        spec = Block.raw_form(AdditiveMap(draw(vector)), BiadditiveForm(f))
+    elif kind == "gw":
+        pairing = draw(st.lists(vector, min_size=2, max_size=3))
+        pairing[0][0] += big
+        spec = GeneralizedWitt(Pairing(pairing))
+    else:
+        f = draw(vector)
+        f[0] += big
+        spec = WittType(AdditiveMap(f))
+    return spec, draw(st.integers(1, 2 if rank == 3 else 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=pair_table_specs())
+def test_pair_table_constants_match_one_t_call_per_pair(case):
+    """The pair table's t(x, y), combined from t(0, y) and the unit
+    differences, equals the family's t called on each pair; past 64 bits
+    the constants fall back to a list."""
+    spec, radius = case
+    consts = halfderiv._pair_table(spec, radius)[4]
+    assert list(consts) == slow_pair_constants(spec, radius)
+    assert isinstance(consts, list) == any(not -2 ** 63 <= v < 2 ** 63 for v in consts)
+
+
+class _CountingIndex:
+    """A pair table's pair index that counts its reads."""
+
+    def __init__(self, index):
+        self.index, self.reads = index, 0
+
+    def __getitem__(self, n):
+        self.reads += 1
+        return self.index[n]
+
+
+def test_pair_orbits_resume_where_the_last_solve_stopped():
+    """On the held-out rank-3 Block at Window(4, 1), degree (0, -1, -1)
+    empties its kernel early and (0, 0, -1), with the same stabilizer, reads
+    every pair: the second solve reads the orbits the first found and finds
+    only the rest, so each pair's orbit is looked up once. The resumed
+    orbits equal one uninterrupted find."""
+    spec, window = _rank3_block(), Window(4, 1)
+    table = halfderiv._pair_table(spec, 4)
+    index = _CountingIndex(table[7])
+    spec.pair_tables[4] = table[:7] + (index, table[8])
+    degrees = [(0, -1, -1), (0, 0, -1)]
+    groups = {tuple(sigma for sigma, _, _ in spec.automorphisms if act(sigma, a) == a)
+              for a in degrees}
+    assert len(groups) == 1
+    (sigmas,) = groups
+    assert len(sigmas) > 1
+    first = solve(assemble(spec, degrees[0], window))
+    found, _, position = table[8][sigmas]
+    assert first.dimension == 0 and 0 < position < len(table[1])
+    prefix = list(found)
+    solve(assemble(spec, degrees[1], window))
+    found, _, position = table[8][sigmas]
+    assert position == len(table[1]) and found[:len(prefix)] == prefix
+    assert index.reads == (len(sigmas) - 1) * len(found)
+    assert found == list(halfderiv._pair_orbits(_rank3_block(), 4, sigmas))
 
 
 @st.composite
@@ -817,3 +899,4 @@ def test_certified_kernel_matches_the_oracle_on_random_specs(spec, delta, window
         assert certified == exactlin.nullspace(system.matrix), a
         assert certified.vectors == tuple(sparse_nullspace(
             system.matrix.row_dicts(), system.n_unknowns)), a
+        check_canonical(certified)
