@@ -32,6 +32,7 @@ __all__ = [
     "NullspaceBasis",
     "RowSpace",
     "SparseMatrix",
+    "check_cells",
     "in_span",
     "int_row",
     "kernel_of",
@@ -408,11 +409,15 @@ def nullspace(source) -> NullspaceBasis:
     ``n_rows x n_cols`` is checked against ``DEFAULT_MAX_CELLS`` before
     ``orbits()`` is called.
     """
-    if source.n_rows * source.n_cols > DEFAULT_MAX_CELLS:
-        raise DimensionOverflowError(
-            "%dx%d matrix exceeds the %d-cell limit"
-            % (source.n_rows, source.n_cols, DEFAULT_MAX_CELLS))
+    check_cells(source.n_rows, source.n_cols)
     return kernel_of(source.orbits(), source.n_cols)
+
+
+def check_cells(n_rows: int, n_cols: int):
+    """Refuse an ``n_rows x n_cols`` system past ``DEFAULT_MAX_CELLS``."""
+    if n_rows * n_cols > DEFAULT_MAX_CELLS:
+        raise DimensionOverflowError("%dx%d matrix exceeds the %d-cell limit"
+                                     % (n_rows, n_cols, DEFAULT_MAX_CELLS))
 
 
 def _vector_int_row(vector):

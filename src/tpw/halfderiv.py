@@ -81,7 +81,8 @@ class HalfDerivationSystem:
     """Homogeneous system for one degree on one window, generated lazily.
 
     ``orbits()`` hands the constraint rows to ``exactlin.nullspace`` in
-    orbits of the degree's stabilizer, and ``int_rows()`` streams them in
+    orbits of the degree's stabilizer, found afresh by each call from the
+    window's read-only pair table, and ``int_rows()`` streams them in
     pair order; both read one per-pair row builder. ``n_constraints``
     (alias ``n_rows``) counts ordered pairs, as reports do; ``matrix``
     materializes the streamed rows on first use.
@@ -245,17 +246,16 @@ def _n_constraints(spec, window: Window):
     """Rows of a degree's system, as reports count them: dim V^3 per
     ordered pair (x, y) with x, y and x + y in the box.
 
-    Per axis, the coordinates summing to u (|u| <= radius) give
-    2 radius + 1 - |u| pairs; the axes are independent.
+    Per axis, the coordinates summing to u (|u| <= r) give 2r + 1 - |u|
+    pairs, 3r^2 + 3r + 1 in all; the axes are independent.
     """
     r = window.radius
-    per_axis = sum(2 * r + 1 - abs(u) for u in range(-r, r + 1))
-    return per_axis ** spec.rank * spec.dim_v ** 3
+    return (3 * r * r + 3 * r + 1) ** spec.rank * spec.dim_v ** 3
 
 
 def _pair_table(spec, radius):
     """The window's degree-invariant row data, built once per (spec, radius):
-    ``(box, pos x, pos y, pos x+y, t(x, y), units x, units y, index, orbits)``.
+    ``(box, pos x, pos y, pos x+y, t(x, y), units x, units y, index)``.
 
     The first five run over the unordered pairs of Box(radius) with x + y
     in it, in stream order: x through the box sorted by ``norm_inf``, y
@@ -265,19 +265,15 @@ def _pair_table(spec, radius):
     with them: ``units x[m]`` holds t(e_m, y) - t(0, y) flattened for each y
     of the box in turn, ``units y[m]`` t(x, e_m) - t(x, 0) for each x.
     ``index[pos x * |box| + pos y]`` is the pair of x and y, in either
-    order, and ``orbits`` keeps what ``_pair_orbits`` has found per group.
-    Kept in ``spec.pair_tables``, the pair columns as ``array('q')`` (the
-    constants a list if one exceeds 64 bits)."""
+    order. Kept in ``spec.pair_tables`` and never changed: the positions and
+    ``index`` as ``array('q')``, the constants, of any size, as a list."""
     tables = spec.pair_tables
     if radius not in tables:
-        try:
-            tables[radius] = _build_pair_table(spec, radius, array("q"))
-        except OverflowError:
-            tables[radius] = _build_pair_table(spec, radius, [])
+        tables[radius] = _build_pair_table(spec, radius)
     return tables[radius]
 
 
-def _build_pair_table(spec, radius, consts):
+def _build_pair_table(spec, radius):
     rank = spec.rank
     box = box_points(radius, rank)
     order = sorted(range(len(box)), key=lambda p: norm_inf(box[p]))
@@ -303,7 +299,7 @@ def _build_pair_table(spec, radius, consts):
     units_y = [[u - v for u, v in zip((w for x in box for w in _flat(t(x, e))), base_y)]
                for e in units]
     pxs, pys, pxys = array("q"), array("q"), array("q")
-    size, dv3 = len(box), spec.dim_v ** 3
+    size, dv3, consts = len(box), spec.dim_v ** 3, []
     index = array("q", bytes(8 * size * size))
     for n, px in enumerate(order):
         x, qx = box[px], qs[px] + corner
@@ -316,7 +312,7 @@ def _build_pair_table(spec, radius, consts):
                 pys.append(py)
                 pxys.append(pxy)
                 consts.extend(tx[py * dv3:(py + 1) * dv3])
-    return box, pxs, pys, pxys, consts, units_x, units_y, index, {}
+    return box, pxs, pys, pxys, consts, units_x, units_y, index
 
 
 def _pair_orbits(spec, radius, sigmas):
@@ -325,18 +321,14 @@ def _pair_orbits(spec, radius, sigmas):
     table indices per orbit. The pair {x, y} goes to {sigma x, sigma y},
     which the table holds in one order or the other (``index``). The
     trivial group gives one orbit, every pair first. Orbits are found as
-    they are drawn. Per window and group, ``orbits`` keeps the orbits found
-    so far, the pairs they hold and the stream position to go on from: the
-    next solve with the group reads them and finds only the rest."""
-    box, pxs, pys, *_, index, orbits = _pair_table(spec, radius)
+    they are drawn, and only as far as the solve draws them."""
+    box, pxs, pys, *_, index = _pair_table(spec, radius)
     if len(sigmas) == 1:
         yield range(len(pxs)), ()
         return
-    state = orbits.setdefault(sigmas, [[], bytearray(len(pxs)), 0])
-    found, seen = state[0], state[1]
-    yield from found
     size, perms = len(box), [_box_perm(sigma, radius) for sigma in sigmas[1:]]
-    for n in range(state[2], len(pxs)):
+    seen = bytearray(len(pxs))
+    for n in range(len(pxs)):
         if not seen[n]:
             px, py = pxs[n], pys[n]
             rest = {index[p[px] * size + p[py]] for p in perms}
@@ -344,10 +336,7 @@ def _pair_orbits(spec, radius, sigmas):
             rest = sorted(rest)
             for m in rest:
                 seen[m] = 1
-            found.append(((n,), rest))
-            state[2] = n + 1
-            yield found[-1]
-    state[2] = len(pxs)
+            yield (n,), rest
 
 
 @lru_cache
@@ -594,15 +583,17 @@ def solve_degrees(spec, window: Window, degree_bound: int, delta=HALF,
 
     Returns degree -> kernel (``NullspaceBasis``): the one map of solved
     degrees, read as it is by ``sweep`` and ``tpstruct.classify``. The
-    unknowns are counted against ``max_unknowns`` before any degree is
-    built. An automorphism of ``spec.automorphisms`` carries the degree-a
-    system onto the degree sigma a one, and its kernel with it: the first
-    degree of each orbit in ``box_points`` order is solved, the others are
-    transported (``_transported``).
+    unknowns are counted against ``max_unknowns``, and every degree's
+    cells (the same count for each) against ``exactlin.DEFAULT_MAX_CELLS``,
+    before any degree is listed. An automorphism of ``spec.automorphisms``
+    carries the degree-a system onto the degree sigma a one, and its kernel
+    with it: the first degree of each orbit in ``box_points`` order is
+    solved, the others are transported (``_transported``).
     """
     if degree_bound > window.radius:
         raise ValueError("degree_bound must not exceed the window radius")
     _check_unknowns(spec, window, max_unknowns)
+    exactlin.check_cells(_n_constraints(spec, window), _n_unknowns(spec, window))
     box, out = box_points(degree_bound, spec.rank), {}
     for a in box:
         if a not in out:

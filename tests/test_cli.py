@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from tpw import cli, exactlin
+from tpw import cli, exactlin, halfderiv
 from tpw.cli import ConfigError, load_config, reproduce, run
 
 
@@ -330,6 +330,20 @@ def test_cell_limit_exits_3(tmp_path, capsys, monkeypatch):
                                      payload={"degree_bound": 1})))
     assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
     assert "1000-cell limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["solve-half-derivations", "classify-tp"])
+def test_default_cell_limit_exits_3_before_any_degree_is_listed(task, tmp_path, capsys,
+                                                                monkeypatch):
+    """Block g = 0 at radius 100000 with no limits set: the default degree
+    bound 50000 would list 10^10 degrees, and the cell limit refuses first."""
+    def no_degree_box(bound, rank):
+        raise AssertionError("Box(%d) was listed" % bound)
+    monkeypatch.setattr(halfderiv, "box_points", no_degree_box)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"algebra": B0, "window": {"radius": 100000}, "task": task}))
+    assert cli.main(["run", "--config", str(path), "--json-only"]) == 3
+    assert "%d-cell limit" % exactlin.DEFAULT_MAX_CELLS in capsys.readouterr().err
 
 
 def test_check_lie_limit_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the per-degree derivation constraint systems."""
 
+from copy import deepcopy
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -392,8 +393,7 @@ def table_builds(monkeypatch):
     builds = []
     build = halfderiv._build_pair_table
     monkeypatch.setattr(halfderiv, "_build_pair_table",
-                        lambda spec, radius, consts: builds.append(radius)
-                        or build(spec, radius, consts))
+                        lambda spec, radius: builds.append(radius) or build(spec, radius))
     return builds
 
 
@@ -646,12 +646,11 @@ def test_the_orbits_draw_fewer_rows_than_the_plain_stream():
 
 
 def test_constants_past_64_bits_stream_the_same_rows():
-    """The pair table's constants fall back from ``array('q')`` to a list."""
+    """Structure constants past 64 bits give the direct generator's rows."""
     for spec in (WittType(AdditiveMap([2 ** 64, 1])),
                  GeneralizedWitt(Pairing([[2 ** 63, 1], [0, 1]]))):
         system = assemble(spec, (1, -1), Window(2, 1))
         assert list(system.int_rows()) == list(_constraint_rows(system))
-        assert isinstance(spec.pair_tables[2][4], list)
 
 
 @st.composite
@@ -685,50 +684,43 @@ def pair_table_specs(draw):
 @given(case=pair_table_specs())
 def test_pair_table_constants_match_one_t_call_per_pair(case):
     """The pair table's t(x, y), combined from t(0, y) and the unit
-    differences, equals the family's t called on each pair; past 64 bits
-    the constants fall back to a list."""
+    differences, equals the family's t called on each pair, past 64 bits
+    too."""
     spec, radius = case
     consts = halfderiv._pair_table(spec, radius)[4]
     assert list(consts) == slow_pair_constants(spec, radius)
-    assert isinstance(consts, list) == any(not -2 ** 63 <= v < 2 ** 63 for v in consts)
 
 
-class _CountingIndex:
-    """A pair table's pair index that counts its reads."""
-
-    def __init__(self, index):
-        self.index, self.reads = index, 0
-
-    def __getitem__(self, n):
-        self.reads += 1
-        return self.index[n]
-
-
-def test_pair_orbits_resume_where_the_last_solve_stopped():
-    """On the held-out rank-3 Block at Window(4, 1), degree (0, -1, -1)
-    empties its kernel early and (0, 0, -1), with the same stabilizer, reads
-    every pair: the second solve reads the orbits the first found and finds
-    only the rest, so each pair's orbit is looked up once. The resumed
-    orbits equal one uninterrupted find."""
-    spec, window = _rank3_block(), Window(4, 1)
-    table = halfderiv._pair_table(spec, 4)
-    index = _CountingIndex(table[7])
-    spec.pair_tables[4] = table[:7] + (index, table[8])
-    degrees = [(0, -1, -1), (0, 0, -1)]
-    groups = {tuple(sigma for sigma, _, _ in spec.automorphisms if act(sigma, a) == a)
-              for a in degrees}
-    assert len(groups) == 1
-    (sigmas,) = groups
-    assert len(sigmas) > 1
-    first = solve(assemble(spec, degrees[0], window))
-    found, _, position = table[8][sigmas]
-    assert first.dimension == 0 and 0 < position < len(table[1])
-    prefix = list(found)
-    solve(assemble(spec, degrees[1], window))
-    found, _, position = table[8][sigmas]
-    assert position == len(table[1]) and found[:len(prefix)] == prefix
-    assert index.reads == (len(sigmas) - 1) * len(found)
-    assert found == list(halfderiv._pair_orbits(_rank3_block(), 4, sigmas))
+@pytest.mark.parametrize("spec,degree,radius,order", [
+    (b0_spec(), (0, 0), 3, 8),
+    (_SWAPPED, (0, 0), 2, 8),
+    (WittType(AdditiveMap([1])), (0,), 3, 2),
+    (_rank3_block(), (0, 0, -1), 4, 2),
+], ids=["b0", "swapped-pairing", "witt-rank1", "rank3-block"])
+def test_pair_orbits_partition_the_pairs_as_the_group_does(spec, degree, radius, order):
+    """The pair orbits of a degree's stabilizer are the orbits of {x, y} ->
+    {sigma x, sigma y}, found here from the box points and ``act``: each
+    table pair in exactly one, first at its least stream position, in
+    stream order. A second find gives the same orbits and the table is
+    left as it was."""
+    sigmas = tuple(sigma for sigma, _, _ in spec.automorphisms if act(sigma, degree) == degree)
+    assert len(sigmas) == order
+    table = halfderiv._pair_table(spec, radius)
+    before = deepcopy(table)
+    box, pxs, pys = table[:3]
+    at = {frozenset((box[px], box[py])): n for n, (px, py) in enumerate(zip(pxs, pys))}
+    assert len(at) == len(pxs)
+    found = list(halfderiv._pair_orbits(spec, radius, sigmas))
+    firsts = [first for (first,), _ in found]
+    assert firsts == sorted(firsts)
+    assert sorted(n for (first,), rest in found for n in (first, *rest)) == list(range(len(pxs)))
+    for (first,), rest in found:
+        x, y = box[pxs[first]], box[pys[first]]
+        orbit = {at[frozenset((act(sigma, x), act(sigma, y)))] for sigma in sigmas}
+        assert orbit == {first, *rest} and first == min(orbit), (x, y)
+    assert list(halfderiv._pair_orbits(spec, radius, sigmas)) == found
+    assert len(spec.pair_tables[radius]) == 8
+    assert spec.pair_tables[radius] == before
 
 
 @st.composite
