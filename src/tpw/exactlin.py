@@ -338,13 +338,19 @@ def kernel_of(orbits, n_cols: int) -> NullspaceBasis:
     stable id, with a column index (column -> {id: entry}). A drawn row r
     that annihilates K lies in the span of the rows before it and is only
     counted. Otherwise K shrinks by one: k0 is the sparsest vector r meets
-    (least id on ties), s0 = r . k0, each k with r . k = s != 0 becomes
-    s0 k - s k0 over its content, and k0 leaves; only these vectors change
-    in the index. No row is drawn once K is empty. K is the kernel of whole
-    orbits, so G maps it onto itself: when an orbit's first rows annihilate
-    K, so do their images, and the rest of the orbit is never drawn. The
-    canonical basis is read off K once (``_canonical``), so it depends only
-    on the row space, not on row order, row scaling or the rows skipped.
+    (least id on ties), s0 = r . k0, each k with r . k = s != 0 is cleared
+    against k0, and k0 leaves; only these vectors change in the index. When
+    s0 divides s, k becomes k - (s/s0) k0 in place: only k0's columns are
+    written, in k and in the index. Otherwise k becomes s0 k - s k0 over
+    its content and is re-indexed in full. Both give k a multiple of the
+    same vector, so the supports, the pivot choices and which rows shrink
+    K are those of either rule alone, and so are ``rows_consumed`` and
+    ``rows_checked``. No row is drawn once K is empty. K is the kernel of
+    whole orbits, so G maps it onto itself: when an orbit's first rows
+    annihilate K, so do their images, and the rest of the orbit is never
+    drawn. The canonical basis is read off K once (``_canonical``), which
+    normalizes, so it depends only on the row space, not on the scale of
+    K's vectors, row order, row scaling or the rows skipped.
     """
     kernel = {c: {c: 1} for c in range(n_cols)}  # id -> integer vector
     index = [{c: 1} for c in range(n_cols)]  # column -> {id: entry}
@@ -368,6 +374,15 @@ def kernel_of(orbits, n_cols: int) -> NullspaceBasis:
                 for c in k0:
                     del index[c][i0]
                 for i, s in dots.items():
+                    if not s % s0:  # k - (s/s0) k0: only k0's columns change
+                        k, q = kernel[i], s // s0
+                        for c, v in k0.items():
+                            w = k.get(c, 0) - q * v
+                            if w:
+                                k[c] = index[c][i] = w
+                            else:
+                                del k[c], index[c][i]
+                        continue
                     g = gcd(s0, s)
                     a, s = s0 // g, s // g
                     k = {c: a * v for c, v in kernel[i].items()}

@@ -276,8 +276,10 @@ def _constraint_rows(system):
 
 class RebuildingRowSpace:
     """The row space of a row source as the kernel loop of
-    ``exactlin.kernel_of`` reads it, with the column index of the kernel
-    basis K rebuilt after every shrink, as the loop was first written.
+    ``exactlin.kernel_of`` reads it, as the loop was first written: the
+    slow twin of both of its update rules. Every vector a row meets becomes
+    s0 k - s k0 over its content, whether or not s0 divides s, and the
+    column index of the kernel basis K is rebuilt after every shrink.
 
     K starts at the identity and is a list in id order, so a position
     orders like a stable id. ``kernel()`` reads the canonical basis off K

@@ -1,7 +1,10 @@
 """Tests for the exact rational linear algebra kernel."""
 
+import collections
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -453,3 +456,75 @@ def test_in_place_kernel_index_matches_the_rebuilt_one():
             rebuilt.rows_consumed, rebuilt.rows_checked)
         shrinks += ns.rows_consumed
     assert shrinks > 500
+
+
+def _update_rules(run):
+    """``run()``, and how many vector updates ``kernel_of`` made in it by
+    each rule: (in place, rebuilt), counted from the lines it executes."""
+    code = exactlin.kernel_of.__code__
+    lines, first = inspect.getsourcelines(exactlin.kernel_of)
+    in_place, rebuilt = (first + next(n for n, line in enumerate(lines) if text in line)
+                         for text in ("s // s0", "gcd(s0, s)"))
+    counts = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "line":
+            counts[frame.f_lineno] += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, counts[in_place], counts[rebuilt]
+
+
+def _unit_row(rng, n_cols):
+    return {c: rng.choice((1, -1)) for c in range(n_cols) if rng.random() < 0.4}
+
+
+def _coprime_row(rng, n_cols):
+    p, q = rng.choice(((2, 3), (3, 2), (2, 5), (3, 4), (5, 3)))
+    a, b = rng.sample(range(n_cols), 2)
+    return {a: rng.choice((p, -p)), b: rng.choice((q, -q))}
+
+
+def _mixed_row(rng, n_cols):
+    return rng.choice((_unit_row, _coprime_row))(rng, n_cols)
+
+
+@pytest.mark.parametrize("make_row,ran", [
+    (_unit_row, lambda in_place, rebuilt: in_place > 10 * rebuilt),
+    (_coprime_row, lambda in_place, rebuilt: rebuilt > 2 * in_place),
+    (_mixed_row, lambda in_place, rebuilt: min(in_place, rebuilt) > 100),
+], ids=["units", "coprime", "mixed"])
+def test_both_update_rules_match_the_rebuilt_kernel(make_row, ran):
+    """A met vector k is shrunk to k - (s/s0) k0 in place when the pivot's
+    dot s0 divides its dot s, and to s0 k - s k0 over its content with a
+    full re-index otherwise. Rows with entries in {1, -1} meet the identity
+    with unit dots, so the first rule runs most; rows pairing coprime
+    entries (2 and 3, 2 and 5, 3 and 4) meet two unit vectors with coprime
+    dots, so the second does; mixed streams run both. Either way the kernel
+    and the row counts are those of the slow twin, which normalizes every
+    changed vector and rebuilds the index."""
+    rng = random.Random(31)
+    totals = [0, 0]
+    for _ in range(120):
+        n_cols = rng.randint(2, 10)
+        rows = [make_row(rng, n_cols) for _ in range(rng.randint(1, n_cols + 3))]
+        if rng.random() < 0.3:  # a sum of two rows: only checked
+            u, v = rng.choices(rows, k=2)
+            rows.append({c: w for c in u.keys() | v.keys() if (w := u.get(c, 0) + v.get(c, 0))})
+        dense = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
+        source = _Rows(n_cols, rows)
+        ns, in_place, rebuilt = _update_rules(lambda: nullspace(source))
+        slow = RebuildingRowSpace(source)
+        assert ns == slow.kernel()
+        check_canonical(ns)
+        assert list(ns.vectors) == oracle_nullspace(dense, n_cols)
+        assert (ns.rows_consumed, ns.rows_checked) == (slow.rows_consumed, slow.rows_checked)
+        totals[0] += in_place
+        totals[1] += rebuilt
+    assert ran(*totals), totals

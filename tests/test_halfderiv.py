@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     CountingSource,
+    RebuildingRowSpace,
     _constraint_rows,
     check_canonical,
     oracle_in_span,
@@ -643,6 +644,27 @@ def test_the_orbits_draw_fewer_rows_than_the_plain_stream():
     assert kernel == plain and kernel.dimension == 2
     assert (plain.rows_consumed, plain.rows_generated) == (194, 5242)
     assert (kernel.rows_consumed, kernel.rows_generated) == (194, 1193)
+
+
+@pytest.mark.parametrize("spec,degree,window,delta", [
+    (gw_spec(), (0, 0), Window(3, 2), Fraction(1)),
+    (WittType(AdditiveMap([1, 2])), (1, 0), Window(3, 2), _HALF),
+    (b1_spec(), (0, 1), Window(3, 2), _HALF),
+    (_rank3_block(), (0, 1, 0), Window(2, 1), _HALF),
+], ids=["gw-identity", "witt-12", "block-gh", "block-rank3"])
+def test_degree_systems_match_the_rebuilding_kernel(spec, degree, window, delta):
+    """One degree system per family: the kernel and the rank that
+    ``kernel_of`` finds, updating a met vector in place when s0 divides s
+    (most updates here; all of them on Witt type) and rebuilding it
+    otherwise, are those of the slow twin, which normalizes every changed
+    vector and rebuilds the index after each shrink. The slow twin reads
+    the plain stream, not the orbits, so the checked rows differ."""
+    system = assemble(spec, degree, window, delta=delta)
+    kernel = exactlin.nullspace(system)
+    slow = RebuildingRowSpace(system)
+    assert kernel == slow.kernel()
+    check_canonical(kernel)
+    assert kernel.rows_consumed == slow.rows_consumed == system.n_cols - kernel.dimension
 
 
 def test_constants_past_64_bits_stream_the_same_rows():
