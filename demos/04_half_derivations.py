@@ -17,7 +17,7 @@ from tpw import (
     solve,
     sweep,
 )
-from tpw.exactlin import nullspace
+from tpw.exactlin import kernel_of, nullspace
 from tpw.halfderiv import solve_degrees
 from tpw.lattice import act
 
@@ -54,9 +54,13 @@ for r in report.results:
 # certify carry each degree's kernel to the others of its orbit: only the
 # first degree of an orbit is solved, the others are transported and draw
 # no row. A solved degree draws its rows in orbits of its stabilizer, the
-# rest of an orbit only when its first pair's rows shrink the kernel: the
-# same kernel as the plain stream of the materialized matrix, mostly from
-# fewer rows (a few more where the kernel empties inside a whole orbit).
+# rest of an orbit only when its first pair's rows shrink the kernel, and
+# stops once the kernel basis is certified: every vector affine in the box
+# point and annihilating the rows of the pairs of Box(1) x Box(1), so, by
+# the Combinatorial Nullstellensatz, every row. The kernel is that of the
+# plain stream of the materialized matrix; the counts include the rows the
+# certificate reads (where the kernel empties inside a whole orbit, the
+# orbits can draw a few more rows than the plain stream).
 print("\nsolved and transported degrees at degree bound 1:")
 for name, spec in [("generalized Witt", GeneralizedWitt(Pairing([[1, 0], [0, 1]]))),
                    ("Block g=0", b0), ("Block g!=0", b1)]:
@@ -65,10 +69,13 @@ for name, spec in [("generalized Witt", GeneralizedWitt(Pairing([[1, 0], [0, 1]]
     print("  %s: %d automorphisms certified" % (name, len(spec.automorphisms)))
     for a, kernel in kernels.items():
         if a in solved:
-            plain = nullspace(assemble(spec, a, window).matrix)
-            assert plain == kernel
-            print("    degree %s: solved, %d rows drawn (plain stream: %d)"
-                  % (a, kernel.rows_generated, plain.rows_generated))
+            system = assemble(spec, a, window)
+            plain = nullspace(system.matrix)
+            uncertified = kernel_of(system.orbits(), system.n_cols)
+            assert plain == uncertified == kernel
+            print("    degree %s: solved, %d rows drawn (no certificate: %d, plain stream: %d)"
+                  % (a, kernel.rows_generated, uncertified.rows_generated,
+                     plain.rows_generated))
         else:  # the representative: the first solved degree some sigma carries to a
             first = next(b for b in solved
                          if any(act(sigma, b) == a for sigma, _, _ in spec.automorphisms))

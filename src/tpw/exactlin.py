@@ -7,8 +7,10 @@ shrinks an integer kernel basis, from the identity, by each drawn row that
 meets it, and reads the canonical basis off what is left. It reads rows in
 orbits of a symmetry of the system and draws the rest of an orbit only
 when the orbit's first rows shrink the basis; a plain row stream is one
-orbit. ``nullspace`` and the classifier's commutativity solve both call
-it. ``RowSpace`` is an incremental echelon of denominator-cleared integer
+orbit. A certificate from the row source can prove the basis is already
+the kernel, and then no more rows are drawn. ``nullspace`` and the
+classifier's commutativity solve both call it.
+``RowSpace`` is an incremental echelon of denominator-cleared integer
 rows with per-row gcd reduction and one fraction-free back-substitution
 (``reduced``); a rank, a row-space basis, ``in_span``, every span check
 after a solve and the canonical kernel basis are reads of it. A kernel
@@ -295,8 +297,10 @@ class NullspaceBasis:
     dense ``Fraction`` rows with a unit at the pivot, built on first read;
     no solve or verdict reads them. ``rows_consumed`` counts the drawn rows
     that shrank the kernel (the rank) and ``rows_checked`` the drawn rows
-    that did not (``rows_generated`` is their sum); the rows of an orbit
-    that ``kernel_of`` skips are never drawn and count in neither. A kernel
+    that did not (``rows_generated`` is their sum), a certificate's rows
+    among them; the rows of an orbit that ``kernel_of`` skips, and those
+    left when a certificate stops the solve, are never drawn and count in
+    neither. A kernel
     read off another one draws no row and both read 0 (``halfderiv``'s
     transported degrees, all but the first of each orbit). No count takes
     part in equality.
@@ -324,7 +328,7 @@ class NullspaceBasis:
         return self.rows_consumed + self.rows_checked
 
 
-def kernel_of(orbits, n_cols: int) -> NullspaceBasis:
+def kernel_of(orbits, n_cols: int, certificate=None) -> NullspaceBasis:
     """Canonical basis of the vectors that every integer row dict annihilates.
 
     The rows come in orbits of a group G of signed column permutations: an
@@ -351,19 +355,25 @@ def kernel_of(orbits, n_cols: int) -> NullspaceBasis:
     drawn. The canonical basis is read off K once (``_canonical``), which
     normalizes, so it depends only on the row space, not on the scale of
     K's vectors, row order, row scaling or the rows skipped.
+
+    A ``certificate`` from the row source stops the solve before the rows
+    run out. It is asked after each row that shrinks a nonempty K, with K's
+    vectors, and returns None or rows: K annihilating those rows proves
+    that every row of the system does (``halfderiv._certificate``). Since K
+    always holds the kernel, K is then the kernel, and no more rows are
+    drawn. Its rows are checked against K as drawn rows are and count in
+    ``rows_checked``; the first that meets K ends the reading and the
+    stream goes on. The stop changes neither K nor ``rows_consumed``.
     """
     kernel = {c: {c: 1} for c in range(n_cols)}  # id -> integer vector
     index = [{c: 1} for c in range(n_cols)]  # column -> {id: entry}
     consumed = checked = 0
+    done = False
     for orbit in orbits if kernel else ():
         before = consumed
         for rows in orbit:
             for row in rows:
-                dots = {}
-                get = dots.get
-                for c, v in row.items():
-                    for i, kv in index[c].items():
-                        dots[i] = get(i, 0) + v * kv
+                dots = _dots(row, index)
                 if not any(dots.values()):
                     checked += 1
                     continue
@@ -396,13 +406,44 @@ def kernel_of(orbits, n_cols: int) -> NullspaceBasis:
                     for c, v in k.items():
                         index[c][i] = v
                 if not kernel:
+                    done = True
+                elif certificate is not None:
+                    read, done = _certify(certificate, kernel, index)
+                    checked += read
+                if done:
                     break
-            if consumed == before or not kernel:
+            if consumed == before or done:
                 break  # the first rows annihilate K: so does the rest of the orbit
-        if not kernel:
+        if done:
             break
     return NullspaceBasis(n_cols, _canonical(kernel.values(), n_cols),
                           rows_consumed=consumed, rows_checked=checked)
+
+
+def _dots(row, index):
+    """id -> the dot of the integer dict ``row`` with that vector of K, for
+    the vectors it meets, from K's column index (zero dots included)."""
+    dots = {}
+    get = dots.get
+    for c, v in row.items():
+        for i, kv in index[c].items():
+            dots[i] = get(i, 0) + v * kv
+    return dots
+
+
+def _certify(certificate, kernel, index):
+    """Ask ``certificate`` whether K is the kernel: it returns None, or rows
+    whose annihilating K proves it. Returns the rows read and the answer;
+    the first row that meets K ends the reading."""
+    rows = certificate(kernel.values())
+    if rows is None:
+        return 0, False
+    read = 0
+    for row in rows:
+        read += 1
+        if any(_dots(row, index).values()):
+            return read, False
+    return read, True
 
 
 def _canonical(vectors, n_cols):
@@ -420,12 +461,15 @@ def nullspace(source) -> NullspaceBasis:
     """Exact canonical kernel basis of a row source, by ``kernel_of``.
 
     ``source`` has ``n_rows``, ``n_cols`` and an ``orbits()`` iterator of
-    row orbits, as ``kernel_of`` reads them; a ``SparseMatrix`` is one.
-    ``n_rows x n_cols`` is checked against ``DEFAULT_MAX_CELLS`` before
-    ``orbits()`` is called.
+    row orbits, as ``kernel_of`` reads them; a ``SparseMatrix`` is one. A
+    source with a certificate also has ``certified_orbits()``, which returns its
+    orbits together with it, and is read by that. ``n_rows x n_cols`` is
+    checked against ``DEFAULT_MAX_CELLS`` before any orbit is built.
     """
     check_cells(source.n_rows, source.n_cols)
-    return kernel_of(source.orbits(), source.n_cols)
+    certified = getattr(source, "certified_orbits", None)
+    orbits, certificate = certified() if certified else (source.orbits(), None)
+    return kernel_of(orbits, source.n_cols, certificate)
 
 
 def check_cells(n_rows: int, n_cols: int):

@@ -25,6 +25,16 @@ Those that fix the degree split its pairs into orbits too
 sigma y), so the rest of an orbit is drawn only when its first pair's
 rows shrink the kernel basis.
 
+A solve stops once its kernel basis is certified (``_certificate``), on
+a window of radius R >= 2d for d = ``spec.coefficient_degree``. The maps
+of the paper's answers are polynomial in the grading: when every vector
+of the basis has degree at most d in each coordinate of the box point,
+each row applied to it is a polynomial of degree at most 2d in each
+coordinate of the pair, so if it vanishes on the pairs of Box(d) x
+Box(d) it vanishes on every pair (Alon, Combinatorial Nullstellensatz,
+1999, Lemma 2.1). Then the basis, which always holds the kernel, is the
+kernel, exactly: no row drawn later could shrink it.
+
 Boundary indices of the box see fewer constraint pairs than interior
 ones, so the raw solution space picks up spurious boundary-supported
 vectors. All dimension comparisons therefore happen after restricting
@@ -34,8 +44,10 @@ tables to the window's inner box.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 
 from . import exactlin
 from .algebra import center_predicate, square_predicate
@@ -83,7 +95,10 @@ class HalfDerivationSystem:
     ``orbits()`` hands the constraint rows to ``exactlin.nullspace`` in
     orbits of the degree's stabilizer, found afresh by each call from the
     window's read-only pair table, and ``int_rows()`` streams them in
-    pair order; both read one per-pair row builder. ``n_constraints``
+    pair order; both read one per-pair row builder. ``certified_orbits()`` gives the
+    orbits together with the certificate that stops their solve once the
+    kernel basis is affine in the box point and annihilates the grid rows
+    not yet reached (``_certificate``; none when R < 2d). ``n_constraints``
     (alias ``n_rows``) counts ordered pairs, as reports do; ``matrix``
     materializes the streamed rows on first use.
     """
@@ -111,15 +126,25 @@ class HalfDerivationSystem:
         """The rows as ``exactlin.kernel_of`` reads them: per orbit of the
         certified sigma with sigma a = a (``_pair_orbits``), the rows of its
         first pair, then those of the others, built only when drawn."""
+        return self.certified_orbits()[0]
+
+    def certified_orbits(self):
+        """``orbits()`` and the certificate that stops their solve once the
+        kernel basis K is the kernel (``_certificate``; None on a window
+        with R < 2d). The certificate reads how far these orbits have been
+        drawn: the pair whose rows are drawn now, in an orbit's first part."""
         a = self.degree
         sigmas = tuple(sigma for sigma, _, _ in self.spec.automorphisms if act(sigma, a) == a)
-        draw = self._pair_rows()
-        return (map(draw, orbit)
-                for orbit in _pair_orbits(self.spec, self.window.radius, sigmas))
+        draw, reached = self._pair_rows(), [0]
+        orbits = ((draw(first, reached), draw(rest))
+                  for first, rest in _pair_orbits(self.spec, self.window.radius, sigmas))
+        return orbits, _certificate(self.spec, self.window.radius, draw, reached)
 
     def _pair_rows(self):
         """The row builder of the degree: ``draw(pairs)`` yields the rows of
-        each pair of the window's ``_pair_table`` that ``pairs`` indexes.
+        each pair of the window's ``_pair_table`` that ``pairs`` indexes,
+        and ``draw(pairs, reached)`` also keeps the pair drawn in
+        ``reached[0]``.
 
         The row of (x, i; y, j; k) is the e_(a+x+y, k) coefficient of
         phi([u, v]) / delta - [phi(u), v] - [u, phi(v)] for u = e_(x,i) and
@@ -146,8 +171,10 @@ class HalfDerivationSystem:
                            l * dv + i, (i * dv + l) * dv + k, l * dv + j) for l in span])
                   for i in span for j in span for k in span]
 
-        def draw(pairs):
+        def draw(pairs, reached=None):
             for n in pairs:
+                if reached is not None:
+                    reached[0] = n
                 px, py, pxy = pxs[n], pys[n], pxys[n]
                 at, ox, oy = n * dv3, off_x[py], off_y[px]
                 base_x, base_y, base_xy = px * dv2, py * dv2, pxy * dv2
@@ -337,6 +364,74 @@ def _pair_orbits(spec, radius, sigmas):
             for m in rest:
                 seen[m] = 1
             yield (n,), rest
+
+
+def _certificate(spec, radius, draw, reached):
+    """The certificate ``exactlin.kernel_of`` asks once a row shrinks the
+    kernel basis K, or None when radius < 2d for d = ``spec.coefficient_degree``.
+
+    Call a vector of K affine when each of its (r, c) entries, a function of
+    the box point x, has degree at most d in each coordinate of x: its
+    (d+1)-th differences along every axis vanish (``_differences``). Each
+    row, applied to an affine vector, is then a polynomial in (x, y) of
+    degree at most 2d in each coordinate, since t has degree d in each
+    coordinate of both points; the row of (y, x) is the negation of a row
+    of (x, y). If it vanishes on the pairs of Box(d) x Box(d), the grid, it
+    vanishes everywhere (Alon, Combinatorial Nullstellensatz, 1999, Lemma
+    2.1), so on every window pair. The grid's pairs are window pairs, with
+    x + y in Box(R), because R >= 2d. Then K, which holds the kernel, lies
+    in it, and is it.
+
+    ``certificate(vectors)`` returns None unless every vector is affine, and
+    otherwise the rows K must annihilate: those of the grid pairs at or past
+    ``reached[0]``, the pair whose rows an orbit's first part draws now or
+    drew last. That is the orbit's first pair, unless the stabilizer is
+    trivial and its one orbit is the whole stream. K already annihilates
+    every pair before it: each lies in an earlier orbit, drawn whole or
+    skipped with its rest, or was drawn before it. A nonzero affine vector
+    has (2R + 1 - d)^rank nonzero entries or more, since a nonzero (r, c)
+    entry is nonzero at that many points (a nonzero polynomial of degree d
+    in one variable has at most d roots, coordinate by coordinate), so a
+    sparser vector is refused before any difference is taken.
+    """
+    d = spec.coefficient_degree
+    if radius < 2 * d:
+        return None
+    box, *_, index = _pair_table(spec, radius)
+    size, dv = len(box), spec.dim_v
+    near = [p for p, x in enumerate(box) if norm_inf(x) <= d]
+    grid = sorted({index[p * size + q] for p in near for q in near if p != q or dv > 1})
+    floor = (2 * radius + 1 - d) ** spec.rank
+    affine = _differences(spec.rank, dv * dv, radius, d)
+
+    def certificate(vectors):
+        if any(len(k) < floor for k in vectors) or not all(map(affine, vectors)):
+            return None
+        return draw(grid[bisect_left(grid, reached[0]):])
+    return certificate
+
+
+@lru_cache
+def _differences(rank, block, radius, d):
+    """The test that an integer dict over the columns of Box(radius), ``block``
+    per box point, has vanishing (d+1)-th differences along every axis."""
+    width, box = 2 * radius + 1, box_points(radius, rank)
+    weights = [(-1) ** j * comb(d + 1, j) for j in range(d + 2)]
+    axes = []
+    for m in range(rank):
+        stride = width ** (rank - 1 - m) * block
+        axes.append(([(w, j * stride) for j, w in enumerate(weights)],
+                     [p * block + e for p, x in enumerate(box) if x[m] + d < radius
+                      for e in range(block)]))
+    n_cols = len(box) * block
+
+    def affine(k):
+        dense = [0] * n_cols
+        for c, v in k.items():
+            dense[c] = v
+        return not any(sum(w * dense[c + o] for w, o in terms)
+                       for terms, starts in axes for c in starts)
+    return affine
 
 
 @lru_cache

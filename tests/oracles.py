@@ -119,21 +119,35 @@ def sparse_nullspace(rows, n_cols):
 
 
 class CountingSource:
-    """A row source that passes ``source``'s row orbits on and counts the
-    rows drawn from them; the rows of a skipped orbit part are never drawn."""
+    """A row source that passes ``source``'s row orbits and certificate on
+    and counts the rows drawn from them: ``drawn`` all of them,
+    ``certificate_rows`` those the certificate handed over. The rows of a
+    skipped orbit part are never drawn."""
 
     def __init__(self, source):
         self.source = source
         self.n_rows, self.n_cols = source.n_rows, source.n_cols
-        self.drawn = 0
+        self.drawn = self.certificate_rows = 0
 
     def orbits(self):
-        for orbit in self.source.orbits():
-            yield map(self._counted, orbit)
+        return self.certified_orbits()[0]
 
-    def _counted(self, rows):
+    def certified_orbits(self):
+        certified = getattr(self.source, "certified_orbits", None)
+        orbits, certificate = certified() if certified else (self.source.orbits(), None)
+        orbits = (map(self._counted, orbit) for orbit in orbits)
+        if certificate is None:
+            return orbits, None
+
+        def counted(vectors):
+            rows = certificate(vectors)
+            return None if rows is None else self._counted(rows, certified=True)
+        return orbits, counted
+
+    def _counted(self, rows, certified=False):
         for row in rows:
             self.drawn += 1
+            self.certificate_rows += certified
             yield row
 
 

@@ -1,8 +1,10 @@
 """Tests for the per-degree derivation constraint systems."""
 
+import random
 from copy import deepcopy
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -549,7 +551,7 @@ def test_mirrored_kernels_match_the_solve_of_every_degree(monkeypatch, name, del
     degrees = box_points(1, spec.rank)
     calls, kernel_of = [], exactlin.kernel_of
     monkeypatch.setattr(exactlin, "kernel_of",
-                        lambda rows, n: calls.append(n) or kernel_of(rows, n))
+                        lambda *args: calls.append(args[1]) or kernel_of(*args))
     solved = solve_degrees(spec, window, 1, delta=delta)
     n_solved = len(calls)
     assert solved == {a: solve(assemble(spec, a, window, delta=delta)) for a in degrees}
@@ -637,13 +639,193 @@ def test_the_orbit_solve_matches_the_plain_stream_and_the_oracles(case, delta):
 def test_the_orbits_draw_fewer_rows_than_the_plain_stream():
     """Generalized Witt, identity pairing, delta = 1, degree 0 on Window(3, 2):
     the kernel never empties, so the plain stream draws every nonzero row,
-    and the stabilizer of order 8 skips most of them."""
+    and the stabilizer of order 8 skips most of them. The certificate stops
+    the solve once the kernel basis is affine and annihilates the grid rows
+    not yet reached, which it reads and counts as checked."""
     system = assemble(gw_spec(), (0, 0), Window(3, 2), delta=Fraction(1))
     plain = exactlin.nullspace(system.matrix)
+    uncertified = exactlin.kernel_of(system.orbits(), system.n_cols)
     kernel = solve(system)
-    assert kernel == plain and kernel.dimension == 2
+    assert kernel == uncertified == plain and kernel.dimension == 2
     assert (plain.rows_consumed, plain.rows_generated) == (194, 5242)
-    assert (kernel.rows_consumed, kernel.rows_generated) == (194, 1193)
+    assert (uncertified.rows_consumed, uncertified.rows_generated) == (194, 1193)
+    assert (kernel.rows_consumed, kernel.rows_generated) == (194, 774)
+
+
+@st.composite
+def certified_cases(draw):
+    """A spec, a window with R >= 2d and a degree in Box(2), inside Box(1) or
+    not: Witt type, generalized Witt with dim V 1-3 (the swapped pairing
+    among them), raw Blocks, Block g = 0 and Block (g, h), of rank 1-3 where
+    the family has it."""
+    kind = draw(st.sampled_from(["witt", "gw", "gw-swapped", "block-raw", "block-g0",
+                                 "block-gh"]))
+    small = st.integers(-2, 2)
+    rank = draw(st.integers(2, 3) if kind == "block-gh" else st.sampled_from(
+        [2] if kind in ("gw-swapped", "block-raw", "block-g0") else [1, 2, 3]))
+    vector = st.lists(small, min_size=rank, max_size=rank)
+    if kind == "witt":
+        spec = WittType(AdditiveMap(draw(vector)))
+    elif kind == "gw":
+        dim_v = draw(st.integers(1, 3 if rank == 1 else 2 if rank == 2 else 1))
+        spec = GeneralizedWitt(Pairing(draw(st.lists(vector, min_size=dim_v, max_size=dim_v))))
+    elif kind == "gw-swapped":
+        spec = GeneralizedWitt(Pairing([[0, draw(small.filter(bool))],
+                                        [draw(small.filter(bool)), 0]]))
+    elif kind == "block-raw":
+        k = draw(small)
+        spec = Block.raw_form(AdditiveMap(draw(vector)), BiadditiveForm([[0, k], [-k, 0]]))
+    elif kind == "block-g0":
+        k = draw(small.filter(bool))
+        spec = Block.with_form(BiadditiveForm([[0, -k], [k, 0]]))
+    else:
+        spec = Block.from_gh(AdditiveMap(draw(vector.filter(any))), AdditiveMap(draw(vector)))
+    windows = [Window(2, 1)] if rank == 3 or spec.dim_v > 1 and rank == 2 else [
+        Window(2, 1), Window(3, 2)]
+    degree = tuple(draw(st.lists(small, min_size=rank, max_size=rank)))
+    return spec, draw(st.sampled_from(windows)), degree
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=(WittType(AdditiveMap([1])), Window(2, 1), (0,)), delta=Fraction(1))
+@example(case=(gw_spec(), Window(3, 2), (0, 0)), delta=Fraction(1))
+@example(case=(GeneralizedWitt(Pairing([[1], [2], [-1]])), Window(3, 2), (2,)), delta=_HALF)
+@given(case=certified_cases(),
+       delta=st.sampled_from([_HALF, Fraction(1), _TWO_THIRDS, Fraction(2), Fraction(-1)]))
+def test_the_certified_solve_matches_the_uncertified_one(case, delta):
+    """The certificate only stops a solve: its kernel basis and rank are those
+    of ``kernel_of`` on the same orbits with no certificate, and every row
+    it reads counts as checked."""
+    spec, window, degree = case
+    system = assemble(spec, degree, window, delta=delta)
+    source = CountingSource(system)
+    certified = solve(source)
+    uncertified = exactlin.kernel_of(system.orbits(), system.n_cols)
+    assert certified == uncertified
+    assert certified.rows_consumed == uncertified.rows_consumed
+    assert source.drawn == certified.rows_consumed + certified.rows_checked
+    check_canonical(certified)
+
+
+def _dot(row, vector):
+    return sum(v * vector.get(c, 0) for c, v in row.items())
+
+
+def test_the_certificate_refuses_an_affine_vector_outside_the_kernel():
+    """Witt type f = (1) at delta = 1, degree 0 on Window(2, 1): the identity
+    is affine, but [u, v] - 2 [u, v] != 0, so it is no 1-derivation; while
+    grid rows remain unreached the certificate hands over rows, one of which
+    meets it. The grading derivation e_x -> x e_x is the kernel; it is
+    nonzero at 2R of the 2R + 1 points, the fewest for a nonzero affine
+    vector, and the rows annihilate it. Once the stream is past every grid
+    pair, no row is left to read."""
+    system = assemble(WittType(AdditiveMap([1])), (0,), Window(2, 1), delta=Fraction(1))
+    box = box_points(2, 1)
+    identity = {c: 1 for c in range(len(box))}
+    grading = {c: x[0] for c, x in enumerate(box) if x[0]}
+    orbits, certificate = system.certified_orbits()
+    assert any(_dot(row, identity) for row in certificate([identity]))
+    rows = list(certificate([grading]))
+    assert rows and not any(_dot(row, grading) for row in rows)
+    assert solve(system).int_vectors == (grading,)
+    for orbit in orbits:  # draw the whole stream
+        for rows in orbit:
+            list(rows)
+    assert list(certificate([grading])) == []
+
+
+def test_the_certificate_refuses_a_vector_that_is_not_affine():
+    """Witt type f = (1), degree 0 on Window(4, 3) at delta = 1: the grading
+    derivation plus e_4 is nonzero at 8 points, the floor, and annihilates
+    every grid row, which reads only Box(2d) = Box(2); its second difference
+    at 2 is 1, so it is refused. The grading derivation itself is not."""
+    system = assemble(WittType(AdditiveMap([1])), (0,), Window(4, 3), delta=Fraction(1))
+    box = box_points(4, 1)
+    grading = {c: x[0] for c, x in enumerate(box) if x[0]}
+    bumped = dict(grading)
+    bumped[box.index((4,))] += 1
+    _, certificate = system.certified_orbits()
+    assert len(bumped) == 8 and certificate([bumped]) is None
+    assert not any(_dot(row, bumped) for row in system.int_rows()
+                   if all(abs(box[c][0]) <= 2 for c in row))
+    assert certificate([grading]) is not None
+
+
+def test_the_certificate_reads_the_grid_pairs_from_the_orbit_first_pair_on():
+    """Generalized Witt, identity pairing, degree 0 on Window(2, 1), whose
+    stabilizer has order 8. Every pair before an orbit's first pair has been
+    drawn, or skipped with its orbit; a pair of the orbit's rest has not
+    covered the pairs between. So while an orbit is drawn, first pair or
+    rest, the certificate hands over the rows of the grid pairs from its
+    first pair on: here, those past a grid pair that the orbit's rest
+    jumps over too."""
+    spec, window, degree = gw_spec(), Window(2, 1), (0, 0)
+    system = assemble(spec, degree, window, delta=Fraction(1))
+    box, pxs, pys, *_ = halfderiv._pair_table(spec, window.radius)
+    grid = [n for n in range(len(pxs)) if max(map(abs, box[pxs[n]] + box[pys[n]])) <= 1]
+    draw = system._pair_rows()
+    identity = {c: 1 for c, (x, r, k) in enumerate(columns_for(spec, window)) if r == k}
+    sigmas = tuple(sigma for sigma, _, _ in spec.automorphisms)
+    assert len(sigmas) == 8
+    layout = list(halfderiv._pair_orbits(spec, window.radius, sigmas))
+    orbits, certificate = system.certified_orbits()
+    jumps = 0
+    for (first, rest), (first_rows, rest_rows) in zip(layout, orbits):
+        expected = list(draw(n for n in grid if n >= first[0]))
+        list(first_rows)
+        assert list(certificate([identity])) == expected
+        if next(rest_rows, None) is not None:
+            assert list(certificate([identity])) == expected
+            jumps += any(first[0] < n < rest[0] and n not in rest for n in grid)
+        list(rest_rows)
+    assert jumps
+
+
+@pytest.mark.parametrize("rank,block,radius,d", [
+    (1, 1, 2, 1), (2, 1, 3, 1), (2, 4, 2, 1), (3, 1, 2, 1), (3, 4, 2, 1), (2, 1, 4, 2)])
+def test_the_difference_test_accepts_exactly_the_affine_vectors(rank, block, radius, d):
+    """Each (r, c) entry a random polynomial of degree at most d in each
+    coordinate is accepted; one more power of one coordinate in one entry,
+    or one entry moved at one point, is refused."""
+    rng = random.Random(rank * 100 + block * 10 + radius + d)
+    box = box_points(radius, rank)
+    affine = halfderiv._differences(rank, block, radius, d)
+    powers = list(iter_product(range(d + 1), repeat=rank))
+
+    def vector(coefficients, extra=None):
+        k = {}
+        for p, x in enumerate(box):
+            for e in range(block):
+                v = sum(c * prod(xm ** pm for xm, pm in zip(x, power))
+                        for c, power in zip(coefficients[e], powers))
+                if extra is not None and extra[0] == e:
+                    v += x[extra[1]] ** (d + 1)
+                if v:
+                    k[p * block + e] = v
+        return k
+    for _ in range(20):
+        coefficients = [[rng.randint(-3, 3) for _ in powers] for _ in range(block)]
+        k = vector(coefficients)
+        assert affine(k)
+        assert not affine(vector(coefficients, (rng.randrange(block), rng.randrange(rank))))
+        c = rng.randrange(len(box) * block)
+        k[c] = k.get(c, 0) + 1
+        assert not affine(k)
+
+
+@pytest.mark.parametrize("spec", [WittType(AdditiveMap([1])), gw_spec(), b1_spec(),
+                                  _rank3_block()], ids=["witt1", "gw", "block-gh", "rank3"])
+def test_windows_with_radius_below_2d_give_no_certificate(monkeypatch, spec):
+    """Box(d) x Box(d) needs x + y in the window: R >= 2d. At d = 1 that is
+    R >= 2; at d = 2, R >= 4."""
+    degree = (0,) * spec.rank
+    radii = (1, 2) if spec.rank == 3 else (1, 2, 3)
+    assert [assemble(spec, degree, Window(r, 0)).certified_orbits()[1] is None
+            for r in radii] == [r < 2 for r in radii]
+    monkeypatch.setattr(type(spec), "coefficient_degree", 2)
+    if spec.rank < 3:
+        assert [assemble(spec, degree, Window(r, 0)).certified_orbits()[1] is None
+                for r in (3, 4)] == [True, False]
 
 
 @pytest.mark.parametrize("spec,degree,window,delta", [
